@@ -2,9 +2,17 @@
 
 One photon mode and two collective spins, each in its maximal-j sector.
 The chain-I coupling enters through i(a - a^dag), so the Hamiltonian is
-complex Hermitian in the product basis; it is solved as such rather than
-through a real gauge, which would obscure the antiunitary chain-I
-symmetry.
+complex Hermitian in the product basis; build_double_hamiltonian returns
+that matrix, on which symmetry_residuals checks the two antiunitary
+chain symmetries.
+
+The solver uses a real gauge.  With D = 1 where U_C = +1 and D = i where
+U_C = -1, every chain-C term connects equal U_C and stays real, while
+every chain-I term flips U_C and picks up a factor +-i that makes it
+real too, so D^dag H D is exactly real symmetric.  It commutes with the
+total parity U_C U_I and goes to the parity-sector core of ed; the
+phases D are applied back to the ground state before any moment is
+taken.
 
 Basis layout: flat index n*(n_c+1)*(n_i+1) + mc_idx*(n_i+1) + mi_idx with
 mc_idx = m_C + N_C/2, mi_idx = m_I + N_I/2.
@@ -14,17 +22,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .double import DoubleDickeParams
-from .ed import (DEFAULT_BUDGET_NNZ, DEFAULT_SEED, DEGENERACY_REL_TOL,
-                 TOP_ROW_TOL, EDResult)
-from .errors import (BudgetExceeded, ConvergenceError, CutoffError,
-                     CutoffWarning, DomainError)
+from .ed import (DEFAULT_BUDGET_NNZ, DEFAULT_SEED, EDResult,
+                 _sector_ground_state, _top_slab_weight, _walk_cutoff)
+from .errors import BudgetExceeded, CutoffError, CutoffWarning, DomainError
 from .gaussian import FluctuationReport, heisenberg_product
 
 __all__ = [
@@ -41,7 +47,6 @@ __all__ = [
 
 # diagonal + 4 corners per coupling
 _NNZ_PER_ROW = 9
-_DENSE_DIM = 900
 
 
 @dataclass(frozen=True)
@@ -145,71 +150,40 @@ def symmetry_residuals(H: sp.csr_matrix,
     return tuple(res)
 
 
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(v)))
-    a = v[k]
-    if a != 0:
-        v = v * (abs(a) / a)
-    return v
+def _real_gauge(H: sp.csr_matrix,
+                u_c: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
+    """D^dag H D as a real matrix, and the phases D (1 where U_C = +1,
+    i where U_C = -1), for the U_C diagonal u_c.
+
+    Entries within one U_C sector are real and keep their value; entries
+    across sectors are imaginary and become -Im H (row U_C = +1) or
+    +Im H (row U_C = -1), so the imaginary part dropped is exactly zero.
+    The result shares its index arrays with H.
+    """
+    H = H.tocsr()
+    row_u = np.repeat(u_c, np.diff(H.indptr))
+    data = H.data.real + 0.5 * (u_c[H.indices] - row_u) * H.data.imag
+    d = np.where(u_c > 0, 1.0 + 0j, 1j)
+    return sp.csr_matrix((data, H.indices, H.indptr), shape=H.shape), d
 
 
-def _top_slab_weight(state: np.ndarray, basis: DoubleEDBasis) -> float:
-    w = state.reshape(basis.n_max + 1, -1)
-    return float(np.sum(np.abs(w[-1]) ** 2))
-
-
-def double_ground_state(H: sp.csr_matrix, basis: DoubleEDBasis, k: int = 2,
+def double_ground_state(H: sp.csr_matrix, basis: DoubleEDBasis,
                         seed: int = DEFAULT_SEED,
                         tol: float = 1e-12) -> EDResult:
-    """Lowest two states of the complex Hermitian matrix; a numerically
-    degenerate pair is resolved into total-parity eigenstates and the
-    even member is returned."""
-    if k < 2:
-        raise DomainError("k must be at least 2 to resolve the gap")
-    dim = H.shape[0]
-    if dim <= _DENSE_DIM:
-        evals, evecs = np.linalg.eigh(H.toarray())
-        evals, evecs = evals[:k], evecs[:, :k]
-    else:
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        v0 /= np.linalg.norm(v0)
-        try:
-            evals, evecs = eigsh(H, k=k, which="SA", v0=v0, tol=tol)
-        except ArpackNoConvergence as exc:
-            raise ConvergenceError(
-                f"sparse eigensolver stalled at dim {dim}") from exc
-        order = np.argsort(evals)
-        evals, evecs = evals[order], evecs[:, order]
-
+    """Lowest state of each total-parity sector of the complex Hermitian
+    matrix, solved in the real gauge; the ground state is the lower one,
+    a total-parity eigenstate."""
     u_c, u_i = double_parities(basis)
-    pi_tot = u_c * u_i
-    e0, e1 = float(evals[0]), float(evals[1])
-    gap01 = max(e1 - e0, 0.0)
-    psi0, psi1 = evecs[:, 0], evecs[:, 1]
-    if gap01 <= DEGENERACY_REL_TOL * max(1.0, abs(e0)):
-        V = evecs[:, :2]
-        P2 = V.conj().T @ (pi_tot[:, None] * V)
-        P2 = 0.5 * (P2 + P2.conj().T)
-        pw, pv = np.linalg.eigh(P2)
-        psi0 = V @ pv[:, int(np.argmax(pw))]
-        psi1 = V @ pv[:, int(np.argmin(pw))]
-        pair = (float(pw.max()), float(pw.min()))
-        parity = pair[0]
-    else:
-        parity = float(np.real(np.vdot(psi0, pi_tot * psi0)))
-        pair = (parity, float(np.real(np.vdot(psi1, pi_tot * psi1))))
-    psi0 = _fix_phase(psi0 / np.linalg.norm(psi0))
-
-    top = _top_slab_weight(psi0, basis)
-    converged = top <= TOP_ROW_TOL
-    if not converged:
+    H_real, d = _real_gauge(H, u_c)
+    slab = (basis.n_c + 1) * (basis.n_i + 1)
+    res = _sector_ground_state(H_real, u_c * u_i, slab, seed, tol)
+    res = replace(res, state=d * res.state)
+    if not res.cutoff_converged:
+        top = _top_slab_weight(res.state, slab)
         warnings.warn(
             f"top Fock slab holds weight {top:.3e}; increase the cutoff",
             CutoffWarning, stacklevel=2)
-    return EDResult(ground_energy=e0, gap01=gap01, state=psi0,
-                    parity=parity, cutoff_converged=converged,
-                    n_max_used=basis.n_max, pair_parities=pair)
+    return res
 
 
 def photon_moments_double(result: EDResult,
@@ -239,16 +213,6 @@ def photon_entropy_double(result: EDResult, basis: DoubleEDBasis,
     return float(-np.sum(vals * np.log2(vals)))
 
 
-def _hp_at(p: DoubleDickeParams, n_c: int, n_i: int, n_max: int,
-           seed: int) -> float:
-    basis = DoubleEDBasis(n_c=n_c, n_i=n_i, n_max=n_max)
-    H = build_double_hamiltonian(p, basis)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CutoffWarning)
-        res = double_ground_state(H, basis, seed=seed)
-    return photon_moments_double(res, basis).hp
-
-
 def converge_cutoff_double(p: DoubleDickeParams, tol: float = 1e-8,
                            budget_nnz: int = DEFAULT_BUDGET_NNZ,
                            start: int | None = None,
@@ -263,34 +227,21 @@ def converge_cutoff_double(p: DoubleDickeParams, tol: float = 1e-8,
         8, math.ceil(4.0 * (nbar * lam ** 2 / p.omega_cav ** 2
                             + math.sqrt(nbar))))
 
-    def stable(n: int) -> bool:
-        probe = max(n + 1, math.ceil(1.25 * n))
-        need = _NNZ_PER_ROW * (probe + 1) * (p.n_c + 1) * (p.n_i + 1)
-        if need > budget_nnz:
-            raise BudgetExceeded(
-                f"cutoff probe needs about {need} stored entries, "
-                f"budget is {budget_nnz}", needed=need, budget=budget_nnz)
-        a = _hp_at(p, p.n_c, p.n_i, n, seed)
-        b = _hp_at(p, p.n_c, p.n_i, probe, seed)
-        return abs(a - b) < tol
+    def hp_at(n_max: int) -> float:
+        basis = DoubleEDBasis(n_c=p.n_c, n_i=p.n_i, n_max=n_max)
+        H = build_double_hamiltonian(p, basis)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CutoffWarning)
+            res = double_ground_state(H, basis, seed=seed)
+        return photon_moments_double(res, basis).hp
 
-    grid = [n0]
-    while grid[-1] > 1:
-        grid.append(grid[-1] // 2)
-    grid.reverse()
-    for i, cand in enumerate(grid):
-        if stable(cand):
-            if i + 1 == len(grid) or stable(grid[i + 1]):
-                return cand
-    n = n0
-    while True:
-        n *= 2
-        if stable(n):
-            return n
+    def nnz_at(n_max: int) -> int:
+        return _NNZ_PER_ROW * (n_max + 1) * (p.n_c + 1) * (p.n_i + 1)
+
+    return _walk_cutoff(n0, hp_at, nnz_at, tol, budget_nnz)
 
 
-def double_ed(p: DoubleDickeParams, n_max: int, k: int = 2,
-              seed: int = DEFAULT_SEED,
+def double_ed(p: DoubleDickeParams, n_max: int, seed: int = DEFAULT_SEED,
               budget_nnz: int = DEFAULT_BUDGET_NNZ,
               tol: float = 1e-12) -> tuple[EDResult, float, FluctuationReport]:
     """Ground state, photon entanglement entropy (bits), and photon
@@ -305,7 +256,7 @@ def double_ed(p: DoubleDickeParams, n_max: int, k: int = 2,
             f"matrix needs about {need} stored entries, budget is "
             f"{budget_nnz}", needed=need, budget=budget_nnz)
     H = build_double_hamiltonian(p, basis)
-    res = double_ground_state(H, basis, k=k, seed=seed, tol=tol)
+    res = double_ground_state(H, basis, seed=seed, tol=tol)
     s_bits = photon_entropy_double(res, basis)
     rep = photon_moments_double(res, basis)
     return res, s_bits, rep

@@ -1,4 +1,4 @@
-"""Sparse exact diagonalization of the Dicke model at finite N.
+"""Exact diagonalization of the Dicke model at finite N.
 
 Works in the maximal-spin sector j = N/2 (the collective coupling never
 leaves it), with basis states |n, m> indexed n*(N+1) + (m+j).  The
@@ -7,7 +7,16 @@ Hamiltonian
     H = omega a^dag a + omega0 Jz + (coupling/sqrt(N)) (a + a^dag)(J+ + J-)
 
 is real symmetric with at most five nonzeros per row and commutes exactly
-with the parity (-1)^(n + m + j).
+with the parity (-1)^(n + m + j), which is diagonal in this basis.
+
+The solver works per parity sector (Emary & Brandes, PRE 67, 066203
+(2003)): H splits into an even and an odd block of about half the
+dimension, and the lowest eigenpair of each is found, densely below
+_DENSE_DIM and with ARPACK above.  The ground state is the lower of the
+two and is a parity eigenstate by construction, so the superradiant cat
+pair needs no separate resolution; gap01 is the splitting between the
+two sector minima.  The same core serves the two-chain model in
+double_ed after a diagonal gauge makes that Hamiltonian real.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -44,12 +54,11 @@ __all__ = [
 
 # Top-Fock-row weight above which moments are flagged unreliable.
 TOP_ROW_TOL = 1e-8
-# gap01 below 1e-10*scale counts as a degenerate (cat) pair.
-DEGENERACY_REL_TOL = 1e-10
 DEFAULT_BUDGET_NNZ = int(5e7)
 DEFAULT_SEED = 7
 
-# Dense diagonalization below this dimension; iterative above.
+# Dense diagonalization of each parity sector when the full dimension is
+# at most this; ARPACK above.
 _DENSE_DIM = 1200
 
 _STATE_MAGIC = b"HPED"
@@ -93,7 +102,7 @@ class EDResult:
     parity: float
     cutoff_converged: bool
     n_max_used: int
-    # <Pi> of the two lowest states (parity-resolved when quasi-degenerate)
+    # parities of the ground state and of the other sector's minimum
     pair_parities: tuple[float, float] = (math.nan, math.nan)
 
 
@@ -166,9 +175,11 @@ def parity_diagonal(basis: EDBasis) -> np.ndarray:
     return np.kron(n_par, m_par)
 
 
-def _top_row_weight(state: np.ndarray, basis: EDBasis) -> float:
-    top = state[-(basis.n_spins + 1):]
-    return float(np.dot(top, top))
+def _top_slab_weight(state: np.ndarray, slab: int) -> float:
+    """Weight of the last slab entries: the top Fock level, since the
+    photon number is the outermost index of both basis layouts."""
+    top = state[-slab:]
+    return float(np.vdot(top, top).real)
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
@@ -176,60 +187,56 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[k] < 0 else v
 
 
-def ground_state(H: sp.spmatrix, basis: EDBasis, k: int = 2,
-                 seed: int = DEFAULT_SEED, tol: float = 1e-12) -> EDResult:
-    """Lowest k eigenpairs, deterministic for a fixed seed.
+def _sector_minimum(H: sp.csr_matrix, idx: np.ndarray, v0: np.ndarray,
+                    tol: float) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of H restricted to the basis states idx."""
+    block = H[idx][:, idx]
+    if H.shape[0] <= _DENSE_DIM:
+        w, v = sla.eigh(block.toarray(), subset_by_index=[0, 0])
+        return float(w[0]), v[:, 0]
+    try:
+        w, v = spla.eigsh(block, k=1, which="SA", v0=v0[idx], tol=tol)
+    except spla.ArpackNoConvergence as exc:
+        raise ConvergenceError(
+            f"eigensolver stalled at dim {idx.size} of {H.shape[0]}",
+            iterations=getattr(exc, "iterations", None)) from exc
+    return float(w[0]), v[:, 0]
 
-    A quasi-degenerate pair (gap01 below 1e-10 relative) is resolved by
-    returning the even-parity combination of the two-dimensional ground
-    space; nondegenerate ground states are parity eigenstates already.
+
+def _sector_ground_state(H_real: sp.csr_matrix, parity: np.ndarray,
+                         basis_top_slab: int, seed: int,
+                         tol: float) -> EDResult:
+    """Ground state of a real symmetric H that commutes with the diagonal
+    parity (entries +-1), from the lowest eigenpair of each sector.
+
+    The odd minimum is the ground state only when it lies lower by more
+    than tol*max(1, |E|); a cat pair degenerate to that accuracy reports
+    its even member.  gap01 is |E_odd - E_even|.
     """
-    dim = H.shape[0]
-    if k < 2:
-        raise DomainError("need at least two eigenpairs to report gap01")
-    if dim <= _DENSE_DIM:
-        w, v = np.linalg.eigh(H.toarray())
-        evals, evecs = w[:k], v[:, :k]
-    else:
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(dim)
-        v0 /= np.linalg.norm(v0)
-        try:
-            evals, evecs = spla.eigsh(H, k=k, which="SA", v0=v0, tol=tol)
-        except spla.ArpackNoConvergence as exc:
-            raise ConvergenceError(
-                f"eigensolver stalled at dim {dim}: "
-                f"{len(exc.eigenvalues)} of {k} pairs converged",
-                iterations=getattr(exc, "iterations", None)) from exc
-        order = np.argsort(evals)
-        evals, evecs = evals[order], evecs[:, order]
+    dim = H_real.shape[0]
+    v0 = np.random.default_rng(seed).standard_normal(dim)
+    e_even, v_even = _sector_minimum(H_real, np.flatnonzero(parity > 0),
+                                     v0, tol)
+    e_odd, v_odd = _sector_minimum(H_real, np.flatnonzero(parity < 0),
+                                   v0, tol)
+    sign = -1.0 if e_odd < e_even - tol * max(1.0, abs(e_even)) else 1.0
+    e0, v = (e_odd, v_odd) if sign < 0 else (e_even, v_even)
+    psi = np.zeros(dim)
+    psi[parity == sign] = v / np.linalg.norm(v)
+    psi = _fix_sign(psi)
+    converged = _top_slab_weight(psi, basis_top_slab) < TOP_ROW_TOL
+    return EDResult(ground_energy=e0, gap01=abs(e_odd - e_even), state=psi,
+                    parity=sign, cutoff_converged=converged,
+                    n_max_used=dim // basis_top_slab - 1,
+                    pair_parities=(sign, -sign))
 
-    e0 = float(evals[0])
-    gap01 = max(float(evals[1] - evals[0]), 0.0)
-    pi = parity_diagonal(basis)
 
-    if gap01 <= DEGENERACY_REL_TOL * max(1.0, abs(e0)):
-        # Diagonalize parity inside the degenerate pair; report the even
-        # combination as the ground state.
-        V = evecs[:, :2]
-        p2 = V.T @ (pi[:, None] * V)
-        p2 = 0.5 * (p2 + p2.T)
-        pw, pv = np.linalg.eigh(p2)
-        psi = V @ pv[:, int(np.argmax(pw))]
-        pair = (float(np.max(pw)), float(np.min(pw)))
-    else:
-        psi = evecs[:, 0]
-        v1 = evecs[:, 1]
-        pair_1 = float(np.dot(v1 * pi, v1))
-        pair = (math.nan, pair_1)  # ground entry patched below
-    psi = _fix_sign(np.ascontiguousarray(psi / np.linalg.norm(psi)))
-    parity = float(np.dot(psi * pi, psi))
-    if math.isnan(pair[0]):
-        pair = (parity, pair[1])
-    converged = _top_row_weight(psi, basis) < TOP_ROW_TOL
-    return EDResult(ground_energy=e0, gap01=gap01, state=psi, parity=parity,
-                    cutoff_converged=converged, n_max_used=basis.n_max,
-                    pair_parities=pair)
+def ground_state(H: sp.spmatrix, basis: EDBasis, seed: int = DEFAULT_SEED,
+                 tol: float = 1e-12) -> EDResult:
+    """Lowest state of each parity sector, deterministic for a fixed seed;
+    the ground state is a parity eigenstate (see _sector_ground_state)."""
+    return _sector_ground_state(H.tocsr(), parity_diagonal(basis),
+                                basis.n_spins + 1, seed, tol)
 
 
 def _state_matrix(result: EDResult, basis: EDBasis) -> np.ndarray:
@@ -239,7 +246,7 @@ def _state_matrix(result: EDResult, basis: EDBasis) -> np.ndarray:
 
 
 def _warn_if_truncated(result: EDResult, basis: EDBasis):
-    w = _top_row_weight(result.state, basis)
+    w = _top_slab_weight(result.state, basis.n_spins + 1)
     if w > TOP_ROW_TOL:
         warnings.warn(f"top Fock level holds {w:.2e} of the weight; "
                       "moments may be truncated", CutoffWarning, stacklevel=3)
@@ -270,19 +277,50 @@ def photon_entropy_ed(result: EDResult, basis: EDBasis,
     return float(-np.sum(w * np.log2(w)))
 
 
-def _hp_at_cutoff(p: DickeParams, n_spins: int, n_max: int, seed: int,
-                  memo: dict[int, float]) -> float:
-    if n_max not in memo:
-        basis = EDBasis(n_spins, n_max)
-        res = ground_state(build_hamiltonian(p, basis), basis, seed=seed)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CutoffWarning)
-            memo[n_max] = photon_moments_ed(res, basis).hp
-    return memo[n_max]
-
-
 def _nnz_estimate(n_max: int, n_spins: int) -> int:
     return 5 * (n_max + 1) * (n_spins + 1)
+
+
+def _walk_cutoff(n0: int, hp_at, nnz_at, tol: float, budget_nnz: int) -> int:
+    """Smallest cutoff from the halving grid below n0 at which hp is
+    stable, confirmed at the next grid point up; doubles n0 while the
+    seed itself is unstable.
+
+    Stability at n means |hp(n) - hp(ceil(1.25 n))| < tol.  hp_at(n)
+    solves at cutoff n and is called once per cutoff; nnz_at(n) is the
+    stored-entry estimate checked against the budget before each pair.
+    """
+    memo: dict[int, float] = {}
+
+    def hp(n: int) -> float:
+        if n not in memo:
+            memo[n] = hp_at(n)
+        return memo[n]
+
+    def stable(n: int) -> bool:
+        probe = max(n + 1, math.ceil(1.25 * n))
+        need = nnz_at(probe)
+        if need > budget_nnz:
+            raise BudgetExceeded(
+                f"cutoff {n} needs ~{need} nonzeros to verify, over the "
+                f"budget of {budget_nnz}", needed=need, budget=budget_nnz)
+        return abs(hp(n) - hp(probe)) < tol
+
+    # Halving grid below the seed, walked cheapest-first; a candidate is
+    # accepted only if the next grid point up confirms it (guards against
+    # an accidental plateau far from convergence).
+    grid = [n0]
+    while grid[-1] > 1:
+        grid.append(grid[-1] // 2)
+    grid.reverse()
+    for i, cand in enumerate(grid):
+        if stable(cand):
+            if i + 1 == len(grid) or stable(grid[i + 1]):
+                return cand
+    while True:
+        n0 *= 2
+        if stable(n0):
+            return n0
 
 
 _cutoff_cache: dict[tuple, int] = {}
@@ -308,39 +346,17 @@ def converge_cutoff(p: DickeParams, n_spins: int, tol: float = 1e-8,
 
     n0 = start if start is not None else math.ceil(
         4.0 * (n_spins * p.coupling ** 2 / p.omega ** 2 + math.sqrt(n_spins)))
-    n0 = max(int(n0), 1)
 
-    memo: dict[int, float] = {}
+    def hp_at(n_max: int) -> float:
+        basis = EDBasis(n_spins, n_max)
+        res = ground_state(build_hamiltonian(p, basis), basis, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CutoffWarning)
+            return photon_moments_ed(res, basis).hp
 
-    def stable(n: int) -> bool:
-        probe = max(n + 1, math.ceil(1.25 * n))
-        need = _nnz_estimate(probe, n_spins)
-        if need > budget_nnz:
-            raise BudgetExceeded(
-                f"cutoff {n} needs ~{need} nonzeros to verify, over the "
-                f"budget of {budget_nnz}", needed=need, budget=budget_nnz)
-        return abs(_hp_at_cutoff(p, n_spins, n, seed, memo)
-                   - _hp_at_cutoff(p, n_spins, probe, seed, memo)) < tol
-
-    # Halving grid below the seed, walked cheapest-first; a candidate is
-    # accepted only if the next grid point up confirms it (guards against
-    # an accidental plateau far from convergence).
-    grid = [n0]
-    while grid[-1] > 1:
-        grid.append(grid[-1] // 2)
-    grid.reverse()
-
-    chosen = None
-    for i, cand in enumerate(grid):
-        if stable(cand):
-            if i + 1 == len(grid) or stable(grid[i + 1]):
-                chosen = cand
-                break
-    while chosen is None:
-        # Seed itself unstable: keep doubling.
-        n0 *= 2
-        if stable(n0):
-            chosen = n0
+    chosen = _walk_cutoff(max(int(n0), 1), hp_at,
+                          lambda n: _nnz_estimate(n, n_spins), tol,
+                          budget_nnz)
     _cutoff_cache[key] = chosen
     return chosen
 

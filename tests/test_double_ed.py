@@ -3,14 +3,17 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hpdicke import ed as sed
 from hpdicke.dicke import DickeParams
 from hpdicke.double import DoubleDickeParams
-from hpdicke.double_ed import (DoubleEDBasis, build_double_hamiltonian,
+from hpdicke.double_ed import (DoubleEDBasis, _real_gauge,
+                               build_double_hamiltonian,
                                converge_cutoff_double, double_ed,
-                               double_ground_state, photon_entropy_double,
-                               photon_moments_double, symmetry_residuals)
+                               double_ground_state, double_parities,
+                               photon_entropy_double, photon_moments_double,
+                               symmetry_residuals)
 from hpdicke.errors import BudgetExceeded, CutoffWarning
 
 
@@ -89,6 +92,65 @@ def test_iterative_matches_dense_and_is_deterministic():
     res2 = double_ground_state(H, basis)
     assert res2.ground_energy == res.ground_energy
     assert np.array_equal(res2.state, res.state)
+
+
+def _sector_minima(H, basis):
+    """Lowest eigenvalue of the complex matrix in each total-parity
+    sector, read off its full dense spectrum: (even, odd)."""
+    u_c, u_i = double_parities(basis)
+    w, v = np.linalg.eigh(H.toarray())
+    par = np.einsum("ij,i,ij->j", v.conj(), u_c * u_i, v).real
+    return w, w[par > 0].min(), w[par < 0].min()
+
+
+@pytest.mark.parametrize("args", [(1.1, 0.9, 1.3, 0.37, 0.52, 3),
+                                  (1.0, 1.0, 1.0, 0.6, 0.7, 2)])
+def test_real_gauge_is_exact_and_keeps_the_sector_minima(args):
+    p = P(*args)
+    basis = DoubleEDBasis(p.n_c, p.n_i, 12)
+    H = build_double_hamiltonian(p, basis)
+    H_real, d = _real_gauge(H, double_parities(basis)[0])
+    G = sp.diags(d.conj()) @ H @ sp.diags(d)
+    assert not np.any(G.toarray().imag)
+    assert np.array_equal(G.toarray().real, H_real.toarray())
+    w, e_even, e_odd = _sector_minima(H, basis)
+    res = double_ground_state(H, basis)
+    other = res.ground_energy + res.gap01
+    want = (e_even, e_odd) if res.parity > 0 else (e_odd, e_even)
+    assert res.ground_energy == pytest.approx(w[0], abs=1e-10)
+    assert (res.ground_energy, other) == pytest.approx(want, abs=1e-10)
+
+
+def test_odd_parity_ground_state():
+    r, th = 1.2, math.pi / 4
+    p = P(1.0, 1.0, 1.0, r * math.cos(th), r * math.sin(th), 1)
+    basis = DoubleEDBasis(1, 1, 40)
+    H = build_double_hamiltonian(p, basis)
+    res = double_ground_state(H, basis)
+    w, e_even, e_odd = _sector_minima(H, basis)
+    assert res.parity == -1.0
+    assert res.pair_parities == (-1.0, 1.0)
+    assert res.ground_energy == pytest.approx(w[0], abs=1e-10)
+    assert res.gap01 == pytest.approx(e_even - e_odd, abs=1e-10)
+    assert e_odd - e_even == pytest.approx(-0.053, abs=1e-3)
+
+
+@pytest.mark.parametrize("N", [1, 2, 4])
+def test_normal_phase_gap_is_the_first_excitation(N):
+    # below both critical lines the first excited state has the other
+    # total parity, so the sector splitting is the spectral gap
+    for a in (0, 4, 8):
+        th = a * math.pi / 16
+        r_cr = 0.5 / max(math.cos(th), math.sin(th))
+        for frac in (0.5, 0.9):
+            r = frac * r_cr
+            p = P(1.0, 1.0, 1.0, r * math.cos(th), r * math.sin(th), N)
+            basis = DoubleEDBasis(N, N, 20)
+            H = build_double_hamiltonian(p, basis)
+            w = np.linalg.eigvalsh(H.toarray())
+            res = double_ground_state(H, basis)
+            assert res.parity == 1.0
+            assert res.gap01 == pytest.approx(w[1] - w[0], abs=1e-9)
 
 
 @pytest.mark.parametrize("lam", [0.3, 0.8])

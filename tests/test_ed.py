@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from hpdicke.dicke import DickeParams
-from hpdicke.ed import (EDBasis, build_hamiltonian, converge_cutoff,
-                        ground_state, load_state, parity_diagonal,
-                        photon_entropy_ed, photon_moments_ed, save_state)
+from hpdicke.ed import (TOP_ROW_TOL, EDBasis, build_hamiltonian,
+                        converge_cutoff, ground_state, load_state,
+                        parity_diagonal, photon_entropy_ed,
+                        photon_moments_ed, save_state)
 from hpdicke.errors import BudgetExceeded, CutoffError, CutoffWarning
 from hpdicke.gaussian import entropy_from_hp
 
@@ -96,6 +97,24 @@ def test_deep_superradiant_cat_pair():
                        basis)
     assert res.gap01 < 1e-6
     assert res.parity == pytest.approx(1.0, abs=1e-6)
+
+
+def test_large_n_superradiant_cat_pair_is_a_parity_eigenstate():
+    # sparse solve deep in the cat regime: the two sector minima agree to
+    # round-off and the even member is returned, with hp independent of
+    # the cutoff
+    p = DickeParams(1.0, 1.0, 0.6)
+    hps = []
+    for n_max in (160, 220):
+        basis = EDBasis(256, n_max)
+        res = ground_state(build_hamiltonian(p, basis), basis)
+        state = res.state.reshape(n_max + 1, -1)
+        assert abs(res.parity) == 1.0
+        assert float(np.dot(state[-1], state[-1])) < TOP_ROW_TOL
+        assert res.cutoff_converged
+        hps.append(photon_moments_ed(res, basis).hp)
+    assert hps[0] == pytest.approx(6.543728, abs=1e-6)
+    assert abs(hps[0] - hps[1]) < 1e-8
 
 
 def test_converge_cutoff_minimal_for_decoupled():
