@@ -28,9 +28,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .double import DoubleDickeParams
-from .ed import (DEFAULT_BUDGET_NNZ, DEFAULT_SEED, EDResult,
+from .ed import (DEFAULT_BUDGET_NNZ, DEFAULT_SEED, EDResult, _check_budget,
                  _sector_ground_state, _top_slab_weight, _walk_cutoff)
-from .errors import BudgetExceeded, CutoffError, CutoffWarning, DomainError
+from .errors import CutoffError, CutoffWarning, DomainError
 from .gaussian import FluctuationReport, heisenberg_product
 
 __all__ = [
@@ -44,10 +44,6 @@ __all__ = [
     "converge_cutoff_double",
     "double_ed",
 ]
-
-# diagonal + 4 corners per coupling
-_NNZ_PER_ROW = 9
-
 
 @dataclass(frozen=True)
 class DoubleEDBasis:
@@ -66,6 +62,12 @@ class DoubleEDBasis:
     @property
     def dim(self) -> int:
         return (self.n_max + 1) * (self.n_c + 1) * (self.n_i + 1)
+
+    @property
+    def max_nnz(self) -> int:
+        """Upper bound on the stored entries of the Hamiltonian: the
+        diagonal and four corners per coupling."""
+        return 9 * self.dim
 
     def index(self, n: int, mc_idx: int, mi_idx: int) -> int:
         return (n * (self.n_c + 1) + mc_idx) * (self.n_i + 1) + mi_idx
@@ -216,9 +218,15 @@ def photon_entropy_double(result: EDResult, basis: DoubleEDBasis,
 def converge_cutoff_double(p: DoubleDickeParams, tol: float = 1e-8,
                            budget_nnz: int = DEFAULT_BUDGET_NNZ,
                            start: int | None = None,
-                           seed: int = DEFAULT_SEED) -> int:
-    """Smallest cutoff from a halving grid whose hp is stable, confirmed
-    at the next grid point up; same walk as the single-chain version."""
+                           seed: int = DEFAULT_SEED) -> EDResult:
+    """Ground state at the smallest accepted Fock cutoff; its n_max_used
+    is the cutoff.
+
+    Same walk and acceptance rule as ed.converge_cutoff (top Fock slab
+    below TOP_ROW_TOL and hp stable to tol against ceil(1.25 n)), from
+    n0 = max(8, ceil(4 (N lambda^2/omega^2 + sqrt(N)))) with the larger
+    chain size and coupling, or an explicit start.
+    """
     if p.n_c is None or p.n_i is None:
         raise DomainError("chain sizes n_c and n_i are required for ED")
     lam = max(p.lambda_c, p.lambda_i)
@@ -226,19 +234,11 @@ def converge_cutoff_double(p: DoubleDickeParams, tol: float = 1e-8,
     n0 = start if start is not None else max(
         8, math.ceil(4.0 * (nbar * lam ** 2 / p.omega_cav ** 2
                             + math.sqrt(nbar))))
-
-    def hp_at(n_max: int) -> float:
-        basis = DoubleEDBasis(n_c=p.n_c, n_i=p.n_i, n_max=n_max)
-        H = build_double_hamiltonian(p, basis)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CutoffWarning)
-            res = double_ground_state(H, basis, seed=seed)
-        return photon_moments_double(res, basis).hp
-
-    def nnz_at(n_max: int) -> int:
-        return _NNZ_PER_ROW * (n_max + 1) * (p.n_c + 1) * (p.n_i + 1)
-
-    return _walk_cutoff(n0, hp_at, nnz_at, tol, budget_nnz)
+    return _walk_cutoff(
+        n0, lambda n: DoubleEDBasis(n_c=p.n_c, n_i=p.n_i, n_max=n),
+        lambda basis: double_ground_state(
+            build_double_hamiltonian(p, basis), basis, seed=seed),
+        photon_moments_double, tol, budget_nnz)
 
 
 def double_ed(p: DoubleDickeParams, n_max: int, seed: int = DEFAULT_SEED,
@@ -250,11 +250,7 @@ def double_ed(p: DoubleDickeParams, n_max: int, seed: int = DEFAULT_SEED,
     if p.n_c is None or p.n_i is None:
         raise DomainError("chain sizes n_c and n_i are required for ED")
     basis = DoubleEDBasis(n_c=p.n_c, n_i=p.n_i, n_max=n_max)
-    need = _NNZ_PER_ROW * basis.dim
-    if need > budget_nnz:
-        raise BudgetExceeded(
-            f"matrix needs about {need} stored entries, budget is "
-            f"{budget_nnz}", needed=need, budget=budget_nnz)
+    _check_budget(basis, budget_nnz)
     H = build_double_hamiltonian(p, basis)
     res = double_ground_state(H, basis, seed=seed, tol=tol)
     s_bits = photon_entropy_double(res, basis)

@@ -22,7 +22,6 @@ double_ed after a diagonal gauge makes that Hamiltonian real.
 from __future__ import annotations
 
 import math
-import struct
 import warnings
 from dataclasses import dataclass
 
@@ -48,8 +47,6 @@ __all__ = [
     "photon_entropy_ed",
     "converge_cutoff",
     "scaling_at_critical",
-    "save_state",
-    "load_state",
 ]
 
 # Top-Fock-row weight above which moments are flagged unreliable.
@@ -60,9 +57,6 @@ DEFAULT_SEED = 7
 # Dense diagonalization of each parity sector when the full dimension is
 # at most this; ARPACK above.
 _DENSE_DIM = 1200
-
-_STATE_MAGIC = b"HPED"
-_STATE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -85,6 +79,11 @@ class EDBasis:
     @property
     def dim(self) -> int:
         return (self.n_max + 1) * (self.n_spins + 1)
+
+    @property
+    def max_nnz(self) -> int:
+        """Upper bound on the stored entries of the Hamiltonian."""
+        return 5 * self.dim
 
     def index(self, n: int, m: float) -> int:
         """Flat index of |n, m>, m in {-j .. j} in integer steps."""
@@ -277,88 +276,85 @@ def photon_entropy_ed(result: EDResult, basis: EDBasis,
     return float(-np.sum(w * np.log2(w)))
 
 
-def _nnz_estimate(n_max: int, n_spins: int) -> int:
-    return 5 * (n_max + 1) * (n_spins + 1)
+def _check_budget(basis, budget_nnz: int) -> None:
+    """Raise BudgetExceeded when the basis's Hamiltonian may store more
+    than budget_nnz entries."""
+    need = basis.max_nnz
+    if need > budget_nnz:
+        raise BudgetExceeded(
+            f"cutoff {basis.n_max} needs ~{need} nonzeros, over the budget "
+            f"of {budget_nnz}", needed=need, budget=budget_nnz)
 
 
-def _walk_cutoff(n0: int, hp_at, nnz_at, tol: float, budget_nnz: int) -> int:
-    """Smallest cutoff from the halving grid below n0 at which hp is
-    stable, confirmed at the next grid point up; doubles n0 while the
-    seed itself is unstable.
+def _walk_cutoff(n0: int, basis_at, solve, moments, tol: float,
+                 budget_nnz: int) -> EDResult:
+    """The solve at the smallest accepted cutoff of the halving grid below
+    n0, walked cheapest-first and confirmed at the next grid point up;
+    above n0 the walk doubles until a cutoff is accepted.
 
-    Stability at n means |hp(n) - hp(ceil(1.25 n))| < tol.  hp_at(n)
-    solves at cutoff n and is called once per cutoff; nnz_at(n) is the
-    stored-entry estimate checked against the budget before each pair.
+    A cutoff n is accepted when its own solve is cutoff_converged and
+    |hp(n) - hp(ceil(1.25 n))| < tol.  solve(basis) gives the EDResult at
+    basis_at(n) and moments(result, basis).hp its hp; each cutoff is
+    solved at most once per walk, and the budget is checked at the probe
+    cutoff before each pair.
     """
-    memo: dict[int, float] = {}
+    memo: dict[int, tuple[EDResult, float]] = {}
 
-    def hp(n: int) -> float:
+    def at(n: int) -> tuple[EDResult, float]:
         if n not in memo:
-            memo[n] = hp_at(n)
+            basis = basis_at(n)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", CutoffWarning)
+                res = solve(basis)
+                memo[n] = res, moments(res, basis).hp
         return memo[n]
 
-    def stable(n: int) -> bool:
+    def accepted(n: int) -> bool:
         probe = max(n + 1, math.ceil(1.25 * n))
-        need = nnz_at(probe)
-        if need > budget_nnz:
-            raise BudgetExceeded(
-                f"cutoff {n} needs ~{need} nonzeros to verify, over the "
-                f"budget of {budget_nnz}", needed=need, budget=budget_nnz)
-        return abs(hp(n) - hp(probe)) < tol
+        _check_budget(basis_at(probe), budget_nnz)
+        (res, hp), (_, hp_probe) = at(n), at(probe)
+        return abs(hp - hp_probe) < tol and res.cutoff_converged
 
-    # Halving grid below the seed, walked cheapest-first; a candidate is
-    # accepted only if the next grid point up confirms it (guards against
-    # an accidental plateau far from convergence).
+    # The confirmation at the next grid point up guards against an
+    # accidental plateau far from convergence.
     grid = [n0]
     while grid[-1] > 1:
         grid.append(grid[-1] // 2)
     grid.reverse()
     for i, cand in enumerate(grid):
-        if stable(cand):
-            if i + 1 == len(grid) or stable(grid[i + 1]):
-                return cand
+        if accepted(cand):
+            if i + 1 == len(grid) or accepted(grid[i + 1]):
+                return at(cand)[0]
     while True:
         n0 *= 2
-        if stable(n0):
-            return n0
-
-
-_cutoff_cache: dict[tuple, int] = {}
+        if accepted(n0):
+            return at(n0)[0]
 
 
 def converge_cutoff(p: DickeParams, n_spins: int, tol: float = 1e-8,
                     budget_nnz: int = DEFAULT_BUDGET_NNZ,
                     start: int | None = None,
-                    seed: int = DEFAULT_SEED) -> int:
-    """Smallest power-of-two-stepped Fock cutoff at which hp is stable.
+                    seed: int = DEFAULT_SEED) -> EDResult:
+    """Ground state at the smallest accepted Fock cutoff; its n_max_used
+    is the cutoff.
 
-    Stability at n means |hp(n) - hp(ceil(1.25 n))| < tol.  The search
-    starts from the coherent-shift estimate ceil(4 (N lambda^2/omega^2 +
-    sqrt(N))) (or an explicit start), doubles while unstable, halves while
-    the smaller cutoff is still stable.  Results are cached per
-    (params, N, tol).
+    A cutoff n is accepted when the top Fock level holds less than
+    TOP_ROW_TOL of the weight and |hp(n) - hp(ceil(1.25 n))| < tol.  From
+    the coherent-shift estimate n0 = ceil(4 (N lambda^2/omega^2 +
+    sqrt(N))) (or an explicit start) the search tries the halving grid
+    n0 / 2^k cheapest-first, takes the first accepted cutoff that the next
+    grid point up also accepts, and doubles n0 if none is.  Each call
+    walks afresh; a cutoff it revisits is not solved again.
     """
     if not tol > 0:
         raise DomainError("tol must be positive")
-    key = (p.omega, p.omega0, p.coupling, n_spins, tol, start)
-    if key in _cutoff_cache:
-        return _cutoff_cache[key]
-
     n0 = start if start is not None else math.ceil(
         4.0 * (n_spins * p.coupling ** 2 / p.omega ** 2 + math.sqrt(n_spins)))
-
-    def hp_at(n_max: int) -> float:
-        basis = EDBasis(n_spins, n_max)
-        res = ground_state(build_hamiltonian(p, basis), basis, seed=seed)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CutoffWarning)
-            return photon_moments_ed(res, basis).hp
-
-    chosen = _walk_cutoff(max(int(n0), 1), hp_at,
-                          lambda n: _nnz_estimate(n, n_spins), tol,
-                          budget_nnz)
-    _cutoff_cache[key] = chosen
-    return chosen
+    return _walk_cutoff(
+        max(int(n0), 1), lambda n: EDBasis(n_spins, n),
+        lambda basis: ground_state(build_hamiltonian(p, basis), basis,
+                                   seed=seed),
+        photon_moments_ed, tol, budget_nnz)
 
 
 def scaling_at_critical(p: DickeParams, n_list: tuple[int, ...] | list[int],
@@ -378,12 +374,11 @@ def scaling_at_critical(p: DickeParams, n_list: tuple[int, ...] | list[int],
 
     hps, cuts = [], []
     for n_spins in sizes:
-        n_max = converge_cutoff(p, n_spins, tol=tol, budget_nnz=budget_nnz,
-                                seed=seed)
-        basis = EDBasis(n_spins, n_max)
-        res = ground_state(build_hamiltonian(p, basis), basis, seed=seed)
+        res = converge_cutoff(p, n_spins, tol=tol, budget_nnz=budget_nnz,
+                              seed=seed)
+        basis = EDBasis(n_spins, res.n_max_used)
         hps.append(photon_moments_ed(res, basis).hp)
-        cuts.append(n_max)
+        cuts.append(basis.n_max)
 
     lo = sizes[-1] / 10.0
     window = [(n, h) for n, h in zip(sizes, hps) if n >= lo]
@@ -395,37 +390,3 @@ def scaling_at_critical(p: DickeParams, n_list: tuple[int, ...] | list[int],
     return ScalingReport(sizes=tuple(sizes), hp_values=tuple(hps),
                          cutoffs=tuple(cuts), fit=fit,
                          fit_sizes=tuple(int(n) for n in wn))
-
-
-def save_state(path, result: EDResult, basis: EDBasis) -> None:
-    """Flat little-endian binary export: header then the state vector."""
-    header = struct.pack("<4sIII", _STATE_MAGIC, _STATE_VERSION,
-                         basis.n_spins, basis.n_max)
-    scalars = struct.pack("<dddB", result.ground_energy, result.gap01,
-                          result.parity, int(result.cutoff_converged))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(scalars)
-        fh.write(np.ascontiguousarray(result.state, dtype="<f8").tobytes())
-
-
-def load_state(path) -> tuple[EDResult, EDBasis]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    magic, version, n_spins, n_max = struct.unpack_from("<4sIII", raw, 0)
-    if magic != _STATE_MAGIC:
-        raise DomainError("not a saved ground-state file")
-    if version != _STATE_VERSION:
-        raise DomainError(f"unsupported state version {version}")
-    off = struct.calcsize("<4sIII")
-    e0, gap01, parity, conv = struct.unpack_from("<dddB", raw, off)
-    off += struct.calcsize("<dddB")
-    basis = EDBasis(int(n_spins), int(n_max))
-    state = np.frombuffer(raw, dtype="<f8", count=basis.dim,
-                          offset=off).astype(np.float64)
-    if state.size != basis.dim:
-        raise DomainError("state vector truncated")
-    result = EDResult(ground_energy=e0, gap01=gap01, state=state,
-                      parity=parity, cutoff_converged=bool(conv),
-                      n_max_used=int(n_max))
-    return result, basis

@@ -19,10 +19,10 @@ import numpy as np
 from . import __version__
 from .dicke import DickeParams
 from .double import DoubleDickeParams, classify_double_phase
-from .ed import (DEFAULT_BUDGET_NNZ, DEFAULT_SEED, EDBasis,
-                 build_hamiltonian, converge_cutoff, ground_state,
+from .ed import (DEFAULT_BUDGET_NNZ, DEFAULT_SEED, EDBasis, converge_cutoff,
                  photon_entropy_ed, photon_moments_ed, scaling_at_critical)
-from .double_ed import converge_cutoff_double, double_ed
+from .double_ed import (DoubleEDBasis, converge_cutoff_double,
+                        photon_entropy_double, photon_moments_double)
 from .errors import BudgetExceeded, DomainError
 from .sweeps import SweepConfig, _fmt, run_sweep, write_atomic
 
@@ -191,10 +191,9 @@ def _single_size_rows(p: DickeParams, sizes: list[int], budget_nnz: int,
                       seed: int) -> list[dict]:
     rows = []
     for n in sizes:
-        n_max = converge_cutoff(p, n, budget_nnz=budget_nnz, seed=seed)
-        basis = EDBasis(n, n_max)
-        res = ground_state(build_hamiltonian(p, basis), basis, seed=seed)
-        rows.append(dict(n_spins=n, n_max_used=n_max,
+        res = converge_cutoff(p, n, budget_nnz=budget_nnz, seed=seed)
+        basis = EDBasis(n, res.n_max_used)
+        rows.append(dict(n_spins=n, n_max_used=res.n_max_used,
                          hp=photon_moments_ed(res, basis).hp,
                          s_vn=photon_entropy_ed(res, basis),
                          gap01=res.gap01, parity=res.parity))
@@ -207,10 +206,11 @@ def _double_size_rows(sizes: list[int], budget_nnz: int,
     for n in sizes:
         p = DoubleDickeParams(omega_cav=1.0, omega0_c=1.0, omega0_i=1.0,
                               lambda_c=0.5, lambda_i=0.5, n_c=n, n_i=n)
-        n_max = converge_cutoff_double(p, budget_nnz=budget_nnz, seed=seed)
-        res, s, rep = double_ed(p, n_max=n_max, seed=seed,
-                                budget_nnz=budget_nnz)
-        rows.append(dict(n_spins=n, n_max_used=n_max, hp=rep.hp, s_vn=s,
+        res = converge_cutoff_double(p, budget_nnz=budget_nnz, seed=seed)
+        basis = DoubleEDBasis(n, n, res.n_max_used)
+        rows.append(dict(n_spins=n, n_max_used=res.n_max_used,
+                         hp=photon_moments_double(res, basis).hp,
+                         s_vn=photon_entropy_double(res, basis),
                          gap01=res.gap01, parity=res.parity))
     return rows
 

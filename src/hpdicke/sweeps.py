@@ -15,6 +15,7 @@ BudgetExceeded aborts a sweep.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -31,10 +32,12 @@ from .dicke import (DickeParams, classify_phase, entropy_thermo, hp_thermo,
                     solve_thermo)
 from .double import (DoubleDickeParams, classify_double_phase, double_gaps,
                      entropy_double, hp_double)
-from .ed import (DEFAULT_BUDGET_NNZ, DEFAULT_SEED, EDBasis,
+from .ed import (DEFAULT_BUDGET_NNZ, DEFAULT_SEED, EDBasis, _check_budget,
                  build_hamiltonian, converge_cutoff, ground_state,
                  photon_entropy_ed, photon_moments_ed)
-from .double_ed import converge_cutoff_double, double_ed
+from .double_ed import (DoubleEDBasis, build_double_hamiltonian,
+                        converge_cutoff_double, double_ground_state,
+                        photon_entropy_double, photon_moments_double)
 from .errors import (BudgetExceeded, ConfigError, CriticalPointDivergence,
                      CutoffWarning, HpDickeError)
 
@@ -293,51 +296,44 @@ def _nan_ed_values(note: str) -> dict:
                 hp=math.nan, s_vn=math.nan, reason=note)
 
 
-def _ed_row_dicke(cfg: SweepConfig, i: int, lam: float) -> SweepRow:
-    p = DickeParams(omega=cfg.omega, omega0=cfg.omega0, coupling=float(lam))
-    base = {"index": i, "coupling": float(lam),
-            "dist_cr": float(lam) - math.sqrt(cfg.omega * cfg.omega0) / 2.0,
-            "n_spins": cfg.n_spins}
+def _ed_row(cfg: SweepConfig, i: int, x: float) -> SweepRow:
+    """One ED grid point of either model: a single solve at an explicit
+    n_max, otherwise the solve the cutoff walk accepted."""
+    if cfg.model == "dicke":
+        p = DickeParams(omega=cfg.omega, omega0=cfg.omega0, coupling=x)
+        base = {"index": i, "coupling": x,
+                "dist_cr": x - math.sqrt(cfg.omega * cfg.omega0) / 2.0}
+        basis_at = functools.partial(EDBasis, cfg.n_spins)
+        walk = functools.partial(converge_cutoff, p, cfg.n_spins)
+        build, solve = build_hamiltonian, ground_state
+        moments, entropy = photon_moments_ed, photon_entropy_ed
+    else:
+        lam_c = x * math.cos(cfg.theta)
+        lam_i = x * math.sin(cfg.theta)
+        p = DoubleDickeParams(omega_cav=cfg.omega, omega0_c=cfg.omega0_c,
+                              omega0_i=cfg.omega0_i, lambda_c=lam_c,
+                              lambda_i=lam_i, n_c=cfg.n_spins,
+                              n_i=cfg.n_spins)
+        base = {"index": i, "r": x, "theta": cfg.theta,
+                "lambda_c": lam_c, "lambda_i": lam_i}
+        basis_at = functools.partial(DoubleEDBasis, cfg.n_spins, cfg.n_spins)
+        walk = functools.partial(converge_cutoff_double, p)
+        build, solve = build_double_hamiltonian, double_ground_state
+        moments, entropy = photon_moments_double, photon_entropy_double
+    base["n_spins"] = cfg.n_spins
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CutoffWarning)
-            n_max = cfg.n_max if cfg.n_max is not None else converge_cutoff(
-                p, cfg.n_spins, tol=cfg.tol, budget_nnz=cfg.budget_nnz,
-                seed=cfg.seed)
-            basis = EDBasis(n_spins=cfg.n_spins, n_max=n_max)
-            res = ground_state(build_hamiltonian(p, basis), basis,
-                               seed=cfg.seed)
-            rep = photon_moments_ed(res, basis)
-            s = photon_entropy_ed(res, basis)
-    except BudgetExceeded:
-        raise
-    except HpDickeError as exc:
-        base.update(_nan_ed_values(f"solver: {type(exc).__name__}"))
-        return SweepRow(index=i, values=base, failed=True)
-    base.update(n_max_used=res.n_max_used, ground_energy=res.ground_energy,
-                gap01=res.gap01, parity=res.parity,
-                converged=res.cutoff_converged, dx=rep.dx, dp=rep.dp,
-                hp=rep.hp, s_vn=s, reason="")
-    return SweepRow(index=i, values=base)
-
-
-def _ed_row_double(cfg: SweepConfig, i: int, r: float) -> SweepRow:
-    lam_c = float(r) * math.cos(cfg.theta)
-    lam_i = float(r) * math.sin(cfg.theta)
-    p = DoubleDickeParams(omega_cav=cfg.omega, omega0_c=cfg.omega0_c,
-                          omega0_i=cfg.omega0_i, lambda_c=lam_c,
-                          lambda_i=lam_i, n_c=cfg.n_spins, n_i=cfg.n_spins)
-    base = {"index": i, "r": float(r), "theta": cfg.theta,
-            "lambda_c": lam_c, "lambda_i": lam_i, "n_spins": cfg.n_spins}
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CutoffWarning)
-            n_max = cfg.n_max
-            if n_max is None:
-                n_max = converge_cutoff_double(
-                    p, tol=cfg.tol, budget_nnz=cfg.budget_nnz, seed=cfg.seed)
-            res, s, rep = double_ed(p, n_max=n_max, seed=cfg.seed,
-                                    budget_nnz=cfg.budget_nnz)
+            if cfg.n_max is None:
+                res = walk(tol=cfg.tol, budget_nnz=cfg.budget_nnz,
+                           seed=cfg.seed)
+                basis = basis_at(res.n_max_used)
+            else:
+                basis = basis_at(cfg.n_max)
+                _check_budget(basis, cfg.budget_nnz)
+                res = solve(build(p, basis), basis, seed=cfg.seed)
+            rep = moments(res, basis)
+            s = entropy(res, basis)
     except BudgetExceeded:
         raise
     except HpDickeError as exc:
@@ -352,10 +348,9 @@ def _ed_row_double(cfg: SweepConfig, i: int, r: float) -> SweepRow:
 
 def _row_task(args) -> SweepRow:
     cfg, i, x = args
-    if cfg.model == "dicke":
-        fn = _thermo_row_dicke if cfg.mode == "thermo" else _ed_row_dicke
-    else:
-        fn = _thermo_row_double if cfg.mode == "thermo" else _ed_row_double
+    if cfg.mode == "ed":
+        return _ed_row(cfg, i, x)
+    fn = _thermo_row_dicke if cfg.model == "dicke" else _thermo_row_double
     return fn(cfg, i, x)
 
 

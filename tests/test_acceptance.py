@@ -133,7 +133,7 @@ def test_criterion_03_companion_asymptotic_window(capsys):
 def test_criterion_04_cat_state_limit(capsys):
     t0 = time.perf_counter()
     p = DickeParams(omega=1.0, omega0=1.0, coupling=3.0)
-    n_max = converge_cutoff(p, 8)
+    n_max = converge_cutoff(p, 8).n_max_used
     basis = EDBasis(8, n_max)
     res = ground_state(build_hamiltonian(p, basis), basis)
     rep = photon_moments_ed(res, basis)
@@ -201,7 +201,7 @@ def test_criterion_06_entropy_size_slope(capsys):
     t0 = time.perf_counter()
     samples = []
     for n in (8, 16, 32, 64, 128, 256, 512):
-        n_max = converge_cutoff(RESONANT, n)
+        n_max = converge_cutoff(RESONANT, n).n_max_used
         basis = EDBasis(n, n_max)
         res = ground_state(build_hamiltonian(RESONANT, basis), basis)
         with warnings.catch_warnings():
@@ -273,7 +273,7 @@ def test_criterion_09_double_point_convergence(capsys):
     for n in (2, 4, 8, 16, 32):
         p = DoubleDickeParams(omega_cav=1.0, omega0_c=1.0, omega0_i=1.0,
                               lambda_c=0.5, lambda_i=0.5, n_c=n, n_i=n)
-        cut = converge_cutoff_double(p, tol=1e-8)
+        cut = converge_cutoff_double(p, tol=1e-8).n_max_used
         _, s, _ = double_ed(p, n_max=cut)
         table[n] = s
     dt = time.perf_counter() - t0

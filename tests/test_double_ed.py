@@ -198,6 +198,26 @@ def test_cutoff_warning_on_tight_basis():
     assert not res.cutoff_converged
 
 
+def test_converge_cutoff_double_returns_its_accepted_solve():
+    p = P(1.0, 1.0, 1.0, 0.5, 0.5, 4)
+    res = converge_cutoff_double(p)
+    basis = DoubleEDBasis(4, 4, res.n_max_used)
+    fresh = double_ground_state(build_double_hamiltonian(p, basis), basis)
+    assert np.array_equal(res.state, fresh.state)
+    assert res.ground_energy == fresh.ground_energy
+    assert res.gap01 == fresh.gap01
+
+
+def test_converge_cutoff_double_accepts_only_converged():
+    # N = 2 on theta = pi/8 at lambda_C = 1/4: hp at n_max = 4 agrees with
+    # n_max = 5 to 1e-8 while the top Fock slab still holds 2.4e-7
+    p = P(1.0, 1.0, 1.0, 0.25, 0.25 * math.tan(math.pi / 8), 2)
+    res = converge_cutoff_double(p)
+    assert res.cutoff_converged
+    top = res.state.reshape(res.n_max_used + 1, -1)[-1]
+    assert np.vdot(top, top).real < sed.TOP_ROW_TOL
+
+
 # entanglement growth along the boundary of the imaginary-coupling phase,
 # sampled where only that coupling is critical
 LINE_SIZES = (4, 8, 16, 32, 64)
@@ -212,7 +232,7 @@ def critical_line_table():
     table = {}
     for n in LINE_SIZES:
         p = P(1.0, 1.0, 1.0, lam_c, lam_i, n)
-        cut = converge_cutoff_double(p, tol=1e-8)
+        cut = converge_cutoff_double(p, tol=1e-8).n_max_used
         _, s, _ = double_ed(p, n_max=cut)
         table[n] = s
     return table

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from hpdicke.dicke import DickeParams
-from hpdicke.ed import (TOP_ROW_TOL, EDBasis, build_hamiltonian,
-                        converge_cutoff, ground_state, load_state,
-                        parity_diagonal, photon_entropy_ed,
-                        photon_moments_ed, save_state)
+from hpdicke.ed import (_DENSE_DIM, TOP_ROW_TOL, EDBasis, build_hamiltonian,
+                        converge_cutoff, ground_state, parity_diagonal,
+                        photon_entropy_ed, photon_moments_ed)
 from hpdicke.errors import BudgetExceeded, CutoffError, CutoffWarning
 from hpdicke.gaussian import entropy_from_hp
 
@@ -118,13 +117,13 @@ def test_large_n_superradiant_cat_pair_is_a_parity_eigenstate():
 
 
 def test_converge_cutoff_minimal_for_decoupled():
-    n_max = converge_cutoff(DickeParams(1.0, 1.0, 0.0), 4)
+    n_max = converge_cutoff(DickeParams(1.0, 1.0, 0.0), 4).n_max_used
     assert n_max <= 8
 
 
 def test_converge_cutoff_is_self_consistent():
     p = DickeParams(1.0, 1.0, 0.5)
-    n_max = converge_cutoff(p, 12, tol=1e-8)
+    n_max = converge_cutoff(p, 12, tol=1e-8).n_max_used
     basis_a = EDBasis(12, n_max)
     basis_b = EDBasis(12, math.ceil(1.5 * n_max))
     hp_a = photon_moments_ed(ground_state(build_hamiltonian(p, basis_a),
@@ -151,14 +150,20 @@ def test_cutoff_warning_on_tight_basis():
     assert any(issubclass(w.category, CutoffWarning) for w in caught)
 
 
-def test_state_roundtrip(tmp_path):
-    basis = EDBasis(6, 24)
-    res = ground_state(build_hamiltonian(DickeParams(1.0, 1.0, 0.4), basis),
-                       basis)
-    path = tmp_path / "state.bin"
-    save_state(path, res, basis)
-    res2, basis2 = load_state(path)
-    assert np.array_equal(res.state, res2.state)
-    assert res2.ground_energy == res.ground_energy
-    assert res2.parity == res.parity
-    assert (basis2.n_spins, basis2.n_max) == (6, 24)
+def test_converge_cutoff_returns_its_accepted_solve():
+    p = DickeParams(1.0, 1.0, 1.0)
+    res = converge_cutoff(p, 16)
+    basis = EDBasis(16, res.n_max_used)
+    assert basis.dim > _DENSE_DIM  # the accepted solve is an ARPACK one
+    fresh = ground_state(build_hamiltonian(p, basis), basis)
+    assert np.array_equal(res.state, fresh.state)
+    assert res.ground_energy == fresh.ground_energy
+    assert res.gap01 == fresh.gap01
+    assert res.cutoff_converged
+
+
+def test_cutoff_searches_are_independent():
+    p = DickeParams(1.0, 1.0, 0.5)
+    converge_cutoff(p, 16)
+    with pytest.raises(BudgetExceeded):
+        converge_cutoff(p, 16, budget_nnz=10)

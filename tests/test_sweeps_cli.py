@@ -202,6 +202,15 @@ class TestCli:
         assert cli.main(["sweep", "--config", cfg_path,
                          "--out", str(tmp_path / "s.csv")]) == 3
 
+    @pytest.mark.parametrize("model", ["dicke", "double-dicke"])
+    def test_fixed_cutoff_budget_exit_3(self, tmp_path, model):
+        cfg_path = _write_config(tmp_path, "fixed.json", {
+            "model": model, "mode": "ed", "n_spins": 8, "n_max": 2000,
+            "steps": 1, "budget_nnz": 1000})
+        assert cli.main(["sweep", "--config", cfg_path,
+                         "--out", str(tmp_path / "s.csv")]) == 3
+        assert not (tmp_path / "s.csv").exists()
+
     def test_figure_budget_exit_3(self, tmp_path, capsys):
         outdir = tmp_path / "fig"
         assert cli.main(["figure", "1", "--out", str(outdir),
