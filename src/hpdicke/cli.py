@@ -93,8 +93,12 @@ def _parse_window(text: str | None) -> tuple[float, float]:
     parts = text.split(sep)
     if len(parts) != 2:
         raise ConfigError(f"window must be LO{sep}HI, got {text!r}")
-    lo = float(parts[0]) if parts[0].strip() else -math.inf
-    hi = float(parts[1]) if parts[1].strip() else math.inf
+    try:
+        lo = float(parts[0]) if parts[0].strip() else -math.inf
+        hi = float(parts[1]) if parts[1].strip() else math.inf
+    except ValueError:
+        raise ConfigError(f"window ends must be numbers, got {text!r}") \
+            from None
     if not lo <= hi:
         raise ConfigError("window low end exceeds high end")
     return lo, hi

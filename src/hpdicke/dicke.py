@@ -4,7 +4,8 @@
 
 in the maximal-spin sector, for N -> infinity: phase classification, order
 parameter, polariton gaps, mixing angle, coherences, photon quadrature
-fluctuations, and entanglement entropy.
+fluctuations, and entanglement entropy, at one coupling or (thermo_grid)
+over a coupling array.
 
 Angular momentum convention: Jz eigenvalues m in {-N/2 .. N/2} with standard
 ladder elements, omega0 the full two-level splitting.  The critical coupling
@@ -19,9 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchError, CriticalPointDivergence, DomainError
-from .gaussian import (EntropyReport, FluctuationReport, QuadraticForm,
-                       entropy_from_hp, form_from_xp, heisenberg_product)
+from .errors import (BranchError, CriticalPointDivergence, DomainError,
+                     UncertaintyViolation)
+from .gaussian import (HP_CLAMP_BAND, EntropyColumns, EntropyReport,
+                       FluctuationReport, QuadraticForm, entropy_columns,
+                       entropy_from_hp, form_from_xp, heisenberg_product,
+                       per_element)
 
 __all__ = [
     "DickeParams",
@@ -34,6 +38,8 @@ __all__ = [
     "dicke_quadratic_form",
     "hp_thermo",
     "entropy_thermo",
+    "ThermoGrid",
+    "thermo_grid",
 ]
 
 # Relative half-width of the band around the critical coupling treated as
@@ -218,3 +224,91 @@ def entropy_thermo(p: DickeParams, include_degeneracy: bool = True,
     offset = 1 if (include_degeneracy and info.phase is Phase.SUPERRADIANT) else 0
     return entropy_from_hp(rep.hp, degeneracy_offset=offset,
                            renyi_alphas=renyi_alphas)
+
+
+@dataclass(frozen=True)
+class ThermoGrid:
+    """Thermodynamic-limit sweep quantities over a coupling grid, one
+    entry per point, each bitwise equal to what the scalar functions give
+    there (entropies with the degeneracy bit included).
+
+    On the critical coupling dx, hp and the entropies are inf, while dp
+    and the gaps stay finite: only the soft polariton is weighted by
+    1/gap, and that term belongs to dx.
+    """
+
+    info: list[PhaseInfo]
+    gap_minus: list[float]
+    gap_plus: list[float]
+    dx: list[float]
+    dp: list[float]
+    hp: list[float]
+    entropy: EntropyColumns
+
+
+def thermo_grid(omega: float, omega0: float, couplings,
+                renyi_alphas: tuple[float, ...] = ()) -> ThermoGrid:
+    """solve_thermo, hp_thermo and entropy_thermo over a coupling array,
+    each quantity evaluated once per point and as arrays over the grid.
+
+    Elementwise numpy arithmetic, sqrt, cos and sin round exactly as the
+    scalar code does; atan2 and powers go through per_element.
+    """
+    om, om0 = omega, omega0
+    lam = np.asarray(couplings, dtype=float)
+    info = [classify_phase(DickeParams(om, om0, c)) for c in lam.tolist()]
+    normal = np.array([i.phase is Phase.NORMAL for i in info])
+    critical = np.array([i.critical for i in info])
+    # the unused branches divide by zero (mu at zero coupling, 1/gap on
+    # the critical coupling); their values are discarded
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu = np.where(normal, 1.0, om * om0 / (4.0 * lam * lam))
+        om0_eff = om0 / mu
+        tr = om0_eff * om0_eff + om * om
+        disc = np.sqrt(per_element(pow, om0_eff * om0_eff - om * om, 2)
+                       + 16.0 * lam * lam * om * om0 * mu)
+        gap_plus = np.sqrt(0.5 * (tr + disc))
+        half = 0.5 * (tr - disc)
+        gap_minus = np.sqrt(np.where(0.0 > half, 0.0, half))
+        # the decoupled limit is gamma = 0; atan2(+0, negative) would
+        # jump to pi
+        gamma = np.where(lam == 0.0, 0.0, 0.5 * per_element(
+            math.atan2,
+            4.0 * lam * math.sqrt(om * om0) * per_element(pow, mu, 2.5),
+            om0 * om0 - mu * mu * om * om))
+        c2 = per_element(pow, np.cos(gamma), 2)
+        s2 = per_element(pow, np.sin(gamma), 2)
+        dx2 = 0.5 * om * (c2 / gap_minus + s2 / gap_plus)
+        dp2 = 0.5 * (c2 * gap_minus + s2 * gap_plus) / om
+
+        # heisenberg_product of the unrotated moments <a^2>_c = sq,
+        # <a^dag a> = n_c, checked off the critical coupling
+        n_c = 0.5 * (dx2 + dp2) - 0.5
+        sq = 0.5 * (dx2 - dp2)
+        ok = ~critical
+        if (n_c[ok] < -HP_CLAMP_BAND).any():
+            raise UncertaintyViolation("centered occupation is negative")
+        n_c = np.where(0.0 > n_c, 0.0, n_c)
+        vx, vp = 0.5 + n_c + sq, 0.5 + n_c - sq
+        if (vx[ok] <= 0.0).any() or (vp[ok] <= 0.0).any():
+            raise UncertaintyViolation("negative quadrature variance")
+        dx, dp = np.sqrt(vx), np.sqrt(vp)
+        hp = dx * dp
+        if (hp[ok] < 0.5 - HP_CLAMP_BAND).any():
+            raise UncertaintyViolation("uncertainty product below the "
+                                       "Heisenberg bound")
+        clamp = hp < 0.5
+        dp = np.where(clamp, 0.5 / dx, dp)
+        hp = np.where(clamp, 0.5, hp)
+
+    # dp stays finite on the critical coupling, where the sin^2 weight
+    # is taken as 1 - c2
+    dp_crit = np.sqrt(0.5 * (c2 * gap_minus + (1.0 - c2) * gap_plus) / om)
+    dx = np.where(critical, math.inf, dx)
+    dp = np.where(critical, dp_crit, dp)
+    hp = np.where(critical, math.inf, hp).tolist()
+    offsets = [0 if i.phase is Phase.NORMAL else 1 for i in info]
+    return ThermoGrid(info=info, gap_minus=gap_minus.tolist(),
+                      gap_plus=gap_plus.tolist(), dx=dx.tolist(),
+                      dp=dp.tolist(), hp=hp,
+                      entropy=entropy_columns(hp, offsets, renyi_alphas))

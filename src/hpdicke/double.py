@@ -26,10 +26,11 @@ import numpy as np
 
 from .errors import (BranchError, CriticalPointDivergence, DomainError,
                      InstabilityError, MeanFieldError, RegimeError)
-from .gaussian import (EntropyReport, FluctuationReport, QuadraticForm,
-                       bogoliubov_gaps, entropy_from_hp, form_from_xp,
-                       heisenberg_product, photon_moments_from_solution,
-                       symplectic_diagonalize)
+from .gaussian import (EntropyColumns, EntropyReport, FluctuationReport,
+                       QuadraticForm, bogoliubov_gaps, bogoliubov_stack,
+                       entropy_columns, entropy_from_hp, form_from_xp,
+                       heisenberg_product, nambu_stack, per_element,
+                       photon_moments_from_solution, symplectic_diagonalize)
 
 __all__ = [
     "DoubleDickeParams",
@@ -48,6 +49,8 @@ __all__ = [
     "double_point_hp",
     "hp_double",
     "entropy_double",
+    "DoubleThermoGrid",
+    "double_thermo_grid",
 ]
 
 CRITICAL_REL_TOL = 1e-12
@@ -383,3 +386,115 @@ def entropy_double(p: DoubleDickeParams, include_degeneracy: bool = True,
     offset = _OFFSET_BITS[info.degeneracy] if include_degeneracy else 0
     return entropy_from_hp(rep.hp, degeneracy_offset=offset,
                            renyi_alphas=renyi_alphas)
+
+
+def _quadrature_stack(om: float, om0_c: float, om0_i: float,
+                      lam_c: np.ndarray, lam_i: np.ndarray,
+                      broken_c: np.ndarray,
+                      broken_i: np.ndarray) -> np.ndarray:
+    """double_quadrature_matrix at each coupling pair on the default
+    branch, as a (k, 6, 6) stack bitwise equal to the scalar matrices."""
+    with np.errstate(divide="ignore"):
+        mu_c = om * om0_c / (4.0 * per_element(pow, lam_c, 2))
+        mu_i = om * om0_i / (4.0 * per_element(pow, lam_i, 2))
+    mu_c = np.where(broken_c & ~(1.0 < mu_c), mu_c, 1.0)
+    mu_i = np.where(broken_i & ~(1.0 < mu_i), mu_i, 1.0)
+    # the default branch: epsilon = 1 in a broken direction, else 0
+    x_c = broken_c * np.sqrt((1.0 - mu_c) / 2.0)
+    x_i = broken_i * np.sqrt((1.0 - mu_i) / 2.0)
+    s_c = np.sqrt(1.0 - x_c * x_c)
+    s_i = np.sqrt(1.0 - x_i * x_i)
+    u = -(2.0 * lam_c / om) * x_c * s_c
+    v = +(2.0 * lam_i / om) * x_i * s_i
+
+    def hprime(x, s):
+        return (1.0 - 2.0 * x * x) / s
+
+    grad = np.array([
+        2.0 * om * u + 4.0 * lam_c * x_c * s_c,
+        2.0 * om * v - 4.0 * lam_i * x_i * s_i,
+        2.0 * om0_c * x_c + 4.0 * lam_c * u * hprime(x_c, s_c),
+        2.0 * om0_i * x_i - 4.0 * lam_i * v * hprime(x_i, s_i)])
+    bad = np.abs(grad).max(axis=0) > GRADIENT_TOL * max(om, om0_c, om0_i,
+                                                         1.0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise MeanFieldError("stationarity violated at the closed-form "
+                             f"minimum: {tuple(grad[:, k].tolist())}")
+
+    # the Hessian terms, as double_quadrature_matrix writes them
+    s_c = np.sqrt(1.0 - per_element(pow, x_c, 2))
+    s_i = np.sqrt(1.0 - per_element(pow, x_i, 2))
+
+    def hpp(x, s):
+        return x * (2.0 * x * x - 3.0) / per_element(pow, s, 3)
+
+    G = np.zeros((len(lam_c), 6, 6))
+    G[:, 0, 0] = om
+    G[:, 3, 3] = om
+    G[:, 1, 1] = om0_c + 2.0 * lam_c * u * hpp(x_c, s_c)
+    G[:, 4, 4] = om0_c - 2.0 * lam_c * u * x_c / s_c
+    G[:, 2, 2] = om0_i - 2.0 * lam_i * v * hpp(x_i, s_i)
+    G[:, 5, 5] = om0_i + 2.0 * lam_i * v * x_i / s_i
+    G[:, 0, 1] = G[:, 1, 0] = 2.0 * lam_c * hprime(x_c, s_c)
+    G[:, 2, 3] = G[:, 3, 2] = -2.0 * lam_i * hprime(x_i, s_i)
+    return G
+
+
+@dataclass(frozen=True)
+class DoubleThermoGrid:
+    """Thermodynamic-limit sweep quantities over coupling pairs, one entry
+    per point, each bitwise equal to what the scalar functions give there
+    (entropies with the degeneracy bits included).
+
+    On a critical line dx and dp are nan, hp and the entropies inf, and
+    the gaps still hold (the lowest is 0); the double point keeps its
+    finite closed form.
+    """
+
+    info: list[DoublePhaseInfo]
+    gaps: list[list[float]]
+    dx: list[float]
+    dp: list[float]
+    hp: list[float]
+    entropy: EntropyColumns
+
+
+def double_thermo_grid(omega_cav: float, omega0_c: float, omega0_i: float,
+                       lambda_c, lambda_i,
+                       renyi_alphas: tuple[float, ...] = ()
+                       ) -> DoubleThermoGrid:
+    """double_gaps, hp_double and entropy_double at each coupling pair
+    (lambda_c[k], lambda_i[k]).
+
+    The mean field and the quadrature forms are built as arrays over the
+    grid and diagonalized by one batched eigen-decomposition; rows on a
+    critical line take hp from hp_double's closed forms.
+    """
+    lam_c = np.asarray(lambda_c, dtype=float)
+    lam_i = np.asarray(lambda_i, dtype=float)
+    params = [DoubleDickeParams(omega_cav, omega0_c, omega0_i, c, i)
+              for c, i in zip(lam_c.tolist(), lam_i.tolist())]
+    info = [classify_double_phase(q) for q in params]
+    on_line = np.array([i.critical_c or i.critical_i for i in info])
+    broken_c = np.array([i.phase in (DoublePhase.SUPERRADIANT_REAL,
+                                     DoublePhase.SUPERRADIANT_DOUBLE)
+                         for i in info])
+    broken_i = np.array([i.phase in (DoublePhase.SUPERRADIANT_IMAG,
+                                     DoublePhase.SUPERRADIANT_DOUBLE)
+                         for i in info])
+    G = _quadrature_stack(omega_cav, omega0_c, omega0_i, lam_c, lam_i,
+                          broken_c, broken_i)
+    gaps, moments = bogoliubov_stack(nambu_stack(G), ~on_line)
+    for k in np.flatnonzero(on_line):
+        try:
+            moments[k] = hp_double(params[k])
+        except CriticalPointDivergence:
+            pass
+    hp = [math.inf if m is None else m.hp for m in moments]
+    offsets = [_OFFSET_BITS[i.degeneracy] for i in info]
+    return DoubleThermoGrid(
+        info=info, gaps=gaps.tolist(),
+        dx=[math.nan if m is None else m.dx for m in moments],
+        dp=[math.nan if m is None else m.dp for m in moments], hp=hp,
+        entropy=entropy_columns(hp, offsets, renyi_alphas))

@@ -293,10 +293,11 @@ def _walk_cutoff(n0: int, basis_at, solve, moments, tol: float,
     above n0 the walk doubles until a cutoff is accepted.
 
     A cutoff n is accepted when its own solve is cutoff_converged and
-    |hp(n) - hp(ceil(1.25 n))| < tol.  solve(basis) gives the EDResult at
-    basis_at(n) and moments(result, basis).hp its hp; each cutoff is
-    solved at most once per walk, and the budget is checked at the probe
-    cutoff before each pair.
+    |hp(n) - hp(ceil(1.25 n))| < tol; the probe ceil(1.25 n) is solved
+    only when n's own solve is converged.  solve(basis) gives the
+    EDResult at basis_at(n) and moments(result, basis).hp its hp; each
+    cutoff is solved at most once per walk, and the budget is checked at
+    the probe cutoff before each pair.
     """
     memo: dict[int, tuple[EDResult, float]] = {}
 
@@ -312,8 +313,8 @@ def _walk_cutoff(n0: int, basis_at, solve, moments, tol: float,
     def accepted(n: int) -> bool:
         probe = max(n + 1, math.ceil(1.25 * n))
         _check_budget(basis_at(probe), budget_nnz)
-        (res, hp), (_, hp_probe) = at(n), at(probe)
-        return abs(hp - hp_probe) < tol and res.cutoff_converged
+        res, hp = at(n)
+        return res.cutoff_converged and abs(hp - at(probe)[1]) < tol
 
     # The confirmation at the next grid point up guards against an
     # accidental plateau far from convergence.

@@ -32,9 +32,13 @@ __all__ = [
     "form_matrix",
     "bogoliubov_gaps",
     "symplectic_diagonalize",
+    "bogoliubov_stack",
+    "nambu_stack",
     "photon_moments_from_solution",
     "heisenberg_product",
     "entropy_from_hp",
+    "EntropyColumns",
+    "entropy_columns",
     "renyi_entropy",
     "pseudo_energy",
     "thermal_weights",
@@ -121,6 +125,17 @@ class EntropyReport:
     degeneracy_offset: int = 0
 
 
+def per_element(fn, *args) -> np.ndarray:
+    """fn applied to each element as Python floats; scalar arguments are
+    broadcast.  numpy's power, log, exp and atan2 may round differently
+    from the math-library calls of the scalar code, so array code that
+    must reproduce that code bitwise maps those calls with this."""
+    n = next(len(a) for a in args if isinstance(a, np.ndarray))
+    cols = [a.tolist() if isinstance(a, np.ndarray) else [a] * n
+            for a in args]
+    return np.array(list(map(fn, *cols)), dtype=float)
+
+
 def _sigma_z(n: int) -> np.ndarray:
     s = np.ones(2 * n)
     s[n:] = -1.0
@@ -146,16 +161,48 @@ def _validated(form: QuadraticForm, tol: float = 1e-9):
         raise DomainError("A block is not Hermitian")
     if np.abs(B - B.T).max() > tol * scale:
         raise DomainError("B block is not symmetric")
-    A = 0.5 * (A + A.conj().T)
-    B = 0.5 * (B + B.T)
     return A, B, d, n
+
+
+def _adjoint(X: np.ndarray) -> np.ndarray:
+    return X.conj().swapaxes(-1, -2)
+
+
+def _nambu(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """M = [[A, 2 B*], [2 B, A*]] from the symmetrized blocks; A and B may
+    be stacks of n x n blocks, giving a stack of 2n x 2n matrices."""
+    A = 0.5 * (A + _adjoint(A))
+    B = 0.5 * (B + B.swapaxes(-1, -2))
+    return np.concatenate([np.concatenate([A, 2.0 * B.conj()], axis=-1),
+                           np.concatenate([2.0 * B, A.conj()], axis=-1)],
+                          axis=-2)
 
 
 def form_matrix(form: QuadraticForm) -> np.ndarray:
     """2n x 2n Hermitian matrix M with H = (1/2) Psi^dag M Psi - tr(A)/2 + ...
     where Psi = (a_1..a_n, a_1^dag..a_n^dag)."""
     A, B, _, _ = _validated(form)
-    return np.block([[A, 2.0 * B.conj()], [2.0 * B, A.conj()]])
+    return _nambu(A, B)
+
+
+def _xp_blocks(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Boson blocks (A, B) of the quadrature form (1/2) r^T G r; G may be
+    a stack of 2n x 2n matrices, giving stacks of blocks."""
+    n = G.shape[-1] // 2
+    eye = np.eye(n)
+    S = np.block([[eye, eye], [-1j * eye, 1j * eye]]) / math.sqrt(2.0)
+    M = _swap_blocks(n) @ (S.T @ G @ S)
+    M = 0.5 * (M + _adjoint(M))
+    A = M[..., :n, :n]
+    B = 0.25 * (M[..., n:, :n] + _adjoint(M[..., :n, n:]))
+    return A, 0.5 * (B + B.swapaxes(-1, -2))
+
+
+def nambu_stack(G: np.ndarray) -> np.ndarray:
+    """Stack of the matrices form_matrix(form_from_xp(G[k])), bitwise
+    equal to building each one alone, for a stack G of quadrature forms
+    that form_from_xp accepts."""
+    return _nambu(*_xp_blocks(np.asarray(G, dtype=float)))
 
 
 def form_from_xp(G: np.ndarray, linear: np.ndarray | None = None,
@@ -175,13 +222,7 @@ def form_from_xp(G: np.ndarray, linear: np.ndarray | None = None,
         raise DomainError("quadrature form must be symmetric")
     if np.abs(np.diag(G[:n, n:])).max() > 0:
         raise DomainError("same-mode x p cross terms are not supported")
-    eye = np.eye(n)
-    S = np.block([[eye, eye], [-1j * eye, 1j * eye]]) / math.sqrt(2.0)
-    M = _swap_blocks(n) @ (S.T @ G @ S)
-    M = 0.5 * (M + M.conj().T)
-    A = M[:n, :n]
-    B = 0.25 * (M[n:, :n] + M[:n, n:].conj().T)
-    B = 0.5 * (B + B.T)
+    A, B = _xp_blocks(G)
     if linear is not None:
         g = np.asarray(linear, dtype=float)
         w = (g[:n] - 1j * g[n:]) / math.sqrt(2.0)
@@ -192,16 +233,10 @@ def form_from_xp(G: np.ndarray, linear: np.ndarray | None = None,
     return QuadraticForm(A=A, B=B, d=w, e0=const + 0.5 * np.trace(A).real)
 
 
-def bogoliubov_gaps(form: QuadraticForm, tol: float = 1e-9) -> np.ndarray:
-    """Mode energies only, ascending, without building the transform.
-
-    Unlike symplectic_diagonalize this tolerates zero gaps, so it can be
-    evaluated exactly on a phase boundary.
-    """
-    A, B, _, n = _validated(form)
-    M = np.block([[A, 2.0 * B.conj()], [2.0 * B, A.conj()]])
-    scale = max(np.linalg.norm(M), 1e-300)
-    ev = np.linalg.eigvals(_sigma_z(n) @ M)
+def _paired_gaps(ev: np.ndarray, n: int, scale: float,
+                 tol: float) -> np.ndarray:
+    """Ascending mode energies from the 2n eigenvalues of Sigma_z M;
+    overwrites ev."""
     # An exact zero mode is a Jordan pair whose numerical eigenvalues
     # scatter by ~sqrt(eps)*scale in any direction; collapse that dust
     # to zero before judging stability.
@@ -216,35 +251,23 @@ def bogoliubov_gaps(form: QuadraticForm, tol: float = 1e-9) -> np.ndarray:
     return np.clip(pos, 0.0, None)
 
 
-def symplectic_diagonalize(form: QuadraticForm,
-                           tol: float = 1e-9) -> BogoliubovSolution:
-    """Diagonalize a stable quadratic form into polaritons.
+def bogoliubov_gaps(form: QuadraticForm, tol: float = 1e-9) -> np.ndarray:
+    """Mode energies only, ascending, without building the transform.
 
-    Builds the dynamical matrix Sigma_z M, keeps the Krein-positive
-    eigenvector branch, and normalizes each row to the bosonic commutator.
-    Raises InstabilityError when the form is not strictly stable (complex,
-    negative, or vanishing mode energies).
+    Unlike symplectic_diagonalize this tolerates zero gaps, so it can be
+    evaluated exactly on a phase boundary.
     """
-    A, B, d, n = _validated(form)
-    M = np.block([[A, 2.0 * B.conj()], [2.0 * B, A.conj()]])
-    sz = _sigma_z(n)
+    A, B, _, n = _validated(form)
+    M = _nambu(A, B)
     scale = max(np.linalg.norm(M), 1e-300)
+    return _paired_gaps(np.linalg.eigvals(_sigma_z(n) @ M), n, scale, tol)
 
-    # Absorb linear terms: Psi -> Psi + chi with M chi = -(conj d, d).
-    if np.abs(d).max() > 0:
-        f = np.concatenate([d.conj(), d])
-        try:
-            chi = np.linalg.solve(M, -f)
-        except np.linalg.LinAlgError:
-            raise InstabilityError(
-                "singular quadratic form; displacements cannot be absorbed")
-        c = chi[:n]
-        e_shift = float(np.real(np.dot(d, c)))
-    else:
-        c = np.zeros(n, dtype=complex)
-        e_shift = 0.0
 
-    ev, vec = np.linalg.eig(sz @ M)
+def _krein_transform(ev: np.ndarray, vec: np.ndarray, n: int, scale: float,
+                     tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gaps and polariton transform T from the eigenpairs of Sigma_z M:
+    keeps the Krein-positive branch and normalizes each row to the
+    bosonic commutator."""
     if np.abs(ev.imag).max() > tol * scale:
         raise InstabilityError(
             f"complex mode energies (max imag {np.abs(ev.imag).max():.3e}); "
@@ -257,6 +280,7 @@ def symplectic_diagonalize(form: QuadraticForm,
             f"{pos.size} positive mode energies for {n} modes; "
             "form is gapless or unstable")
 
+    sz = _sigma_z(n)
     gaps = ev[pos].copy()
     rows = np.empty((n, 2 * n), dtype=complex)
     # Krein-orthonormalize inside near-degenerate groups so the transform
@@ -286,10 +310,129 @@ def symplectic_diagonalize(form: QuadraticForm,
         rows[k] = w
 
     X = _swap_blocks(n)
-    T = np.vstack([rows, rows.conj() @ X])
+    return gaps, np.vstack([rows, rows.conj() @ X])
+
+
+def symplectic_diagonalize(form: QuadraticForm,
+                           tol: float = 1e-9) -> BogoliubovSolution:
+    """Diagonalize a stable quadratic form into polaritons.
+
+    Builds the dynamical matrix Sigma_z M, keeps the Krein-positive
+    eigenvector branch, and normalizes each row to the bosonic commutator.
+    Raises InstabilityError when the form is not strictly stable (complex,
+    negative, or vanishing mode energies).
+    """
+    A, B, d, n = _validated(form)
+    M = _nambu(A, B)
+    scale = max(np.linalg.norm(M), 1e-300)
+
+    # Absorb linear terms: Psi -> Psi + chi with M chi = -(conj d, d).
+    if np.abs(d).max() > 0:
+        f = np.concatenate([d.conj(), d])
+        try:
+            chi = np.linalg.solve(M, -f)
+        except np.linalg.LinAlgError:
+            raise InstabilityError(
+                "singular quadratic form; displacements cannot be absorbed")
+        c = chi[:n]
+        e_shift = float(np.real(np.dot(d, c)))
+    else:
+        c = np.zeros(n, dtype=complex)
+        e_shift = 0.0
+
+    ev, vec = np.linalg.eig(_sigma_z(n) @ M)
+    gaps, T = _krein_transform(ev, vec, n, scale, tol)
     ground = form.e0 + e_shift + 0.5 * (gaps.sum() - np.trace(A).real)
     return BogoliubovSolution(gaps=gaps, transform=T, displacements=c,
                               ground_energy=float(ground))
+
+
+def bogoliubov_stack(M: np.ndarray, stable: np.ndarray, tol: float = 1e-9
+                     ) -> tuple[np.ndarray, list[FluctuationReport | None]]:
+    """Gaps and mode-0 vacuum moments of a stack of 2n x 2n matrices M
+    (as form_matrix gives them), from one batched eigen-decomposition.
+
+    Row k equals, bitwise, bogoliubov_gaps and
+    photon_moments_from_solution(symplectic_diagonalize(form)) of a form
+    with matrix M[k] and no linear terms.  Moments are computed where
+    stable[k] is set and are None elsewhere, so rows on a phase boundary
+    still get their gaps.
+    """
+    n = M.shape[-1] // 2
+    ev, vec = np.linalg.eig(_sigma_z(n) @ M)
+    scale = np.array([max(np.linalg.norm(m), 1e-300) for m in M])
+    gaps = np.array([_paired_gaps(e.copy(), n, s, tol)
+                     for e, s in zip(ev, scale)])
+
+    # Rows with exactly n positive, real and well separated mode energies
+    # need no Gram-Schmidt step: their Krein normalization runs on the
+    # whole stack at once.  The others, which may raise, go row by row.
+    re = ev.real
+    order = np.argsort(re, axis=-1)
+    top = np.take_along_axis(re, order[:, n - 1:], axis=-1)
+    floor = tol * scale
+    batch = (stable & (np.abs(ev.imag).max(axis=-1) <= floor)
+             & (top[:, 0] <= floor) & (top[:, 1] > floor)
+             & (np.diff(top[:, 1:], axis=-1) >= np.maximum(
+                 1e-8 * scale, 10 * floor)[:, None]).all(axis=-1))
+    moments: list[FluctuationReport | None] = [None] * len(M)
+    if batch.any():
+        cols = np.take_along_axis(vec[batch], order[batch, None, n:],
+                                  axis=-1)
+        stacked = _krein_photon_moments(cols, n, tol)
+        if stacked is None:
+            batch[:] = False
+        else:
+            for k, n_occ, sq in zip(np.flatnonzero(batch), *stacked):
+                moments[k] = _mode_report(n_occ, sq, 0j)
+    for k in np.flatnonzero(stable & ~batch):
+        _, T = _krein_transform(ev[k], vec[k], n, scale[k], tol)
+        moments[k] = _vacuum_moments(T, 0j, 0)
+    return gaps, moments
+
+
+def _krein_photon_moments(cols: np.ndarray, n: int, tol: float
+                          ) -> tuple[list[float], list[complex]] | None:
+    """_krein_transform and _vacuum_moments over a stack, for eigenvector
+    columns (m, 2n, n) of ungrouped gaps: the mode-0 occupation and <a^2>
+    per row, or None when a Krein norm is not positive.
+
+    Multiplying by the diagonal Sigma_z or by the block swap only moves
+    entries and flips signs, so those products are taken elementwise;
+    the Krein norms go through the same dot product as the row code.
+    """
+    sz = np.diag(_sigma_z(n))
+    xi = cols.swapaxes(-1, -2)                      # (m, n, 2n)
+    norm = (xi.conj()[..., None, :]
+            @ (sz * xi)[..., :, None])[..., 0, 0].real
+    if (norm <= tol).any():
+        return None
+    xi = xi / np.sqrt(norm)[..., None]
+    w = xi.conj() * sz
+    a = np.take_along_axis(w, np.abs(w).argmax(axis=-1)[..., None], axis=-1)
+    w = w * (np.abs(a) / a)
+    # the inverse transform's mode-0 row is (conj w[:, 0], -w[:, n])
+    P, Q = w[..., 0].conj(), -w[..., n]
+    return (np.sum(np.abs(Q) ** 2, axis=-1).tolist(),
+            np.sum(P * Q, axis=-1).tolist())
+
+
+def _vacuum_moments(T: np.ndarray, mean: complex,
+                    mode_index: int) -> FluctuationReport:
+    n = T.shape[0] // 2
+    sz = _sigma_z(n)
+    t_inv = sz @ T.conj().T @ sz
+    row = t_inv[mode_index]
+    P, Q = row[:n], row[n:]
+    return _mode_report(float(np.sum(np.abs(Q) ** 2)),
+                        complex(np.sum(P * Q)), mean)
+
+
+def _mode_report(n_occ: float, sq: complex, mean: complex
+                 ) -> FluctuationReport:
+    return heisenberg_product(mean_a=mean,
+                              a_sq=sq + mean * mean,
+                              occupation=n_occ + abs(mean) ** 2)
 
 
 def photon_moments_from_solution(sol: BogoliubovSolution,
@@ -302,17 +445,8 @@ def photon_moments_from_solution(sol: BogoliubovSolution,
     n = sol.n_modes
     if not 0 <= mode_index < n:
         raise DomainError(f"mode_index {mode_index} out of range for {n} modes")
-    T = sol.transform
-    sz = _sigma_z(n)
-    t_inv = sz @ T.conj().T @ sz
-    row = t_inv[mode_index]
-    P, Q = row[:n], row[n:]
-    n_occ = float(np.sum(np.abs(Q) ** 2))
-    sq = complex(np.sum(P * Q))
-    mean = complex(sol.displacements[mode_index])
-    return heisenberg_product(mean_a=mean,
-                              a_sq=sq + mean * mean,
-                              occupation=n_occ + abs(mean) ** 2)
+    return _vacuum_moments(sol.transform,
+                           complex(sol.displacements[mode_index]), mode_index)
 
 
 def heisenberg_product(mean_a: complex = 0.0, a_sq: complex = 0.0,
@@ -370,6 +504,18 @@ def _clamped_hp(hp: float) -> float:
     return max(hp, 0.5)
 
 
+def _s_vn_bits(hp: float) -> float:
+    u = hp - 0.5
+    if u == 0.0:
+        return 0.0
+    return math.log2(hp + 0.5) + u * math.log1p(1.0 / u) / LN2
+
+
+def _check_offset(offset: int):
+    if offset not in (0, 1, 2):
+        raise DomainError(f"degeneracy offset {offset!r} not in (0, 1, 2)")
+
+
 def entropy_from_hp(hp: float, degeneracy_offset: int = 0,
                     renyi_alphas: tuple[float, ...] = ()) -> EntropyReport:
     """Von Neumann entropy (bits) of a mode with aligned uncertainty
@@ -381,19 +527,50 @@ def entropy_from_hp(hp: float, degeneracy_offset: int = 0,
     or 2 bits) is added to s_vn for comparison against finite-size
     symmetric ground states of degenerate phases.
     """
-    if degeneracy_offset not in (0, 1, 2):
-        raise DomainError(f"degeneracy offset {degeneracy_offset!r} not in (0, 1, 2)")
+    _check_offset(degeneracy_offset)
     hp = _clamped_hp(hp)
-    u = hp - 0.5
-    if u == 0.0:
-        base = 0.0
-    else:
-        base = math.log2(hp + 0.5) + u * math.log1p(1.0 / u) / LN2
     alphas = {float(a): renyi_entropy(hp, a) for a in renyi_alphas}
-    return EntropyReport(s_vn=base + degeneracy_offset,
+    return EntropyReport(s_vn=_s_vn_bits(hp) + degeneracy_offset,
                          s_renyi=alphas,
                          pseudo_energy=pseudo_energy(hp),
                          degeneracy_offset=degeneracy_offset)
+
+
+@dataclass(frozen=True)
+class EntropyColumns:
+    """Entropies (bits) over a column of uncertainty products.
+
+    s_vn includes each point's degeneracy offset, s_vn_bare is s_vn less
+    it, and s_renyi maps each order to its column.
+    """
+
+    s_vn: list[float]
+    s_vn_bare: list[float]
+    s_renyi: dict[float, list[float]]
+
+
+def entropy_columns(hp, degeneracy_offsets,
+                    renyi_alphas: tuple[float, ...] = ()) -> EntropyColumns:
+    """entropy_from_hp over a column of uncertainty products, each value
+    bitwise equal to the scalar one.  An infinite hp marks a divergence
+    and gives inf in every entropy column."""
+    s_vn, bare = [], []
+    renyi: dict[float, list[float]] = {float(a): [] for a in renyi_alphas}
+    for h, offset in zip(hp, degeneracy_offsets):
+        if h == math.inf:
+            s = b = math.inf
+            for column in renyi.values():
+                column.append(math.inf)
+        else:
+            _check_offset(offset)
+            h = _clamped_hp(h)
+            s = _s_vn_bits(h) + offset
+            b = s - offset
+            for a, column in renyi.items():
+                column.append(renyi_entropy(h, a))
+        s_vn.append(s)
+        bare.append(b)
+    return EntropyColumns(s_vn=s_vn, s_vn_bare=bare, s_renyi=renyi)
 
 
 def renyi_entropy(hp: float, alpha: float) -> float:

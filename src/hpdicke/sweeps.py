@@ -1,9 +1,10 @@
 """Deterministic parameter sweeps serialized to CSV or JSON.
 
-A sweep is a validated SweepConfig walked point by point: single-chain
+A sweep is a validated SweepConfig evaluated over its grid: single-chain
 sweeps scan the coupling, double-model sweeps scan a radius at fixed
-polar angle in the (lambda_C, lambda_I) plane.  Rows always appear in
-grid order; identical config and seed give byte-identical files.
+polar angle in the (lambda_C, lambda_I) plane.  A thermo sweep computes
+the whole grid at once, an ED sweep point by point.  Rows always appear
+in grid order; identical config and seed give byte-identical files.
 
 Divergences are first-class results: a field whose value diverges at a
 critical point is written as the literal string "inf" with the reason
@@ -28,18 +29,15 @@ from dataclasses import dataclass, field, fields as dc_fields
 import numpy as np
 
 from . import __version__
-from .dicke import (DickeParams, classify_phase, entropy_thermo, hp_thermo,
-                    solve_thermo)
-from .double import (DoubleDickeParams, classify_double_phase, double_gaps,
-                     entropy_double, hp_double)
+from .dicke import DickeParams, thermo_grid
+from .double import DoubleDickeParams, double_thermo_grid
 from .ed import (DEFAULT_BUDGET_NNZ, DEFAULT_SEED, EDBasis, _check_budget,
                  build_hamiltonian, converge_cutoff, ground_state,
                  photon_entropy_ed, photon_moments_ed)
 from .double_ed import (DoubleEDBasis, build_double_hamiltonian,
                         converge_cutoff_double, double_ground_state,
                         photon_entropy_double, photon_moments_double)
-from .errors import (BudgetExceeded, ConfigError, CriticalPointDivergence,
-                     CutoffWarning, HpDickeError)
+from .errors import BudgetExceeded, ConfigError, CutoffWarning, HpDickeError
 
 __all__ = ["SCHEMA", "SweepConfig", "SweepRow", "run_sweep", "radial_sweep",
            "sweep_rows", "render_csv", "render_json", "write_atomic"]
@@ -103,6 +101,10 @@ class SweepConfig:
         return cfg
 
     def validate(self):
+        for f in dc_fields(self):
+            value = getattr(self, f.name)
+            if f.type in ("float", float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite")
         if self.model not in _MODELS:
             raise ConfigError(f"model must be one of {_MODELS}")
         if self.mode not in _MODES:
@@ -138,7 +140,7 @@ class SweepConfig:
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         for a in self.renyi:
-            if not a > 0 or abs(a - 1.0) < 1e-9:
+            if not (0 < a < math.inf) or abs(a - 1.0) < 1e-9:
                 raise ConfigError(f"invalid Renyi order {a!r}")
 
     def grid(self) -> np.ndarray:
@@ -186,7 +188,7 @@ class SweepRow:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, bool):
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
@@ -220,74 +222,43 @@ def columns_for(cfg: SweepConfig) -> list[str]:
             "dx", "dp", "hp", "s_vn", "reason"]
 
 
-def _renyi_items(cfg: SweepConfig, report) -> list[tuple[str, float]]:
-    return [(f"renyi_{format(a, 'g')}", report.s_renyi[a])
-            for a in cfg.renyi]
-
-
-def _thermo_row_dicke(cfg: SweepConfig, i: int, lam: float) -> SweepRow:
-    p = DickeParams(omega=cfg.omega, omega0=cfg.omega0, coupling=float(lam))
-    info = classify_phase(p)
-    sol = solve_thermo(p)
-    vals = {"index": i, "coupling": float(lam),
-            "dist_cr": float(lam) - info.lambda_cr,
-            "phase": info.phase.value, "critical": info.critical}
-    if info.critical:
-        # dp stays finite on the boundary (only the soft polariton is
-        # weighted by 1/gap, and that term belongs to dx)
-        c2 = math.cos(sol.gamma) ** 2
-        dp2 = 0.5 * (c2 * sol.gap_minus
-                     + (1.0 - c2) * sol.gap_plus) / cfg.omega
-        vals.update(dx=math.inf, dp=math.sqrt(dp2), hp=math.inf,
-                    s_vn=math.inf, s_vn_bare=math.inf)
-        vals.update({k: math.inf for k, _ in _renyi_items_names(cfg)})
-        reason = "critical-point"
+def _thermo_rows(cfg: SweepConfig) -> list[SweepRow]:
+    """All rows of a thermo sweep, from one grid evaluation of the
+    request.  Divergent cells are inf with the reason critical-point; on
+    a double-model line the bounded quadrature's limit is not evaluated
+    exactly, so dx and dp are nan there."""
+    x = cfg.grid()
+    if cfg.model == "dicke":
+        g = thermo_grid(cfg.omega, cfg.omega0, x, cfg.renyi)
+        coupling = x.tolist()
+        cols = {"coupling": coupling,
+                "dist_cr": [c - i.lambda_cr for c, i in zip(coupling, g.info)],
+                "critical": [i.critical for i in g.info],
+                "gap_minus": g.gap_minus, "gap_plus": g.gap_plus}
     else:
-        rep = hp_thermo(p)
-        ent = entropy_thermo(p, renyi_alphas=cfg.renyi)
-        vals.update(dx=rep.dx, dp=rep.dp, hp=rep.hp, s_vn=ent.s_vn,
-                    s_vn_bare=ent.s_vn - ent.degeneracy_offset)
-        vals.update(dict(_renyi_items(cfg, ent)))
-        reason = ""
-    vals.update(gap_minus=sol.gap_minus, gap_plus=sol.gap_plus,
-                reason=reason)
-    return SweepRow(index=i, values=vals)
-
-
-def _renyi_items_names(cfg: SweepConfig) -> list[tuple[str, None]]:
-    return [(f"renyi_{format(a, 'g')}", None) for a in cfg.renyi]
-
-
-def _thermo_row_double(cfg: SweepConfig, i: int, r: float) -> SweepRow:
-    lam_c = float(r) * math.cos(cfg.theta)
-    lam_i = float(r) * math.sin(cfg.theta)
-    p = DoubleDickeParams(omega_cav=cfg.omega, omega0_c=cfg.omega0_c,
-                          omega0_i=cfg.omega0_i,
-                          lambda_c=lam_c, lambda_i=lam_i)
-    info = classify_double_phase(p)
-    gaps = double_gaps(p)
-    vals = {"index": i, "r": float(r), "theta": cfg.theta,
-            "lambda_c": lam_c, "lambda_i": lam_i,
-            "dist_c": lam_c - info.lambda_c_cr,
-            "dist_i": lam_i - info.lambda_i_cr,
-            "phase": info.phase.value,
-            "critical_c": info.critical_c, "critical_i": info.critical_i}
-    try:
-        rep = hp_double(p)
-        ent = entropy_double(p, renyi_alphas=cfg.renyi)
-        vals.update(dx=rep.dx, dp=rep.dp, hp=rep.hp, s_vn=ent.s_vn,
-                    s_vn_bare=ent.s_vn - ent.degeneracy_offset)
-        vals.update(dict(_renyi_items(cfg, ent)))
-        reason = ""
-    except CriticalPointDivergence:
-        # hp and S diverge on a line; the bounded quadrature's limit is
-        # not evaluated exactly on it
-        vals.update(dx=math.nan, dp=math.nan, hp=math.inf, s_vn=math.inf,
-                    s_vn_bare=math.inf)
-        vals.update({k: math.inf for k, _ in _renyi_items_names(cfg)})
-        reason = "critical-point"
-    vals.update(gap_1=gaps[0], gap_2=gaps[1], gap_3=gaps[2], reason=reason)
-    return SweepRow(index=i, values=vals)
+        lam_c = (x * math.cos(cfg.theta)).tolist()
+        lam_i = (x * math.sin(cfg.theta)).tolist()
+        g = double_thermo_grid(cfg.omega, cfg.omega0_c, cfg.omega0_i,
+                               lam_c, lam_i, cfg.renyi)
+        gap_1, gap_2, gap_3 = zip(*g.gaps)
+        cols = {"r": x.tolist(), "theta": [cfg.theta] * len(x),
+                "lambda_c": lam_c, "lambda_i": lam_i,
+                "dist_c": [c - i.lambda_c_cr for c, i in zip(lam_c, g.info)],
+                "dist_i": [c - i.lambda_i_cr for c, i in zip(lam_i, g.info)],
+                "critical_c": [i.critical_c for i in g.info],
+                "critical_i": [i.critical_i for i in g.info],
+                "gap_1": gap_1, "gap_2": gap_2, "gap_3": gap_3}
+    ent = g.entropy
+    cols.update(index=range(len(x)), phase=[i.phase.value for i in g.info],
+                dx=g.dx, dp=g.dp, hp=g.hp, s_vn=ent.s_vn,
+                s_vn_bare=ent.s_vn_bare,
+                reason=["critical-point" if h == math.inf else ""
+                        for h in g.hp])
+    for a in cfg.renyi:
+        cols[f"renyi_{format(a, 'g')}"] = ent.s_renyi[a]
+    names = columns_for(cfg)
+    return [SweepRow(index=i, values=dict(zip(names, vals)))
+            for i, vals in enumerate(zip(*(cols[c] for c in names)))]
 
 
 def _nan_ed_values(note: str) -> dict:
@@ -346,31 +317,23 @@ def _ed_row(cfg: SweepConfig, i: int, x: float) -> SweepRow:
     return SweepRow(index=i, values=base)
 
 
-def _row_task(args) -> SweepRow:
-    cfg, i, x = args
-    if cfg.mode == "ed":
-        return _ed_row(cfg, i, x)
-    fn = _thermo_row_dicke if cfg.model == "dicke" else _thermo_row_double
-    return fn(cfg, i, x)
-
-
 def sweep_rows(cfg: SweepConfig) -> list[SweepRow]:
     """All rows of the sweep, in grid order.
 
-    ED rows may be computed in parallel; they are scheduled largest grid
-    value first (a proxy for matrix size) and reassembled in order, so the
-    output is independent of the worker count.
+    A thermo sweep is evaluated over its whole grid at once.  ED rows may
+    be computed in parallel; they are scheduled largest grid value first
+    (a proxy for matrix size) and reassembled in order, so the output is
+    independent of the worker count.
     """
-    grid = cfg.grid()
-    jobs = [(cfg, i, float(x)) for i, x in enumerate(grid)]
-    if cfg.mode == "ed" and cfg.workers > 1 and len(jobs) > 1:
+    if cfg.mode == "thermo":
+        return _thermo_rows(cfg)
+    jobs = [(cfg, i, x) for i, x in enumerate(cfg.grid().tolist())]
+    if cfg.workers > 1 and len(jobs) > 1:
         order = sorted(jobs, key=lambda j: -abs(j[2]))
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            done = list(pool.map(_row_task, order))
-        rows = sorted(done, key=lambda r: r.index)
-    else:
-        rows = [_row_task(j) for j in jobs]
-    return rows
+            done = list(pool.map(_ed_row, *zip(*order)))
+        return sorted(done, key=lambda r: r.index)
+    return [_ed_row(*j) for j in jobs]
 
 
 def _header_lines(cfg: SweepConfig, cols: list[str]) -> list[str]:

@@ -167,3 +167,22 @@ def test_cutoff_searches_are_independent():
     converge_cutoff(p, 16)
     with pytest.raises(BudgetExceeded):
         converge_cutoff(p, 16, budget_nnz=10)
+
+
+def test_unconverged_cutoff_skips_its_probe(monkeypatch):
+    # N = 8, lambda = 0.46 walks the halving grid 1, 2, 4, 9, 19 below
+    # n0 = 19.  The solves at 1, 2, 4 and 9 are not cutoff_converged, so
+    # none of them is paired with its probe (3, 5 and 12 stay unsolved);
+    # 19 is converged and confirmed by its probe 24.
+    solved = []
+
+    def counting(H, basis, *args, **kwargs):
+        res = ground_state(H, basis, *args, **kwargs)
+        solved.append((basis.n_max, res.cutoff_converged))
+        return res
+
+    monkeypatch.setattr("hpdicke.ed.ground_state", counting)
+    res = converge_cutoff(DickeParams(1.0, 1.0, 0.46), 8)
+    assert res.n_max_used == 19
+    assert solved == [(1, False), (2, False), (4, False), (9, False),
+                      (19, True), (24, True)]

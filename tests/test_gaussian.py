@@ -5,8 +5,9 @@ import pytest
 
 from conftest import random_stable_form
 from hpdicke.errors import DomainError, InstabilityError, UncertaintyViolation
-from hpdicke.gaussian import (bogoliubov_gaps, entropy_from_hp, form_from_xp,
-                              form_matrix, heisenberg_product,
+from hpdicke.gaussian import (bogoliubov_gaps, bogoliubov_stack,
+                              entropy_columns, entropy_from_hp, form_from_xp,
+                              form_matrix, heisenberg_product, nambu_stack,
                               photon_moments_from_solution, pseudo_energy,
                               renyi_entropy, symplectic_diagonalize,
                               thermal_weights, QuadraticForm)
@@ -162,3 +163,54 @@ class TestSymplectic:
         g[0, 2] = g[2, 0] = 0.1
         with pytest.raises(DomainError):
             form_from_xp(g)
+
+
+class TestStacks:
+    """The array forms reproduce the scalar functions bit for bit."""
+
+    def test_nambu_stack_matches_form_matrix(self):
+        rng = np.random.default_rng(3)
+        G = rng.normal(size=(8, 6, 6))
+        G = G + G.swapaxes(1, 2)
+        for k in range(3):
+            G[:, k, k + 3] = G[:, k + 3, k] = 0.0
+        M = nambu_stack(G)
+        for g, m in zip(G, M):
+            assert np.array_equal(m, form_matrix(form_from_xp(g)))
+
+    def test_bogoliubov_stack_matches_scalar_path(self):
+        rng = np.random.default_rng(11)
+        forms = [random_stable_form(rng, 3, dscale=0.0) for _ in range(12)]
+        # equal gaps take the row-by-row Gram-Schmidt path
+        forms.append(QuadraticForm(A=np.eye(3, dtype=complex),
+                                   B=np.zeros((3, 3), complex),
+                                   d=np.zeros(3, complex)))
+        stable = np.ones(len(forms), dtype=bool)
+        stable[5] = False
+        gaps, moments = bogoliubov_stack(
+            np.array([form_matrix(f) for f in forms]), stable)
+        assert moments[5] is None
+        for k, form in enumerate(forms):
+            assert np.array_equal(gaps[k], bogoliubov_gaps(form))
+            if k == 5:
+                continue
+            ref = photon_moments_from_solution(symplectic_diagonalize(form))
+            got = moments[k]
+            assert (got.dx, got.dp, got.hp, got.n_occ, got.sq) \
+                == (ref.dx, ref.dp, ref.hp, ref.n_occ, ref.sq)
+
+    def test_entropy_columns_match_entropy_from_hp(self):
+        hp = [0.5, 0.5 + 1e-10, 0.61, 2.5, 40.0, math.inf]
+        offsets = [0, 1, 2, 0, 1, 1]
+        cols = entropy_columns(hp, offsets, (0.5, 2.0))
+        for k, (h, off) in enumerate(zip(hp, offsets)):
+            if h == math.inf:
+                assert cols.s_vn[k] == cols.s_vn_bare[k] == math.inf
+                assert cols.s_renyi[2.0][k] == math.inf
+                continue
+            ref = entropy_from_hp(h, degeneracy_offset=off,
+                                  renyi_alphas=(0.5, 2.0))
+            assert cols.s_vn[k] == ref.s_vn
+            assert cols.s_vn_bare[k] == ref.s_vn - off
+            assert cols.s_renyi[0.5][k] == ref.s_renyi[0.5]
+            assert cols.s_renyi[2.0][k] == ref.s_renyi[2.0]

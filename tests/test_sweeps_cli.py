@@ -1,15 +1,21 @@
 import json
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from hpdicke import cli
-from hpdicke.dicke import DickeParams, hp_thermo
-from hpdicke.errors import ConfigError
-from hpdicke.sweeps import (SweepConfig, radial_sweep, render_csv,
+from hpdicke.dicke import (DickeParams, classify_phase, entropy_thermo,
+                           hp_thermo, lambda_critical, solve_thermo)
+from hpdicke.double import (DoubleDickeParams, classify_double_phase,
+                            double_gaps, entropy_double, hp_double)
+from hpdicke.errors import ConfigError, CriticalPointDivergence
+from hpdicke.sweeps import (SweepConfig, _fmt, radial_sweep, render_csv,
                             render_json, run_sweep, sweep_rows, write_atomic)
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 GOLDEN_CONFIG = dict(model="dicke", mode="thermo", coupling_min=0.2,
                      coupling_max=0.8, steps=5, renyi=(2.0,))
@@ -59,6 +65,15 @@ class TestSweepConfig:
         {"renyi": (1.0,)},
         {"format": "xml"},
         {"workers": 0},
+        {"coupling_min": math.nan},
+        {"coupling_max": math.nan},
+        {"coupling_max": math.inf},
+        {"model": "double-dicke", "r_min": math.nan},
+        {"model": "double-dicke", "r_max": math.inf},
+        {"tol": math.inf},
+        {"tol": math.nan},
+        {"omega": math.inf},
+        {"renyi": (math.inf,)},
     ])
     def test_validation_matrix(self, raw):
         with pytest.raises(ConfigError):
@@ -124,6 +139,169 @@ class TestRendering:
             assert v["dx"] == pytest.approx(rep.dx, abs=1e-10)
 
 
+def _double_ray(a: int, steps: int, **extra) -> dict:
+    """A ray at theta = a pi / 32 over r = 0 .. 400 h, where r = 200 h
+    lies exactly on the nearer critical line (on the double point when
+    a = 8)."""
+    theta = a * math.pi / 32
+    h = 0.5 / max(math.cos(theta), math.sin(theta)) / 200
+    return dict(model="double-dicke", mode="thermo", theta=theta,
+                r_min=0.0, r_max=400 * h, steps=steps, **extra)
+
+
+class TestDoubleGolden:
+    """Frozen double-model thermo output: one ray through the double point
+    and one across a single critical line."""
+
+    @pytest.mark.parametrize("tag,a", [("pi4", 8), ("pi8", 4)])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_golden_reproduced(self, tag, a, fmt):
+        cfg = SweepConfig.from_dict(_double_ray(a, 5, renyi=(2.0,)))
+        render = render_csv if fmt == "csv" else render_json
+        with open(os.path.join(GOLDEN_DIR,
+                               f"double_thermo_{tag}.{fmt}")) as fh:
+            assert render(cfg, sweep_rows(cfg)) == fh.read()
+
+
+def _bits(v) -> bytes:
+    return struct.pack("<d", v)
+
+
+def _assert_cells(row: dict, expected: dict):
+    for name, value in expected.items():
+        got = row[name]
+        if isinstance(value, float):
+            assert _bits(got) == _bits(value), (name, got, value)
+        else:
+            assert got == value, (name, got, value)
+
+
+class TestThermoCellsMatchScalarApi:
+    """Every thermo sweep cell equals, bitwise, the scalar public API at
+    the same point."""
+
+    @pytest.mark.parametrize("omega,omega0,hi", [(1.0, 1.0, 1.0),
+                                                 (1.44, 1.0, 1.2)])
+    def test_single_chain(self, omega, omega0, hi):
+        renyi = (0.5, 2.0, 3.0)
+        cfg = SweepConfig.from_dict(dict(
+            model="dicke", mode="thermo", omega=omega, omega0=omega0,
+            coupling_min=0.0, coupling_max=hi, steps=1001, renyi=renyi))
+        kinds = set()
+        for row in sweep_rows(cfg):
+            v = row.values
+            p = DickeParams(omega, omega0, v["coupling"])
+            info = classify_phase(p)
+            sol = solve_thermo(p)
+            expected = {"phase": info.phase.value, "critical": info.critical,
+                        "dist_cr": v["coupling"] - lambda_critical(p),
+                        "gap_minus": sol.gap_minus,
+                        "gap_plus": sol.gap_plus}
+            if info.critical:
+                kinds.add("critical")
+                with pytest.raises(CriticalPointDivergence):
+                    hp_thermo(p)
+                c2 = math.cos(sol.gamma) ** 2
+                expected.update(
+                    dx=math.inf, hp=math.inf, s_vn=math.inf,
+                    s_vn_bare=math.inf, reason="critical-point",
+                    dp=math.sqrt(0.5 * (c2 * sol.gap_minus + (1.0 - c2)
+                                        * sol.gap_plus) / omega))
+                expected.update({f"renyi_{a:g}": math.inf for a in renyi})
+            else:
+                kinds.add(info.phase.value)
+                rep = hp_thermo(p)
+                ent = entropy_thermo(p, renyi_alphas=renyi)
+                expected.update(
+                    dx=rep.dx, dp=rep.dp, hp=rep.hp, s_vn=ent.s_vn,
+                    s_vn_bare=ent.s_vn - ent.degeneracy_offset, reason="")
+                expected.update({f"renyi_{a:g}": ent.s_renyi[a]
+                                 for a in renyi})
+            _assert_cells(v, expected)
+        assert kinds == {"Normal", "critical", "Superradiant"}
+
+    @staticmethod
+    def _double_kinds(cfg: SweepConfig) -> set:
+        """Checks every cell of a double-model sweep; returns the kinds of
+        point it held."""
+        kinds = set()
+        for row in sweep_rows(cfg):
+            v = row.values
+            p = DoubleDickeParams(cfg.omega, cfg.omega0_c, cfg.omega0_i,
+                                  v["lambda_c"], v["lambda_i"])
+            info = classify_double_phase(p)
+            gaps = double_gaps(p)
+            expected = {"phase": info.phase.value,
+                        "critical_c": info.critical_c,
+                        "critical_i": info.critical_i,
+                        "dist_c": v["lambda_c"] - p.lambda_c_cr,
+                        "dist_i": v["lambda_i"] - p.lambda_i_cr,
+                        "gap_1": gaps[0], "gap_2": gaps[1],
+                        "gap_3": gaps[2]}
+            if info.critical_c and info.critical_i:
+                kinds.add("double point")
+            elif info.critical_c or info.critical_i:
+                kinds.add("line")
+            else:
+                kinds.add(info.phase.value)
+            try:
+                rep = hp_double(p)
+            except CriticalPointDivergence:
+                assert math.isnan(v["dx"]) and math.isnan(v["dp"])
+                expected.update(hp=math.inf, s_vn=math.inf,
+                                s_vn_bare=math.inf, reason="critical-point")
+                expected.update({f"renyi_{a:g}": math.inf
+                                 for a in cfg.renyi})
+            else:
+                ent = entropy_double(p, renyi_alphas=cfg.renyi)
+                expected.update(
+                    dx=rep.dx, dp=rep.dp, hp=rep.hp, s_vn=ent.s_vn,
+                    s_vn_bare=ent.s_vn - ent.degeneracy_offset, reason="")
+                expected.update({f"renyi_{a:g}": ent.s_renyi[a]
+                                 for a in cfg.renyi})
+            _assert_cells(v, expected)
+        return kinds
+
+    @pytest.mark.parametrize("a", [0, 4, 8, 12, 16])
+    def test_double_model(self, a):
+        kinds = self._double_kinds(SweepConfig.from_dict(
+            _double_ray(a, 41, renyi=(0.5, 2.0))))
+        assert "Normal" in kinds
+        assert ("double point" if a == 8 else "line") in kinds
+        broken = {8: "SuperradiantDouble", 12: "SuperradiantImag",
+                  16: "SuperradiantImag"}.get(a, "SuperradiantReal")
+        assert broken in kinds
+
+    @pytest.mark.parametrize("omega0_i", [1.0, 2.0])
+    def test_double_model_long_ray(self, omega0_i):
+        # 201 radii far into the broken phases, with equal and unequal
+        # matter frequencies
+        kinds = self._double_kinds(SweepConfig.from_dict(dict(
+            model="double-dicke", mode="thermo", theta=5 * math.pi / 32,
+            omega0_i=omega0_i, r_min=0.0, r_max=2.0, steps=201,
+            renyi=(3.0,))))
+        assert {"Normal", "SuperradiantReal",
+                "SuperradiantDouble"} <= kinds
+
+    def test_unequal_matter_double_point_diverges(self):
+        # with omega0_c != omega0_i the two lines still cross, but the
+        # finite double-point value does not hold there
+        lc, li = 0.5, math.sqrt(2.0) / 2.0
+        cfg = SweepConfig.from_dict(dict(
+            model="double-dicke", mode="thermo", omega0_i=2.0,
+            theta=math.atan2(li, lc), r_min=0.0,
+            r_max=2.0 * math.hypot(lc, li), steps=5))
+        row = sweep_rows(cfg)[2].values
+        assert row["critical_c"] and row["critical_i"]
+        assert row["reason"] == "critical-point"
+        assert row["hp"] == math.inf and math.isnan(row["dx"])
+
+
+def test_fmt_numpy_bool_matches_python_bool():
+    assert _fmt(np.bool_(True)) == _fmt(True) == "true"
+    assert _fmt(np.bool_(False)) == _fmt(False) == "false"
+
+
 class TestFileOutput:
     def test_run_sweep_writes_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -180,6 +358,21 @@ class TestCli:
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path, "bad.json", {"model": "nonsense"})
         assert cli.main(["validate-config", "--config", cfg_path]) == 2
+
+    @pytest.mark.parametrize("raw", [
+        {"model": "dicke", "coupling_max": math.nan},
+        {"model": "double-dicke", "r_max": math.inf},
+        {"model": "dicke", "tol": math.nan},
+    ])
+    @pytest.mark.parametrize("command", ["validate-config", "sweep"])
+    def test_non_finite_config_exits_2(self, tmp_path, raw, command):
+        cfg_path = _write_config(tmp_path, "c.json", raw)
+        out = tmp_path / "s.csv"
+        args = [command, "--config", cfg_path]
+        if command == "sweep":
+            args += ["--out", str(out)]
+        assert cli.main(args) == 2
+        assert not out.exists()
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert cli.main(["sweep", "--config",
@@ -262,6 +455,14 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["n_rows"] == 5
         assert report["window"] == [8.0, "inf"]
+
+    @pytest.mark.parametrize("window", ["a:b", "1:x", "1e:2"])
+    def test_fit_malformed_window_exits_2(self, tmp_path, capsys, window):
+        src = tmp_path / "g.csv"
+        src.write_text(GOLDEN_CSV)
+        assert cli.main(["fit", "--input", str(src), "--column", "hp",
+                         "--x-column", "dist_cr", "--window", window]) == 2
+        assert "window" in capsys.readouterr().err
 
     def test_fit_missing_column_exits_2(self, tmp_path):
         src = tmp_path / "g.csv"
