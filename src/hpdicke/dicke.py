@@ -4,8 +4,9 @@
 
 in the maximal-spin sector, for N -> infinity: phase classification, order
 parameter, polariton gaps, mixing angle, coherences, photon quadrature
-fluctuations, and entanglement entropy, at one coupling or (thermo_grid)
-over a coupling array.
+fluctuations, and entanglement entropy.  The closed forms are evaluated
+over coupling arrays (_thermo_grid); the scalar functions take one point
+of them.
 
 Angular momentum convention: Jz eigenvalues m in {-N/2 .. N/2} with standard
 ladder elements, omega0 the full two-level splitting.  The critical coupling
@@ -20,12 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BranchError, CriticalPointDivergence, DomainError,
-                     UncertaintyViolation)
-from .gaussian import (HP_CLAMP_BAND, EntropyColumns, EntropyReport,
-                       FluctuationReport, QuadraticForm, entropy_columns,
-                       entropy_from_hp, form_from_xp, heisenberg_product,
-                       per_element)
+from .errors import BranchError, CriticalPointDivergence, DomainError
+from .gaussian import (EntropyReport, FluctuationReport, QuadraticForm,
+                       _EntropyColumns, _entropy_columns, entropy_from_hp,
+                       form_from_xp, heisenberg_product, per_element)
 
 __all__ = [
     "DickeParams",
@@ -38,8 +37,6 @@ __all__ = [
     "dicke_quadratic_form",
     "hp_thermo",
     "entropy_thermo",
-    "ThermoGrid",
-    "thermo_grid",
 ]
 
 # Relative half-width of the band around the critical coupling treated as
@@ -124,13 +121,12 @@ def solve_thermo(p: DickeParams, epsilon: int | None = None) -> ThermoSolution:
     meaningful.
     """
     info = classify_phase(p)
-    om, om0, lam = p.omega, p.omega0, p.coupling
+    om, lam = p.omega, p.coupling
     if info.phase is Phase.NORMAL:
         if epsilon not in (None, 0):
             raise BranchError("normal phase has a unique ground state; "
                               f"branch {epsilon} is not available")
         eps = 0
-        mu = 1.0
     else:
         if epsilon in (None,):
             eps = 1
@@ -139,27 +135,42 @@ def solve_thermo(p: DickeParams, epsilon: int | None = None) -> ThermoSolution:
         else:
             raise BranchError("superradiant branch must be +1 or -1, "
                               f"got {epsilon}")
-        mu = om * om0 / (4.0 * lam * lam)
-
-    om0_eff = om0 / mu
-    tr = om0_eff * om0_eff + om * om
-    disc = math.sqrt((om0_eff * om0_eff - om * om) ** 2
-                     + 16.0 * lam * lam * om * om0 * mu)
-    gap_plus = math.sqrt(0.5 * (tr + disc))
-    gap_minus = math.sqrt(max(0.5 * (tr - disc), 0.0))
-
-    if lam == 0.0:
-        # Decoupled limit; atan2(+0, negative) would jump to pi.
-        gamma = 0.0
-    else:
-        gamma = 0.5 * math.atan2(4.0 * lam * math.sqrt(om * om0) * mu ** 2.5,
-                                 om0 * om0 - mu * mu * om * om)
-
+    mu, gap_minus, gap_plus, gamma = (
+        a.item() for a in _polaritons(om, p.omega0, np.array([lam]),
+                                      np.array([eps == 0])))
     alpha = eps * lam * math.sqrt(max(1.0 - mu * mu, 0.0)) / om
     beta = eps * math.sqrt(max(1.0 - mu, 0.0) / 2.0)
     return ThermoSolution(phase=info.phase, mu=mu, gamma=gamma,
                           gap_minus=gap_minus, gap_plus=gap_plus,
                           alpha_coh=alpha, beta_coh=beta, epsilon=eps)
+
+
+def _polaritons(om: float, om0: float, lam: np.ndarray, normal: np.ndarray
+                ) -> tuple[np.ndarray, ...]:
+    """mu, gap_minus, gap_plus and gamma over a coupling array, where
+    normal marks the normal-phase points.
+
+    Elementwise numpy arithmetic and sqrt round exactly as Python floats
+    do; powers and atan2 go through per_element, which calls the math
+    library as scalar code would.
+    """
+    # mu is discarded where the coupling is zero (always normal)
+    with np.errstate(divide="ignore"):
+        mu = np.where(normal, 1.0, om * om0 / (4.0 * lam * lam))
+    om0_eff = om0 / mu
+    tr = om0_eff * om0_eff + om * om
+    disc = np.sqrt(per_element(pow, om0_eff * om0_eff - om * om, 2)
+                   + 16.0 * lam * lam * om * om0 * mu)
+    gap_plus = np.sqrt(0.5 * (tr + disc))
+    half = 0.5 * (tr - disc)
+    gap_minus = np.sqrt(np.where(0.0 > half, 0.0, half))
+    # the decoupled limit is gamma = 0; atan2(+0, negative) would jump
+    # to pi
+    gamma = np.where(lam == 0.0, 0.0, 0.5 * per_element(
+        math.atan2,
+        4.0 * lam * math.sqrt(om * om0) * per_element(pow, mu, 2.5),
+        om0 * om0 - mu * mu * om * om))
+    return mu, gap_minus, gap_plus, gamma
 
 
 def dicke_quadratic_form(p: DickeParams,
@@ -184,14 +195,6 @@ def dicke_quadratic_form(p: DickeParams,
     return form_from_xp(G)
 
 
-def _variances(sol: ThermoSolution, omega: float) -> tuple[float, float]:
-    c2 = math.cos(sol.gamma) ** 2
-    s2 = math.sin(sol.gamma) ** 2
-    dx2 = 0.5 * omega * (c2 / sol.gap_minus + s2 / sol.gap_plus)
-    dp2 = 0.5 * (c2 * sol.gap_minus + s2 * sol.gap_plus) / omega
-    return dx2, dp2
-
-
 def hp_thermo(p: DickeParams) -> FluctuationReport:
     """Photon quadrature fluctuations of the thermodynamic ground state.
 
@@ -200,16 +203,11 @@ def hp_thermo(p: DickeParams) -> FluctuationReport:
     returning a large float.  Both superradiant branches give the same
     fluctuations.
     """
-    info = classify_phase(p)
-    if info.critical:
+    if classify_phase(p).critical:
         raise CriticalPointDivergence(
             "photon fluctuations diverge at the critical coupling",
             quantity="hp", exponent=-0.25)
-    sol = solve_thermo(p)
-    dx2, dp2 = _variances(sol, p.omega)
-    n_c = 0.5 * (dx2 + dp2) - 0.5
-    sq_c = 0.5 * (dx2 - dp2)
-    return heisenberg_product(mean_a=0.0, a_sq=sq_c, occupation=n_c)
+    return _thermo_grid(p.omega, p.omega0, [p.coupling]).photon[0]
 
 
 def entropy_thermo(p: DickeParams, include_degeneracy: bool = True,
@@ -227,88 +225,53 @@ def entropy_thermo(p: DickeParams, include_degeneracy: bool = True,
 
 
 @dataclass(frozen=True)
-class ThermoGrid:
-    """Thermodynamic-limit sweep quantities over a coupling grid, one
-    entry per point, each bitwise equal to what the scalar functions give
-    there (entropies with the degeneracy bit included).
+class _ThermoGrid:
+    """Thermodynamic-limit quantities over a coupling grid, one entry per
+    point; entropies include the degeneracy bit.
 
-    On the critical coupling dx, hp and the entropies are inf, while dp
-    and the gaps stay finite: only the soft polariton is weighted by
-    1/gap, and that term belongs to dx.
+    photon holds hp_thermo's report, None on the critical coupling.
+    There dx, hp and the entropies are inf, while dp and the gaps stay
+    finite: only the soft polariton is weighted by 1/gap, and that term
+    belongs to dx.
     """
 
     info: list[PhaseInfo]
     gap_minus: list[float]
     gap_plus: list[float]
+    photon: list[FluctuationReport | None]
     dx: list[float]
     dp: list[float]
     hp: list[float]
-    entropy: EntropyColumns
+    entropy: _EntropyColumns
 
 
-def thermo_grid(omega: float, omega0: float, couplings,
-                renyi_alphas: tuple[float, ...] = ()) -> ThermoGrid:
-    """solve_thermo, hp_thermo and entropy_thermo over a coupling array,
-    each quantity evaluated once per point and as arrays over the grid.
-
-    Elementwise numpy arithmetic, sqrt, cos and sin round exactly as the
-    scalar code does; atan2 and powers go through per_element.
-    """
-    om, om0 = omega, omega0
+def _thermo_grid(omega: float, omega0: float, couplings,
+                 renyi_alphas: tuple[float, ...] = ()) -> _ThermoGrid:
+    """The default-branch solution, the photon fluctuations and the
+    entropies at each coupling, each evaluated once per point."""
     lam = np.asarray(couplings, dtype=float)
-    info = [classify_phase(DickeParams(om, om0, c)) for c in lam.tolist()]
+    info = [classify_phase(DickeParams(omega, omega0, c))
+            for c in lam.tolist()]
     normal = np.array([i.phase is Phase.NORMAL for i in info])
-    critical = np.array([i.critical for i in info])
-    # the unused branches divide by zero (mu at zero coupling, 1/gap on
-    # the critical coupling); their values are discarded
+    _, gap_minus, gap_plus, gamma = _polaritons(omega, omega0, lam, normal)
+    c2 = per_element(pow, per_element(math.cos, gamma), 2)
+    s2 = per_element(pow, per_element(math.sin, gamma), 2)
+    # 1/gap_minus diverges on the critical coupling, which gets no report
     with np.errstate(divide="ignore", invalid="ignore"):
-        mu = np.where(normal, 1.0, om * om0 / (4.0 * lam * lam))
-        om0_eff = om0 / mu
-        tr = om0_eff * om0_eff + om * om
-        disc = np.sqrt(per_element(pow, om0_eff * om0_eff - om * om, 2)
-                       + 16.0 * lam * lam * om * om0 * mu)
-        gap_plus = np.sqrt(0.5 * (tr + disc))
-        half = 0.5 * (tr - disc)
-        gap_minus = np.sqrt(np.where(0.0 > half, 0.0, half))
-        # the decoupled limit is gamma = 0; atan2(+0, negative) would
-        # jump to pi
-        gamma = np.where(lam == 0.0, 0.0, 0.5 * per_element(
-            math.atan2,
-            4.0 * lam * math.sqrt(om * om0) * per_element(pow, mu, 2.5),
-            om0 * om0 - mu * mu * om * om))
-        c2 = per_element(pow, np.cos(gamma), 2)
-        s2 = per_element(pow, np.sin(gamma), 2)
-        dx2 = 0.5 * om * (c2 / gap_minus + s2 / gap_plus)
-        dp2 = 0.5 * (c2 * gap_minus + s2 * gap_plus) / om
-
-        # heisenberg_product of the unrotated moments <a^2>_c = sq,
-        # <a^dag a> = n_c, checked off the critical coupling
-        n_c = 0.5 * (dx2 + dp2) - 0.5
-        sq = 0.5 * (dx2 - dp2)
-        ok = ~critical
-        if (n_c[ok] < -HP_CLAMP_BAND).any():
-            raise UncertaintyViolation("centered occupation is negative")
-        n_c = np.where(0.0 > n_c, 0.0, n_c)
-        vx, vp = 0.5 + n_c + sq, 0.5 + n_c - sq
-        if (vx[ok] <= 0.0).any() or (vp[ok] <= 0.0).any():
-            raise UncertaintyViolation("negative quadrature variance")
-        dx, dp = np.sqrt(vx), np.sqrt(vp)
-        hp = dx * dp
-        if (hp[ok] < 0.5 - HP_CLAMP_BAND).any():
-            raise UncertaintyViolation("uncertainty product below the "
-                                       "Heisenberg bound")
-        clamp = hp < 0.5
-        dp = np.where(clamp, 0.5 / dx, dp)
-        hp = np.where(clamp, 0.5, hp)
-
-    # dp stays finite on the critical coupling, where the sin^2 weight
-    # is taken as 1 - c2
-    dp_crit = np.sqrt(0.5 * (c2 * gap_minus + (1.0 - c2) * gap_plus) / om)
-    dx = np.where(critical, math.inf, dx)
-    dp = np.where(critical, dp_crit, dp)
-    hp = np.where(critical, math.inf, hp).tolist()
+        dx2 = 0.5 * omega * (c2 / gap_minus + s2 / gap_plus)
+        dp2 = 0.5 * (c2 * gap_minus + s2 * gap_plus) / omega
+        n_c = (0.5 * (dx2 + dp2) - 0.5).tolist()
+        sq = (0.5 * (dx2 - dp2)).tolist()
+    photon = [None if i.critical
+              else heisenberg_product(mean_a=0.0, a_sq=q, occupation=n)
+              for i, q, n in zip(info, sq, n_c)]
+    # on the critical coupling the sin^2 weight of dp is taken as 1 - c2
+    dp_crit = np.sqrt(0.5 * (c2 * gap_minus + (1.0 - c2) * gap_plus)
+                      / omega).tolist()
+    hp = [math.inf if r is None else r.hp for r in photon]
     offsets = [0 if i.phase is Phase.NORMAL else 1 for i in info]
-    return ThermoGrid(info=info, gap_minus=gap_minus.tolist(),
-                      gap_plus=gap_plus.tolist(), dx=dx.tolist(),
-                      dp=dp.tolist(), hp=hp,
-                      entropy=entropy_columns(hp, offsets, renyi_alphas))
+    return _ThermoGrid(
+        info=info, gap_minus=gap_minus.tolist(), gap_plus=gap_plus.tolist(),
+        photon=photon, dx=[math.inf if r is None else r.dx for r in photon],
+        dp=[d if r is None else r.dp for r, d in zip(photon, dp_crit)],
+        hp=hp, entropy=_entropy_columns(hp, offsets, renyi_alphas))

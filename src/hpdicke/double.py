@@ -8,7 +8,8 @@ two spin chains coupled to conjugate photon quadratures, with independent
 Z2 symmetries and a four-phase diagram.  Everything here is built from the
 classical (coherent-state) energy surface: its minimum fixes the
 displacements, its Hessian is the three-mode quadratic form handed to the
-generic Bogoliubov machinery.
+generic Bogoliubov machinery.  Both are evaluated over arrays of coupling
+pairs (_double_thermo_grid); the scalar functions take one point of them.
 
 Both chains enter symmetrically: x-quadrature displacement u couples to
 chain C, p-quadrature displacement v to chain I, and swapping
@@ -21,16 +22,17 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (BranchError, CriticalPointDivergence, DomainError,
                      InstabilityError, MeanFieldError, RegimeError)
-from .gaussian import (EntropyColumns, EntropyReport, FluctuationReport,
-                       QuadraticForm, bogoliubov_gaps, bogoliubov_stack,
-                       entropy_columns, entropy_from_hp, form_from_xp,
-                       heisenberg_product, nambu_stack, per_element,
-                       photon_moments_from_solution, symplectic_diagonalize)
+from .gaussian import (EntropyReport, FluctuationReport, QuadraticForm,
+                       _bogoliubov_stack, _EntropyColumns, _entropy_columns,
+                       _nambu_stack, bogoliubov_gaps, entropy_from_hp,
+                       form_from_xp, heisenberg_product, per_element,
+                       symplectic_diagonalize)
 
 __all__ = [
     "DoubleDickeParams",
@@ -49,8 +51,6 @@ __all__ = [
     "double_point_hp",
     "hp_double",
     "entropy_double",
-    "DoubleThermoGrid",
-    "double_thermo_grid",
 ]
 
 CRITICAL_REL_TOL = 1e-12
@@ -179,6 +179,26 @@ def _resolve_branch(broken: bool, eps, label: str) -> int:
                       f"got {eps}")
 
 
+def _broken(info: DoublePhaseInfo) -> tuple[bool, bool]:
+    """Whether the C and the I symmetry are broken."""
+    return (info.phase in (DoublePhase.SUPERRADIANT_REAL,
+                           DoublePhase.SUPERRADIANT_DOUBLE),
+            info.phase in (DoublePhase.SUPERRADIANT_IMAG,
+                           DoublePhase.SUPERRADIANT_DOUBLE))
+
+
+def _one_point(p: DoubleDickeParams, branch: tuple[int, int] | None):
+    """The branch signs at p, and p as the one-point arrays that
+    _mean_field_grid takes."""
+    broken_c, broken_i = _broken(classify_double_phase(p))
+    eps_c, eps_i = branch if branch is not None else (None, None)
+    eps_c = _resolve_branch(broken_c, eps_c, "C")
+    eps_i = _resolve_branch(broken_i, eps_i, "I")
+    return (eps_c, eps_i), (p.omega_cav, p.omega0_c, p.omega0_i,
+                            np.array([p.lambda_c]), np.array([p.lambda_i]),
+                            np.array([eps_c]), np.array([eps_i]))
+
+
 def mean_field(p: DoubleDickeParams,
                branch: tuple[int, int] | None = None) -> MeanField:
     """Closed-form minimizer of the classical energy per spin,
@@ -188,40 +208,63 @@ def mean_field(p: DoubleDickeParams,
 
     The gradient at the returned point is checked below 1e-10.
     """
-    info = classify_double_phase(p)
-    eps_c_in, eps_i_in = branch if branch is not None else (None, None)
-    broken_c = info.phase in (DoublePhase.SUPERRADIANT_REAL,
-                              DoublePhase.SUPERRADIANT_DOUBLE)
-    broken_i = info.phase in (DoublePhase.SUPERRADIANT_IMAG,
-                              DoublePhase.SUPERRADIANT_DOUBLE)
-    eps_c = _resolve_branch(broken_c, eps_c_in, "C")
-    eps_i = _resolve_branch(broken_i, eps_i_in, "I")
+    (eps_c, eps_i), args = _one_point(p, branch)
+    mf = _mean_field_grid(*args)
+    return MeanField(**{k: a.item() for k, a in mf._asdict().items()},
+                     epsilon_c=eps_c, epsilon_i=eps_i)
 
-    om = p.omega_cav
-    mu_c = min(om * p.omega0_c / (4.0 * p.lambda_c ** 2), 1.0) if broken_c else 1.0
-    mu_i = min(om * p.omega0_i / (4.0 * p.lambda_i ** 2), 1.0) if broken_i else 1.0
-    x_c = eps_c * math.sqrt((1.0 - mu_c) / 2.0)
-    x_i = eps_i * math.sqrt((1.0 - mu_i) / 2.0)
-    s_c = math.sqrt(1.0 - x_c * x_c)
-    s_i = math.sqrt(1.0 - x_i * x_i)
-    u = -(2.0 * p.lambda_c / om) * x_c * s_c
-    v = +(2.0 * p.lambda_i / om) * x_i * s_i
+
+class _MeanFieldGrid(NamedTuple):
+    u: np.ndarray
+    v: np.ndarray
+    x_c: np.ndarray
+    x_i: np.ndarray
+    mu_c: np.ndarray
+    mu_i: np.ndarray
+    energy: np.ndarray
+
+
+def _mean_field_grid(om: float, om0_c: float, om0_i: float,
+                     lam_c: np.ndarray, lam_i: np.ndarray,
+                     eps_c: np.ndarray, eps_i: np.ndarray) -> _MeanFieldGrid:
+    """mean_field over arrays of coupling pairs and branch signs (0 in an
+    unbroken direction).
+
+    Elementwise numpy arithmetic and sqrt round exactly as Python floats
+    do; powers go through per_element.
+    """
+    with np.errstate(divide="ignore"):
+        mu_c = om * om0_c / (4.0 * per_element(pow, lam_c, 2))
+        mu_i = om * om0_i / (4.0 * per_element(pow, lam_i, 2))
+    mu_c = np.where((eps_c != 0) & ~(1.0 < mu_c), mu_c, 1.0)
+    mu_i = np.where((eps_i != 0) & ~(1.0 < mu_i), mu_i, 1.0)
+    x_c = eps_c * np.sqrt((1.0 - mu_c) / 2.0)
+    x_i = eps_i * np.sqrt((1.0 - mu_i) / 2.0)
+    s_c = np.sqrt(1.0 - x_c * x_c)
+    s_i = np.sqrt(1.0 - x_i * x_i)
+    u = -(2.0 * lam_c / om) * x_c * s_c
+    v = +(2.0 * lam_i / om) * x_i * s_i
 
     f = (om * (u * u + v * v)
-         + p.omega0_c * (x_c * x_c - 0.5) + p.omega0_i * (x_i * x_i - 0.5)
-         + 4.0 * p.lambda_c * u * x_c * s_c - 4.0 * p.lambda_i * v * x_i * s_i)
+         + om0_c * (x_c * x_c - 0.5) + om0_i * (x_i * x_i - 0.5)
+         + 4.0 * lam_c * u * x_c * s_c - 4.0 * lam_i * v * x_i * s_i)
 
-    hprime = lambda x, s: (1.0 - 2.0 * x * x) / s
-    grad = (2.0 * om * u + 4.0 * p.lambda_c * x_c * s_c,
-            2.0 * om * v - 4.0 * p.lambda_i * x_i * s_i,
-            2.0 * p.omega0_c * x_c + 4.0 * p.lambda_c * u * hprime(x_c, s_c),
-            2.0 * p.omega0_i * x_i - 4.0 * p.lambda_i * v * hprime(x_i, s_i))
-    scale = max(om, p.omega0_c, p.omega0_i, 1.0)
-    if max(abs(g) for g in grad) > GRADIENT_TOL * scale:
-        raise MeanFieldError(
-            f"stationarity violated at the closed-form minimum: {grad}")
-    return MeanField(u=u, v=v, x_c=x_c, x_i=x_i, mu_c=mu_c, mu_i=mu_i,
-                     epsilon_c=eps_c, epsilon_i=eps_i, energy=f)
+    def hprime(x, s):
+        return (1.0 - 2.0 * x * x) / s
+
+    grad = np.array([
+        2.0 * om * u + 4.0 * lam_c * x_c * s_c,
+        2.0 * om * v - 4.0 * lam_i * x_i * s_i,
+        2.0 * om0_c * x_c + 4.0 * lam_c * u * hprime(x_c, s_c),
+        2.0 * om0_i * x_i - 4.0 * lam_i * v * hprime(x_i, s_i)])
+    bad = np.abs(grad).max(axis=0) > GRADIENT_TOL * max(om, om0_c, om0_i,
+                                                         1.0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise MeanFieldError("stationarity violated at the closed-form "
+                             f"minimum: {tuple(grad[:, k].tolist())}")
+    return _MeanFieldGrid(u=u, v=v, x_c=x_c, x_i=x_i, mu_c=mu_c, mu_i=mu_i,
+                          energy=f)
 
 
 def double_quadrature_matrix(p: DoubleDickeParams,
@@ -233,28 +276,35 @@ def double_quadrature_matrix(p: DoubleDickeParams,
 
     Identical for all symmetry branches (the entries are even in the
     coherence signs)."""
-    mf = mean_field(p, branch)
-    om = p.omega_cav
+    _, args = _one_point(p, branch)
+    mf = _mean_field_grid(*args)
+    return _hessian_grid(*args[:5], mf)[0], mf.energy.item()
 
+
+def _hessian_grid(om: float, om0_c: float, om0_i: float,
+                  lam_c: np.ndarray, lam_i: np.ndarray,
+                  mf: _MeanFieldGrid) -> np.ndarray:
+    """double_quadrature_matrix over arrays of coupling pairs, as a
+    (k, 6, 6) stack, around the mean fields mf."""
     def hp_(x, s):
         return (1.0 - 2.0 * x * x) / s
 
     def hpp(x, s):
-        return x * (2.0 * x * x - 3.0) / s ** 3
+        return x * (2.0 * x * x - 3.0) / per_element(pow, s, 3)
 
-    s_c = math.sqrt(1.0 - mf.x_c ** 2)
-    s_i = math.sqrt(1.0 - mf.x_i ** 2)
+    s_c = np.sqrt(1.0 - per_element(pow, mf.x_c, 2))
+    s_i = np.sqrt(1.0 - per_element(pow, mf.x_i, 2))
 
-    G = np.zeros((6, 6))
-    G[0, 0] = om
-    G[3, 3] = om
-    G[1, 1] = p.omega0_c + 2.0 * p.lambda_c * mf.u * hpp(mf.x_c, s_c)
-    G[4, 4] = p.omega0_c - 2.0 * p.lambda_c * mf.u * mf.x_c / s_c
-    G[2, 2] = p.omega0_i - 2.0 * p.lambda_i * mf.v * hpp(mf.x_i, s_i)
-    G[5, 5] = p.omega0_i + 2.0 * p.lambda_i * mf.v * mf.x_i / s_i
-    G[0, 1] = G[1, 0] = 2.0 * p.lambda_c * hp_(mf.x_c, s_c)
-    G[2, 3] = G[3, 2] = -2.0 * p.lambda_i * hp_(mf.x_i, s_i)
-    return G, mf.energy
+    G = np.zeros((len(lam_c), 6, 6))
+    G[:, 0, 0] = om
+    G[:, 3, 3] = om
+    G[:, 1, 1] = om0_c + 2.0 * lam_c * mf.u * hpp(mf.x_c, s_c)
+    G[:, 4, 4] = om0_c - 2.0 * lam_c * mf.u * mf.x_c / s_c
+    G[:, 2, 2] = om0_i - 2.0 * lam_i * mf.v * hpp(mf.x_i, s_i)
+    G[:, 5, 5] = om0_i + 2.0 * lam_i * mf.v * mf.x_i / s_i
+    G[:, 0, 1] = G[:, 1, 0] = 2.0 * lam_c * hp_(mf.x_c, s_c)
+    G[:, 2, 3] = G[:, 3, 2] = -2.0 * lam_i * hp_(mf.x_i, s_i)
+    return G
 
 
 def build_double_quadratic_form(p: DoubleDickeParams,
@@ -373,8 +423,8 @@ def hp_double(p: DoubleDickeParams) -> FluctuationReport:
         raise CriticalPointDivergence(
             "photon fluctuations diverge on a critical line",
             quantity="hp", exponent=-0.25)
-    sol = symplectic_diagonalize(build_double_quadratic_form(p))
-    return photon_moments_from_solution(sol, mode_index=0)
+    return _double_thermo_grid(p.omega_cav, p.omega0_c, p.omega0_i,
+                               [p.lambda_c], [p.lambda_i]).photon[0]
 
 
 def entropy_double(p: DoubleDickeParams, include_degeneracy: bool = True,
@@ -388,88 +438,35 @@ def entropy_double(p: DoubleDickeParams, include_degeneracy: bool = True,
                            renyi_alphas=renyi_alphas)
 
 
-def _quadrature_stack(om: float, om0_c: float, om0_i: float,
-                      lam_c: np.ndarray, lam_i: np.ndarray,
-                      broken_c: np.ndarray,
-                      broken_i: np.ndarray) -> np.ndarray:
-    """double_quadrature_matrix at each coupling pair on the default
-    branch, as a (k, 6, 6) stack bitwise equal to the scalar matrices."""
-    with np.errstate(divide="ignore"):
-        mu_c = om * om0_c / (4.0 * per_element(pow, lam_c, 2))
-        mu_i = om * om0_i / (4.0 * per_element(pow, lam_i, 2))
-    mu_c = np.where(broken_c & ~(1.0 < mu_c), mu_c, 1.0)
-    mu_i = np.where(broken_i & ~(1.0 < mu_i), mu_i, 1.0)
-    # the default branch: epsilon = 1 in a broken direction, else 0
-    x_c = broken_c * np.sqrt((1.0 - mu_c) / 2.0)
-    x_i = broken_i * np.sqrt((1.0 - mu_i) / 2.0)
-    s_c = np.sqrt(1.0 - x_c * x_c)
-    s_i = np.sqrt(1.0 - x_i * x_i)
-    u = -(2.0 * lam_c / om) * x_c * s_c
-    v = +(2.0 * lam_i / om) * x_i * s_i
-
-    def hprime(x, s):
-        return (1.0 - 2.0 * x * x) / s
-
-    grad = np.array([
-        2.0 * om * u + 4.0 * lam_c * x_c * s_c,
-        2.0 * om * v - 4.0 * lam_i * x_i * s_i,
-        2.0 * om0_c * x_c + 4.0 * lam_c * u * hprime(x_c, s_c),
-        2.0 * om0_i * x_i - 4.0 * lam_i * v * hprime(x_i, s_i)])
-    bad = np.abs(grad).max(axis=0) > GRADIENT_TOL * max(om, om0_c, om0_i,
-                                                         1.0)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise MeanFieldError("stationarity violated at the closed-form "
-                             f"minimum: {tuple(grad[:, k].tolist())}")
-
-    # the Hessian terms, as double_quadrature_matrix writes them
-    s_c = np.sqrt(1.0 - per_element(pow, x_c, 2))
-    s_i = np.sqrt(1.0 - per_element(pow, x_i, 2))
-
-    def hpp(x, s):
-        return x * (2.0 * x * x - 3.0) / per_element(pow, s, 3)
-
-    G = np.zeros((len(lam_c), 6, 6))
-    G[:, 0, 0] = om
-    G[:, 3, 3] = om
-    G[:, 1, 1] = om0_c + 2.0 * lam_c * u * hpp(x_c, s_c)
-    G[:, 4, 4] = om0_c - 2.0 * lam_c * u * x_c / s_c
-    G[:, 2, 2] = om0_i - 2.0 * lam_i * v * hpp(x_i, s_i)
-    G[:, 5, 5] = om0_i + 2.0 * lam_i * v * x_i / s_i
-    G[:, 0, 1] = G[:, 1, 0] = 2.0 * lam_c * hprime(x_c, s_c)
-    G[:, 2, 3] = G[:, 3, 2] = -2.0 * lam_i * hprime(x_i, s_i)
-    return G
-
-
 @dataclass(frozen=True)
-class DoubleThermoGrid:
-    """Thermodynamic-limit sweep quantities over coupling pairs, one entry
-    per point, each bitwise equal to what the scalar functions give there
-    (entropies with the degeneracy bits included).
+class _DoubleThermoGrid:
+    """Thermodynamic-limit quantities over coupling pairs, one entry per
+    point; entropies include the degeneracy bits.
 
-    On a critical line dx and dp are nan, hp and the entropies inf, and
-    the gaps still hold (the lowest is 0); the double point keeps its
-    finite closed form.
+    photon holds hp_double's report, None on a critical line away from a
+    finite double point.  There dx and dp are nan, hp and the entropies
+    inf, and the gaps still hold (the lowest is 0).
     """
 
     info: list[DoublePhaseInfo]
     gaps: list[list[float]]
+    photon: list[FluctuationReport | None]
     dx: list[float]
     dp: list[float]
     hp: list[float]
-    entropy: EntropyColumns
+    entropy: _EntropyColumns
 
 
-def double_thermo_grid(omega_cav: float, omega0_c: float, omega0_i: float,
-                       lambda_c, lambda_i,
-                       renyi_alphas: tuple[float, ...] = ()
-                       ) -> DoubleThermoGrid:
-    """double_gaps, hp_double and entropy_double at each coupling pair
-    (lambda_c[k], lambda_i[k]).
+def _double_thermo_grid(omega_cav: float, omega0_c: float, omega0_i: float,
+                        lambda_c, lambda_i,
+                        renyi_alphas: tuple[float, ...] = ()
+                        ) -> _DoubleThermoGrid:
+    """The gaps, the photon fluctuations and the entropies at each coupling
+    pair (lambda_c[k], lambda_i[k]) on the default branch.
 
-    The mean field and the quadrature forms are built as arrays over the
-    grid and diagonalized by one batched eigen-decomposition; rows on a
-    critical line take hp from hp_double's closed forms.
+    The quadrature forms are built as one stack and diagonalized by one
+    batched eigen-decomposition; rows on a critical line take hp_double's
+    closed forms.
     """
     lam_c = np.asarray(lambda_c, dtype=float)
     lam_i = np.asarray(lambda_i, dtype=float)
@@ -477,24 +474,20 @@ def double_thermo_grid(omega_cav: float, omega0_c: float, omega0_i: float,
               for c, i in zip(lam_c.tolist(), lam_i.tolist())]
     info = [classify_double_phase(q) for q in params]
     on_line = np.array([i.critical_c or i.critical_i for i in info])
-    broken_c = np.array([i.phase in (DoublePhase.SUPERRADIANT_REAL,
-                                     DoublePhase.SUPERRADIANT_DOUBLE)
-                         for i in info])
-    broken_i = np.array([i.phase in (DoublePhase.SUPERRADIANT_IMAG,
-                                     DoublePhase.SUPERRADIANT_DOUBLE)
-                         for i in info])
-    G = _quadrature_stack(omega_cav, omega0_c, omega0_i, lam_c, lam_i,
-                          broken_c, broken_i)
-    gaps, moments = bogoliubov_stack(nambu_stack(G), ~on_line)
+    # the default branch: +1 in a broken direction, else 0
+    eps_c, eps_i = np.array([_broken(i) for i in info], dtype=float).T
+    args = (omega_cav, omega0_c, omega0_i, lam_c, lam_i)
+    G = _hessian_grid(*args, _mean_field_grid(*args, eps_c, eps_i))
+    gaps, photon = _bogoliubov_stack(_nambu_stack(G), ~on_line)
     for k in np.flatnonzero(on_line):
         try:
-            moments[k] = hp_double(params[k])
+            photon[k] = hp_double(params[k])
         except CriticalPointDivergence:
             pass
-    hp = [math.inf if m is None else m.hp for m in moments]
+    hp = [math.inf if r is None else r.hp for r in photon]
     offsets = [_OFFSET_BITS[i.degeneracy] for i in info]
-    return DoubleThermoGrid(
-        info=info, gaps=gaps.tolist(),
-        dx=[math.nan if m is None else m.dx for m in moments],
-        dp=[math.nan if m is None else m.dp for m in moments], hp=hp,
-        entropy=entropy_columns(hp, offsets, renyi_alphas))
+    return _DoubleThermoGrid(
+        info=info, gaps=gaps.tolist(), photon=photon,
+        dx=[math.nan if r is None else r.dx for r in photon],
+        dp=[math.nan if r is None else r.dp for r in photon], hp=hp,
+        entropy=_entropy_columns(hp, offsets, renyi_alphas))

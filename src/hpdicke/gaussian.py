@@ -32,13 +32,9 @@ __all__ = [
     "form_matrix",
     "bogoliubov_gaps",
     "symplectic_diagonalize",
-    "bogoliubov_stack",
-    "nambu_stack",
     "photon_moments_from_solution",
     "heisenberg_product",
     "entropy_from_hp",
-    "EntropyColumns",
-    "entropy_columns",
     "renyi_entropy",
     "pseudo_energy",
     "thermal_weights",
@@ -127,9 +123,10 @@ class EntropyReport:
 
 def per_element(fn, *args) -> np.ndarray:
     """fn applied to each element as Python floats; scalar arguments are
-    broadcast.  numpy's power, log, exp and atan2 may round differently
-    from the math-library calls of the scalar code, so array code that
-    must reproduce that code bitwise maps those calls with this."""
+    broadcast.  numpy's transcendental functions (cos, sin, power, log,
+    exp, atan2) may round differently from the math library, and from
+    one CPU to another through numpy's SIMD kernels, so array code that
+    must reproduce scalar float code bitwise maps those calls with this."""
     n = next(len(a) for a in args if isinstance(a, np.ndarray))
     cols = [a.tolist() if isinstance(a, np.ndarray) else [a] * n
             for a in args]
@@ -198,7 +195,7 @@ def _xp_blocks(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return A, 0.5 * (B + B.swapaxes(-1, -2))
 
 
-def nambu_stack(G: np.ndarray) -> np.ndarray:
+def _nambu_stack(G: np.ndarray) -> np.ndarray:
     """Stack of the matrices form_matrix(form_from_xp(G[k])), bitwise
     equal to building each one alone, for a stack G of quadrature forms
     that form_from_xp accepts."""
@@ -347,8 +344,8 @@ def symplectic_diagonalize(form: QuadraticForm,
                               ground_energy=float(ground))
 
 
-def bogoliubov_stack(M: np.ndarray, stable: np.ndarray, tol: float = 1e-9
-                     ) -> tuple[np.ndarray, list[FluctuationReport | None]]:
+def _bogoliubov_stack(M: np.ndarray, stable: np.ndarray, tol: float = 1e-9
+                      ) -> tuple[np.ndarray, list[FluctuationReport | None]]:
     """Gaps and mode-0 vacuum moments of a stack of 2n x 2n matrices M
     (as form_matrix gives them), from one batched eigen-decomposition.
 
@@ -360,61 +357,14 @@ def bogoliubov_stack(M: np.ndarray, stable: np.ndarray, tol: float = 1e-9
     """
     n = M.shape[-1] // 2
     ev, vec = np.linalg.eig(_sigma_z(n) @ M)
-    scale = np.array([max(np.linalg.norm(m), 1e-300) for m in M])
+    scale = [max(np.linalg.norm(m), 1e-300) for m in M]
     gaps = np.array([_paired_gaps(e.copy(), n, s, tol)
                      for e, s in zip(ev, scale)])
-
-    # Rows with exactly n positive, real and well separated mode energies
-    # need no Gram-Schmidt step: their Krein normalization runs on the
-    # whole stack at once.  The others, which may raise, go row by row.
-    re = ev.real
-    order = np.argsort(re, axis=-1)
-    top = np.take_along_axis(re, order[:, n - 1:], axis=-1)
-    floor = tol * scale
-    batch = (stable & (np.abs(ev.imag).max(axis=-1) <= floor)
-             & (top[:, 0] <= floor) & (top[:, 1] > floor)
-             & (np.diff(top[:, 1:], axis=-1) >= np.maximum(
-                 1e-8 * scale, 10 * floor)[:, None]).all(axis=-1))
     moments: list[FluctuationReport | None] = [None] * len(M)
-    if batch.any():
-        cols = np.take_along_axis(vec[batch], order[batch, None, n:],
-                                  axis=-1)
-        stacked = _krein_photon_moments(cols, n, tol)
-        if stacked is None:
-            batch[:] = False
-        else:
-            for k, n_occ, sq in zip(np.flatnonzero(batch), *stacked):
-                moments[k] = _mode_report(n_occ, sq, 0j)
-    for k in np.flatnonzero(stable & ~batch):
+    for k in np.flatnonzero(stable):
         _, T = _krein_transform(ev[k], vec[k], n, scale[k], tol)
         moments[k] = _vacuum_moments(T, 0j, 0)
     return gaps, moments
-
-
-def _krein_photon_moments(cols: np.ndarray, n: int, tol: float
-                          ) -> tuple[list[float], list[complex]] | None:
-    """_krein_transform and _vacuum_moments over a stack, for eigenvector
-    columns (m, 2n, n) of ungrouped gaps: the mode-0 occupation and <a^2>
-    per row, or None when a Krein norm is not positive.
-
-    Multiplying by the diagonal Sigma_z or by the block swap only moves
-    entries and flips signs, so those products are taken elementwise;
-    the Krein norms go through the same dot product as the row code.
-    """
-    sz = np.diag(_sigma_z(n))
-    xi = cols.swapaxes(-1, -2)                      # (m, n, 2n)
-    norm = (xi.conj()[..., None, :]
-            @ (sz * xi)[..., :, None])[..., 0, 0].real
-    if (norm <= tol).any():
-        return None
-    xi = xi / np.sqrt(norm)[..., None]
-    w = xi.conj() * sz
-    a = np.take_along_axis(w, np.abs(w).argmax(axis=-1)[..., None], axis=-1)
-    w = w * (np.abs(a) / a)
-    # the inverse transform's mode-0 row is (conj w[:, 0], -w[:, n])
-    P, Q = w[..., 0].conj(), -w[..., n]
-    return (np.sum(np.abs(Q) ** 2, axis=-1).tolist(),
-            np.sum(P * Q, axis=-1).tolist())
 
 
 def _vacuum_moments(T: np.ndarray, mean: complex,
@@ -424,12 +374,8 @@ def _vacuum_moments(T: np.ndarray, mean: complex,
     t_inv = sz @ T.conj().T @ sz
     row = t_inv[mode_index]
     P, Q = row[:n], row[n:]
-    return _mode_report(float(np.sum(np.abs(Q) ** 2)),
-                        complex(np.sum(P * Q)), mean)
-
-
-def _mode_report(n_occ: float, sq: complex, mean: complex
-                 ) -> FluctuationReport:
+    n_occ = float(np.sum(np.abs(Q) ** 2))
+    sq = complex(np.sum(P * Q))
     return heisenberg_product(mean_a=mean,
                               a_sq=sq + mean * mean,
                               occupation=n_occ + abs(mean) ** 2)
@@ -537,7 +483,7 @@ def entropy_from_hp(hp: float, degeneracy_offset: int = 0,
 
 
 @dataclass(frozen=True)
-class EntropyColumns:
+class _EntropyColumns:
     """Entropies (bits) over a column of uncertainty products.
 
     s_vn includes each point's degeneracy offset, s_vn_bare is s_vn less
@@ -549,8 +495,8 @@ class EntropyColumns:
     s_renyi: dict[float, list[float]]
 
 
-def entropy_columns(hp, degeneracy_offsets,
-                    renyi_alphas: tuple[float, ...] = ()) -> EntropyColumns:
+def _entropy_columns(hp, degeneracy_offsets,
+                     renyi_alphas: tuple[float, ...] = ()) -> _EntropyColumns:
     """entropy_from_hp over a column of uncertainty products, each value
     bitwise equal to the scalar one.  An infinite hp marks a divergence
     and gives inf in every entropy column."""
@@ -570,7 +516,7 @@ def entropy_columns(hp, degeneracy_offsets,
                 column.append(renyi_entropy(h, a))
         s_vn.append(s)
         bare.append(b)
-    return EntropyColumns(s_vn=s_vn, s_vn_bare=bare, s_renyi=renyi)
+    return _EntropyColumns(s_vn=s_vn, s_vn_bare=bare, s_renyi=renyi)
 
 
 def renyi_entropy(hp: float, alpha: float) -> float:

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field, fields as dc_fields
 import numpy as np
 
 from . import __version__
-from .dicke import DickeParams, thermo_grid
-from .double import DoubleDickeParams, double_thermo_grid
+from .dicke import DickeParams, _thermo_grid
+from .double import DoubleDickeParams, _double_thermo_grid
 from .ed import (DEFAULT_BUDGET_NNZ, DEFAULT_SEED, EDBasis, _check_budget,
                  build_hamiltonian, converge_cutoff, ground_state,
                  photon_entropy_ed, photon_moments_ed)
@@ -229,7 +229,7 @@ def _thermo_rows(cfg: SweepConfig) -> list[SweepRow]:
     exactly, so dx and dp are nan there."""
     x = cfg.grid()
     if cfg.model == "dicke":
-        g = thermo_grid(cfg.omega, cfg.omega0, x, cfg.renyi)
+        g = _thermo_grid(cfg.omega, cfg.omega0, x, cfg.renyi)
         coupling = x.tolist()
         cols = {"coupling": coupling,
                 "dist_cr": [c - i.lambda_cr for c, i in zip(coupling, g.info)],
@@ -238,8 +238,8 @@ def _thermo_rows(cfg: SweepConfig) -> list[SweepRow]:
     else:
         lam_c = (x * math.cos(cfg.theta)).tolist()
         lam_i = (x * math.sin(cfg.theta)).tolist()
-        g = double_thermo_grid(cfg.omega, cfg.omega0_c, cfg.omega0_i,
-                               lam_c, lam_i, cfg.renyi)
+        g = _double_thermo_grid(cfg.omega, cfg.omega0_c, cfg.omega0_i,
+                                lam_c, lam_i, cfg.renyi)
         gap_1, gap_2, gap_3 = zip(*g.gaps)
         cols = {"r": x.tolist(), "theta": [cfg.theta] * len(x),
                 "lambda_c": lam_c, "lambda_i": lam_i,

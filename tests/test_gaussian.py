@@ -5,9 +5,9 @@ import pytest
 
 from conftest import random_stable_form
 from hpdicke.errors import DomainError, InstabilityError, UncertaintyViolation
-from hpdicke.gaussian import (bogoliubov_gaps, bogoliubov_stack,
-                              entropy_columns, entropy_from_hp, form_from_xp,
-                              form_matrix, heisenberg_product, nambu_stack,
+from hpdicke.gaussian import (_bogoliubov_stack, _entropy_columns,
+                              _nambu_stack, bogoliubov_gaps, entropy_from_hp,
+                              form_from_xp, form_matrix, heisenberg_product,
                               photon_moments_from_solution, pseudo_energy,
                               renyi_entropy, symplectic_diagonalize,
                               thermal_weights, QuadraticForm)
@@ -174,20 +174,20 @@ class TestStacks:
         G = G + G.swapaxes(1, 2)
         for k in range(3):
             G[:, k, k + 3] = G[:, k + 3, k] = 0.0
-        M = nambu_stack(G)
+        M = _nambu_stack(G)
         for g, m in zip(G, M):
             assert np.array_equal(m, form_matrix(form_from_xp(g)))
 
     def test_bogoliubov_stack_matches_scalar_path(self):
         rng = np.random.default_rng(11)
         forms = [random_stable_form(rng, 3, dscale=0.0) for _ in range(12)]
-        # equal gaps take the row-by-row Gram-Schmidt path
+        # equal gaps take the Gram-Schmidt step
         forms.append(QuadraticForm(A=np.eye(3, dtype=complex),
                                    B=np.zeros((3, 3), complex),
                                    d=np.zeros(3, complex)))
         stable = np.ones(len(forms), dtype=bool)
         stable[5] = False
-        gaps, moments = bogoliubov_stack(
+        gaps, moments = _bogoliubov_stack(
             np.array([form_matrix(f) for f in forms]), stable)
         assert moments[5] is None
         for k, form in enumerate(forms):
@@ -202,7 +202,7 @@ class TestStacks:
     def test_entropy_columns_match_entropy_from_hp(self):
         hp = [0.5, 0.5 + 1e-10, 0.61, 2.5, 40.0, math.inf]
         offsets = [0, 1, 2, 0, 1, 1]
-        cols = entropy_columns(hp, offsets, (0.5, 2.0))
+        cols = _entropy_columns(hp, offsets, (0.5, 2.0))
         for k, (h, off) in enumerate(zip(hp, offsets)):
             if h == math.inf:
                 assert cols.s_vn[k] == cols.s_vn_bare[k] == math.inf

@@ -9,9 +9,13 @@ import pytest
 from hpdicke import cli
 from hpdicke.dicke import (DickeParams, classify_phase, entropy_thermo,
                            hp_thermo, lambda_critical, solve_thermo)
-from hpdicke.double import (DoubleDickeParams, classify_double_phase,
-                            double_gaps, entropy_double, hp_double)
+from hpdicke.double import (DoubleDickeParams, build_double_quadratic_form,
+                            classify_double_phase, double_gaps,
+                            entropy_double, hp_double)
 from hpdicke.errors import ConfigError, CriticalPointDivergence
+from hpdicke.gaussian import (heisenberg_product,
+                              photon_moments_from_solution,
+                              symplectic_diagonalize)
 from hpdicke.sweeps import (SweepConfig, _fmt, radial_sweep, render_csv,
                             render_json, run_sweep, sweep_rows, write_atomic)
 
@@ -176,12 +180,34 @@ def _assert_cells(row: dict, expected: dict):
             assert got == value, (name, got, value)
 
 
+def _scalar_polaritons(p: DickeParams, info) -> tuple[float, ...]:
+    """gap_minus, gap_plus, cos^2 gamma and sin^2 gamma from the closed
+    forms in Python float arithmetic and math calls, as the row-by-row
+    sweep evaluated them."""
+    om, om0, lam = p.omega, p.omega0, p.coupling
+    mu = 1.0 if info.phase.value == "Normal" else om * om0 / (4.0 * lam * lam)
+    om0_eff = om0 / mu
+    tr = om0_eff * om0_eff + om * om
+    disc = math.sqrt((om0_eff * om0_eff - om * om) ** 2
+                     + 16.0 * lam * lam * om * om0 * mu)
+    gamma = 0.0 if lam == 0.0 else 0.5 * math.atan2(
+        4.0 * lam * math.sqrt(om * om0) * mu ** 2.5,
+        om0 * om0 - mu * mu * om * om)
+    return (math.sqrt(max(0.5 * (tr - disc), 0.0)),
+            math.sqrt(0.5 * (tr + disc)),
+            math.cos(gamma) ** 2, math.sin(gamma) ** 2)
+
+
 class TestThermoCellsMatchScalarApi:
     """Every thermo sweep cell equals, bitwise, the scalar public API at
-    the same point."""
+    the same point, and the single-chain cells equal the closed forms
+    evaluated in scalar float arithmetic."""
 
+    # at (1.0, 9.0) the critical dp with the weight 1 - cos^2 gamma
+    # differs in the last bits from the one with sin^2 gamma
     @pytest.mark.parametrize("omega,omega0,hi", [(1.0, 1.0, 1.0),
-                                                 (1.44, 1.0, 1.2)])
+                                                 (1.44, 1.0, 1.2),
+                                                 (1.0, 9.0, 3.0)])
     def test_single_chain(self, omega, omega0, hi):
         renyi = (0.5, 2.0, 3.0)
         cfg = SweepConfig.from_dict(dict(
@@ -192,25 +218,28 @@ class TestThermoCellsMatchScalarApi:
             v = row.values
             p = DickeParams(omega, omega0, v["coupling"])
             info = classify_phase(p)
+            gm, gp, c2, s2 = _scalar_polaritons(p, info)
             sol = solve_thermo(p)
+            assert (sol.gap_minus, sol.gap_plus) == (gm, gp)
             expected = {"phase": info.phase.value, "critical": info.critical,
                         "dist_cr": v["coupling"] - lambda_critical(p),
-                        "gap_minus": sol.gap_minus,
-                        "gap_plus": sol.gap_plus}
+                        "gap_minus": gm, "gap_plus": gp}
             if info.critical:
                 kinds.add("critical")
                 with pytest.raises(CriticalPointDivergence):
                     hp_thermo(p)
-                c2 = math.cos(sol.gamma) ** 2
                 expected.update(
                     dx=math.inf, hp=math.inf, s_vn=math.inf,
                     s_vn_bare=math.inf, reason="critical-point",
-                    dp=math.sqrt(0.5 * (c2 * sol.gap_minus + (1.0 - c2)
-                                        * sol.gap_plus) / omega))
+                    dp=math.sqrt(0.5 * (c2 * gm + (1.0 - c2) * gp) / omega))
                 expected.update({f"renyi_{a:g}": math.inf for a in renyi})
             else:
                 kinds.add(info.phase.value)
-                rep = hp_thermo(p)
+                dx2 = 0.5 * omega * (c2 / gm + s2 / gp)
+                dp2 = 0.5 * (c2 * gm + s2 * gp) / omega
+                rep = heisenberg_product(mean_a=0.0, a_sq=0.5 * (dx2 - dp2),
+                                         occupation=0.5 * (dx2 + dp2) - 0.5)
+                assert hp_thermo(p) == rep
                 ent = entropy_thermo(p, renyi_alphas=renyi)
                 expected.update(
                     dx=rep.dx, dp=rep.dp, hp=rep.hp, s_vn=ent.s_vn,
@@ -253,6 +282,10 @@ class TestThermoCellsMatchScalarApi:
                 expected.update({f"renyi_{a:g}": math.inf
                                  for a in cfg.renyi})
             else:
+                if not (info.critical_c or info.critical_i):
+                    # the stack path against the scalar Gaussian pipeline
+                    assert rep == photon_moments_from_solution(
+                        symplectic_diagonalize(build_double_quadratic_form(p)))
                 ent = entropy_double(p, renyi_alphas=cfg.renyi)
                 expected.update(
                     dx=rep.dx, dp=rep.dp, hp=rep.hp, s_vn=ent.s_vn,
