@@ -4,7 +4,8 @@ One photon mode and two collective spins, each in its maximal-j sector.
 The chain-I coupling enters through i(a - a^dag), so the Hamiltonian is
 complex Hermitian in the product basis; build_double_hamiltonian returns
 that matrix, on which symmetry_residuals checks the two antiunitary
-chain symmetries.
+chain symmetries.  It is written straight into CSR form: each row has
+the diagonal and at most eight couplings, at fixed flat-index offsets.
 
 The solver uses a real gauge.  With D = 1 where U_C = +1 and D = i where
 U_C = -1, every chain-C term connects equal U_C and stays real, while
@@ -54,10 +55,12 @@ class DoubleEDBasis:
     n_max: int
 
     def __post_init__(self):
-        if self.n_c < 1 or self.n_i < 1:
-            raise DomainError("chain sizes must be positive integers")
-        if self.n_max < 1:
-            raise CutoffError("photon cutoff must be at least 1")
+        for n in (self.n_c, self.n_i):
+            if not (isinstance(n, (int, np.integer)) and n >= 1):
+                raise DomainError(
+                    f"chain sizes must be positive integers, got {n!r}")
+        if not (isinstance(self.n_max, (int, np.integer)) and self.n_max >= 1):
+            raise CutoffError(f"n_max must be >= 1, got {self.n_max!r}")
 
     @property
     def dim(self) -> int:
@@ -73,49 +76,65 @@ class DoubleEDBasis:
         return (n * (self.n_c + 1) + mc_idx) * (self.n_i + 1) + mi_idx
 
 
-def _spin_ops(n_spins: int):
-    """Jz diagonal and J+ + J- for the maximal sector j = n_spins/2."""
+def _spin_diagonals(n_spins: int) -> tuple[np.ndarray, np.ndarray]:
+    """m = -j .. j and <m+1|J+|m> = sqrt((j - m)(j + m + 1)) for m < j in
+    the maximal sector j = n_spins/2, clipped for roundoff."""
     j = n_spins / 2.0
     m = np.arange(n_spins + 1) - j
-    jz = sp.diags(m)
-    # ladder from m to m+1: sqrt((j - m)(j + m + 1)), clipped for roundoff
-    lad = np.sqrt(np.clip((j - m[:-1]) * (j + m[:-1] + 1.0), 0.0, None))
-    jx2 = sp.diags([lad, lad], offsets=[-1, 1])
-    return jz, jx2
-
-
-def _photon_ops(n_max: int):
-    levels = np.arange(n_max + 1)
-    nph = sp.diags(levels.astype(float))
-    root = np.sqrt(levels[1:].astype(float))
-    x2 = sp.diags([root, root], offsets=[-1, 1])          # a + a^dag
-    # i(a - a^dag): <n+1|.|n> = -i sqrt(n+1), <n-1|.|n> = +i sqrt(n)
-    ip2 = sp.diags([-1j * root, 1j * root], offsets=[-1, 1])
-    return nph, x2, ip2
+    return m, np.sqrt(np.clip((j - m[:-1]) * (j + m[:-1] + 1.0), 0.0, None))
 
 
 def build_double_hamiltonian(p: DoubleDickeParams,
                              basis: DoubleEDBasis) -> sp.csr_matrix:
     """Sparse complex Hermitian matrix of the two-chain Hamiltonian with
-    couplings scaled by the respective 1/sqrt(N_k)."""
-    nph, x2, ip2 = _photon_ops(basis.n_max)
-    jz_c, jx2_c = _spin_ops(basis.n_c)
-    jz_i, jx2_i = _spin_ops(basis.n_i)
-    ic = sp.identity(basis.n_c + 1, format="csr")
-    ii = sp.identity(basis.n_i + 1, format="csr")
-    iph = sp.identity(basis.n_max + 1, format="csr")
+    couplings scaled by the respective 1/sqrt(N_k), in canonical CSR with
+    no stored zeros.
 
-    gc = p.lambda_c / math.sqrt(basis.n_c)
-    gi = p.lambda_i / math.sqrt(basis.n_i)
-
-    H = (p.omega_cav * sp.kron(sp.kron(nph, ic), ii)
-         + p.omega0_c * sp.kron(sp.kron(iph, jz_c), ii)
-         + p.omega0_i * sp.kron(sp.kron(iph, ic), jz_i)).astype(complex)
-    if gc != 0.0:
-        H = H + gc * sp.kron(sp.kron(x2, jx2_c), ii)
-    if gi != 0.0:
-        H = H + gi * sp.kron(sp.kron(ip2, ic), jx2_i)
-    return sp.csr_matrix(H)
+    One loop over the nine offsets counts each row's nonzeros and a
+    second writes them in place, so no temporary outgrows one offset.
+    """
+    nn, nc, ni = basis.n_max + 1, basis.n_c + 1, basis.n_i + 1
+    m_c, lad_c = _spin_diagonals(basis.n_c)
+    m_i, lad_i = _spin_diagonals(basis.n_i)
+    levels = np.arange(nn, dtype=float)
+    root = np.sqrt(levels[1:])[:, None, None]  # between n and n + 1
+    amp_c = p.lambda_c / math.sqrt(basis.n_c) * (root * lad_c[:, None])
+    amp_i = p.lambda_i / math.sqrt(basis.n_i) * (root * lad_i)
+    diag = ((p.omega_cav * levels[:, None, None] + p.omega0_c * m_c[:, None])
+            + p.omega0_i * m_i)
+    # (column offset, rows holding the entry, its value there) in column
+    # order: to n - 1 (mc - 1, mi - 1, mi + 1, mc + 1), diagonal, to n + 1;
+    # i(a - a^dag) is -i on the row with more photons
+    lo, hi, every = slice(1, None), slice(None, -1), slice(None)
+    sn = nc * ni
+    itype = np.int32 if basis.max_nnz < 2 ** 31 else np.int64
+    rows = np.arange(basis.dim, dtype=itype).reshape(nn, nc, ni)
+    count = np.zeros_like(rows)
+    entries = []
+    for offset, box, v in [(-sn - ni, (lo, lo, every), amp_c),
+                           (-sn - 1, (lo, every, lo), -1j * amp_i),
+                           (-sn + 1, (lo, every, hi), -1j * amp_i),
+                           (-sn + ni, (lo, hi, every), amp_c),
+                           (0, (every, every, every), diag),
+                           (sn - ni, (hi, lo, every), amp_c),
+                           (sn - 1, (hi, every, lo), 1j * amp_i),
+                           (sn + 1, (hi, every, hi), 1j * amp_i),
+                           (sn + ni, (hi, hi, every), amp_c)]:
+        v = np.broadcast_to(v, rows[box].shape)
+        nz = v != 0
+        count[box] += nz
+        entries.append((offset, box, v, nz))
+    indptr = np.zeros(basis.dim + 1, dtype=itype)
+    np.cumsum(count, out=indptr[1:])
+    data = np.empty(indptr[-1], dtype=complex)
+    indices = np.empty(indptr[-1], dtype=itype)
+    pos = indptr[:-1].reshape(nn, nc, ni).copy()
+    for offset, box, v, nz in entries:
+        at = pos[box][nz]
+        data[at], indices[at] = v[nz], rows[box][nz] + offset
+        pos[box] += nz
+    return sp.csr_matrix((data, indices, indptr),
+                         shape=(basis.dim, basis.dim))
 
 
 def double_parities(basis: DoubleEDBasis) -> tuple[np.ndarray, np.ndarray]:

@@ -21,6 +21,7 @@ double_ed after a diagonal gauge makes that Hamiltonian real.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -288,64 +289,50 @@ def _check_budget(basis, budget_nnz: int) -> None:
 
 def _walk_cutoff(n0: int, basis_at, solve, moments, tol: float,
                  budget_nnz: int) -> EDResult:
-    """The solve at the smallest accepted cutoff of the halving grid below
-    n0, walked cheapest-first and confirmed at the next grid point up;
-    above n0 the walk doubles until a cutoff is accepted.
+    """The solve at the first accepted cutoff of the halving grid below
+    n0, walked cheapest-first; above n0 the walk doubles until a cutoff
+    is accepted.
 
-    A cutoff n is accepted when its own solve is cutoff_converged and
-    |hp(n) - hp(ceil(1.25 n))| < tol; the probe ceil(1.25 n) is solved
-    only when n's own solve is converged.  solve(basis) gives the
-    EDResult at basis_at(n) and moments(result, basis).hp its hp; each
-    cutoff is solved at most once per walk, and the budget is checked at
-    the probe cutoff before each pair.
+    A cutoff n is accepted when its own solve is cutoff_converged and one
+    larger solve confirms it: |hp(n) - hp(ceil(1.25 n))| < tol.  The
+    probe ceil(1.25 n) is solved only when n's own solve is converged,
+    and the budget is checked at the probe before n is solved.
+    solve(basis) gives the EDResult at basis_at(n) and
+    moments(result, basis).hp its hp.
     """
-    memo: dict[int, tuple[EDResult, float]] = {}
+    def solved(n: int) -> tuple[EDResult, float]:
+        basis = basis_at(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CutoffWarning)
+            res = solve(basis)
+            return res, moments(res, basis).hp
 
-    def at(n: int) -> tuple[EDResult, float]:
-        if n not in memo:
-            basis = basis_at(n)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", CutoffWarning)
-                res = solve(basis)
-                memo[n] = res, moments(res, basis).hp
-        return memo[n]
-
-    def accepted(n: int) -> bool:
-        probe = max(n + 1, math.ceil(1.25 * n))
-        _check_budget(basis_at(probe), budget_nnz)
-        res, hp = at(n)
-        return res.cutoff_converged and abs(hp - at(probe)[1]) < tol
-
-    # The confirmation at the next grid point up guards against an
-    # accidental plateau far from convergence.
     grid = [n0]
     while grid[-1] > 1:
         grid.append(grid[-1] // 2)
-    grid.reverse()
-    for i, cand in enumerate(grid):
-        if accepted(cand):
-            if i + 1 == len(grid) or accepted(grid[i + 1]):
-                return at(cand)[0]
-    while True:
-        n0 *= 2
-        if accepted(n0):
-            return at(n0)[0]
+    above = (n0 * 2 ** k for k in itertools.count(1))
+    for n in itertools.chain(reversed(grid), above):
+        probe = max(n + 1, math.ceil(1.25 * n))
+        _check_budget(basis_at(probe), budget_nnz)
+        res, hp = solved(n)
+        if res.cutoff_converged and abs(hp - solved(probe)[1]) < tol:
+            return res
 
 
 def converge_cutoff(p: DickeParams, n_spins: int, tol: float = 1e-8,
                     budget_nnz: int = DEFAULT_BUDGET_NNZ,
                     start: int | None = None,
                     seed: int = DEFAULT_SEED) -> EDResult:
-    """Ground state at the smallest accepted Fock cutoff; its n_max_used
-    is the cutoff.
+    """Ground state at the first accepted Fock cutoff; its n_max_used is
+    the cutoff.
 
     A cutoff n is accepted when the top Fock level holds less than
-    TOP_ROW_TOL of the weight and |hp(n) - hp(ceil(1.25 n))| < tol.  From
-    the coherent-shift estimate n0 = ceil(4 (N lambda^2/omega^2 +
-    sqrt(N))) (or an explicit start) the search tries the halving grid
-    n0 / 2^k cheapest-first, takes the first accepted cutoff that the next
-    grid point up also accepts, and doubles n0 if none is.  Each call
-    walks afresh; a cutoff it revisits is not solved again.
+    TOP_ROW_TOL of the weight and |hp(n) - hp(ceil(1.25 n))| < tol; the
+    larger probe is solved only once n passes the first test.  From the
+    coherent-shift estimate n0 = ceil(4 (N lambda^2/omega^2 + sqrt(N)))
+    (or an explicit start) the search tries the halving grid n0 / 2^k
+    cheapest-first, takes the first accepted cutoff, and doubles n0 if
+    none is.  Each call walks afresh.
     """
     if not tol > 0:
         raise DomainError("tol must be positive")

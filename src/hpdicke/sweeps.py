@@ -159,6 +159,25 @@ class SweepConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _integer(name: str, value) -> int:
+    """The value of an int field.  Integers and integral numbers or
+    strings (1e7, "8") pass; booleans and non-integral values are
+    rejected rather than truncated."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    number = float(value)
+    if not number.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(number)
+
+
 def _coerced(kwargs: dict, known: dict) -> dict:
     out = {}
     for name, value in kwargs.items():
@@ -168,9 +187,10 @@ def _coerced(kwargs: dict, known: dict) -> dict:
                 value = [v for v in value.split(";") if v]
             out[name] = tuple(float(v) for v in value)
         elif name == "n_max":
-            out[name] = None if value in (None, "", "auto") else int(value)
+            out[name] = (None if value in (None, "", "auto")
+                         else _integer(name, value))
         elif hint in ("int", int):
-            out[name] = int(value)
+            out[name] = _integer(name, value)
         elif hint in ("float", float):
             out[name] = float(value)
         else:

@@ -14,7 +14,8 @@ from hpdicke.double_ed import (DoubleEDBasis, _real_gauge,
                                double_ground_state, double_parities,
                                photon_entropy_double, photon_moments_double,
                                symmetry_residuals)
-from hpdicke.errors import BudgetExceeded, CutoffWarning
+from hpdicke.errors import (BudgetExceeded, CutoffError, CutoffWarning,
+                            DomainError)
 
 
 def P(om, wc, wi, lc, li, N):
@@ -28,6 +29,17 @@ def test_decoupled_limit():
     assert rep.hp == pytest.approx(0.5, abs=1e-13)
     assert abs(s) < 1e-12
     assert res.gap01 > 0.9
+
+
+@pytest.mark.parametrize("dims,error", [
+    ((2.5, 2, 8), DomainError), ((2, 2.0, 8), DomainError),
+    ((0, 2, 8), DomainError), ((2, -1, 8), DomainError),
+    ((2, 2, 8.5), CutoffError), ((2, 2, 8.0), CutoffError),
+    ((2, 2, 0), CutoffError), ((2, 2, "8"), CutoffError),
+])
+def test_basis_rejects_non_integers(dims, error):
+    with pytest.raises(error):
+        DoubleEDBasis(*dims)
 
 
 def test_exact_hermiticity_and_symmetries():
@@ -81,6 +93,76 @@ def test_assembly_against_brute_force(args):
     H = build_double_hamiltonian(p, basis)
     Hd = _brute_force(p, basis)
     assert np.abs(H.toarray() - Hd).max() < 1e-14
+
+
+def _kron_reference(p, basis):
+    """The former assembly from kron products of the photon and spin
+    operators, kept only as an oracle for the direct CSR builder."""
+    def spin_ops(n_spins):
+        j = n_spins / 2.0
+        m = np.arange(n_spins + 1) - j
+        lad = np.sqrt(np.clip((j - m[:-1]) * (j + m[:-1] + 1.0), 0.0, None))
+        return sp.diags(m), sp.diags([lad, lad], offsets=[-1, 1])
+
+    levels = np.arange(basis.n_max + 1)
+    nph = sp.diags(levels.astype(float))
+    root = np.sqrt(levels[1:].astype(float))
+    x2 = sp.diags([root, root], offsets=[-1, 1])
+    ip2 = sp.diags([-1j * root, 1j * root], offsets=[-1, 1])
+    jz_c, jx2_c = spin_ops(basis.n_c)
+    jz_i, jx2_i = spin_ops(basis.n_i)
+    ic = sp.identity(basis.n_c + 1, format="csr")
+    ii = sp.identity(basis.n_i + 1, format="csr")
+    iph = sp.identity(basis.n_max + 1, format="csr")
+    gc = p.lambda_c / math.sqrt(basis.n_c)
+    gi = p.lambda_i / math.sqrt(basis.n_i)
+    H = (p.omega_cav * sp.kron(sp.kron(nph, ic), ii)
+         + p.omega0_c * sp.kron(sp.kron(iph, jz_c), ii)
+         + p.omega0_i * sp.kron(sp.kron(iph, ic), jz_i)).astype(complex)
+    if gc != 0.0:
+        H = H + gc * sp.kron(sp.kron(x2, jx2_c), ii)
+    if gi != 0.0:
+        H = H + gi * sp.kron(sp.kron(ip2, ic), jx2_i)
+    return sp.csr_matrix(H)
+
+
+def _params(om, wc, wi, lc, li):
+    return DoubleDickeParams(omega_cav=om, omega0_c=wc, omega0_i=wi,
+                             lambda_c=lc, lambda_i=li)
+
+
+@pytest.mark.parametrize("args,dims", [
+    ((1.0, 1.0, 1.0, 0.3, 0.4), (2, 2, 5)),
+    ((1.1, 0.9, 1.3, 0.37, 0.52), (3, 5, 7)),
+    ((1.3, 0.7, 1.9, 0.0, 0.61), (4, 2, 6)),
+    ((0.8, 1.2, 0.6, 0.45, 0.0), (2, 6, 9)),
+    ((1.0, 1.0, 1.0, 0.5, 0.5), (3, 2, 1)),
+    ((1.0, 2.5, 0.4, 0.9, 1.4), (6, 6, 20)),
+    ((1.0, 1.0, 1.0, 0.0, 0.0), (4, 4, 3)),
+])
+def test_builder_matches_kron_assembly(args, dims):
+    p, basis = _params(*args), DoubleEDBasis(*dims)
+    H = build_double_hamiltonian(p, basis)
+    ref = _kron_reference(p, basis)
+    assert np.array_equal(H.indptr, ref.indptr)
+    assert np.array_equal(H.indices, ref.indices)
+    assert np.array_equal(H.data, ref.data)
+    assert not np.any(H.data == 0)
+    assert symmetry_residuals(H, basis) == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 4), (1, 3, 5), (3, 1, 1)])
+def test_builder_matches_kron_assembly_for_a_single_spin(dims):
+    # with one spin on chain I kron takes its block path, which stores the
+    # zeros of the 2x2 spin blocks; the nonzero entries are the same
+    p, basis = _params(1.1, 0.9, 1.3, 0.37, 0.52), DoubleEDBasis(*dims)
+    H = build_double_hamiltonian(p, basis)
+    ref = _kron_reference(p, basis)
+    ref.eliminate_zeros()
+    assert np.array_equal(H.indptr, ref.indptr)
+    assert np.array_equal(H.indices, ref.indices)
+    assert np.array_equal(H.data, ref.data)
+    assert symmetry_residuals(H, basis) == (0.0, 0.0, 0.0)
 
 
 def test_iterative_matches_dense_and_is_deterministic():
@@ -216,6 +298,20 @@ def test_converge_cutoff_double_accepts_only_converged():
     assert res.cutoff_converged
     top = res.state.reshape(res.n_max_used + 1, -1)[-1]
     assert np.vdot(top, top).real < sed.TOP_ROW_TOL
+
+
+# accepted two-chain cutoffs, frozen before the walk dropped its second
+# confirmation; (N, r, a) on the ray theta = a pi / 16: n_max_used
+WALK_CUTOFFS = {(2, 0.3, 4): 8, (3, 0.5, 8): 10, (4, 0.8, 2): 17}
+
+
+def test_accepted_cutoffs_are_frozen():
+    got = {}
+    for n, r, a in WALK_CUTOFFS:
+        th = a * math.pi / 16
+        p = P(1.0, 1.0, 1.0, r * math.cos(th), r * math.sin(th), n)
+        got[n, r, a] = converge_cutoff_double(p).n_max_used
+    assert got == WALK_CUTOFFS
 
 
 # entanglement growth along the boundary of the imaginary-coupling phase,

@@ -186,3 +186,36 @@ def test_unconverged_cutoff_skips_its_probe(monkeypatch):
     assert res.n_max_used == 19
     assert solved == [(1, False), (2, False), (4, False), (9, False),
                       (19, True), (24, True)]
+
+
+def test_accepted_cutoff_needs_no_confirmation_above_it(monkeypatch):
+    # N = 16, lambda = 0.5 from n0 = 16: 1, 2, 4 and 8 fail their own
+    # top-level test, 16 passes it and its probe 20 confirms hp, so the
+    # walk stops there without solving the grid point 32 or its probe 40
+    solved = []
+
+    def counting(H, basis, *args, **kwargs):
+        solved.append(basis.n_max)
+        return ground_state(H, basis, *args, **kwargs)
+
+    monkeypatch.setattr("hpdicke.ed.ground_state", counting)
+    res = converge_cutoff(DickeParams(1.0, 1.0, 0.5), 16)
+    assert res.n_max_used == 16
+    assert solved == [1, 2, 4, 8, 16, 20]
+
+
+# accepted cutoffs, frozen before the walk dropped its second
+# confirmation at the next grid point up; (N, lambda): n_max_used
+WALK_CUTOFFS = {
+    (4, 0.2): 9, (4, 0.5): 12, (4, 0.75): 17, (4, 1.0): 24,
+    (8, 0.2): 6, (8, 0.5): 20, (8, 0.75): 30, (8, 1.0): 44,
+    (16, 0.2): 9, (16, 0.5): 16, (16, 0.75): 52, (16, 1.0): 80,
+    (32, 0.2): 7, (32, 0.5): 27, (32, 0.75): 95, (32, 1.0): 151,
+}
+
+
+def test_accepted_cutoffs_are_frozen():
+    got = {(n, lam): converge_cutoff(DickeParams(1.0, 1.0, lam),
+                                     n).n_max_used
+           for n, lam in WALK_CUTOFFS}
+    assert got == WALK_CUTOFFS

@@ -167,6 +167,29 @@ class TestDoubleGolden:
             assert render(cfg, sweep_rows(cfg)) == fh.read()
 
 
+ED_GOLDEN = {
+    "ed_auto_dicke": dict(model="dicke", mode="ed", coupling_min=0.2,
+                          coupling_max=0.8, steps=4, n_spins=8),
+    "ed_auto_double": dict(model="double-dicke", mode="ed",
+                           theta=math.pi / 8, r_min=0.2, r_max=0.8,
+                           steps=4, n_spins=3),
+}
+
+
+class TestEdGolden:
+    """Frozen ED output with the cutoff found by the walk: one
+    single-chain and one two-chain sweep from the normal phase into the
+    superradiant one."""
+
+    @pytest.mark.parametrize("tag", sorted(ED_GOLDEN))
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_golden_reproduced(self, tag, fmt):
+        cfg = SweepConfig.from_dict(dict(ED_GOLDEN[tag]))
+        render = render_csv if fmt == "csv" else render_json
+        with open(os.path.join(GOLDEN_DIR, f"{tag}.{fmt}")) as fh:
+            assert render(cfg, sweep_rows(cfg)) == fh.read()
+
+
 def _bits(v) -> bytes:
     return struct.pack("<d", v)
 
@@ -406,6 +429,29 @@ class TestCli:
             args += ["--out", str(out)]
         assert cli.main(args) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("raw", [
+        {"n_spins": 8.7},
+        {"steps": 2.5},
+        {"mode": "ed", "n_max": 10.9},
+        {"n_spins": True},
+        {"mode": "ed", "n_max": False},
+        {"seed": "7.5"},
+        {"workers": math.inf},
+    ])
+    def test_non_integral_int_field_exits_2(self, tmp_path, capsys, raw):
+        cfg_path = _write_config(tmp_path, "c.json", raw)
+        assert cli.main(["validate-config", "--config", cfg_path]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+
+    def test_integral_int_fields_accepted(self, tmp_path, capsys):
+        cfg_path = _write_config(tmp_path, "c.json", {
+            "mode": "ed", "budget_nnz": 1e7, "n_spins": "8", "steps": 5.0,
+            "n_max": "12"})
+        assert cli.main(["validate-config", "--config", cfg_path]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert (config["budget_nnz"], config["n_spins"], config["steps"],
+                config["n_max"]) == (10_000_000, 8, 5, 12)
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert cli.main(["sweep", "--config",
