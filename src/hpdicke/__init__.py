@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .errors import (BranchError, BudgetExceeded, ConfigError,
                      ConvergenceError, CriticalPointDivergence, CutoffError,
-                     CutoffWarning, DegenerateFit, DomainError,
+                     CutoffWarning, DegenerateFit, DomainError, GaplessError,
                      HpDickeError, InstabilityError, MeanFieldError,
                      RegimeError, UncertaintyViolation)
 from .gaussian import (BogoliubovSolution, EntropyReport, FluctuationReport,
@@ -44,7 +44,7 @@ __all__ = [
     "__version__",
     "HpDickeError", "DomainError", "UncertaintyViolation", "BranchError",
     "RegimeError", "CutoffError", "DegenerateFit", "MeanFieldError",
-    "InstabilityError", "ConvergenceError", "BudgetExceeded",
+    "InstabilityError", "GaplessError", "ConvergenceError", "BudgetExceeded",
     "CriticalPointDivergence", "ConfigError", "CutoffWarning",
     "QuadraticForm", "BogoliubovSolution", "FluctuationReport",
     "EntropyReport", "heisenberg_product", "entropy_from_hp",

@@ -21,10 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchError, CriticalPointDivergence, DomainError
+from .errors import (BranchError, CriticalPointDivergence, DomainError,
+                     UncertaintyViolation)
 from .gaussian import (EntropyReport, FluctuationReport, QuadraticForm,
-                       _EntropyColumns, _entropy_columns, entropy_from_hp,
-                       form_from_xp, heisenberg_product, per_element)
+                       _EntropyColumns, _entropy_columns, _quadratures,
+                       entropy_from_hp, form_from_xp, heisenberg_product,
+                       per_element)
 
 __all__ = [
     "DickeParams",
@@ -207,7 +209,9 @@ def hp_thermo(p: DickeParams) -> FluctuationReport:
         raise CriticalPointDivergence(
             "photon fluctuations diverge at the critical coupling",
             quantity="hp", exponent=-0.25)
-    return _thermo_grid(p.omega, p.omega0, [p.coupling]).photon[0]
+    g = _thermo_grid(p.omega, p.omega0, [p.coupling])
+    return heisenberg_product(mean_a=0.0, a_sq=g.sq[0].item(),
+                              occupation=g.n_c[0].item())
 
 
 def entropy_thermo(p: DickeParams, include_degeneracy: bool = True,
@@ -229,19 +233,22 @@ class _ThermoGrid:
     """Thermodynamic-limit quantities over a coupling grid, one entry per
     point; entropies include the degeneracy bit.
 
-    photon holds hp_thermo's report, None on the critical coupling.
-    There dx, hp and the entropies are inf, while dp and the gaps stay
-    finite: only the soft polariton is weighted by 1/gap, and that term
-    belongs to dx.
+    n_c and sq are the photon's centered occupation and <a^2>, 0 on the
+    critical coupling.  There dx, hp and the entropies are inf, while dp
+    and the gaps stay finite: only the soft polariton is weighted by
+    1/gap, and that term belongs to dx.  errors holds None or a point's
+    UncertaintyViolation; its dx, dp, hp and entropies are nan.
     """
 
     info: list[PhaseInfo]
     gap_minus: list[float]
     gap_plus: list[float]
-    photon: list[FluctuationReport | None]
+    n_c: np.ndarray
+    sq: np.ndarray
     dx: list[float]
     dp: list[float]
     hp: list[float]
+    errors: list[UncertaintyViolation | None]
     entropy: _EntropyColumns
 
 
@@ -253,25 +260,25 @@ def _thermo_grid(omega: float, omega0: float, couplings,
     info = [classify_phase(DickeParams(omega, omega0, c))
             for c in lam.tolist()]
     normal = np.array([i.phase is Phase.NORMAL for i in info])
+    critical = np.array([i.critical for i in info])
     _, gap_minus, gap_plus, gamma = _polaritons(omega, omega0, lam, normal)
     c2 = per_element(pow, per_element(math.cos, gamma), 2)
     s2 = per_element(pow, per_element(math.sin, gamma), 2)
-    # 1/gap_minus diverges on the critical coupling, which gets no report
+    # 1/gap_minus diverges on the critical coupling, whose cells are set
+    # below
     with np.errstate(divide="ignore", invalid="ignore"):
         dx2 = 0.5 * omega * (c2 / gap_minus + s2 / gap_plus)
         dp2 = 0.5 * (c2 * gap_minus + s2 * gap_plus) / omega
-        n_c = (0.5 * (dx2 + dp2) - 0.5).tolist()
-        sq = (0.5 * (dx2 - dp2)).tolist()
-    photon = [None if i.critical
-              else heisenberg_product(mean_a=0.0, a_sq=q, occupation=n)
-              for i, q, n in zip(info, sq, n_c)]
+        n_c = np.where(critical, 0.0, 0.5 * (dx2 + dp2) - 0.5)
+        sq = np.where(critical, 0.0, 0.5 * (dx2 - dp2))
+    _, dx, dp, hp, errors = _quadratures(n_c, sq)
     # on the critical coupling the sin^2 weight of dp is taken as 1 - c2
     dp_crit = np.sqrt(0.5 * (c2 * gap_minus + (1.0 - c2) * gap_plus)
-                      / omega).tolist()
-    hp = [math.inf if r is None else r.hp for r in photon]
+                      / omega)
+    hp = np.where(critical, math.inf, hp).tolist()
     offsets = [0 if i.phase is Phase.NORMAL else 1 for i in info]
     return _ThermoGrid(
         info=info, gap_minus=gap_minus.tolist(), gap_plus=gap_plus.tolist(),
-        photon=photon, dx=[math.inf if r is None else r.dx for r in photon],
-        dp=[d if r is None else r.dp for r, d in zip(photon, dp_crit)],
-        hp=hp, entropy=_entropy_columns(hp, offsets, renyi_alphas))
+        n_c=n_c, sq=sq, dx=np.where(critical, math.inf, dx).tolist(),
+        dp=np.where(critical, dp_crit, dp).tolist(), hp=hp, errors=errors,
+        entropy=_entropy_columns(hp, offsets, renyi_alphas))

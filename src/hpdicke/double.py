@@ -27,7 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (BranchError, CriticalPointDivergence, DomainError,
-                     InstabilityError, MeanFieldError, RegimeError)
+                     GaplessError, HpDickeError, MeanFieldError,
+                     RegimeError)
 from .gaussian import (EntropyReport, FluctuationReport, QuadraticForm,
                        _bogoliubov_stack, _EntropyColumns, _entropy_columns,
                        _nambu_stack, bogoliubov_gaps, entropy_from_hp,
@@ -188,15 +189,19 @@ def _broken(info: DoublePhaseInfo) -> tuple[bool, bool]:
 
 
 def _one_point(p: DoubleDickeParams, branch: tuple[int, int] | None):
-    """The branch signs at p, and p as the one-point arrays that
-    _mean_field_grid takes."""
+    """The branch signs at p, p as the one-point arrays that
+    _mean_field_grid takes, and the mean field there; raises the point's
+    MeanFieldError."""
     broken_c, broken_i = _broken(classify_double_phase(p))
     eps_c, eps_i = branch if branch is not None else (None, None)
     eps_c = _resolve_branch(broken_c, eps_c, "C")
     eps_i = _resolve_branch(broken_i, eps_i, "I")
-    return (eps_c, eps_i), (p.omega_cav, p.omega0_c, p.omega0_i,
-                            np.array([p.lambda_c]), np.array([p.lambda_i]),
-                            np.array([eps_c]), np.array([eps_i]))
+    args = (p.omega_cav, p.omega0_c, p.omega0_i, np.array([p.lambda_c]),
+            np.array([p.lambda_i]), np.array([eps_c]), np.array([eps_i]))
+    mf, (error,) = _mean_field_grid(*args)
+    if error is not None:
+        raise error
+    return (eps_c, eps_i), args, mf
 
 
 def mean_field(p: DoubleDickeParams,
@@ -208,8 +213,7 @@ def mean_field(p: DoubleDickeParams,
 
     The gradient at the returned point is checked below 1e-10.
     """
-    (eps_c, eps_i), args = _one_point(p, branch)
-    mf = _mean_field_grid(*args)
+    (eps_c, eps_i), _, mf = _one_point(p, branch)
     return MeanField(**{k: a.item() for k, a in mf._asdict().items()},
                      epsilon_c=eps_c, epsilon_i=eps_i)
 
@@ -226,9 +230,11 @@ class _MeanFieldGrid(NamedTuple):
 
 def _mean_field_grid(om: float, om0_c: float, om0_i: float,
                      lam_c: np.ndarray, lam_i: np.ndarray,
-                     eps_c: np.ndarray, eps_i: np.ndarray) -> _MeanFieldGrid:
+                     eps_c: np.ndarray, eps_i: np.ndarray
+                     ) -> tuple[_MeanFieldGrid, list[MeanFieldError | None]]:
     """mean_field over arrays of coupling pairs and branch signs (0 in an
-    unbroken direction).
+    unbroken direction), plus per point None or the MeanFieldError of a
+    point whose gradient fails the stationarity check.
 
     Elementwise numpy arithmetic and sqrt round exactly as Python floats
     do; powers go through per_element.
@@ -259,12 +265,12 @@ def _mean_field_grid(om: float, om0_c: float, om0_i: float,
         2.0 * om0_i * x_i - 4.0 * lam_i * v * hprime(x_i, s_i)])
     bad = np.abs(grad).max(axis=0) > GRADIENT_TOL * max(om, om0_c, om0_i,
                                                          1.0)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise MeanFieldError("stationarity violated at the closed-form "
-                             f"minimum: {tuple(grad[:, k].tolist())}")
+    errors: list[MeanFieldError | None] = [None] * len(bad)
+    for k in np.flatnonzero(bad):
+        errors[k] = MeanFieldError("stationarity violated at the closed-form "
+                                   f"minimum: {tuple(grad[:, k].tolist())}")
     return _MeanFieldGrid(u=u, v=v, x_c=x_c, x_i=x_i, mu_c=mu_c, mu_i=mu_i,
-                          energy=f)
+                          energy=f), errors
 
 
 def double_quadrature_matrix(p: DoubleDickeParams,
@@ -276,8 +282,7 @@ def double_quadrature_matrix(p: DoubleDickeParams,
 
     Identical for all symmetry branches (the entries are even in the
     coherence signs)."""
-    _, args = _one_point(p, branch)
-    mf = _mean_field_grid(*args)
+    _, args, mf = _one_point(p, branch)
     return _hessian_grid(*args[:5], mf)[0], mf.energy.item()
 
 
@@ -423,8 +428,11 @@ def hp_double(p: DoubleDickeParams) -> FluctuationReport:
         raise CriticalPointDivergence(
             "photon fluctuations diverge on a critical line",
             quantity="hp", exponent=-0.25)
-    return _double_thermo_grid(p.omega_cav, p.omega0_c, p.omega0_i,
-                               [p.lambda_c], [p.lambda_i]).photon[0]
+    g = _double_thermo_grid(p.omega_cav, p.omega0_c, p.omega0_i,
+                            [p.lambda_c], [p.lambda_i])
+    if g.errors[0] is not None:
+        raise g.errors[0]
+    return g.photon[0]
 
 
 def entropy_double(p: DoubleDickeParams, include_degeneracy: bool = True,
@@ -445,7 +453,9 @@ class _DoubleThermoGrid:
 
     photon holds hp_double's report, None on a critical line away from a
     finite double point.  There dx and dp are nan, hp and the entropies
-    inf, and the gaps still hold (the lowest is 0).
+    inf, and the gaps still hold (the lowest is 0).  errors holds None or
+    the error of a point that failed; its dx, dp, hp and entropies are
+    nan.
     """
 
     info: list[DoublePhaseInfo]
@@ -454,6 +464,7 @@ class _DoubleThermoGrid:
     dx: list[float]
     dp: list[float]
     hp: list[float]
+    errors: list[HpDickeError | None]
     entropy: _EntropyColumns
 
 
@@ -466,7 +477,9 @@ def _double_thermo_grid(omega_cav: float, omega0_c: float, omega0_i: float,
 
     The quadrature forms are built as one stack and diagonalized by one
     batched eigen-decomposition; rows on a critical line take hp_double's
-    closed forms.
+    closed forms.  Next to a finite double point the soft gap is linear
+    in the distance, so within about 1e-9 the Krein step finds it zero;
+    those rows take the double point's closed form, good to that order.
     """
     lam_c = np.asarray(lambda_c, dtype=float)
     lam_i = np.asarray(lambda_i, dtype=float)
@@ -477,17 +490,25 @@ def _double_thermo_grid(omega_cav: float, omega0_c: float, omega0_i: float,
     # the default branch: +1 in a broken direction, else 0
     eps_c, eps_i = np.array([_broken(i) for i in info], dtype=float).T
     args = (omega_cav, omega0_c, omega0_i, lam_c, lam_i)
-    G = _hessian_grid(*args, _mean_field_grid(*args, eps_c, eps_i))
-    gaps, photon = _bogoliubov_stack(_nambu_stack(G), ~on_line)
-    for k in np.flatnonzero(on_line):
+    mf, errors = _mean_field_grid(*args, eps_c, eps_i)
+    G = _hessian_grid(*args, mf)
+    gaps, photon, late = _bogoliubov_stack(_nambu_stack(G), ~on_line)
+    errors = [e or e_late for e, e_late in zip(errors, late)]
+    for k, exc in enumerate(errors):
         try:
-            photon[k] = hp_double(params[k])
+            if on_line[k]:
+                photon[k] = hp_double(params[k])
+            elif isinstance(exc, GaplessError):
+                photon[k] = heisenberg_product(
+                    occupation=double_point_hp(params[k]) - 0.5)
+                errors[k] = None
         except CriticalPointDivergence:
             pass
-    hp = [math.inf if r is None else r.hp for r in photon]
+    hp = [math.nan if e is not None else math.inf if r is None else r.hp
+          for r, e in zip(photon, errors)]
     offsets = [_OFFSET_BITS[i.degeneracy] for i in info]
     return _DoubleThermoGrid(
         info=info, gaps=gaps.tolist(), photon=photon,
         dx=[math.nan if r is None else r.dx for r in photon],
         dp=[math.nan if r is None else r.dp for r in photon], hp=hp,
-        entropy=_entropy_columns(hp, offsets, renyi_alphas))
+        errors=errors, entropy=_entropy_columns(hp, offsets, renyi_alphas))

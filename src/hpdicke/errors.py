@@ -43,6 +43,11 @@ class InstabilityError(HpDickeError):
     """
 
 
+class GaplessError(InstabilityError):
+    """Exactly one mode energy is zero to working precision: the form lies
+    on a critical line as far as the diagonalization can tell."""
+
+
 class ConvergenceError(HpDickeError):
     """An iterative eigensolver failed to converge."""
 

@@ -24,7 +24,7 @@ from .ed import (DEFAULT_BUDGET_NNZ, DEFAULT_SEED, EDBasis, converge_cutoff,
 from .double_ed import (DoubleEDBasis, converge_cutoff_double,
                         photon_entropy_double, photon_moments_double)
 from .errors import BudgetExceeded, DomainError
-from .sweeps import SweepConfig, _fmt, run_sweep, write_atomic
+from .sweeps import SweepConfig, _csv_lines, run_sweep, write_atomic
 
 __all__ = ["FigureReport", "reproduce_figure"]
 
@@ -58,8 +58,7 @@ def _figure_header(figure: int, seed: int, columns: list[str]) -> list[str]:
 def _write_table(path: str, figure: int, seed: int, columns: list[str],
                  rows: list[dict]) -> None:
     lines = _figure_header(figure, seed, columns)
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
+    lines += _csv_lines([[row[c] for row in rows] for c in columns])
     write_atomic(path, "\n".join(lines) + "\n")
 
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InstabilityError, UncertaintyViolation
+from .errors import (DomainError, GaplessError, HpDickeError,
+                     InstabilityError, UncertaintyViolation)
 
 LN2 = math.log(2.0)
 
@@ -273,7 +274,7 @@ def _krein_transform(ev: np.ndarray, vec: np.ndarray, n: int, scale: float,
     order = np.argsort(ev)
     pos = order[ev[order] > tol * scale]
     if pos.size != n:
-        raise InstabilityError(
+        raise (GaplessError if pos.size == n - 1 else InstabilityError)(
             f"{pos.size} positive mode energies for {n} modes; "
             "form is gapless or unstable")
 
@@ -345,7 +346,8 @@ def symplectic_diagonalize(form: QuadraticForm,
 
 
 def _bogoliubov_stack(M: np.ndarray, stable: np.ndarray, tol: float = 1e-9
-                      ) -> tuple[np.ndarray, list[FluctuationReport | None]]:
+                      ) -> tuple[np.ndarray, list[FluctuationReport | None],
+                                 list[HpDickeError | None]]:
     """Gaps and mode-0 vacuum moments of a stack of 2n x 2n matrices M
     (as form_matrix gives them), from one batched eigen-decomposition.
 
@@ -353,22 +355,32 @@ def _bogoliubov_stack(M: np.ndarray, stable: np.ndarray, tol: float = 1e-9
     photon_moments_from_solution(symplectic_diagonalize(form)) of a form
     with matrix M[k] and no linear terms.  Moments are computed where
     stable[k] is set and are None elsewhere, so rows on a phase boundary
-    still get their gaps.
+    still get their gaps.  A row whose gaps, Krein step or moments raise
+    gets its error in errors[k] (and nan gaps if they did not pair).
     """
     n = M.shape[-1] // 2
     ev, vec = np.linalg.eig(_sigma_z(n) @ M)
-    scale = [max(np.linalg.norm(m), 1e-300) for m in M]
-    gaps = np.array([_paired_gaps(e.copy(), n, s, tol)
-                     for e, s in zip(ev, scale)])
+    gaps = np.full((len(M), n), math.nan)
     moments: list[FluctuationReport | None] = [None] * len(M)
-    for k in np.flatnonzero(stable):
-        _, T = _krein_transform(ev[k], vec[k], n, scale[k], tol)
-        moments[k] = _vacuum_moments(T, 0j, 0)
-    return gaps, moments
+    errors: list[HpDickeError | None] = [None] * len(M)
+    raw = {}
+    for k, m in enumerate(M):
+        scale = max(np.linalg.norm(m), 1e-300)
+        try:
+            gaps[k] = _paired_gaps(ev[k].copy(), n, scale, tol)
+            if stable[k]:
+                _, T = _krein_transform(ev[k], vec[k], n, scale, tol)
+                raw[k] = _vacuum_moments(T, 0j, 0)
+        except HpDickeError as exc:
+            errors[k] = exc
+    for k, *report_and_error in zip(raw, *_reports(list(raw.values()))):
+        moments[k], errors[k] = report_and_error
+    return gaps, moments, errors
 
 
 def _vacuum_moments(T: np.ndarray, mean: complex,
-                    mode_index: int) -> FluctuationReport:
+                    mode_index: int) -> tuple[complex, complex, float]:
+    """<a>, <a^2> and <a^dag a> of one mode in the polariton vacuum."""
     n = T.shape[0] // 2
     sz = _sigma_z(n)
     t_inv = sz @ T.conj().T @ sz
@@ -376,9 +388,7 @@ def _vacuum_moments(T: np.ndarray, mean: complex,
     P, Q = row[:n], row[n:]
     n_occ = float(np.sum(np.abs(Q) ** 2))
     sq = complex(np.sum(P * Q))
-    return heisenberg_product(mean_a=mean,
-                              a_sq=sq + mean * mean,
-                              occupation=n_occ + abs(mean) ** 2)
+    return mean, sq + mean * mean, n_occ + abs(mean) ** 2
 
 
 def photon_moments_from_solution(sol: BogoliubovSolution,
@@ -391,8 +401,8 @@ def photon_moments_from_solution(sol: BogoliubovSolution,
     n = sol.n_modes
     if not 0 <= mode_index < n:
         raise DomainError(f"mode_index {mode_index} out of range for {n} modes")
-    return _vacuum_moments(sol.transform,
-                           complex(sol.displacements[mode_index]), mode_index)
+    return heisenberg_product(*_vacuum_moments(
+        sol.transform, complex(sol.displacements[mode_index]), mode_index))
 
 
 def heisenberg_product(mean_a: complex = 0.0, a_sq: complex = 0.0,
@@ -405,42 +415,71 @@ def heisenberg_product(mean_a: complex = 0.0, a_sq: complex = 0.0,
     dx, dp and their product.  Inputs whose <a^2>_c is already real are
     reported unrotated, so a physically larger dp stays on dp.
     """
+    (report,), (error,) = _reports([(mean_a, a_sq, occupation)])
+    if error is not None:
+        raise error
+    return report
+
+
+def _reports(moments: list[tuple]) -> tuple[
+        list[FluctuationReport | None], list[UncertaintyViolation | None]]:
+    """heisenberg_product over (<a>, <a^2>, <a^dag a>) triples: each mode
+    is rotated on its own, and the quadratures of all are one array step.
+    A triple that breaks the bound gets None and its error."""
+    aligned = [_aligned(*m) for m in moments]
+    n_occ, dx, dp, hp, errors = _quadratures(
+        np.array([a[2] for a in aligned], dtype=float),
+        np.array([a[3] for a in aligned], dtype=float))
+    reports = [None if e is not None else
+               FluctuationReport(mean_a=mean, n_occ=n, sq=sq_c, dx=x, dp=p,
+                                 hp=h, zeta=zeta, phi=phi)
+               for (mean, sq_c, _, _, zeta, phi), n, x, p, h, e
+               in zip(aligned, n_occ.tolist(), dx.tolist(), dp.tolist(),
+                      hp.tolist(), errors)]
+    return reports, errors
+
+
+def _aligned(mean_a: complex, a_sq: complex, occupation: float) -> tuple:
+    """<a>, <a^2>_c and n_c of one mode, then <a^2>_c along the squeezing
+    axis, zeta and phi of the rotation that puts it there."""
     mean = complex(mean_a)
     sq_c = complex(a_sq) - mean * mean
     n_c = float(occupation) - abs(mean) ** 2
-    if n_c < -HP_CLAMP_BAND:
-        raise UncertaintyViolation(
-            f"centered occupation {n_c:.3e} is negative")
-    n_c = max(n_c, 0.0)
-
     im, re = sq_c.imag, sq_c.real
     if abs(im) <= 1e-12 * max(1.0, abs(sq_c)):
-        phi = 0.0
-        zeta = 0.0
-        sq_aligned = re
-    else:
-        phi = 0.5 * math.atan2(im, re)
-        if phi < 0.0:
-            phi += math.pi
-        zeta = -(im * im)
-        sq_aligned = abs(sq_c)
+        return mean, sq_c, n_c, re, 0.0, 0.0
+    phi = 0.5 * math.atan2(im, re)
+    if phi < 0.0:
+        phi += math.pi
+    return mean, sq_c, n_c, abs(sq_c), -(im * im), phi
 
-    dx2 = 0.5 + n_c + sq_aligned
-    dp2 = 0.5 + n_c - sq_aligned
-    if dx2 <= 0.0 or dp2 <= 0.0:
-        raise UncertaintyViolation(
-            f"negative quadrature variance (dx^2={dx2:.3e}, dp^2={dp2:.3e})")
-    dx = math.sqrt(dx2)
-    dp = math.sqrt(dp2)
-    hp = dx * dp
-    if hp < 0.5 - HP_CLAMP_BAND:
-        raise UncertaintyViolation(
-            f"uncertainty product {hp!r} below the Heisenberg bound")
-    if hp < 0.5:
-        hp = 0.5
-        dp = hp / dx
-    return FluctuationReport(mean_a=mean, n_occ=n_c, sq=sq_c, dx=dx, dp=dp,
-                             hp=hp, zeta=zeta, phi=phi)
+
+def _quadratures(n_c: np.ndarray, sq: np.ndarray):
+    """n_occ, dx, dp, hp and errors over arrays of modes with centered
+    occupation n_c and real centered <a^2> = sq, each point bitwise what
+    scalar float code gives.  Values within HP_CLAMP_BAND below a bound
+    are clamped onto it; a point further below gets nan and its
+    UncertaintyViolation in errors, leaving the other points as they are.
+    """
+    n_occ = np.where(0.0 > n_c, 0.0, n_c)
+    dx2 = 0.5 + n_occ + sq
+    dp2 = 0.5 + n_occ - sq
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dx, dp = np.sqrt(dx2), np.sqrt(dp2)
+        hp = dx * dp
+        clamp = hp < 0.5
+        hp_out = np.where(clamp, 0.5, hp)
+        dp = np.where(clamp, 0.5 / dx, dp)
+    bad = ((n_c < -HP_CLAMP_BAND) | (dx2 <= 0.0) | (dp2 <= 0.0)
+           | (hp < 0.5 - HP_CLAMP_BAND))
+    errors: list[UncertaintyViolation | None] = [None] * len(n_c)
+    for k in np.flatnonzero(bad):
+        errors[k] = UncertaintyViolation(
+            f"moments break the Heisenberg bound: centered occupation "
+            f"{n_c[k]:.3e}, dx^2 {dx2[k]:.3e}, dp^2 {dp2[k]:.3e}, "
+            f"dx dp {hp[k]:.17g}")
+        dx[k] = dp[k] = hp_out[k] = math.nan
+    return n_occ, dx, dp, hp_out, errors
 
 
 def _clamped_hp(hp: float) -> float:
@@ -499,14 +538,15 @@ def _entropy_columns(hp, degeneracy_offsets,
                      renyi_alphas: tuple[float, ...] = ()) -> _EntropyColumns:
     """entropy_from_hp over a column of uncertainty products, each value
     bitwise equal to the scalar one.  An infinite hp marks a divergence
-    and gives inf in every entropy column."""
+    and gives inf in every entropy column; a nan hp (a failed point)
+    gives nan."""
     s_vn, bare = [], []
     renyi: dict[float, list[float]] = {float(a): [] for a in renyi_alphas}
     for h, offset in zip(hp, degeneracy_offsets):
-        if h == math.inf:
-            s = b = math.inf
+        if not h < math.inf:
+            s = b = h
             for column in renyi.values():
-                column.append(math.inf)
+                column.append(h)
         else:
             _check_offset(offset)
             h = _clamped_hp(h)

@@ -6,12 +6,18 @@ polar angle in the (lambda_C, lambda_I) plane.  A thermo sweep computes
 the whole grid at once, an ED sweep point by point.  Rows always appear
 in grid order; identical config and seed give byte-identical files.
 
+A sweep's result is a SweepTable: one list per output column plus a
+failed flag per row.  The renderers format it a column at a time, with
+one formatter per column chosen from the kind of its cells.
+
 Divergences are first-class results: a field whose value diverges at a
 critical point is written as the literal string "inf" with the reason
 column set, never as an error.  Fields whose finite limit exists but is
 not evaluated exactly on the line are written as "nan" with the same
-reason.  Per-row solver failures are recorded in-row and counted; only
-BudgetExceeded aborts a sweep.
+reason.  A row whose solver fails, thermo or ED, keeps its coordinates
+and phase labels, gets nan computed cells and the reason "solver:
+<error class>", and is flagged failed; only BudgetExceeded aborts a
+sweep.
 """
 
 from __future__ import annotations
@@ -23,8 +29,10 @@ import math
 import os
 import tempfile
 import warnings
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields as dc_fields
+from itertools import repeat
 
 import numpy as np
 
@@ -39,8 +47,9 @@ from .double_ed import (DoubleEDBasis, build_double_hamiltonian,
                         photon_entropy_double, photon_moments_double)
 from .errors import BudgetExceeded, ConfigError, CutoffWarning, HpDickeError
 
-__all__ = ["SCHEMA", "SweepConfig", "SweepRow", "run_sweep", "radial_sweep",
-           "sweep_rows", "render_csv", "render_json", "write_atomic"]
+__all__ = ["SCHEMA", "SweepConfig", "SweepRow", "SweepTable", "run_sweep",
+           "radial_sweep", "sweep_rows", "render_csv", "render_json",
+           "write_atomic"]
 
 SCHEMA = "hpdicke-sweep-v1"
 
@@ -200,26 +209,31 @@ def _coerced(kwargs: dict, known: dict) -> dict:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One grid point: column names and values, plus a warning flag."""
+    """One grid point: column names and values, plus the failed flag; a
+    view that SweepTable builds on demand."""
 
     index: int
     values: dict = field(default_factory=dict)
     failed: bool = False
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        v = float(v)
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        if math.isnan(v):
-            return "nan"
-        return format(v, ".17g")
-    return str(v)
+class SweepTable(Sequence):
+    """A sweep's result: columns maps each output column to its cells in
+    grid order, failed holds one flag per row, and indexing gives
+    SweepRow views."""
+
+    def __init__(self, columns: dict[str, Sequence], failed: list[bool]):
+        self.columns = columns
+        self.failed = failed
+
+    def __len__(self) -> int:
+        return len(self.failed)
+
+    def __getitem__(self, i: int) -> SweepRow:
+        i = range(len(self))[i]
+        return SweepRow(index=i, values={c: col[i] for c, col
+                                         in self.columns.items()},
+                        failed=self.failed[i])
 
 
 def columns_for(cfg: SweepConfig) -> list[str]:
@@ -242,49 +256,48 @@ def columns_for(cfg: SweepConfig) -> list[str]:
             "dx", "dp", "hp", "s_vn", "reason"]
 
 
-def _thermo_rows(cfg: SweepConfig) -> list[SweepRow]:
+def _thermo_rows(cfg: SweepConfig) -> SweepTable:
     """All rows of a thermo sweep, from one grid evaluation of the
     request.  Divergent cells are inf with the reason critical-point; on
     a double-model line the bounded quadrature's limit is not evaluated
-    exactly, so dx and dp are nan there."""
+    exactly, so dx and dp are nan there.  A point whose solve failed
+    gets nan in every computed column."""
     x = cfg.grid()
     if cfg.model == "dicke":
         g = _thermo_grid(cfg.omega, cfg.omega0, x, cfg.renyi)
         coupling = x.tolist()
         cols = {"coupling": coupling,
                 "dist_cr": [c - i.lambda_cr for c, i in zip(coupling, g.info)],
-                "critical": [i.critical for i in g.info],
-                "gap_minus": g.gap_minus, "gap_plus": g.gap_plus}
+                "critical": [i.critical for i in g.info]}
+        computed = {"gap_minus": g.gap_minus, "gap_plus": g.gap_plus}
     else:
         lam_c = (x * math.cos(cfg.theta)).tolist()
         lam_i = (x * math.sin(cfg.theta)).tolist()
         g = _double_thermo_grid(cfg.omega, cfg.omega0_c, cfg.omega0_i,
                                 lam_c, lam_i, cfg.renyi)
-        gap_1, gap_2, gap_3 = zip(*g.gaps)
         cols = {"r": x.tolist(), "theta": [cfg.theta] * len(x),
                 "lambda_c": lam_c, "lambda_i": lam_i,
                 "dist_c": [c - i.lambda_c_cr for c, i in zip(lam_c, g.info)],
                 "dist_i": [c - i.lambda_i_cr for c, i in zip(lam_i, g.info)],
                 "critical_c": [i.critical_c for i in g.info],
-                "critical_i": [i.critical_i for i in g.info],
-                "gap_1": gap_1, "gap_2": gap_2, "gap_3": gap_3}
+                "critical_i": [i.critical_i for i in g.info]}
+        computed = dict(zip(("gap_1", "gap_2", "gap_3"),
+                            map(list, zip(*g.gaps))))
     ent = g.entropy
-    cols.update(index=range(len(x)), phase=[i.phase.value for i in g.info],
-                dx=g.dx, dp=g.dp, hp=g.hp, s_vn=ent.s_vn,
-                s_vn_bare=ent.s_vn_bare,
-                reason=["critical-point" if h == math.inf else ""
-                        for h in g.hp])
+    computed.update(dx=g.dx, dp=g.dp, hp=g.hp, s_vn=ent.s_vn,
+                    s_vn_bare=ent.s_vn_bare)
     for a in cfg.renyi:
-        cols[f"renyi_{format(a, 'g')}"] = ent.s_renyi[a]
-    names = columns_for(cfg)
-    return [SweepRow(index=i, values=dict(zip(names, vals)))
-            for i, vals in enumerate(zip(*(cols[c] for c in names)))]
-
-
-def _nan_ed_values(note: str) -> dict:
-    return dict(n_max_used=0, ground_energy=math.nan, gap01=math.nan,
-                parity=math.nan, converged=False, dx=math.nan, dp=math.nan,
-                hp=math.nan, s_vn=math.nan, reason=note)
+        computed[f"renyi_{format(a, 'g')}"] = ent.s_renyi[a]
+    reason = ["critical-point" if h == math.inf else "" for h in g.hp]
+    for k, exc in enumerate(g.errors):
+        if exc is not None:
+            reason[k] = f"solver: {type(exc).__name__}"
+            for column in computed.values():
+                column[k] = math.nan
+    cols.update(computed, index=range(len(x)),
+                phase=[i.phase.value for i in g.info], reason=reason)
+    return SweepTable({c: cols[c] for c in columns_for(cfg)},
+                      [e is not None for e in g.errors])
 
 
 def _ed_row(cfg: SweepConfig, i: int, x: float) -> SweepRow:
@@ -328,7 +341,10 @@ def _ed_row(cfg: SweepConfig, i: int, x: float) -> SweepRow:
     except BudgetExceeded:
         raise
     except HpDickeError as exc:
-        base.update(_nan_ed_values(f"solver: {type(exc).__name__}"))
+        base.update(n_max_used=0, ground_energy=math.nan, gap01=math.nan,
+                    parity=math.nan, converged=False, dx=math.nan,
+                    dp=math.nan, hp=math.nan, s_vn=math.nan,
+                    reason=f"solver: {type(exc).__name__}")
         return SweepRow(index=i, values=base, failed=True)
     base.update(n_max_used=res.n_max_used, ground_energy=res.ground_energy,
                 gap01=res.gap01, parity=res.parity,
@@ -337,8 +353,8 @@ def _ed_row(cfg: SweepConfig, i: int, x: float) -> SweepRow:
     return SweepRow(index=i, values=base)
 
 
-def sweep_rows(cfg: SweepConfig) -> list[SweepRow]:
-    """All rows of the sweep, in grid order.
+def sweep_rows(cfg: SweepConfig) -> SweepTable:
+    """All rows of the sweep, in grid order, as one table.
 
     A thermo sweep is evaluated over its whole grid at once.  ED rows may
     be computed in parallel; they are scheduled largest grid value first
@@ -352,8 +368,12 @@ def sweep_rows(cfg: SweepConfig) -> list[SweepRow]:
         order = sorted(jobs, key=lambda j: -abs(j[2]))
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             done = list(pool.map(_ed_row, *zip(*order)))
-        return sorted(done, key=lambda r: r.index)
-    return [_ed_row(*j) for j in jobs]
+        rows = sorted(done, key=lambda r: r.index)
+    else:
+        rows = [_ed_row(*j) for j in jobs]
+    return SweepTable({c: [r.values[c] for r in rows]
+                       for c in columns_for(cfg)},
+                      [r.failed for r in rows])
 
 
 def _header_lines(cfg: SweepConfig, cols: list[str]) -> list[str]:
@@ -367,40 +387,67 @@ def _header_lines(cfg: SweepConfig, cols: list[str]) -> list[str]:
     ]
 
 
-def render_csv(cfg: SweepConfig, rows: list[SweepRow]) -> str:
+# the kind of a cell's type; bool comes first, as bool subclasses int
+_KINDS = ((bool, (bool, np.bool_)), (int, (int, np.integer)),
+          (float, (float, np.floating)), (str, (str,)))
+
+
+def _texts(column, quoted: bool) -> list[str]:
+    """The cells of column as CSV text, or as JSON values when quoted, all
+    formatted by the one formatter that the kind they share selects."""
+    kinds = {next((kind for kind, members in _KINDS
+                   if issubclass(t, members)), t)
+             for t in set(map(type, column))}
+    if len(kinds) > 1 or not kinds <= {bool, int, float, str}:
+        raise TypeError(f"column cells are not of one kind: {kinds}")
+    kind = kinds.pop() if kinds else str
+    if kind is bool:
+        return ["true" if v else "false" for v in column]
+    if kind is int:
+        return list(map(str, map(int, column)))
+    if kind is str:
+        if not quoted:
+            return list(column)
+        text = {v: json.dumps(v) for v in set(column)}
+        return [text[v] for v in column]
+    if quoted:
+        # a finite repr ends in a digit; inf, -inf and nan become strings
+        texts = map(float.__repr__, map(float, column))
+        return [t if t[-1].isdigit() else f'"{t}"' for t in texts]
+    # .17g spells infinities and nan as inf, -inf and nan
+    return list(map(format, map(float, column), repeat(".17g")))
+
+
+def _csv_lines(columns) -> list[str]:
+    """The CSV lines of rows given as columns."""
+    return list(map(",".join, zip(*(_texts(c, False) for c in columns))))
+
+
+def render_csv(cfg: SweepConfig, table: SweepTable) -> str:
     cols = columns_for(cfg)
     lines = _header_lines(cfg, cols)
-    for row in rows:
-        lines.append(",".join(_fmt(row.values.get(c, "nan")) for c in cols))
+    lines += _csv_lines([table.columns[c] for c in cols])
     return "\n".join(lines) + "\n"
 
 
-def render_json(cfg: SweepConfig, rows: list[SweepRow]) -> str:
+def render_json(cfg: SweepConfig, table: SweepTable) -> str:
+    """The payload as json.dumps(indent=1) lays it out; the rows, which
+    hold nearly all of it, are written here a column at a time."""
     cols = columns_for(cfg)
-    payload = {
+    head = json.dumps({
         "schema": SCHEMA,
         "version": __version__,
         "config_sha256": cfg.config_sha256(),
         "seed": cfg.seed,
         "units": "frequencies and couplings in units of omega_cav",
         "columns": cols,
-        "rows": [[_json_value(r.values.get(c, math.nan)) for c in cols]
-                 for r in rows],
-    }
-    return json.dumps(payload, indent=1, sort_keys=False) + "\n"
-
-
-def _json_value(v):
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (float, np.floating)):
-        v = float(v)
-        if math.isinf(v) or math.isnan(v):
-            return _fmt(v)
-        return v
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    return v
+        "rows": [],
+    }, indent=1)
+    texts = [_texts(table.columns[c], True) for c in cols]
+    rows = ",\n".join(["  [\n   " + ",\n   ".join(cells) + "\n  ]"
+                       for cells in zip(*texts)])
+    # head ends with the empty rows list: '"rows": []\n}'
+    return head[:-len("[]\n}")] + "[\n" + rows + "\n ]\n}\n"
 
 
 def write_atomic(path: str, text: str):
@@ -427,14 +474,14 @@ def run_sweep(cfg: SweepConfig) -> tuple[str, int]:
     """
     if not cfg.out:
         raise ConfigError("no output path configured")
-    rows = sweep_rows(cfg)
-    text = (render_csv if cfg.format == "csv" else render_json)(cfg, rows)
+    table = sweep_rows(cfg)
+    text = (render_csv if cfg.format == "csv" else render_json)(cfg, table)
     write_atomic(cfg.out, text)
-    return cfg.out, sum(1 for r in rows if r.failed)
+    return cfg.out, sum(table.failed)
 
 
 def radial_sweep(theta: float, r_min: float, r_max: float, steps: int,
-                 mode: str = "thermo", **overrides) -> list[SweepRow]:
+                 mode: str = "thermo", **overrides) -> SweepTable:
     """Double-model sweep along a polar ray; convenience wrapper used by
     the figure generators and tests."""
     cfg = SweepConfig.from_dict(dict(model="double-dicke", mode=mode,

@@ -12,8 +12,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConvergenceError, DomainError
-from .gaussian import QuadraticForm
+from hpdicke.errors import ConvergenceError, DomainError
+from hpdicke.gaussian import QuadraticForm
 
 __all__ = [
     "build_fock_hamiltonian",

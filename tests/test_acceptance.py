@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import random_stable_form
-from hpdicke import fock
+import fock
 from hpdicke.dicke import (DickeParams, entropy_thermo, hp_thermo,
                            lambda_critical, solve_thermo)
 from hpdicke.double import (DoubleDickeParams, double_point_hp,

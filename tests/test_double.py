@@ -9,7 +9,8 @@ from hpdicke.double import (DoubleDickeParams, DoublePhase,
                             double_gaps, double_point_hp, entropy_double,
                             hp_double, lower_polariton, mean_field,
                             soft_mode_count, solve_double_thermo)
-from hpdicke.errors import BranchError, CriticalPointDivergence, RegimeError
+from hpdicke.errors import (BranchError, CriticalPointDivergence,
+                            GaplessError, RegimeError)
 from hpdicke.fits import fit_critical_exponent
 from hpdicke.gaussian import form_matrix
 
@@ -284,6 +285,41 @@ class TestDoublePoint:
     def test_mismatched_matter_frequencies_diverge(self):
         with pytest.raises(CriticalPointDivergence):
             hp_double(P(1, 1.0, 1.0 + 1e-5, 0.5, math.sqrt(1.0 + 1e-5) / 2))
+
+
+class TestDoublePointBand:
+    """Within about 1e-9 of a finite double point the Krein step finds the
+    soft gap zero; hp there is the double point's closed form, which hp
+    approaches linearly in the distance d."""
+
+    @staticmethod
+    def _hp(om0: float, d: float) -> float:
+        lam = math.sqrt(om0) / 2 * (1 - d)
+        return hp_double(P(1.0, om0, om0, lam, lam)).hp
+
+    @pytest.mark.parametrize("d", [1e-9, 1e-10, -1e-10, 1e-11, -1e-11])
+    def test_band_points_are_finite(self, d):
+        # these raised InstabilityError ("2 positive mode energies")
+        hp_dp = double_point_hp(P(1, 1, 1, 0.5, 0.5))
+        assert abs(self._hp(1.0, d) - hp_dp) < 1e-7
+
+    @pytest.mark.parametrize("om0", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_linear_approach_to_the_double_point(self, om0, sign):
+        hp_dp = double_point_hp(P(1.0, om0, om0, math.sqrt(om0) / 2,
+                                  math.sqrt(om0) / 2))
+        slope = abs(self._hp(om0, sign * 1e-6) - hp_dp) / 1e-6
+        for e in range(6, 13):
+            d = sign * 10.0 ** -e
+            hp = self._hp(om0, d)
+            assert math.isfinite(hp)
+            assert abs(hp - hp_dp) <= 2 * slope * abs(d) + 1e-12, d
+
+    def test_unequal_matter_frequencies_fail_in_the_band(self):
+        wi = 1.0 + 1e-6
+        p = P(1.0, 1.0, wi, 0.5 * (1 - 1e-10), math.sqrt(wi) / 2 * (1 - 1e-10))
+        with pytest.raises(GaplessError):
+            hp_double(p)
 
 
 class TestOffAxisCriticality:

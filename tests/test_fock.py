@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_stable_form
-from hpdicke import fock
+import fock
 from hpdicke.errors import DomainError
 from hpdicke.gaussian import (entropy_from_hp, heisenberg_product,
                               photon_moments_from_solution,

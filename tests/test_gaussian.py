@@ -5,8 +5,9 @@ import pytest
 
 from conftest import random_stable_form
 from hpdicke.errors import DomainError, InstabilityError, UncertaintyViolation
-from hpdicke.gaussian import (_bogoliubov_stack, _entropy_columns,
-                              _nambu_stack, bogoliubov_gaps, entropy_from_hp,
+from hpdicke.gaussian import (HP_CLAMP_BAND, _bogoliubov_stack,
+                              _entropy_columns, _nambu_stack, _quadratures,
+                              bogoliubov_gaps, entropy_from_hp,
                               form_from_xp, form_matrix, heisenberg_product,
                               photon_moments_from_solution, pseudo_energy,
                               renyi_entropy, symplectic_diagonalize,
@@ -187,9 +188,10 @@ class TestStacks:
                                    d=np.zeros(3, complex)))
         stable = np.ones(len(forms), dtype=bool)
         stable[5] = False
-        gaps, moments = _bogoliubov_stack(
+        gaps, moments, errors = _bogoliubov_stack(
             np.array([form_matrix(f) for f in forms]), stable)
         assert moments[5] is None
+        assert errors == [None] * len(forms)
         for k, form in enumerate(forms):
             assert np.array_equal(gaps[k], bogoliubov_gaps(form))
             if k == 5:
@@ -198,6 +200,58 @@ class TestStacks:
             got = moments[k]
             assert (got.dx, got.dp, got.hp, got.n_occ, got.sq) \
                 == (ref.dx, ref.dp, ref.hp, ref.n_occ, ref.sq)
+
+    @staticmethod
+    def _scalar_quadratures(n_c: float, sq: float):
+        """(n_occ, dx, dp, hp) as scalar float code computes them for a
+        real <a^2>, or None where a bound is broken."""
+        if n_c < -HP_CLAMP_BAND:
+            return None
+        n_c = max(n_c, 0.0)
+        dx2 = 0.5 + n_c + sq
+        dp2 = 0.5 + n_c - sq
+        if dx2 <= 0.0 or dp2 <= 0.0:
+            return None
+        dx, dp = math.sqrt(dx2), math.sqrt(dp2)
+        hp = dx * dp
+        if hp < 0.5 - HP_CLAMP_BAND:
+            return None
+        if hp < 0.5:
+            hp = 0.5
+            dp = hp / dx
+        return n_c, dx, dp, hp
+
+    def test_quadratures_match_scalar_arithmetic(self):
+        rng = np.random.default_rng(5)
+        n = rng.uniform(0.0, 5.0, 300)
+        sq = rng.uniform(-1.0, 1.0, 300) * np.sqrt(n * (n + 1.0))
+        # clamp band, negative occupation, negative variance, product
+        # below the bound, and -0.0
+        n = np.concatenate([n, [-4e-10, 0.0, -1e-6, 0.0, 1.0, 0.0, -0.0]])
+        sq = np.concatenate([sq, [0.0, 1e-5, 0.0, 0.5, 2.0, 0.1, 0.0]])
+        n_occ, dx, dp, hp, errors = _quadratures(n, sq)
+        kinds = set()
+        for k, (nk, sk) in enumerate(zip(n.tolist(), sq.tolist())):
+            ref = self._scalar_quadratures(nk, sk)
+            if ref is None:
+                kinds.add("violation")
+                assert isinstance(errors[k], UncertaintyViolation)
+                assert all(math.isnan(a[k]) for a in (dx, dp, hp))
+                continue
+            kinds.add("clamped" if ref[3] == 0.5 else "plain")
+            assert errors[k] is None
+            got = tuple(a[k].item() for a in (n_occ, dx, dp, hp))
+            assert [math.copysign(1.0, v) for v in got] \
+                == [math.copysign(1.0, v) for v in ref]
+            assert got == ref
+        assert kinds == {"violation", "clamped", "plain"}
+        assert sum(e is not None for e in errors) == 4
+
+    def test_entropy_columns_pass_failed_points_through(self):
+        cols = _entropy_columns([0.7, math.nan], [1, 1], (2.0,))
+        assert cols.s_vn[0] == entropy_from_hp(0.7, 1).s_vn
+        assert math.isnan(cols.s_vn[1]) and math.isnan(cols.s_vn_bare[1])
+        assert math.isnan(cols.s_renyi[2.0][1])
 
     def test_entropy_columns_match_entropy_from_hp(self):
         hp = [0.5, 0.5 + 1e-10, 0.61, 2.5, 40.0, math.inf]

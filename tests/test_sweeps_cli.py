@@ -6,18 +6,20 @@ import struct
 import numpy as np
 import pytest
 
-from hpdicke import cli
+from hpdicke import cli, dicke, gaussian
 from hpdicke.dicke import (DickeParams, classify_phase, entropy_thermo,
                            hp_thermo, lambda_critical, solve_thermo)
 from hpdicke.double import (DoubleDickeParams, build_double_quadratic_form,
                             classify_double_phase, double_gaps,
                             entropy_double, hp_double)
-from hpdicke.errors import ConfigError, CriticalPointDivergence
+from hpdicke.errors import (ConfigError, CriticalPointDivergence,
+                            InstabilityError)
 from hpdicke.gaussian import (heisenberg_product,
                               photon_moments_from_solution,
                               symplectic_diagonalize)
-from hpdicke.sweeps import (SweepConfig, _fmt, radial_sweep, render_csv,
-                            render_json, run_sweep, sweep_rows, write_atomic)
+from hpdicke.sweeps import (SweepConfig, _csv_lines, radial_sweep,
+                            render_csv, render_json, run_sweep, sweep_rows,
+                            write_atomic)
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -101,6 +103,11 @@ class TestRendering:
         cfg = SweepConfig.from_dict(dict(GOLDEN_CONFIG))
         text = render_csv(cfg, sweep_rows(cfg))
         assert text == GOLDEN_CSV
+
+    def test_golden_json_reproduced(self):
+        cfg = SweepConfig.from_dict(dict(GOLDEN_CONFIG))
+        with open(os.path.join(GOLDEN_DIR, "dicke_thermo.json")) as fh:
+            assert render_json(cfg, sweep_rows(cfg)) == fh.read()
 
     def test_rerun_is_byte_identical(self):
         cfg = SweepConfig.from_dict(dict(GOLDEN_CONFIG))
@@ -354,8 +361,83 @@ class TestThermoCellsMatchScalarApi:
 
 
 def test_fmt_numpy_bool_matches_python_bool():
-    assert _fmt(np.bool_(True)) == _fmt(True) == "true"
-    assert _fmt(np.bool_(False)) == _fmt(False) == "false"
+    cells = [np.bool_(True), True, np.bool_(False), False]
+    assert _csv_lines([cells]) == ["true", "true", "false", "false"]
+
+
+def _cells_equal(a: dict, b: dict) -> bool:
+    return all(_bits(x) == _bits(y) if isinstance(x, float) else x == y
+               for x, y in zip(a.values(), b.values()))
+
+
+class TestThermoRowFailures:
+    """A thermo point whose solve fails is recorded in its own row: nan
+    computed cells, the error in reason, the failed flag; its neighbours
+    keep their values and the sweep completes."""
+
+    @staticmethod
+    def _check_one_failed(cfg: SweepConfig, table, reference, k: int,
+                          error: str):
+        assert table.failed == [i == k for i in range(len(table))]
+        for i, (row, ref) in enumerate(zip(table, reference)):
+            if i != k:
+                assert _cells_equal(row.values, ref.values)
+                continue
+            v = row.values
+            assert v["reason"] == f"solver: {error}"
+            assert all(math.isnan(v[c]) for c in ("dx", "dp", "hp", "s_vn",
+                                                  "s_vn_bare", "renyi_2"))
+            assert v["phase"] == ref.values["phase"]
+
+    def test_single_chain_moment_failure(self, monkeypatch, tmp_path):
+        cfg = SweepConfig.from_dict(dict(GOLDEN_CONFIG,
+                                         out=str(tmp_path / "s.csv")))
+        reference = sweep_rows(cfg)
+        quadratures = dicke._quadratures
+
+        def negative_occupation_at_1(n_c, sq):
+            n_c = n_c.copy()
+            n_c[1] = -1.0
+            return quadratures(n_c, sq)
+
+        monkeypatch.setattr(dicke, "_quadratures", negative_occupation_at_1)
+        table = sweep_rows(cfg)
+        self._check_one_failed(cfg, table, reference, 1,
+                               "UncertaintyViolation")
+        assert all(math.isnan(table[1].values[c])
+                   for c in ("gap_minus", "gap_plus"))
+        assert run_sweep(cfg) == (cfg.out, 1)
+        assert "solver: UncertaintyViolation" in (tmp_path / "s.csv") \
+            .read_text().splitlines()[7]
+
+    def test_double_model_krein_failure(self, monkeypatch):
+        cfg = SweepConfig.from_dict(_double_ray(4, 7, renyi=(2.0,)))
+        reference = sweep_rows(cfg)
+        krein = gaussian._krein_transform
+        calls = []
+
+        def failing_third_call(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise InstabilityError("forced")
+            return krein(*args)
+
+        monkeypatch.setattr(gaussian, "_krein_transform", failing_third_call)
+        table = sweep_rows(cfg)
+        self._check_one_failed(cfg, table, reference, 2, "InstabilityError")
+
+    def test_mean_field_failure_stays_in_its_row(self):
+        # the stationarity check is absolute, so the closed-form minimum
+        # fails it at large couplings; only those rows fail
+        cfg = SweepConfig.from_dict(dict(model="double-dicke",
+                                         mode="thermo", theta=0.3,
+                                         r_min=0.0, r_max=4000.0, steps=5))
+        table = sweep_rows(cfg)
+        assert table.failed[0] is False and all(table.failed[2:])
+        assert table[0].values["hp"] == hp_double(DoubleDickeParams(
+            1.0, 1.0, 1.0, 0.0, 0.0)).hp
+        assert table[4].values["reason"] == "solver: MeanFieldError"
+        assert math.isnan(table[4].values["gap_1"])
 
 
 class TestFileOutput:
@@ -465,6 +547,25 @@ class TestCli:
                          "--out", str(out)]) == 0
         assert out.read_text() == GOLDEN_CSV
         assert str(out) in capsys.readouterr().err
+
+    def test_sweep_through_the_double_point_band(self, tmp_path):
+        # rows within 1e-9 of the double point aborted this sweep (exit 4)
+        r_cr = math.sqrt(2.0) / 2.0
+        cfg_path = _write_config(tmp_path, "c.json", dict(
+            model="double-dicke", mode="thermo", theta=math.pi / 4,
+            r_min=r_cr * (1 - 2e-9), r_max=r_cr * (1 + 2e-9), steps=5))
+        out = tmp_path / "s.csv"
+        assert cli.main(["sweep", "--config", cfg_path,
+                         "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        cols = lines[5].removeprefix("# columns: ").split(",")
+        rows = [line.split(",") for line in lines if not line.startswith("#")]
+        assert len(rows) == 5
+        for row in rows:
+            v = dict(zip(cols, row))
+            assert v["reason"] == ""
+            assert all(math.isfinite(float(v[c]))
+                       for c in ("dx", "dp", "hp", "s_vn"))
 
     def test_sweep_budget_exit_3(self, tmp_path):
         cfg_path = _write_config(tmp_path, "tiny.json", {
