@@ -24,9 +24,9 @@ import numpy as np
 from .errors import (BranchError, CriticalPointDivergence, DomainError,
                      UncertaintyViolation)
 from .gaussian import (EntropyReport, FluctuationReport, QuadraticForm,
-                       _EntropyColumns, _entropy_columns, _quadratures,
-                       entropy_from_hp, form_from_xp, heisenberg_product,
-                       per_element)
+                       _EntropyColumns, _entropy_columns, entropy_from_hp,
+                       form_from_xp, heisenberg_product, per_element,
+                       quadratures)
 
 __all__ = [
     "DickeParams",
@@ -271,7 +271,7 @@ def _thermo_grid(omega: float, omega0: float, couplings,
         dp2 = 0.5 * (c2 * gap_minus + s2 * gap_plus) / omega
         n_c = np.where(critical, 0.0, 0.5 * (dx2 + dp2) - 0.5)
         sq = np.where(critical, 0.0, 0.5 * (dx2 - dp2))
-    _, dx, dp, hp, errors = _quadratures(n_c, sq)
+    _, dx, dp, hp, errors = quadratures(n_c, sq)
     # on the critical coupling the sin^2 weight of dp is taken as 1 - c2
     dp_crit = np.sqrt(0.5 * (c2 * gap_minus + (1.0 - c2) * gap_plus)
                       / omega)

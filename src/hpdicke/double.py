@@ -32,8 +32,8 @@ from .errors import (BranchError, CriticalPointDivergence, DomainError,
 from .gaussian import (EntropyReport, FluctuationReport, QuadraticForm,
                        _bogoliubov_stack, _EntropyColumns, _entropy_columns,
                        _nambu_stack, bogoliubov_gaps, entropy_from_hp,
-                       form_from_xp, heisenberg_product, per_element,
-                       symplectic_diagonalize)
+                       form_from_xp, heisenberg_product, heisenberg_products,
+                       per_element, symplectic_diagonalize)
 
 __all__ = [
     "DoubleDickeParams",
@@ -56,6 +56,12 @@ __all__ = [
 
 CRITICAL_REL_TOL = 1e-12
 GRADIENT_TOL = 1e-10
+# Relative distance to both critical couplings, per unit of
+# 1 + omega0_C/omega_cav, within which a zero soft gap is read as the
+# double point.  The soft gap there is linear in the distance, and the
+# Krein step reads it as zero below about 1e-9 of that unit (1.7e-6 at
+# omega0_C/omega_cav = 1000); this allows a thousandfold margin.
+DOUBLE_BAND_REL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -416,14 +422,26 @@ def double_point_hp(p: DoubleDickeParams) -> float:
     return 0.5 + 1.0 / math.sqrt(1.0 + 4.0 * ratio * ratio)
 
 
+def _double_point_report(p: DoubleDickeParams) -> FluctuationReport:
+    """hp_double's report at the double point: dx = dp = sqrt(hp)."""
+    return heisenberg_product(occupation=double_point_hp(p) - 0.5)
+
+
+def _next_to_double_point(p: DoubleDickeParams) -> bool:
+    """Whether both couplings are within the double-point band of their
+    critical values."""
+    band = DOUBLE_BAND_REL * (1.0 + p.omega0_c / p.omega_cav)
+    return (abs(p.lambda_c / p.lambda_c_cr - 1.0) <= band
+            and abs(p.lambda_i / p.lambda_i_cr - 1.0) <= band)
+
+
 def hp_double(p: DoubleDickeParams) -> FluctuationReport:
     """Photon quadrature fluctuations.  Diverges on each critical line
     (exponent -1/4 in the distance), except at the double point where the
     two divergences compensate and dx = dp = sqrt(hp)."""
     info = classify_double_phase(p)
     if info.critical_c and info.critical_i:
-        hp = double_point_hp(p)
-        return heisenberg_product(occupation=hp - 0.5)
+        return _double_point_report(p)
     if info.critical_c or info.critical_i:
         raise CriticalPointDivergence(
             "photon fluctuations diverge on a critical line",
@@ -480,6 +498,8 @@ def _double_thermo_grid(omega_cav: float, omega0_c: float, omega0_i: float,
     closed forms.  Next to a finite double point the soft gap is linear
     in the distance, so within about 1e-9 the Krein step finds it zero;
     those rows take the double point's closed form, good to that order.
+    A zero soft gap outside DOUBLE_BAND_REL of the double point leaves
+    the row failed with GaplessError.
     """
     lam_c = np.asarray(lambda_c, dtype=float)
     lam_i = np.asarray(lambda_i, dtype=float)
@@ -492,15 +512,21 @@ def _double_thermo_grid(omega_cav: float, omega0_c: float, omega0_i: float,
     args = (omega_cav, omega0_c, omega0_i, lam_c, lam_i)
     mf, errors = _mean_field_grid(*args, eps_c, eps_i)
     G = _hessian_grid(*args, mf)
-    gaps, photon, late = _bogoliubov_stack(_nambu_stack(G), ~on_line)
+    gaps, moments, late = _bogoliubov_stack(_nambu_stack(G), ~on_line)
     errors = [e or e_late for e, e_late in zip(errors, late)]
+    ok = [k for k, m in enumerate(moments)
+          if m is not None and errors[k] is None]
+    photon: list[FluctuationReport | None] = [None] * len(params)
+    for k, *report_and_error in zip(
+            ok, *heisenberg_products([moments[k] for k in ok])):
+        photon[k], errors[k] = report_and_error
     for k, exc in enumerate(errors):
         try:
             if on_line[k]:
                 photon[k] = hp_double(params[k])
-            elif isinstance(exc, GaplessError):
-                photon[k] = heisenberg_product(
-                    occupation=double_point_hp(params[k]) - 0.5)
+            elif (isinstance(exc, GaplessError)
+                  and _next_to_double_point(params[k])):
+                photon[k] = _double_point_report(params[k])
                 errors[k] = None
         except CriticalPointDivergence:
             pass

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hpdicke import dicke
+from hpdicke import dicke, gaussian
 from hpdicke.double import (DoubleDickeParams, DoublePhase,
                             build_double_quadratic_form, classify_double_phase,
                             double_gaps, double_point_hp, entropy_double,
@@ -314,6 +314,31 @@ class TestDoublePointBand:
             hp = self._hp(om0, d)
             assert math.isfinite(hp)
             assert abs(hp - hp_dp) <= 2 * slope * abs(d) + 1e-12, d
+
+    @pytest.mark.parametrize("lc,li", [(0.5 * (1 - 1e-5), 0.5 * (1 - 1e-5)),
+                                       (0.5 * (1 + 1e-9), 0.5 * (1 + 1e-4)),
+                                       (0.3, 0.2), (2.0, 0.5 * (1 - 1e-9))])
+    def test_zero_gap_away_from_the_double_point_fails(self, monkeypatch,
+                                                        lc, li):
+        def gapless(*args):
+            raise GaplessError("forced")
+
+        monkeypatch.setattr(gaussian, "_krein_transform", gapless)
+        with pytest.raises(GaplessError):
+            hp_double(P(1.0, 1.0, 1.0, lc, li))
+
+    def test_zero_gap_inside_the_band_is_the_double_point(self, monkeypatch):
+        def gapless(*args):
+            raise GaplessError("forced")
+
+        monkeypatch.setattr(gaussian, "_krein_transform", gapless)
+        hp_dp = hp_double(P(2.0, 0.5, 0.5, 0.5, 0.5)).hp
+        # the band is 1e-6 (1 + omega0_C/omega_cav) = 1.25e-6 here
+        for d_c, d_i in ((1.2e-6, -1.2e-6), (1e-9, 3e-7)):
+            assert hp_double(P(2.0, 0.5, 0.5, 0.5 * (1 - d_c),
+                               0.5 * (1 - d_i))).hp == hp_dp
+        with pytest.raises(GaplessError):
+            hp_double(P(2.0, 0.5, 0.5, 0.5 * (1 - 1.3e-6), 0.5 * (1 - 1e-9)))
 
     def test_unequal_matter_frequencies_fail_in_the_band(self):
         wi = 1.0 + 1e-6

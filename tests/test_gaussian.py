@@ -6,7 +6,7 @@ import pytest
 from conftest import random_stable_form
 from hpdicke.errors import DomainError, InstabilityError, UncertaintyViolation
 from hpdicke.gaussian import (HP_CLAMP_BAND, _bogoliubov_stack,
-                              _entropy_columns, _nambu_stack, _quadratures,
+                              _entropy_columns, _nambu_stack, quadratures,
                               bogoliubov_gaps, entropy_from_hp,
                               form_from_xp, form_matrix, heisenberg_product,
                               photon_moments_from_solution, pseudo_energy,
@@ -197,7 +197,7 @@ class TestStacks:
             if k == 5:
                 continue
             ref = photon_moments_from_solution(symplectic_diagonalize(form))
-            got = moments[k]
+            got = heisenberg_product(*moments[k])
             assert (got.dx, got.dp, got.hp, got.n_occ, got.sq) \
                 == (ref.dx, ref.dp, ref.hp, ref.n_occ, ref.sq)
 
@@ -229,7 +229,7 @@ class TestStacks:
         # below the bound, and -0.0
         n = np.concatenate([n, [-4e-10, 0.0, -1e-6, 0.0, 1.0, 0.0, -0.0]])
         sq = np.concatenate([sq, [0.0, 1e-5, 0.0, 0.5, 2.0, 0.1, 0.0]])
-        n_occ, dx, dp, hp, errors = _quadratures(n, sq)
+        n_occ, dx, dp, hp, errors = quadratures(n, sq)
         kinds = set()
         for k, (nk, sk) in enumerate(zip(n.tolist(), sq.tolist())):
             ref = self._scalar_quadratures(nk, sk)

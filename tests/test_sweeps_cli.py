@@ -11,9 +11,9 @@ from hpdicke.dicke import (DickeParams, classify_phase, entropy_thermo,
                            hp_thermo, lambda_critical, solve_thermo)
 from hpdicke.double import (DoubleDickeParams, build_double_quadratic_form,
                             classify_double_phase, double_gaps,
-                            entropy_double, hp_double)
+                            double_point_hp, entropy_double, hp_double)
 from hpdicke.errors import (ConfigError, CriticalPointDivergence,
-                            InstabilityError)
+                            GaplessError, InstabilityError, MeanFieldError)
 from hpdicke.gaussian import (heisenberg_product,
                               photon_moments_from_solution,
                               symplectic_diagonalize)
@@ -393,14 +393,14 @@ class TestThermoRowFailures:
         cfg = SweepConfig.from_dict(dict(GOLDEN_CONFIG,
                                          out=str(tmp_path / "s.csv")))
         reference = sweep_rows(cfg)
-        quadratures = dicke._quadratures
+        quadratures = dicke.quadratures
 
         def negative_occupation_at_1(n_c, sq):
             n_c = n_c.copy()
             n_c[1] = -1.0
             return quadratures(n_c, sq)
 
-        monkeypatch.setattr(dicke, "_quadratures", negative_occupation_at_1)
+        monkeypatch.setattr(dicke, "quadratures", negative_occupation_at_1)
         table = sweep_rows(cfg)
         self._check_one_failed(cfg, table, reference, 1,
                                "UncertaintyViolation")
@@ -433,11 +433,37 @@ class TestThermoRowFailures:
                                          mode="thermo", theta=0.3,
                                          r_min=0.0, r_max=4000.0, steps=5))
         table = sweep_rows(cfg)
-        assert table.failed[0] is False and all(table.failed[2:])
-        assert table[0].values["hp"] == hp_double(DoubleDickeParams(
-            1.0, 1.0, 1.0, 0.0, 0.0)).hp
-        assert table[4].values["reason"] == "solver: MeanFieldError"
-        assert math.isnan(table[4].values["gap_1"])
+        assert table.failed == [False, True, True, True, True]
+        hp_dp = double_point_hp(DoubleDickeParams(1.0, 1.0, 1.0, 0.5, 0.5))
+        for row in table:
+            v = row.values
+            p = DoubleDickeParams(1.0, 1.0, 1.0, v["lambda_c"], v["lambda_i"])
+            assert v["hp"] != hp_dp
+            if not row.failed:
+                assert v["hp"] == hp_double(p).hp
+                continue
+            assert v["reason"] == "solver: MeanFieldError"
+            assert math.isnan(v["hp"]) and math.isnan(v["gap_1"])
+            with pytest.raises(MeanFieldError):
+                hp_double(p)
+
+    def test_zero_gap_away_from_the_double_point_fails(self, monkeypatch):
+        cfg = SweepConfig.from_dict(_double_ray(8, 5, renyi=(2.0,)))
+        reference = sweep_rows(cfg)
+        krein = gaussian._krein_transform
+        calls = []
+
+        def gapless_second_call(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise GaplessError("forced")
+            return krein(*args)
+
+        monkeypatch.setattr(gaussian, "_krein_transform",
+                            gapless_second_call)
+        table = sweep_rows(cfg)
+        # row 1 lies halfway to the double point (row 2)
+        self._check_one_failed(cfg, table, reference, 1, "GaplessError")
 
 
 class TestFileOutput:
