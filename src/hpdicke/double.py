@@ -31,9 +31,10 @@ from .errors import (BranchError, CriticalPointDivergence, DomainError,
                      RegimeError)
 from .gaussian import (EntropyReport, FluctuationReport, QuadraticForm,
                        _bogoliubov_stack, _EntropyColumns, _entropy_columns,
-                       _nambu_stack, bogoliubov_gaps, entropy_from_hp,
-                       form_from_xp, heisenberg_product, heisenberg_products,
-                       per_element, symplectic_diagonalize)
+                       _mode_moments, _nambu_stack, bogoliubov_gaps,
+                       entropy_from_hp, form_from_xp, heisenberg_product,
+                       heisenberg_products, per_element,
+                       symplectic_diagonalize)
 
 __all__ = [
     "DoubleDickeParams",
@@ -217,7 +218,8 @@ def mean_field(p: DoubleDickeParams,
         f = w (u^2 + v^2) + sum_k w0_k (x_k^2 - 1/2)
             + 4 lC u x_C s_C - 4 lI v x_I s_I,   s_k = sqrt(1 - x_k^2).
 
-    The gradient at the returned point is checked below 1e-10.
+    Each gradient component at the returned point is checked below
+    1e-10 of the largest term summed into it.
     """
     (eps_c, eps_i), _, mf = _one_point(p, branch)
     return MeanField(**{k: a.item() for k, a in mf._asdict().items()},
@@ -269,8 +271,15 @@ def _mean_field_grid(om: float, om0_c: float, om0_i: float,
         2.0 * om * v - 4.0 * lam_i * x_i * s_i,
         2.0 * om0_c * x_c + 4.0 * lam_c * u * hprime(x_c, s_c),
         2.0 * om0_i * x_i - 4.0 * lam_i * v * hprime(x_i, s_i)])
-    bad = np.abs(grad).max(axis=0) > GRADIENT_TOL * max(om, om0_c, om0_i,
-                                                         1.0)
+    # Stationarity is judged against the largest term summed into each
+    # component.  hprime's 1 - 2 x^2 (at most 1) cancels at strong
+    # coupling, so its terms count at 4 lambda u / s.
+    size = np.array([
+        np.maximum(np.abs(2.0 * om * u), np.abs(4.0 * lam_c * x_c * s_c)),
+        np.maximum(np.abs(2.0 * om * v), np.abs(4.0 * lam_i * x_i * s_i)),
+        np.maximum(np.abs(2.0 * om0_c * x_c), np.abs(4.0 * lam_c * u / s_c)),
+        np.maximum(np.abs(2.0 * om0_i * x_i), np.abs(4.0 * lam_i * v / s_i))])
+    bad = (np.abs(grad) > GRADIENT_TOL * size).any(axis=0)
     errors: list[MeanFieldError | None] = [None] * len(bad)
     for k in np.flatnonzero(bad):
         errors[k] = MeanFieldError("stationarity violated at the closed-form "
@@ -512,13 +521,12 @@ def _double_thermo_grid(omega_cav: float, omega0_c: float, omega0_i: float,
     args = (omega_cav, omega0_c, omega0_i, lam_c, lam_i)
     mf, errors = _mean_field_grid(*args, eps_c, eps_i)
     G = _hessian_grid(*args, mf)
-    gaps, moments, late = _bogoliubov_stack(_nambu_stack(G), ~on_line)
-    errors = [e or e_late for e, e_late in zip(errors, late)]
-    ok = [k for k, m in enumerate(moments)
-          if m is not None and errors[k] is None]
+    stack = _bogoliubov_stack(_nambu_stack(G), ~on_line)
+    errors = [e or e_late for e, e_late in zip(errors, stack.errors)]
+    ok = [k for k, e in enumerate(errors) if e is None and not on_line[k]]
     photon: list[FluctuationReport | None] = [None] * len(params)
-    for k, *report_and_error in zip(
-            ok, *heisenberg_products([moments[k] for k in ok])):
+    for k, *report_and_error in zip(ok, *heisenberg_products(
+            _mode_moments(stack.transform[ok], 0j, 0))):
         photon[k], errors[k] = report_and_error
     for k, exc in enumerate(errors):
         try:
@@ -534,7 +542,7 @@ def _double_thermo_grid(omega_cav: float, omega0_c: float, omega0_i: float,
           for r, e in zip(photon, errors)]
     offsets = [_OFFSET_BITS[i.degeneracy] for i in info]
     return _DoubleThermoGrid(
-        info=info, gaps=gaps.tolist(), photon=photon,
+        info=info, gaps=stack.gaps.tolist(), photon=photon,
         dx=[math.nan if r is None else r.dx for r in photon],
         dp=[math.nan if r is None else r.dp for r in photon], hp=hp,
         errors=errors, entropy=_entropy_columns(hp, offsets, renyi_alphas))

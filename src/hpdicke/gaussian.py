@@ -4,6 +4,13 @@ Quadratic boson Hamiltonians, their symplectic (Bogoliubov) diagonalization,
 single-mode quadrature fluctuations, and the entropy formulas that depend on
 the uncertainty product alone.
 
+The diagonalization is one stacked step, _bogoliubov_stack: a batched
+eigen-decomposition, then the gap pairing, the Krein-positive transform
+and the vacuum moments as array steps over the stack.  The scalar API
+(bogoliubov_gaps, symplectic_diagonalize, photon_moments_from_solution)
+runs it on a stack of one, so every row of a stack is bitwise what the
+scalar API gives for it.
+
 Conventions: hbar = 1, dimensionless quadratures x = (a + a^dag)/sqrt(2) and
 p = -i (a - a^dag)/sqrt(2), all entropies in bits.
 """
@@ -12,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -233,22 +241,162 @@ def form_from_xp(G: np.ndarray, linear: np.ndarray | None = None,
     return QuadraticForm(A=A, B=B, d=w, e0=const + 0.5 * np.trace(A).real)
 
 
-def _paired_gaps(ev: np.ndarray, n: int, scale: float,
-                 tol: float) -> np.ndarray:
-    """Ascending mode energies from the 2n eigenvalues of Sigma_z M;
-    overwrites ev."""
+def _norms(M: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each matrix of a complex stack, bitwise: the
+    BLAS dots of the real and of the imaginary parts that norm sums."""
+    x = np.ascontiguousarray(M).reshape(len(M), -1)
+    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+
+
+def _mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x[k] for each vector of the stack x."""
+    return np.matmul(a, x[:, :, None])[:, :, 0]
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x[k] @ y[k] for each pair of vectors of the stacks x and y."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
+def _paired_gaps(ev: np.ndarray, scale: np.ndarray, tol: float
+                 ) -> tuple[np.ndarray, list[HpDickeError | None]]:
+    """Ascending mode energies from a stack of the 2n eigenvalues of
+    Sigma_z M, and per row None or the InstabilityError of a row whose
+    energies are complex or do not pair (its gaps are nan)."""
+    n = ev.shape[-1] // 2
+    thr = tol * scale
     # An exact zero mode is a Jordan pair whose numerical eigenvalues
     # scatter by ~sqrt(eps)*scale in any direction; collapse that dust
     # to zero before judging stability.
-    ev[np.abs(ev) < 1e-7 * scale] = 0.0
-    if np.abs(ev.imag).max() > tol * scale:
-        raise InstabilityError(
-            f"complex mode energies (max imag {np.abs(ev.imag).max():.3e})")
-    re = np.sort(ev.real)
-    pos = re[n:]
-    if np.abs(pos + re[:n][::-1]).max() > tol * scale:
-        raise InstabilityError("mode energies do not come in +/- pairs")
-    return np.clip(pos, 0.0, None)
+    ev = np.where(np.abs(ev) < (1e-7 * scale)[:, None], 0.0, ev)
+    imag = np.abs(ev.imag).max(axis=-1)
+    re = np.sort(ev.real, axis=-1)
+    pos = re[:, n:]
+    skew = np.abs(pos + re[:, n - 1::-1]).max(axis=-1)
+    errors: list[HpDickeError | None] = [None] * len(ev)
+    for k in np.flatnonzero((imag > thr) | (skew > thr)):
+        errors[k] = InstabilityError(
+            f"complex mode energies (max imag {imag[k]:.3e})"
+            if imag[k] > thr[k] else "mode energies do not come in +/- pairs")
+    gaps = np.clip(pos, 0.0, None)
+    gaps[[e is not None for e in errors]] = math.nan
+    return gaps, errors
+
+
+def _krein_step(ev: np.ndarray, vec: np.ndarray, scale: np.ndarray,
+                tol: float) -> tuple[np.ndarray, np.ndarray,
+                                     list[HpDickeError | None]]:
+    """Mode energies, polariton transforms T and per-row errors from a
+    stack of eigenpairs of Sigma_z M: keeps the Krein-positive branch
+    and normalizes each row of T to the bosonic commutator.
+
+    The array steps loop over the n modes, never over the stack; each
+    product is the one row-at-a-time code takes with @, so every row is
+    bitwise what it would be alone.  A row that raises keeps its error
+    and leaves the other rows as they are.
+    """
+    n = ev.shape[-1] // 2
+    thr = tol * scale
+    imag = np.abs(ev.imag).max(axis=-1)
+    re = ev.real
+    count = np.count_nonzero(re > thr[:, None], axis=-1)
+    errors: list[HpDickeError | None] = [None] * len(ev)
+    for k in np.flatnonzero((imag > thr) | (count != n)):
+        if imag[k] > thr[k]:
+            errors[k] = InstabilityError(
+                f"complex mode energies (max imag {imag[k]:.3e}); "
+                "expansion point is on the wrong side of a phase boundary")
+        else:
+            errors[k] = (GaplessError if count[k] == n - 1
+                         else InstabilityError)(
+                f"{count[k]} positive mode energies for {n} modes; "
+                "form is gapless or unstable")
+    # with n energies above thr, they are the top n of the ascending order
+    pos = np.argsort(re, axis=-1)[:, n:]
+    gaps = np.take_along_axis(re, pos, axis=-1)
+
+    # Krein-orthonormalize inside near-degenerate groups so the transform
+    # stays symplectic when gaps coincide.  A group runs from its first
+    # gap while the gaps stay within group_tol of that one.
+    group_tol = np.maximum(1e-8 * scale, 10 * tol * scale)
+    first = np.zeros(gaps.shape, dtype=np.intp)
+    for k in range(1, n):
+        lead = first[:, k - 1]
+        joins = gaps[:, k] - np.take_along_axis(
+            gaps, lead[:, None], axis=-1)[:, 0] < group_tol
+        first[:, k] = np.where(joins, lead, k)
+    sz = _sigma_z(n)
+    cols = np.take_along_axis(vec, pos[:, None, :], axis=-1)
+    kept: list[np.ndarray] = []
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for k in range(n):
+            xi = cols[:, :, k].copy()
+            for j, prev in enumerate(kept):
+                proj = xi - prev * _dot(prev.conj(), _mv(sz, xi))[:, None]
+                xi = np.where((first[:, k] <= j)[:, None], proj, xi)
+            s = _dot(xi.conj(), _mv(sz, xi)).real
+            for r in np.flatnonzero(s <= tol):
+                if errors[r] is None:
+                    errors[r] = InstabilityError(
+                        f"non-positive Krein norm {s[r]:.3e} "
+                        f"at gap {gaps[r, k]:.6g}")
+            kept.append(xi / np.sqrt(s)[:, None])
+        phased = []
+        for xi in kept:
+            w = np.matmul(xi.conj()[:, None, :], sz)[:, 0]
+            # Deterministic row phase: largest entry real positive.  |a|
+            # is hypot, as for a scalar; numpy's vectorized complex abs
+            # can differ from it in the last bit.
+            a = np.take_along_axis(w, np.argmax(np.abs(w), axis=-1)[:, None],
+                                   axis=-1)
+            phased.append(w * (np.hypot(a.real, a.imag) / a))
+    rows = np.stack(phased, axis=1)
+    return gaps, np.concatenate([rows, rows.conj() @ _swap_blocks(n)],
+                                axis=1), errors
+
+
+class _BogoliubovStack(NamedTuple):
+    """_bogoliubov_stack over K matrices of n modes.
+
+    gaps: (K, n) mode energies as bogoliubov_gaps gives them, nan in a
+        row whose energies do not pair.
+    modes, transform: (K, n) energies and (K, 2n, 2n) transforms as
+        symplectic_diagonalize gives them, nan in a row not asked for or
+        failed.
+    errors: per row None or the error the row raised.
+    """
+
+    gaps: np.ndarray
+    modes: np.ndarray
+    transform: np.ndarray
+    errors: list[HpDickeError | None]
+
+
+def _bogoliubov_stack(M: np.ndarray, stable: np.ndarray, tol: float = 1e-9
+                      ) -> _BogoliubovStack:
+    """Gaps of a stack of 2n x 2n matrices M (as form_matrix gives them),
+    from one batched eigen-decomposition, and the polariton transforms
+    of the rows where stable[k] is set, so rows on a phase boundary
+    still get their gaps.  bogoliubov_gaps and symplectic_diagonalize
+    are this step on a stack of one.  A row whose gaps do not pair
+    skips the Krein step; its error, or the Krein step's, is errors[k].
+    """
+    n = M.shape[-1] // 2
+    ev, vec = np.linalg.eig(_sigma_z(n) @ M)
+    scale = np.maximum(_norms(M), 1e-300)
+    gaps, errors = _paired_gaps(ev, scale, tol)
+    modes = np.full(gaps.shape, math.nan)
+    transform = np.full(M.shape, math.nan, dtype=complex)
+    rows = np.flatnonzero([s and e is None for s, e in zip(stable, errors)])
+    if len(rows):
+        modes[rows], transform[rows], late = _krein_step(
+            ev[rows], vec[rows], scale[rows], tol)
+        for k, exc in zip(rows.tolist(), late):
+            if exc is not None:
+                errors[k] = exc
+                modes[k] = transform[k] = math.nan
+    return _BogoliubovStack(gaps=gaps, modes=modes, transform=transform,
+                            errors=errors)
 
 
 def bogoliubov_gaps(form: QuadraticForm, tol: float = 1e-9) -> np.ndarray:
@@ -257,60 +405,11 @@ def bogoliubov_gaps(form: QuadraticForm, tol: float = 1e-9) -> np.ndarray:
     Unlike symplectic_diagonalize this tolerates zero gaps, so it can be
     evaluated exactly on a phase boundary.
     """
-    A, B, _, n = _validated(form)
-    M = _nambu(A, B)
-    scale = max(np.linalg.norm(M), 1e-300)
-    return _paired_gaps(np.linalg.eigvals(_sigma_z(n) @ M), n, scale, tol)
-
-
-def _krein_transform(ev: np.ndarray, vec: np.ndarray, n: int, scale: float,
-                     tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gaps and polariton transform T from the eigenpairs of Sigma_z M:
-    keeps the Krein-positive branch and normalizes each row to the
-    bosonic commutator."""
-    if np.abs(ev.imag).max() > tol * scale:
-        raise InstabilityError(
-            f"complex mode energies (max imag {np.abs(ev.imag).max():.3e}); "
-            "expansion point is on the wrong side of a phase boundary")
-    ev = ev.real
-    order = np.argsort(ev)
-    pos = order[ev[order] > tol * scale]
-    if pos.size != n:
-        raise (GaplessError if pos.size == n - 1 else InstabilityError)(
-            f"{pos.size} positive mode energies for {n} modes; "
-            "form is gapless or unstable")
-
-    sz = _sigma_z(n)
-    gaps = ev[pos].copy()
-    rows = np.empty((n, 2 * n), dtype=complex)
-    # Krein-orthonormalize inside near-degenerate groups so the transform
-    # stays symplectic when gaps coincide.
-    group_tol = max(1e-8 * scale, 10 * tol * scale)
-    i = 0
-    kept: list[np.ndarray] = []
-    while i < n:
-        j = i
-        while j + 1 < n and gaps[j + 1] - gaps[i] < group_tol:
-            j += 1
-        for k in range(i, j + 1):
-            xi = vec[:, pos[k]].copy()
-            for prev in kept[i:k]:
-                xi -= prev * (prev.conj() @ (sz @ xi))
-            s = float(np.real(xi.conj() @ (sz @ xi)))
-            if s <= tol:
-                raise InstabilityError(
-                    f"non-positive Krein norm {s:.3e} at gap {gaps[k]:.6g}")
-            kept.append(xi / math.sqrt(s))
-        i = j + 1
-    for k, xi in enumerate(kept):
-        w = xi.conj() @ sz
-        # Deterministic row phase: largest entry real positive.
-        a = w[np.argmax(np.abs(w))]
-        w = w * (abs(a) / a)
-        rows[k] = w
-
-    X = _swap_blocks(n)
-    return gaps, np.vstack([rows, rows.conj() @ X])
+    A, B, _, _ = _validated(form)
+    stack = _bogoliubov_stack(_nambu(A, B)[None], np.zeros(1, bool), tol)
+    if stack.errors[0] is not None:
+        raise stack.errors[0]
+    return stack.gaps[0]
 
 
 def symplectic_diagonalize(form: QuadraticForm,
@@ -324,7 +423,6 @@ def symplectic_diagonalize(form: QuadraticForm,
     """
     A, B, d, n = _validated(form)
     M = _nambu(A, B)
-    scale = max(np.linalg.norm(M), 1e-300)
 
     # Absorb linear terms: Psi -> Psi + chi with M chi = -(conj d, d).
     if np.abs(d).max() > 0:
@@ -340,55 +438,26 @@ def symplectic_diagonalize(form: QuadraticForm,
         c = np.zeros(n, dtype=complex)
         e_shift = 0.0
 
-    ev, vec = np.linalg.eig(_sigma_z(n) @ M)
-    gaps, T = _krein_transform(ev, vec, n, scale, tol)
+    stack = _bogoliubov_stack(M[None], np.ones(1, bool), tol)
+    if stack.errors[0] is not None:
+        raise stack.errors[0]
+    gaps = stack.modes[0]
     ground = form.e0 + e_shift + 0.5 * (gaps.sum() - np.trace(A).real)
-    return BogoliubovSolution(gaps=gaps, transform=T, displacements=c,
-                              ground_energy=float(ground))
+    return BogoliubovSolution(gaps=gaps, transform=stack.transform[0],
+                              displacements=c, ground_energy=float(ground))
 
 
-def _bogoliubov_stack(M: np.ndarray, stable: np.ndarray, tol: float = 1e-9
-                      ) -> tuple[np.ndarray, list[tuple | None],
-                                 list[HpDickeError | None]]:
-    """Gaps and mode-0 vacuum moments of a stack of 2n x 2n matrices M
-    (as form_matrix gives them), from one batched eigen-decomposition.
-
-    Row k equals, bitwise, bogoliubov_gaps of a form with matrix M[k] and
-    no linear terms, and heisenberg_products of its moments equals
-    photon_moments_from_solution(symplectic_diagonalize(form)).  Moments,
-    the (<a>, <a^2>, <a^dag a>) triple, are computed where stable[k] is
-    set and are None elsewhere, so rows on a phase boundary still get
-    their gaps.  A row whose gaps or Krein step raise gets its error in
-    errors[k] (and nan gaps if they did not pair).
-    """
-    n = M.shape[-1] // 2
-    ev, vec = np.linalg.eig(_sigma_z(n) @ M)
-    gaps = np.full((len(M), n), math.nan)
-    moments: list[tuple | None] = [None] * len(M)
-    errors: list[HpDickeError | None] = [None] * len(M)
-    for k, m in enumerate(M):
-        scale = max(np.linalg.norm(m), 1e-300)
-        try:
-            gaps[k] = _paired_gaps(ev[k].copy(), n, scale, tol)
-            if stable[k]:
-                _, T = _krein_transform(ev[k], vec[k], n, scale, tol)
-                moments[k] = _vacuum_moments(T, 0j, 0)
-        except HpDickeError as exc:
-            errors[k] = exc
-    return gaps, moments, errors
-
-
-def _vacuum_moments(T: np.ndarray, mean: complex,
-                    mode_index: int) -> tuple[complex, complex, float]:
-    """<a>, <a^2> and <a^dag a> of one mode in the polariton vacuum."""
-    n = T.shape[0] // 2
+def _mode_moments(T: np.ndarray, mean: complex,
+                  mode_index: int) -> list[tuple[complex, complex, float]]:
+    """<a>, <a^2> and <a^dag a> of one mode in the polariton vacuum of
+    each transform of the stack T, with <a> = mean."""
+    n = T.shape[-1] // 2
     sz = _sigma_z(n)
-    t_inv = sz @ T.conj().T @ sz
-    row = t_inv[mode_index]
-    P, Q = row[:n], row[n:]
-    n_occ = float(np.sum(np.abs(Q) ** 2))
-    sq = complex(np.sum(P * Q))
-    return mean, sq + mean * mean, n_occ + abs(mean) ** 2
+    row = (sz @ _adjoint(T) @ sz)[:, mode_index]
+    P, Q = row[:, :n], row[:, n:]
+    sq = np.sum(P * Q, axis=-1) + mean * mean
+    n_occ = np.sum(np.abs(Q) ** 2, axis=-1) + abs(mean) ** 2
+    return list(zip([mean] * len(T), sq.tolist(), n_occ.tolist()))
 
 
 def photon_moments_from_solution(sol: BogoliubovSolution,
@@ -401,8 +470,10 @@ def photon_moments_from_solution(sol: BogoliubovSolution,
     n = sol.n_modes
     if not 0 <= mode_index < n:
         raise DomainError(f"mode_index {mode_index} out of range for {n} modes")
-    return heisenberg_product(*_vacuum_moments(
-        sol.transform, complex(sol.displacements[mode_index]), mode_index))
+    (moments,) = _mode_moments(sol.transform[None],
+                               complex(sol.displacements[mode_index]),
+                               mode_index)
+    return heisenberg_product(*moments)
 
 
 def heisenberg_product(mean_a: complex = 0.0, a_sq: complex = 0.0,

@@ -1,5 +1,6 @@
 import numpy as np
 
+from hpdicke import gaussian
 from hpdicke.errors import InstabilityError
 from hpdicke.gaussian import QuadraticForm, symplectic_diagonalize
 
@@ -25,3 +26,22 @@ def random_stable_form(rng: np.random.Generator, n_modes: int,
         except InstabilityError:
             continue
         return form
+
+
+def fail_krein_rows(monkeypatch, error: Exception, rows=None):
+    """Make gaussian's stacked Krein step report error for the given rows
+    it is handed, counted in order over all its calls (every row when
+    rows is None), as a row-at-a-time step raising on those calls
+    would; the other rows keep their own results."""
+    krein = gaussian._krein_step
+    seen = [0]
+
+    def failing(ev, *args):
+        modes, transform, errors = krein(ev, *args)
+        for k in range(len(errors)):
+            if rows is None or seen[0] + k in rows:
+                errors[k] = error
+        seen[0] += len(errors)
+        return modes, transform, errors
+
+    monkeypatch.setattr(gaussian, "_krein_step", failing)

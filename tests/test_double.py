@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from hpdicke import dicke, gaussian
+from conftest import fail_krein_rows
+from hpdicke import dicke
 from hpdicke.double import (DoubleDickeParams, DoublePhase,
-                            build_double_quadratic_form, classify_double_phase,
-                            double_gaps, double_point_hp, entropy_double,
-                            hp_double, lower_polariton, mean_field,
-                            soft_mode_count, solve_double_thermo)
+                            _double_thermo_grid, build_double_quadratic_form,
+                            classify_double_phase, double_gaps,
+                            double_point_hp, entropy_double, hp_double,
+                            lower_polariton, mean_field, soft_mode_count,
+                            solve_double_thermo)
 from hpdicke.errors import (BranchError, CriticalPointDivergence,
                             GaplessError, RegimeError)
 from hpdicke.fits import fit_critical_exponent
@@ -70,6 +72,16 @@ class TestMeanField:
                 du, dv, dxc, dxi = rng.uniform(-0.05, 0.05, 4)
                 xc2, xi2 = np.clip([mf.x_c + dxc, mf.x_i + dxi], -0.99, 0.99)
                 assert f(mf.u + du, mf.v + dv, xc2, xi2) >= base - 1e-9
+
+    def test_strong_coupling_rows_are_stationary(self):
+        # judged against an absolute tolerance, the closed-form minimum
+        # failed from lambda_C ~ 330 on
+        lam_c = np.geomspace(1.0, 5000.0, 300)
+        grid = _double_thermo_grid(1.0, 1.0, 1.0, lam_c, [0.1] * len(lam_c))
+        assert grid.errors == [None] * len(lam_c)
+        for lc, hp in zip(lam_c.tolist(), grid.hp):
+            assert math.isfinite(hp)
+            assert hp == hp_double(P(1.0, 1.0, 1.0, lc, 0.1)).hp
 
     def test_branch_signs(self):
         mfm = mean_field(P(1, 1, 1, 0.8, 0.3), branch=(-1, 0))
@@ -320,18 +332,12 @@ class TestDoublePointBand:
                                        (0.3, 0.2), (2.0, 0.5 * (1 - 1e-9))])
     def test_zero_gap_away_from_the_double_point_fails(self, monkeypatch,
                                                         lc, li):
-        def gapless(*args):
-            raise GaplessError("forced")
-
-        monkeypatch.setattr(gaussian, "_krein_transform", gapless)
+        fail_krein_rows(monkeypatch, GaplessError("forced"))
         with pytest.raises(GaplessError):
             hp_double(P(1.0, 1.0, 1.0, lc, li))
 
     def test_zero_gap_inside_the_band_is_the_double_point(self, monkeypatch):
-        def gapless(*args):
-            raise GaplessError("forced")
-
-        monkeypatch.setattr(gaussian, "_krein_transform", gapless)
+        fail_krein_rows(monkeypatch, GaplessError("forced"))
         hp_dp = hp_double(P(2.0, 0.5, 0.5, 0.5, 0.5)).hp
         # the band is 1e-6 (1 + omega0_C/omega_cav) = 1.25e-6 here
         for d_c, d_i in ((1.2e-6, -1.2e-6), (1e-9, 3e-7)):

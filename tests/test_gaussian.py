@@ -6,8 +6,8 @@ import pytest
 from conftest import random_stable_form
 from hpdicke.errors import DomainError, InstabilityError, UncertaintyViolation
 from hpdicke.gaussian import (HP_CLAMP_BAND, _bogoliubov_stack,
-                              _entropy_columns, _nambu_stack, quadratures,
-                              bogoliubov_gaps, entropy_from_hp,
+                              _entropy_columns, _mode_moments, _nambu_stack,
+                              quadratures, bogoliubov_gaps, entropy_from_hp,
                               form_from_xp, form_matrix, heisenberg_product,
                               photon_moments_from_solution, pseudo_energy,
                               renyi_entropy, symplectic_diagonalize,
@@ -188,12 +188,13 @@ class TestStacks:
                                    d=np.zeros(3, complex)))
         stable = np.ones(len(forms), dtype=bool)
         stable[5] = False
-        gaps, moments, errors = _bogoliubov_stack(
+        stack = _bogoliubov_stack(
             np.array([form_matrix(f) for f in forms]), stable)
-        assert moments[5] is None
-        assert errors == [None] * len(forms)
+        moments = _mode_moments(stack.transform, 0j, 0)
+        assert np.isnan(stack.transform[5]).all()
+        assert stack.errors == [None] * len(forms)
         for k, form in enumerate(forms):
-            assert np.array_equal(gaps[k], bogoliubov_gaps(form))
+            assert np.array_equal(stack.gaps[k], bogoliubov_gaps(form))
             if k == 5:
                 continue
             ref = photon_moments_from_solution(symplectic_diagonalize(form))

@@ -6,7 +6,8 @@ import struct
 import numpy as np
 import pytest
 
-from hpdicke import cli, dicke, gaussian
+from conftest import fail_krein_rows
+from hpdicke import cli, dicke, double
 from hpdicke.dicke import (DickeParams, classify_phase, entropy_thermo,
                            hp_thermo, lambda_critical, solve_thermo)
 from hpdicke.double import (DoubleDickeParams, build_double_quadratic_form,
@@ -413,22 +414,21 @@ class TestThermoRowFailures:
     def test_double_model_krein_failure(self, monkeypatch):
         cfg = SweepConfig.from_dict(_double_ray(4, 7, renyi=(2.0,)))
         reference = sweep_rows(cfg)
-        krein = gaussian._krein_transform
-        calls = []
-
-        def failing_third_call(*args):
-            calls.append(None)
-            if len(calls) == 3:
-                raise InstabilityError("forced")
-            return krein(*args)
-
-        monkeypatch.setattr(gaussian, "_krein_transform", failing_third_call)
+        fail_krein_rows(monkeypatch, InstabilityError("forced"), rows={2})
         table = sweep_rows(cfg)
         self._check_one_failed(cfg, table, reference, 2, "InstabilityError")
 
-    def test_mean_field_failure_stays_in_its_row(self):
-        # the stationarity check is absolute, so the closed-form minimum
-        # fails it at large couplings; only those rows fail
+    def test_mean_field_failure_stays_in_its_row(self, monkeypatch):
+        # the stationarity check is made to fail past lambda_C = 500;
+        # only those rows fail, and hp_double raises there too
+        mean_field_grid = double._mean_field_grid
+
+        def failing_past_500(om, om0_c, om0_i, lam_c, *args):
+            mf, errors = mean_field_grid(om, om0_c, om0_i, lam_c, *args)
+            return mf, [MeanFieldError("forced") if lc > 500.0 else e
+                        for lc, e in zip(lam_c.tolist(), errors)]
+
+        monkeypatch.setattr(double, "_mean_field_grid", failing_past_500)
         cfg = SweepConfig.from_dict(dict(model="double-dicke",
                                          mode="thermo", theta=0.3,
                                          r_min=0.0, r_max=4000.0, steps=5))
@@ -450,17 +450,7 @@ class TestThermoRowFailures:
     def test_zero_gap_away_from_the_double_point_fails(self, monkeypatch):
         cfg = SweepConfig.from_dict(_double_ray(8, 5, renyi=(2.0,)))
         reference = sweep_rows(cfg)
-        krein = gaussian._krein_transform
-        calls = []
-
-        def gapless_second_call(*args):
-            calls.append(None)
-            if len(calls) == 2:
-                raise GaplessError("forced")
-            return krein(*args)
-
-        monkeypatch.setattr(gaussian, "_krein_transform",
-                            gapless_second_call)
+        fail_krein_rows(monkeypatch, GaplessError("forced"), rows={1})
         table = sweep_rows(cfg)
         # row 1 lies halfway to the double point (row 2)
         self._check_one_failed(cfg, table, reference, 1, "GaplessError")
