@@ -263,22 +263,21 @@ def _mean_field_grid(om: float, om0_c: float, om0_i: float,
          + om0_c * (x_c * x_c - 0.5) + om0_i * (x_i * x_i - 0.5)
          + 4.0 * lam_c * u * x_c * s_c - 4.0 * lam_i * v * x_i * s_i)
 
-    def hprime(x, s):
-        return (1.0 - 2.0 * x * x) / s
-
-    grad = np.array([
-        2.0 * om * u + 4.0 * lam_c * x_c * s_c,
-        2.0 * om * v - 4.0 * lam_i * x_i * s_i,
-        2.0 * om0_c * x_c + 4.0 * lam_c * u * hprime(x_c, s_c),
-        2.0 * om0_i * x_i - 4.0 * lam_i * v * hprime(x_i, s_i)])
-    # Stationarity is judged against the largest term summed into each
-    # component.  hprime's 1 - 2 x^2 (at most 1) cancels at strong
-    # coupling, so its terms count at 4 lambda u / s.
-    size = np.array([
-        np.maximum(np.abs(2.0 * om * u), np.abs(4.0 * lam_c * x_c * s_c)),
-        np.maximum(np.abs(2.0 * om * v), np.abs(4.0 * lam_i * x_i * s_i)),
-        np.maximum(np.abs(2.0 * om0_c * x_c), np.abs(4.0 * lam_c * u / s_c)),
-        np.maximum(np.abs(2.0 * om0_i * x_i), np.abs(4.0 * lam_i * v / s_i))])
+    # Each gradient component is lead + coupling * shape, where shape is
+    # 1 in the u, v components and hprime = (1 - 2 x^2) / s in the x ones.
+    # Stationarity is judged against the larger summand.  hprime's
+    # 1 - 2 x^2 (at most 1) cancels at strong coupling, so its summand
+    # counts at coupling / s.
+    one = np.ones_like(s_c)
+    lead = np.array([2.0 * om * u, 2.0 * om * v,
+                     2.0 * om0_c * x_c, 2.0 * om0_i * x_i])
+    coupling = np.array([4.0 * lam_c * x_c * s_c, -4.0 * lam_i * x_i * s_i,
+                         4.0 * lam_c * u, -4.0 * lam_i * v])
+    s = np.array([one, one, s_c, s_i])
+    shape = np.array([one, one, 1.0 - 2.0 * x_c * x_c,
+                      1.0 - 2.0 * x_i * x_i]) / s
+    grad = lead + coupling * shape
+    size = np.maximum(np.abs(lead), np.abs(coupling) / s)
     bad = (np.abs(grad) > GRADIENT_TOL * size).any(axis=0)
     errors: list[MeanFieldError | None] = [None] * len(bad)
     for k in np.flatnonzero(bad):
