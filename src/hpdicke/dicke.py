@@ -103,6 +103,10 @@ def lambda_critical(p: DickeParams) -> float:
     return math.sqrt(p.omega * p.omega0) / 2.0
 
 
+def _is_critical(lam: float, lam_cr: float) -> bool:
+    return abs(lam - lam_cr) <= CRITICAL_REL_TOL * max(1.0, lam_cr)
+
+
 def classify_phase(p: DickeParams) -> PhaseInfo:
     """Phase label plus critical coupling.
 
@@ -110,7 +114,7 @@ def classify_phase(p: DickeParams) -> PhaseInfo:
     is Superradiant with the critical flag set.
     """
     lam_cr = lambda_critical(p)
-    critical = abs(p.coupling - lam_cr) <= CRITICAL_REL_TOL * max(1.0, lam_cr)
+    critical = _is_critical(p.coupling, lam_cr)
     phase = Phase.NORMAL if (p.coupling < lam_cr and not critical) else Phase.SUPERRADIANT
     return PhaseInfo(phase=phase, lambda_cr=lam_cr, critical=critical)
 

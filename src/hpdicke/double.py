@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .dicke import CRITICAL_REL_TOL, _is_critical
 from .errors import (BranchError, CriticalPointDivergence, DomainError,
                      GaplessError, HpDickeError, MeanFieldError,
                      RegimeError)
@@ -55,7 +56,6 @@ __all__ = [
     "entropy_double",
 ]
 
-CRITICAL_REL_TOL = 1e-12
 GRADIENT_TOL = 1e-10
 # Relative distance to both critical couplings, per unit of
 # 1 + omega0_C/omega_cav, within which a zero soft gap is read as the
@@ -63,6 +63,7 @@ GRADIENT_TOL = 1e-10
 # Krein step reads it as zero below about 1e-9 of that unit (1.7e-6 at
 # omega0_C/omega_cav = 1000); this allows a thousandfold margin.
 DOUBLE_BAND_REL = 1e-6
+SOFT_MODE_TOL = 1e-8  # stiffness relative to the largest that is soft
 
 
 @dataclass(frozen=True)
@@ -147,10 +148,6 @@ class DoubleThermoSolution:
     gaps: tuple[float, float, float]
     # None exactly on a critical line, where a gap vanishes.
     polariton_transform: np.ndarray | None
-
-
-def _is_critical(lam: float, lam_cr: float) -> bool:
-    return abs(lam - lam_cr) <= CRITICAL_REL_TOL * max(1.0, lam_cr)
 
 
 def classify_double_phase(p: DoubleDickeParams) -> DoublePhaseInfo:
@@ -350,13 +347,14 @@ def double_gaps(p: DoubleDickeParams) -> tuple[float, float, float]:
     return tuple(sorted(float(g) for g in gaps))
 
 
-def soft_mode_count(p: DoubleDickeParams, tol: float = 1e-8) -> int:
+def soft_mode_count(p: DoubleDickeParams) -> int:
     """Number of independent zero-stiffness quadrature directions: 0 in a
     phase interior, 1 on a single critical line, 2 at the double point
     (one per simultaneously breaking symmetry)."""
     G, _ = double_quadrature_matrix(p)
     ev = np.linalg.eigvalsh(G)
-    return int(np.sum(np.abs(ev) < tol * max(1.0, np.abs(ev).max())))
+    return int(np.sum(np.abs(ev)
+                      < SOFT_MODE_TOL * max(1.0, np.abs(ev).max())))
 
 
 def solve_double_thermo(p: DoubleDickeParams,

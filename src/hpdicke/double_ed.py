@@ -4,8 +4,10 @@ One photon mode and two collective spins, each in its maximal-j sector.
 The chain-I coupling enters through i(a - a^dag), so the Hamiltonian is
 complex Hermitian in the product basis; build_double_hamiltonian returns
 that matrix, on which symmetry_residuals checks the two antiunitary
-chain symmetries.  It is written straight into CSR form: each row has
-the diagonal and at most eight couplings, at fixed flat-index offsets.
+chain symmetries.  Each row has the diagonal and at most eight
+couplings at fixed flat-index offsets, which ed._offset_csr writes
+straight into canonical CSR with no stored zeros, as it does the
+single-chain matrix.
 
 The solver uses a real gauge.  With D = 1 where U_C = +1 and D = i where
 U_C = -1, every chain-C term connects equal U_C and stays real, while
@@ -30,7 +32,8 @@ import scipy.sparse as sp
 
 from .double import DoubleDickeParams
 from .ed import (DEFAULT_BUDGET_NNZ, DEFAULT_SEED, EDResult, _check_budget,
-                 _sector_ground_state, _top_slab_weight, _walk_cutoff)
+                 _offset_csr, _sector_ground_state, _spin_diagonals,
+                 _top_slab_weight, _walk_cutoff, _whole)
 from .errors import CutoffError, CutoffWarning, DomainError
 from .gaussian import FluctuationReport, heisenberg_product
 
@@ -45,6 +48,9 @@ __all__ = [
     "converge_cutoff_double",
     "double_ed",
 ]
+
+_ENTROPY_FLOOR = 1e-14  # reduced-density eigenvalues it drops
+
 
 @dataclass(frozen=True)
 class DoubleEDBasis:
@@ -73,26 +79,20 @@ class DoubleEDBasis:
         return 9 * self.dim
 
     def index(self, n: int, mc_idx: int, mi_idx: int) -> int:
-        return (n * (self.n_c + 1) + mc_idx) * (self.n_i + 1) + mi_idx
-
-
-def _spin_diagonals(n_spins: int) -> tuple[np.ndarray, np.ndarray]:
-    """m = -j .. j and <m+1|J+|m> = sqrt((j - m)(j + m + 1)) for m < j in
-    the maximal sector j = n_spins/2, clipped for roundoff."""
-    j = n_spins / 2.0
-    m = np.arange(n_spins + 1) - j
-    return m, np.sqrt(np.clip((j - m[:-1]) * (j + m[:-1] + 1.0), 0.0, None))
+        """Flat index of |n, mc_idx, mi_idx>."""
+        if not (_whole(n, self.n_max) and _whole(mc_idx, self.n_c)
+                and _whole(mi_idx, self.n_i)):
+            raise DomainError(f"state (n={n}, mc_idx={mc_idx}, "
+                              f"mi_idx={mi_idx}) outside the basis")
+        return ((int(n) * (self.n_c + 1) + int(mc_idx)) * (self.n_i + 1)
+                + int(mi_idx))
 
 
 def build_double_hamiltonian(p: DoubleDickeParams,
                              basis: DoubleEDBasis) -> sp.csr_matrix:
     """Sparse complex Hermitian matrix of the two-chain Hamiltonian with
     couplings scaled by the respective 1/sqrt(N_k), in canonical CSR with
-    no stored zeros.
-
-    One loop over the nine offsets counts each row's nonzeros and a
-    second writes them in place, so no temporary outgrows one offset.
-    """
+    no stored zeros."""
     nn, nc, ni = basis.n_max + 1, basis.n_c + 1, basis.n_i + 1
     m_c, lad_c = _spin_diagonals(basis.n_c)
     m_i, lad_i = _spin_diagonals(basis.n_i)
@@ -102,39 +102,20 @@ def build_double_hamiltonian(p: DoubleDickeParams,
     amp_i = p.lambda_i / math.sqrt(basis.n_i) * (root * lad_i)
     diag = ((p.omega_cav * levels[:, None, None] + p.omega0_c * m_c[:, None])
             + p.omega0_i * m_i)
-    # (column offset, rows holding the entry, its value there) in column
-    # order: to n - 1 (mc - 1, mi - 1, mi + 1, mc + 1), diagonal, to n + 1;
+    # to n - 1 (mc - 1, mi - 1, mi + 1, mc + 1), diagonal, to n + 1;
     # i(a - a^dag) is -i on the row with more photons
     lo, hi, every = slice(1, None), slice(None, -1), slice(None)
     sn = nc * ni
-    itype = np.int32 if basis.max_nnz < 2 ** 31 else np.int64
-    rows = np.arange(basis.dim, dtype=itype).reshape(nn, nc, ni)
-    count = np.zeros_like(rows)
-    entries = []
-    for offset, box, v in [(-sn - ni, (lo, lo, every), amp_c),
-                           (-sn - 1, (lo, every, lo), -1j * amp_i),
-                           (-sn + 1, (lo, every, hi), -1j * amp_i),
-                           (-sn + ni, (lo, hi, every), amp_c),
-                           (0, (every, every, every), diag),
-                           (sn - ni, (hi, lo, every), amp_c),
-                           (sn - 1, (hi, every, lo), 1j * amp_i),
-                           (sn + 1, (hi, every, hi), 1j * amp_i),
-                           (sn + ni, (hi, hi, every), amp_c)]:
-        v = np.broadcast_to(v, rows[box].shape)
-        nz = v != 0
-        count[box] += nz
-        entries.append((offset, box, v, nz))
-    indptr = np.zeros(basis.dim + 1, dtype=itype)
-    np.cumsum(count, out=indptr[1:])
-    data = np.empty(indptr[-1], dtype=complex)
-    indices = np.empty(indptr[-1], dtype=itype)
-    pos = indptr[:-1].reshape(nn, nc, ni).copy()
-    for offset, box, v, nz in entries:
-        at = pos[box][nz]
-        data[at], indices[at] = v[nz], rows[box][nz] + offset
-        pos[box] += nz
-    return sp.csr_matrix((data, indices, indptr),
-                         shape=(basis.dim, basis.dim))
+    return _offset_csr((nn, nc, ni),
+                       [(-sn - ni, (lo, lo, every), amp_c),
+                        (-sn - 1, (lo, every, lo), -1j * amp_i),
+                        (-sn + 1, (lo, every, hi), -1j * amp_i),
+                        (-sn + ni, (lo, hi, every), amp_c),
+                        (0, (every, every, every), diag),
+                        (sn - ni, (hi, lo, every), amp_c),
+                        (sn - 1, (hi, every, lo), 1j * amp_i),
+                        (sn + 1, (hi, every, hi), 1j * amp_i),
+                        (sn + ni, (hi, hi, every), amp_c)])
 
 
 def double_parities(basis: DoubleEDBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -189,15 +170,14 @@ def _real_gauge(H: sp.csr_matrix,
 
 
 def double_ground_state(H: sp.csr_matrix, basis: DoubleEDBasis,
-                        seed: int = DEFAULT_SEED,
-                        tol: float = 1e-12) -> EDResult:
+                        seed: int = DEFAULT_SEED) -> EDResult:
     """Lowest state of each total-parity sector of the complex Hermitian
     matrix, solved in the real gauge; the ground state is the lower one,
     a total-parity eigenstate."""
     u_c, u_i = double_parities(basis)
     H_real, d = _real_gauge(H, u_c)
     slab = (basis.n_c + 1) * (basis.n_i + 1)
-    res = _sector_ground_state(H_real, u_c * u_i, slab, seed, tol)
+    res = _sector_ground_state(H_real, u_c * u_i, slab, seed)
     res = replace(res, state=d * res.state)
     if not res.cutoff_converged:
         top = _top_slab_weight(res.state, slab)
@@ -224,19 +204,17 @@ def photon_moments_double(result: EDResult,
     return heisenberg_product(mean_a=mean, a_sq=a_sq, occupation=occ)
 
 
-def photon_entropy_double(result: EDResult, basis: DoubleEDBasis,
-                          floor: float = 1e-14) -> float:
+def photon_entropy_double(result: EDResult, basis: DoubleEDBasis) -> float:
     """Entanglement entropy (bits) between the photon and both chains."""
     w = result.state.reshape(basis.n_max + 1, -1)
     rho = w @ w.conj().T
     vals = np.linalg.eigvalsh(rho)
-    vals = vals[vals > floor]
+    vals = vals[vals > _ENTROPY_FLOOR]
     return float(-np.sum(vals * np.log2(vals)))
 
 
 def converge_cutoff_double(p: DoubleDickeParams, tol: float = 1e-8,
                            budget_nnz: int = DEFAULT_BUDGET_NNZ,
-                           start: int | None = None,
                            seed: int = DEFAULT_SEED) -> EDResult:
     """Ground state at the smallest accepted Fock cutoff; its n_max_used
     is the cutoff.
@@ -244,13 +222,13 @@ def converge_cutoff_double(p: DoubleDickeParams, tol: float = 1e-8,
     Same walk and acceptance rule as ed.converge_cutoff (top Fock slab
     below TOP_ROW_TOL and hp stable to tol against ceil(1.25 n)), from
     n0 = max(8, ceil(4 (N lambda^2/omega^2 + sqrt(N)))) with the larger
-    chain size and coupling, or an explicit start.
+    chain size and coupling.
     """
     if p.n_c is None or p.n_i is None:
         raise DomainError("chain sizes n_c and n_i are required for ED")
     lam = max(p.lambda_c, p.lambda_i)
     nbar = max(p.n_c, p.n_i)
-    n0 = start if start is not None else max(
+    n0 = max(
         8, math.ceil(4.0 * (nbar * lam ** 2 / p.omega_cav ** 2
                             + math.sqrt(nbar))))
     return _walk_cutoff(
@@ -261,8 +239,8 @@ def converge_cutoff_double(p: DoubleDickeParams, tol: float = 1e-8,
 
 
 def double_ed(p: DoubleDickeParams, n_max: int, seed: int = DEFAULT_SEED,
-              budget_nnz: int = DEFAULT_BUDGET_NNZ,
-              tol: float = 1e-12) -> tuple[EDResult, float, FluctuationReport]:
+              budget_nnz: int = DEFAULT_BUDGET_NNZ
+              ) -> tuple[EDResult, float, FluctuationReport]:
     """Ground state, photon entanglement entropy (bits), and photon
     fluctuation report at the given cutoff.  Requires n_c and n_i on the
     params."""
@@ -271,7 +249,7 @@ def double_ed(p: DoubleDickeParams, n_max: int, seed: int = DEFAULT_SEED,
     basis = DoubleEDBasis(n_c=p.n_c, n_i=p.n_i, n_max=n_max)
     _check_budget(basis, budget_nnz)
     H = build_double_hamiltonian(p, basis)
-    res = double_ground_state(H, basis, seed=seed, tol=tol)
+    res = double_ground_state(H, basis, seed=seed)
     s_bits = photon_entropy_double(res, basis)
     rep = photon_moments_double(res, basis)
     return res, s_bits, rep

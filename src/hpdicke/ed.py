@@ -8,6 +8,8 @@ Hamiltonian
 
 is real symmetric with at most five nonzeros per row and commutes exactly
 with the parity (-1)^(n + m + j), which is diagonal in this basis.
+_offset_csr writes it, and the two-chain matrix of double_ed, straight
+into canonical CSR with no stored zeros.
 
 The solver works per parity sector (Emary & Brandes, PRE 67, 066203
 (2003)): H splits into an even and an odd block of about half the
@@ -52,12 +54,21 @@ __all__ = [
 
 # Top-Fock-row weight above which moments are flagged unreliable.
 TOP_ROW_TOL = 1e-8
+# ARPACK tolerance, and the odd sector's relative margin to be the ground
+# state; reduced-density eigenvalues <= _ENTROPY_FLOOR carry no entropy.
+SOLVE_TOL = 1e-12
+_ENTROPY_FLOOR = 1e-16
 DEFAULT_BUDGET_NNZ = int(5e7)
 DEFAULT_SEED = 7
 
 # Dense diagonalization of each parity sector when the full dimension is
 # at most this; ARPACK above.
 _DENSE_DIM = 1200
+
+
+def _whole(k, top) -> bool:
+    """k is an integer value in 0 .. top."""
+    return 0 <= k <= top and float(k).is_integer()
 
 
 @dataclass(frozen=True)
@@ -88,10 +99,10 @@ class EDBasis:
 
     def index(self, n: int, m: float) -> int:
         """Flat index of |n, m>, m in {-j .. j} in integer steps."""
-        col = int(round(m + self.j))
-        if not (0 <= n <= self.n_max and 0 <= col <= self.n_spins):
+        col = m + self.j
+        if not (_whole(n, self.n_max) and _whole(col, self.n_spins)):
             raise DomainError(f"state (n={n}, m={m}) outside the basis")
-        return n * (self.n_spins + 1) + col
+        return int(n) * (self.n_spins + 1) + int(col)
 
 
 @dataclass(frozen=True)
@@ -102,8 +113,6 @@ class EDResult:
     parity: float
     cutoff_converged: bool
     n_max_used: int
-    # parities of the ground state and of the other sector's minimum
-    pair_parities: tuple[float, float] = (math.nan, math.nan)
 
 
 @dataclass(frozen=True)
@@ -118,54 +127,60 @@ class ScalingReport:
     fit_sizes: tuple[int, ...]
 
 
-def _ladder_coeffs(basis: EDBasis) -> tuple[np.ndarray, np.ndarray]:
-    j = basis.j
-    m = -j + np.arange(basis.n_spins + 1)
-    jp = np.sqrt(np.maximum(j * (j + 1) - m * (m + 1), 0.0))
-    jm = np.sqrt(np.maximum(j * (j + 1) - m * (m - 1), 0.0))
-    return jp, jm
+def _spin_diagonals(n_spins: int) -> tuple[np.ndarray, np.ndarray]:
+    """m = -j .. j and <m+1|J+|m> = sqrt((j - m)(j + m + 1)) for m < j in
+    the maximal sector j = n_spins/2, clipped for roundoff."""
+    j = n_spins / 2.0
+    m = np.arange(n_spins + 1) - j
+    return m, np.sqrt(np.clip((j - m[:-1]) * (j + m[:-1] + 1.0), 0.0, None))
+
+
+def _offset_csr(shape: tuple[int, ...], entries) -> sp.csr_matrix:
+    """Canonical CSR matrix, with no stored zeros, over a basis grid of
+    this shape (C order) from (column offset, row box, values) entries in
+    column order; values broadcast over the box.  One loop counts each
+    row's nonzeros and a second writes them in place, so no temporary
+    outgrows one entry.
+    """
+    dim = math.prod(shape)
+    itype = np.int32 if len(entries) * dim < 2 ** 31 else np.int64
+    rows = np.arange(dim, dtype=itype).reshape(shape)
+    count = np.zeros_like(rows)
+    nonzero = []
+    for _, box, v in entries:
+        nz = np.broadcast_to(v, rows[box].shape) != 0
+        count[box] += nz
+        nonzero.append(nz)
+    indptr = np.zeros(dim + 1, dtype=itype)
+    np.cumsum(count, out=indptr[1:])
+    data = np.empty(indptr[-1],
+                    dtype=np.result_type(*[v for _, _, v in entries]))
+    indices = np.empty(indptr[-1], dtype=itype)
+    pos = indptr[:-1].reshape(shape).copy()
+    for (offset, box, v), nz in zip(entries, nonzero):
+        at = pos[box][nz]
+        data[at] = np.broadcast_to(v, nz.shape)[nz]
+        indices[at] = rows[box][nz] + offset
+        pos[box] += nz
+    return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
 
 
 def build_hamiltonian(p: DickeParams, basis: EDBasis) -> sp.csr_matrix:
-    """Assemble the sparse Hamiltonian; real symmetric, <= 5 nonzeros/row."""
+    """Sparse real symmetric Hamiltonian in canonical CSR with no stored
+    zeros.  All four couplings read one array, indexed by the lower n and
+    the lower m of the pair they join, so H is symmetric exactly."""
     nm = basis.n_spins + 1
-    nn = basis.n_max + 1
-    j = basis.j
+    m, lad = _spin_diagonals(basis.n_spins)
+    levels = np.arange(basis.n_max + 1)
     g = p.coupling / math.sqrt(basis.n_spins)
-
-    levels = np.arange(nn)
-    m_vals = -j + np.arange(nm)
-    jp, jm = _ladder_coeffs(basis)
-
-    diag = (p.omega * levels[:, None] + p.omega0 * m_vals[None, :]).ravel()
-
-    # Transition blocks; each pair of mutually transposed operators is
-    # generated from identical float products, so H is symmetric exactly.
-    rows, cols, vals = [np.arange(basis.dim)], [np.arange(basis.dim)], [diag]
-    root_n = np.sqrt(levels[1:])  # sqrt(n) for n = 1..n_max
-
-    def add(dn: int, dm: int, amp: np.ndarray):
-        # amp indexed by (n, m) of the source state
-        n_src = levels[:-1] if dn > 0 else levels[1:]
-        m_src = np.arange(nm - 1) if dm > 0 else np.arange(1, nm)
-        nv, mv = np.meshgrid(n_src, m_src, indexing="ij")
-        src = (nv * nm + mv).ravel()
-        dst = ((nv + dn) * nm + (mv + dm)).ravel()
-        rows.append(dst)
-        cols.append(src)
-        vals.append(amp.ravel())
-
-    if g != 0.0:
-        up = root_n  # photon raising amplitude from level n: sqrt(n+1)
-        add(+1, +1, g * up[:, None] * jp[None, :-1])
-        add(+1, -1, g * up[:, None] * jm[None, 1:])
-        add(-1, +1, g * up[:, None] * jp[None, :-1])
-        add(-1, -1, g * up[:, None] * jm[None, 1:])
-
-    H = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(basis.dim, basis.dim))
-    return H.tocsr()
+    amp = g * np.sqrt(levels[1:])[:, None] * lad
+    diag = p.omega * levels[:, None] + p.omega0 * m
+    # to n - 1 (m - 1, m + 1), diagonal, to n + 1 (m - 1, m + 1)
+    lo, hi, every = slice(1, None), slice(None, -1), slice(None)
+    return _offset_csr((basis.n_max + 1, nm),
+                       [(-nm - 1, (lo, lo), amp), (-nm + 1, (lo, hi), amp),
+                        (0, (every, every), diag),
+                        (nm - 1, (hi, lo), amp), (nm + 1, (hi, hi), amp)])
 
 
 def parity_diagonal(basis: EDBasis) -> np.ndarray:
@@ -187,15 +202,16 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[k] < 0 else v
 
 
-def _sector_minimum(H: sp.csr_matrix, idx: np.ndarray, v0: np.ndarray,
-                    tol: float) -> tuple[float, np.ndarray]:
+def _sector_minimum(H: sp.csr_matrix, idx: np.ndarray,
+                    v0: np.ndarray) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of H restricted to the basis states idx."""
     block = H[idx][:, idx]
     if H.shape[0] <= _DENSE_DIM:
         w, v = sla.eigh(block.toarray(), subset_by_index=[0, 0])
         return float(w[0]), v[:, 0]
     try:
-        w, v = spla.eigsh(block, k=1, which="SA", v0=v0[idx], tol=tol)
+        w, v = spla.eigsh(block, k=1, which="SA", v0=v0[idx],
+                         tol=SOLVE_TOL)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(
             f"eigensolver stalled at dim {idx.size} of {H.shape[0]}",
@@ -204,22 +220,20 @@ def _sector_minimum(H: sp.csr_matrix, idx: np.ndarray, v0: np.ndarray,
 
 
 def _sector_ground_state(H_real: sp.csr_matrix, parity: np.ndarray,
-                         basis_top_slab: int, seed: int,
-                         tol: float) -> EDResult:
+                         basis_top_slab: int, seed: int) -> EDResult:
     """Ground state of a real symmetric H that commutes with the diagonal
     parity (entries +-1), from the lowest eigenpair of each sector.
 
     The odd minimum is the ground state only when it lies lower by more
-    than tol*max(1, |E|); a cat pair degenerate to that accuracy reports
-    its even member.  gap01 is |E_odd - E_even|.
+    than SOLVE_TOL*max(1, |E|); a cat pair degenerate to that accuracy
+    reports its even member.  gap01 is |E_odd - E_even|.
     """
     dim = H_real.shape[0]
     v0 = np.random.default_rng(seed).standard_normal(dim)
-    e_even, v_even = _sector_minimum(H_real, np.flatnonzero(parity > 0),
-                                     v0, tol)
-    e_odd, v_odd = _sector_minimum(H_real, np.flatnonzero(parity < 0),
-                                   v0, tol)
-    sign = -1.0 if e_odd < e_even - tol * max(1.0, abs(e_even)) else 1.0
+    e_even, v_even = _sector_minimum(H_real, np.flatnonzero(parity > 0), v0)
+    e_odd, v_odd = _sector_minimum(H_real, np.flatnonzero(parity < 0), v0)
+    sign = (-1.0 if e_odd < e_even - SOLVE_TOL * max(1.0, abs(e_even))
+            else 1.0)
     e0, v = (e_odd, v_odd) if sign < 0 else (e_even, v_even)
     psi = np.zeros(dim)
     psi[parity == sign] = v / np.linalg.norm(v)
@@ -227,16 +241,15 @@ def _sector_ground_state(H_real: sp.csr_matrix, parity: np.ndarray,
     converged = _top_slab_weight(psi, basis_top_slab) < TOP_ROW_TOL
     return EDResult(ground_energy=e0, gap01=abs(e_odd - e_even), state=psi,
                     parity=sign, cutoff_converged=converged,
-                    n_max_used=dim // basis_top_slab - 1,
-                    pair_parities=(sign, -sign))
+                    n_max_used=dim // basis_top_slab - 1)
 
 
-def ground_state(H: sp.spmatrix, basis: EDBasis, seed: int = DEFAULT_SEED,
-                 tol: float = 1e-12) -> EDResult:
+def ground_state(H: sp.spmatrix, basis: EDBasis,
+                 seed: int = DEFAULT_SEED) -> EDResult:
     """Lowest state of each parity sector, deterministic for a fixed seed;
     the ground state is a parity eigenstate (see _sector_ground_state)."""
     return _sector_ground_state(H.tocsr(), parity_diagonal(basis),
-                                basis.n_spins + 1, seed, tol)
+                                basis.n_spins + 1, seed)
 
 
 def _state_matrix(result: EDResult, basis: EDBasis) -> np.ndarray:
@@ -266,14 +279,13 @@ def photon_moments_ed(result: EDResult, basis: EDBasis) -> FluctuationReport:
     return heisenberg_product(mean_a=mean_a, a_sq=a_sq, occupation=occ)
 
 
-def photon_entropy_ed(result: EDResult, basis: EDBasis,
-                      floor: float = 1e-16) -> float:
+def photon_entropy_ed(result: EDResult, basis: EDBasis) -> float:
     """Entanglement entropy (bits) of the photon reduced density matrix."""
     _warn_if_truncated(result, basis)
     W = _state_matrix(result, basis)
     rho = W @ W.T
     w = np.linalg.eigvalsh(rho)
-    w = w[w > floor]
+    w = w[w > _ENTROPY_FLOOR]
     return float(-np.sum(w * np.log2(w)))
 
 
@@ -300,6 +312,9 @@ def _walk_cutoff(n0: int, basis_at, solve, moments, tol: float,
     solve(basis) gives the EDResult at basis_at(n) and
     moments(result, basis).hp its hp.
     """
+    if not tol > 0:
+        raise DomainError("tol must be positive")
+
     def solved(n: int) -> tuple[EDResult, float]:
         basis = basis_at(n)
         with warnings.catch_warnings():
@@ -321,7 +336,6 @@ def _walk_cutoff(n0: int, basis_at, solve, moments, tol: float,
 
 def converge_cutoff(p: DickeParams, n_spins: int, tol: float = 1e-8,
                     budget_nnz: int = DEFAULT_BUDGET_NNZ,
-                    start: int | None = None,
                     seed: int = DEFAULT_SEED) -> EDResult:
     """Ground state at the first accepted Fock cutoff; its n_max_used is
     the cutoff.
@@ -330,16 +344,14 @@ def converge_cutoff(p: DickeParams, n_spins: int, tol: float = 1e-8,
     TOP_ROW_TOL of the weight and |hp(n) - hp(ceil(1.25 n))| < tol; the
     larger probe is solved only once n passes the first test.  From the
     coherent-shift estimate n0 = ceil(4 (N lambda^2/omega^2 + sqrt(N)))
-    (or an explicit start) the search tries the halving grid n0 / 2^k
-    cheapest-first, takes the first accepted cutoff, and doubles n0 if
-    none is.  Each call walks afresh.
+    the search tries the halving grid n0 / 2^k cheapest-first, takes the
+    first accepted cutoff, and doubles n0 if none is.  Each call walks
+    afresh.
     """
-    if not tol > 0:
-        raise DomainError("tol must be positive")
-    n0 = start if start is not None else math.ceil(
+    n0 = math.ceil(
         4.0 * (n_spins * p.coupling ** 2 / p.omega ** 2 + math.sqrt(n_spins)))
     return _walk_cutoff(
-        max(int(n0), 1), lambda n: EDBasis(n_spins, n),
+        n0, lambda n: EDBasis(n_spins, n),
         lambda basis: ground_state(build_hamiltonian(p, basis), basis,
                                    seed=seed),
         photon_moments_ed, tol, budget_nnz)

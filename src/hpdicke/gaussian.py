@@ -31,6 +31,12 @@ LN2 = math.log(2.0)
 # Roundoff band below the Heisenberg bound that is clamped to exactly 1/2
 # rather than rejected.
 HP_CLAMP_BAND = 1e-9
+# Tolerances of the block symmetry checks, of the imaginary parts,
+# pairing, sign and Krein norms of the mode energies, and the thermal
+# occupancy below which thermal_weights truncates.
+_FORM_TOL = 1e-9
+_GAP_TOL = 1e-9
+_WEIGHT_TAIL = 1e-16
 
 __all__ = [
     "QuadraticForm",
@@ -157,7 +163,7 @@ def _swap_blocks(n: int) -> np.ndarray:
     return x
 
 
-def _validated(form: QuadraticForm, tol: float = 1e-9):
+def _validated(form: QuadraticForm):
     A = np.atleast_2d(np.asarray(form.A, dtype=complex))
     B = np.atleast_2d(np.asarray(form.B, dtype=complex))
     d = np.atleast_1d(np.asarray(form.d, dtype=complex))
@@ -165,9 +171,9 @@ def _validated(form: QuadraticForm, tol: float = 1e-9):
     if A.shape != (n, n) or B.shape != (n, n) or d.shape != (n,):
         raise DomainError("inconsistent matrix shapes in quadratic form")
     scale = max(np.abs(A).max(), np.abs(B).max(), 1.0)
-    if np.abs(A - A.conj().T).max() > tol * scale:
+    if np.abs(A - A.conj().T).max() > _FORM_TOL * scale:
         raise DomainError("A block is not Hermitian")
-    if np.abs(B - B.T).max() > tol * scale:
+    if np.abs(B - B.T).max() > _FORM_TOL * scale:
         raise DomainError("B block is not symmetric")
     return A, B, d, n
 
@@ -258,13 +264,13 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
 
 
-def _paired_gaps(ev: np.ndarray, scale: np.ndarray, tol: float
+def _paired_gaps(ev: np.ndarray, scale: np.ndarray
                  ) -> tuple[np.ndarray, list[HpDickeError | None]]:
     """Ascending mode energies from a stack of the 2n eigenvalues of
     Sigma_z M, and per row None or the InstabilityError of a row whose
     energies are complex or do not pair (its gaps are nan)."""
     n = ev.shape[-1] // 2
-    thr = tol * scale
+    thr = _GAP_TOL * scale
     # An exact zero mode is a Jordan pair whose numerical eigenvalues
     # scatter by ~sqrt(eps)*scale in any direction; collapse that dust
     # to zero before judging stability.
@@ -283,9 +289,8 @@ def _paired_gaps(ev: np.ndarray, scale: np.ndarray, tol: float
     return gaps, errors
 
 
-def _krein_step(ev: np.ndarray, vec: np.ndarray, scale: np.ndarray,
-                tol: float) -> tuple[np.ndarray, np.ndarray,
-                                     list[HpDickeError | None]]:
+def _krein_step(ev: np.ndarray, vec: np.ndarray, scale: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, list[HpDickeError | None]]:
     """Mode energies, polariton transforms T and per-row errors from a
     stack of eigenpairs of Sigma_z M: keeps the Krein-positive branch
     and normalizes each row of T to the bosonic commutator.
@@ -296,7 +301,7 @@ def _krein_step(ev: np.ndarray, vec: np.ndarray, scale: np.ndarray,
     and leaves the other rows as they are.
     """
     n = ev.shape[-1] // 2
-    thr = tol * scale
+    thr = _GAP_TOL * scale
     imag = np.abs(ev.imag).max(axis=-1)
     re = ev.real
     count = np.count_nonzero(re > thr[:, None], axis=-1)
@@ -318,7 +323,7 @@ def _krein_step(ev: np.ndarray, vec: np.ndarray, scale: np.ndarray,
     # Krein-orthonormalize inside near-degenerate groups so the transform
     # stays symplectic when gaps coincide.  A group runs from its first
     # gap while the gaps stay within group_tol of that one.
-    group_tol = np.maximum(1e-8 * scale, 10 * tol * scale)
+    group_tol = np.maximum(1e-8 * scale, 10 * _GAP_TOL * scale)
     first = np.zeros(gaps.shape, dtype=np.intp)
     for k in range(1, n):
         lead = first[:, k - 1]
@@ -335,7 +340,7 @@ def _krein_step(ev: np.ndarray, vec: np.ndarray, scale: np.ndarray,
                 proj = xi - prev * _dot(prev.conj(), _mv(sz, xi))[:, None]
                 xi = np.where((first[:, k] <= j)[:, None], proj, xi)
             s = _dot(xi.conj(), _mv(sz, xi)).real
-            for r in np.flatnonzero(s <= tol):
+            for r in np.flatnonzero(s <= _GAP_TOL):
                 if errors[r] is None:
                     errors[r] = InstabilityError(
                         f"non-positive Krein norm {s[r]:.3e} "
@@ -372,8 +377,7 @@ class _BogoliubovStack(NamedTuple):
     errors: list[HpDickeError | None]
 
 
-def _bogoliubov_stack(M: np.ndarray, stable: np.ndarray, tol: float = 1e-9
-                      ) -> _BogoliubovStack:
+def _bogoliubov_stack(M: np.ndarray, stable: np.ndarray) -> _BogoliubovStack:
     """Gaps of a stack of 2n x 2n matrices M (as form_matrix gives them),
     from one batched eigen-decomposition, and the polariton transforms
     of the rows where stable[k] is set, so rows on a phase boundary
@@ -384,13 +388,13 @@ def _bogoliubov_stack(M: np.ndarray, stable: np.ndarray, tol: float = 1e-9
     n = M.shape[-1] // 2
     ev, vec = np.linalg.eig(_sigma_z(n) @ M)
     scale = np.maximum(_norms(M), 1e-300)
-    gaps, errors = _paired_gaps(ev, scale, tol)
+    gaps, errors = _paired_gaps(ev, scale)
     modes = np.full(gaps.shape, math.nan)
     transform = np.full(M.shape, math.nan, dtype=complex)
     rows = np.flatnonzero([s and e is None for s, e in zip(stable, errors)])
     if len(rows):
         modes[rows], transform[rows], late = _krein_step(
-            ev[rows], vec[rows], scale[rows], tol)
+            ev[rows], vec[rows], scale[rows])
         for k, exc in zip(rows.tolist(), late):
             if exc is not None:
                 errors[k] = exc
@@ -399,21 +403,20 @@ def _bogoliubov_stack(M: np.ndarray, stable: np.ndarray, tol: float = 1e-9
                             errors=errors)
 
 
-def bogoliubov_gaps(form: QuadraticForm, tol: float = 1e-9) -> np.ndarray:
+def bogoliubov_gaps(form: QuadraticForm) -> np.ndarray:
     """Mode energies only, ascending, without building the transform.
 
     Unlike symplectic_diagonalize this tolerates zero gaps, so it can be
     evaluated exactly on a phase boundary.
     """
     A, B, _, _ = _validated(form)
-    stack = _bogoliubov_stack(_nambu(A, B)[None], np.zeros(1, bool), tol)
+    stack = _bogoliubov_stack(_nambu(A, B)[None], np.zeros(1, bool))
     if stack.errors[0] is not None:
         raise stack.errors[0]
     return stack.gaps[0]
 
 
-def symplectic_diagonalize(form: QuadraticForm,
-                           tol: float = 1e-9) -> BogoliubovSolution:
+def symplectic_diagonalize(form: QuadraticForm) -> BogoliubovSolution:
     """Diagonalize a stable quadratic form into polaritons.
 
     Builds the dynamical matrix Sigma_z M, keeps the Krein-positive
@@ -438,7 +441,7 @@ def symplectic_diagonalize(form: QuadraticForm,
         c = np.zeros(n, dtype=complex)
         e_shift = 0.0
 
-    stack = _bogoliubov_stack(M[None], np.ones(1, bool), tol)
+    stack = _bogoliubov_stack(M[None], np.ones(1, bool))
     if stack.errors[0] is not None:
         raise stack.errors[0]
     gaps = stack.modes[0]
@@ -676,14 +679,14 @@ def pseudo_energy(hp: float, zeta: float = 0.0) -> float:
     return math.log((2.0 * s + 1.0) / (2.0 * s - 1.0))
 
 
-def thermal_weights(hp: float, zeta: float = 0.0,
-                    tail: float = 1e-16) -> np.ndarray:
+def thermal_weights(hp: float, zeta: float = 0.0) -> np.ndarray:
     """Occupancies p_k = (1 - q) q^k of the reduced thermal form,
-    q = exp(-Delta), truncated once p_k < tail."""
+    q = exp(-Delta), truncated once p_k < _WEIGHT_TAIL."""
     delta = pseudo_energy(hp, zeta)
     if math.isinf(delta):
         return np.array([1.0])
     q = math.exp(-delta)
     p0 = 1.0 - q
-    kmax = max(1, int(math.ceil(math.log(tail / p0) / math.log(q))) + 1)
+    kmax = max(1, int(math.ceil(math.log(_WEIGHT_TAIL / p0) / math.log(q)))
+               + 1)
     return p0 * q ** np.arange(kmax)

@@ -37,7 +37,7 @@ from itertools import repeat
 import numpy as np
 
 from . import __version__
-from .dicke import DickeParams, _thermo_grid
+from .dicke import DickeParams, _thermo_grid, lambda_critical
 from .double import DoubleDickeParams, _double_thermo_grid
 from .ed import (DEFAULT_BUDGET_NNZ, DEFAULT_SEED, EDBasis, _check_budget,
                  build_hamiltonian, converge_cutoff, ground_state,
@@ -305,8 +305,7 @@ def _ed_row(cfg: SweepConfig, i: int, x: float) -> SweepRow:
     n_max, otherwise the solve the cutoff walk accepted."""
     if cfg.model == "dicke":
         p = DickeParams(omega=cfg.omega, omega0=cfg.omega0, coupling=x)
-        base = {"index": i, "coupling": x,
-                "dist_cr": x - math.sqrt(cfg.omega * cfg.omega0) / 2.0}
+        base = {"index": i, "coupling": x, "dist_cr": x - lambda_critical(p)}
         basis_at = functools.partial(EDBasis, cfg.n_spins)
         walk = functools.partial(converge_cutoff, p, cfg.n_spins)
         build, solve = build_hamiltonian, ground_state

@@ -142,13 +142,11 @@ def test_criterion_04_cat_state_limit(capsys):
     dt = time.perf_counter() - t0
     _say(capsys, f"criterion 04: PASS - hp = {rep.hp:.6f} vs "
          f"sqrt(N lambda^2/omega^2 + 1/4) = {want} ({100*rel:.3f}%), "
-         f"splitting {res.gap01:.1e}, pair parities "
-         f"({res.pair_parities[0]:+.3f}, {res.pair_parities[1]:+.3f}) "
+         f"splitting {res.gap01:.1e}, parity {res.parity:+.3f} "
          f"({dt:.1f} s)")
     assert rel < 0.02
     assert res.gap01 < 1e-6 * p.omega
-    assert res.pair_parities[0] > 0.999
-    assert res.pair_parities[1] < -0.999
+    assert res.parity > 0.999
     assert dt < 120.0
 
 

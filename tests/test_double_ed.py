@@ -42,6 +42,14 @@ def test_basis_rejects_non_integers(dims, error):
         DoubleEDBasis(*dims)
 
 
+@pytest.mark.parametrize("state", [(4, 0, 0), (0, 3, 0), (0, 0, 3),
+                                   (0, -1, 0), (-1, 0, 0), (0, 0, -1),
+                                   (0.5, 0, 0), (0, 0.5, 0), (0, 0, 1.5)])
+def test_basis_index_rejects_states_outside_the_basis(state):
+    with pytest.raises(DomainError):
+        DoubleEDBasis(2, 2, 3).index(*state)
+
+
 def test_exact_hermiticity_and_symmetries():
     basis = DoubleEDBasis(5, 5, 7)
     H = build_double_hamiltonian(P(1.1, 0.9, 1.3, 0.37, 0.52, 5), basis)
@@ -147,6 +155,7 @@ def test_builder_matches_kron_assembly(args, dims):
     assert np.array_equal(H.indptr, ref.indptr)
     assert np.array_equal(H.indices, ref.indices)
     assert np.array_equal(H.data, ref.data)
+    assert H.has_canonical_format
     assert not np.any(H.data == 0)
     assert symmetry_residuals(H, basis) == (0.0, 0.0, 0.0)
 
@@ -211,7 +220,6 @@ def test_odd_parity_ground_state():
     res = double_ground_state(H, basis)
     w, e_even, e_odd = _sector_minima(H, basis)
     assert res.parity == -1.0
-    assert res.pair_parities == (-1.0, 1.0)
     assert res.ground_energy == pytest.approx(w[0], abs=1e-10)
     assert res.gap01 == pytest.approx(e_even - e_odd, abs=1e-10)
     assert e_odd - e_even == pytest.approx(-0.053, abs=1e-3)
@@ -264,6 +272,13 @@ def test_chain_swap_duality():
     assert abs(r1.dp - r2.dx) < 1e-9
     assert abs(r1.hp - r2.hp) < 1e-9
     assert abs(s1 - s2) < 1e-8
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
+def test_cutoff_tolerance_must_be_positive(tol):
+    with pytest.raises(DomainError):
+        converge_cutoff_double(P(1.0, 1.0, 1.0, 0.3, 0.3, 2), tol=tol,
+                               budget_nnz=20_000)
 
 
 def test_budget_enforced():

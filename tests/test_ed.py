@@ -3,12 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hpdicke.dicke import DickeParams
 from hpdicke.ed import (_DENSE_DIM, TOP_ROW_TOL, EDBasis, build_hamiltonian,
                         converge_cutoff, ground_state, parity_diagonal,
                         photon_entropy_ed, photon_moments_ed)
-from hpdicke.errors import BudgetExceeded, CutoffError, CutoffWarning
+from hpdicke.errors import (BudgetExceeded, CutoffError, CutoffWarning,
+                            DomainError)
 from hpdicke.gaussian import entropy_from_hp
 
 
@@ -20,14 +22,80 @@ def test_basis_layout():
         EDBasis(4, 0)
 
 
+@pytest.mark.parametrize("state", [(0, 0.4), (0, 1.6), (4, 0.5), (-1, 0.5),
+                                   (0.5, 0.5), (0, math.nan)])
+def test_basis_index_rejects_states_outside_the_basis(state):
+    with pytest.raises(DomainError):
+        EDBasis(2, 3).index(*state)
+
+
+def test_basis_index_layout():
+    b = EDBasis(3, 2)
+    assert [b.index(n, m) for n in range(3) for m in (-1.5, -0.5, 0.5, 1.5)
+            ] == list(range(b.dim))
+
+
 def test_decoupled_hamiltonian_is_diagonal():
     b = EDBasis(4, 6)
     H = build_hamiltonian(DickeParams(1.0, 1.0, 0.0), b)
-    assert H.nnz == b.dim
+    diag = (np.arange(b.n_max + 1)[:, None]
+            + np.arange(b.n_spins + 1) - b.j).ravel()
+    assert np.array_equal(H.toarray(), np.diag(diag))
+    assert H.nnz == np.count_nonzero(diag) < b.dim
     res = ground_state(H, b)
     assert res.ground_energy == pytest.approx(-b.j, abs=1e-13)
     assert photon_moments_ed(res, b).hp == pytest.approx(0.5, abs=1e-13)
     assert photon_entropy_ed(res, b) == pytest.approx(0.0, abs=1e-12)
+
+
+def _coo_reference(p, basis):
+    """The former COO assembly of the Hamiltonian, kept only as an oracle
+    for the direct CSR builder; it stores the diagonal's zeros."""
+    nm = basis.n_spins + 1
+    nn = basis.n_max + 1
+    j = basis.j
+    g = p.coupling / math.sqrt(basis.n_spins)
+    levels = np.arange(nn)
+    m_vals = -j + np.arange(nm)
+    jp = np.sqrt(np.maximum(j * (j + 1) - m_vals * (m_vals + 1), 0.0))
+    jm = np.sqrt(np.maximum(j * (j + 1) - m_vals * (m_vals - 1), 0.0))
+    diag = (p.omega * levels[:, None] + p.omega0 * m_vals[None, :]).ravel()
+    rows, cols, vals = [np.arange(basis.dim)], [np.arange(basis.dim)], [diag]
+    up = np.sqrt(levels[1:])
+
+    def add(dn, dm, amp):
+        n_src = levels[:-1] if dn > 0 else levels[1:]
+        m_src = np.arange(nm - 1) if dm > 0 else np.arange(1, nm)
+        nv, mv = np.meshgrid(n_src, m_src, indexing="ij")
+        rows.append(((nv + dn) * nm + (mv + dm)).ravel())
+        cols.append((nv * nm + mv).ravel())
+        vals.append(amp.ravel())
+
+    if g != 0.0:
+        add(+1, +1, g * up[:, None] * jp[None, :-1])
+        add(+1, -1, g * up[:, None] * jm[None, 1:])
+        add(-1, +1, g * up[:, None] * jp[None, :-1])
+        add(-1, -1, g * up[:, None] * jm[None, 1:])
+    H = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(basis.dim, basis.dim))
+    return H.tocsr()
+
+
+@pytest.mark.parametrize("n_spins", [1, 2, 8, 33, 384])
+@pytest.mark.parametrize("n_max", [1, 6, 40])
+@pytest.mark.parametrize("omega,omega0", [(1.0, 1.0), (1.3, 0.7)])
+@pytest.mark.parametrize("lam", [0.0, 0.45, 1.7])
+def test_builder_matches_coo_assembly(n_spins, n_max, omega, omega0, lam):
+    p, basis = DickeParams(omega, omega0, lam), EDBasis(n_spins, n_max)
+    H = build_hamiltonian(p, basis)
+    ref = _coo_reference(p, basis)
+    ref.eliminate_zeros()
+    assert np.array_equal(H.indptr, ref.indptr)
+    assert np.array_equal(H.indices, ref.indices)
+    assert np.array_equal(H.data, ref.data)
+    assert H.has_canonical_format
+    assert not np.any(H.data == 0)
 
 
 def test_exact_symmetry_and_parity_commutation():
