@@ -151,6 +151,7 @@ def solve_thermo(p: DickeParams, epsilon: int | None = None) -> ThermoSolution:
                           alpha_coh=alpha, beta_coh=beta, epsilon=eps)
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _polaritons(om: float, om0: float, lam: np.ndarray, normal: np.ndarray
                 ) -> tuple[np.ndarray, ...]:
     """mu, gap_minus, gap_plus and gamma over a coupling array, where
@@ -158,11 +159,12 @@ def _polaritons(om: float, om0: float, lam: np.ndarray, normal: np.ndarray
 
     Elementwise numpy arithmetic and sqrt round exactly as Python floats
     do; powers and atan2 go through per_element, which calls the math
-    library as scalar code would.
+    library as scalar code would.  A coupling so large that the
+    arithmetic overflows gives inf or nan, which fails its point in
+    quadratures.
     """
     # mu is discarded where the coupling is zero (always normal)
-    with np.errstate(divide="ignore"):
-        mu = np.where(normal, 1.0, om * om0 / (4.0 * lam * lam))
+    mu = np.where(normal, 1.0, om * om0 / (4.0 * lam * lam))
     om0_eff = om0 / mu
     tr = om0_eff * om0_eff + om * om
     disc = np.sqrt(per_element(pow, om0_eff * om0_eff - om * om, 2)
@@ -256,10 +258,12 @@ class _ThermoGrid:
     entropy: _EntropyColumns
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _thermo_grid(omega: float, omega0: float, couplings,
                  renyi_alphas: tuple[float, ...] = ()) -> _ThermoGrid:
     """The default-branch solution, the photon fluctuations and the
-    entropies at each coupling, each evaluated once per point."""
+    entropies at each coupling, each evaluated once per point.  A point
+    whose arithmetic overflows to inf or nan fails in quadratures."""
     lam = np.asarray(couplings, dtype=float)
     info = [classify_phase(DickeParams(omega, omega0, c))
             for c in lam.tolist()]
@@ -270,11 +274,10 @@ def _thermo_grid(omega: float, omega0: float, couplings,
     s2 = per_element(pow, per_element(math.sin, gamma), 2)
     # 1/gap_minus diverges on the critical coupling, whose cells are set
     # below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dx2 = 0.5 * omega * (c2 / gap_minus + s2 / gap_plus)
-        dp2 = 0.5 * (c2 * gap_minus + s2 * gap_plus) / omega
-        n_c = np.where(critical, 0.0, 0.5 * (dx2 + dp2) - 0.5)
-        sq = np.where(critical, 0.0, 0.5 * (dx2 - dp2))
+    dx2 = 0.5 * omega * (c2 / gap_minus + s2 / gap_plus)
+    dp2 = 0.5 * (c2 * gap_minus + s2 * gap_plus) / omega
+    n_c = np.where(critical, 0.0, 0.5 * (dx2 + dp2) - 0.5)
+    sq = np.where(critical, 0.0, 0.5 * (dx2 - dp2))
     _, dx, dp, hp, errors = quadratures(n_c, sq)
     # on the critical coupling the sin^2 weight of dp is taken as 1 - c2
     dp_crit = np.sqrt(0.5 * (c2 * gap_minus + (1.0 - c2) * gap_plus)

@@ -233,20 +233,21 @@ class _MeanFieldGrid(NamedTuple):
     energy: np.ndarray
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _mean_field_grid(om: float, om0_c: float, om0_i: float,
                      lam_c: np.ndarray, lam_i: np.ndarray,
                      eps_c: np.ndarray, eps_i: np.ndarray
                      ) -> tuple[_MeanFieldGrid, list[MeanFieldError | None]]:
     """mean_field over arrays of coupling pairs and branch signs (0 in an
     unbroken direction), plus per point None or the MeanFieldError of a
-    point whose gradient fails the stationarity check.
+    point whose gradient fails the stationarity check, which a point
+    whose arithmetic overflowed to inf or nan fails too.
 
     Elementwise numpy arithmetic and sqrt round exactly as Python floats
     do; powers go through per_element.
     """
-    with np.errstate(divide="ignore"):
-        mu_c = om * om0_c / (4.0 * per_element(pow, lam_c, 2))
-        mu_i = om * om0_i / (4.0 * per_element(pow, lam_i, 2))
+    mu_c = om * om0_c / (4.0 * per_element(pow, lam_c, 2))
+    mu_i = om * om0_i / (4.0 * per_element(pow, lam_i, 2))
     mu_c = np.where((eps_c != 0) & ~(1.0 < mu_c), mu_c, 1.0)
     mu_i = np.where((eps_i != 0) & ~(1.0 < mu_i), mu_i, 1.0)
     x_c = eps_c * np.sqrt((1.0 - mu_c) / 2.0)
@@ -275,7 +276,7 @@ def _mean_field_grid(om: float, om0_c: float, om0_i: float,
                       1.0 - 2.0 * x_i * x_i]) / s
     grad = lead + coupling * shape
     size = np.maximum(np.abs(lead), np.abs(coupling) / s)
-    bad = (np.abs(grad) > GRADIENT_TOL * size).any(axis=0)
+    bad = ~(np.abs(grad) <= GRADIENT_TOL * size).all(axis=0)
     errors: list[MeanFieldError | None] = [None] * len(bad)
     for k in np.flatnonzero(bad):
         errors[k] = MeanFieldError("stationarity violated at the closed-form "
@@ -297,6 +298,7 @@ def double_quadrature_matrix(p: DoubleDickeParams,
     return _hessian_grid(*args[:5], mf)[0], mf.energy.item()
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _hessian_grid(om: float, om0_c: float, om0_i: float,
                   lam_c: np.ndarray, lam_i: np.ndarray,
                   mf: _MeanFieldGrid) -> np.ndarray:

@@ -1,21 +1,16 @@
 """Finite-size diagonalization of the double-quadrature Dicke model.
 
 One photon mode and two collective spins, each in its maximal-j sector.
-The chain-I coupling enters through i(a - a^dag), so the Hamiltonian is
-complex Hermitian in the product basis; build_double_hamiltonian returns
-that matrix, on which symmetry_residuals checks the two antiunitary
-chain symmetries.  Each row has the diagonal and at most eight
-couplings at fixed flat-index offsets, which ed._offset_csr writes
-straight into canonical CSR with no stored zeros, as it does the
-single-chain matrix.
-
-The solver uses a real gauge.  With D = 1 where U_C = +1 and D = i where
-U_C = -1, every chain-C term connects equal U_C and stays real, while
-every chain-I term flips U_C and picks up a factor +-i that makes it
-real too, so D^dag H D is exactly real symmetric.  It commutes with the
-total parity U_C U_I and goes to the parity-sector core of ed; the
-phases D are applied back to the ground state before any moment is
-taken.
+The chain-I coupling enters through i(a - a^dag), so the Hamiltonian H is
+complex Hermitian in the product basis.  With D = 1 where U_C = +1 and
+D = i where U_C = -1, every chain-C term connects equal U_C and stays
+real, while every chain-I term flips U_C and picks up a factor +-i that
+makes it real too, so D^dag H D is exactly real symmetric.
+build_double_hamiltonian writes that matrix, the diagonal and at most
+eight couplings per row, through ed._offset_csr as the single-chain one;
+it commutes with the total parity U_C U_I and goes to the parity-sector
+core of ed, and the phases D are put back on the ground state before any
+moment is taken.  symmetry_residuals checks the physical D H_r D^dag.
 
 Basis layout: flat index n*(n_c+1)*(n_i+1) + mc_idx*(n_i+1) + mi_idx with
 mc_idx = m_C + N_C/2, mi_idx = m_I + N_I/2.
@@ -24,7 +19,6 @@ mc_idx = m_C + N_C/2, mi_idx = m_I + N_I/2.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,8 +27,8 @@ import scipy.sparse as sp
 from .double import DoubleDickeParams
 from .ed import (DEFAULT_BUDGET_NNZ, DEFAULT_SEED, EDResult, _check_budget,
                  _offset_csr, _sector_ground_state, _spin_diagonals,
-                 _top_slab_weight, _walk_cutoff, _whole)
-from .errors import CutoffError, CutoffWarning, DomainError
+                 _walk_cutoff, _whole)
+from .errors import CutoffError, DomainError
 from .gaussian import FluctuationReport, heisenberg_product
 
 __all__ = [
@@ -90,9 +84,10 @@ class DoubleEDBasis:
 
 def build_double_hamiltonian(p: DoubleDickeParams,
                              basis: DoubleEDBasis) -> sp.csr_matrix:
-    """Sparse complex Hermitian matrix of the two-chain Hamiltonian with
-    couplings scaled by the respective 1/sqrt(N_k), in canonical CSR with
-    no stored zeros."""
+    """The two-chain Hamiltonian, couplings scaled by the respective
+    1/sqrt(N_k), as D^dag H D: real symmetric float64 in canonical CSR with
+    no stored zeros.  The physical matrix is D H_r D^dag, with D = 1 where
+    U_C = double_parities(basis)[0] is +1 and i where it is -1."""
     nn, nc, ni = basis.n_max + 1, basis.n_c + 1, basis.n_i + 1
     m_c, lad_c = _spin_diagonals(basis.n_c)
     m_i, lad_i = _spin_diagonals(basis.n_i)
@@ -102,19 +97,22 @@ def build_double_hamiltonian(p: DoubleDickeParams,
     amp_i = p.lambda_i / math.sqrt(basis.n_i) * (root * lad_i)
     diag = ((p.omega_cav * levels[:, None, None] + p.omega0_c * m_c[:, None])
             + p.omega0_i * m_i)
-    # to n - 1 (mc - 1, mi - 1, mi + 1, mc + 1), diagonal, to n + 1;
-    # i(a - a^dag) is -i on the row with more photons
+    # i(a - a^dag) is -i on the row with more photons; the gauge makes it
+    # U_C(row) toward n - 1 and -U_C(row) toward n + 1
+    u_c = ((-1.0) ** (np.arange(nn)[:, None] + np.arange(nc)))[:, :, None]
+    down_i, up_i = u_c[1:] * amp_i, -u_c[:-1] * amp_i
+    # to n - 1 (mc - 1, mi - 1, mi + 1, mc + 1), diagonal, to n + 1
     lo, hi, every = slice(1, None), slice(None, -1), slice(None)
     sn = nc * ni
     return _offset_csr((nn, nc, ni),
                        [(-sn - ni, (lo, lo, every), amp_c),
-                        (-sn - 1, (lo, every, lo), -1j * amp_i),
-                        (-sn + 1, (lo, every, hi), -1j * amp_i),
+                        (-sn - 1, (lo, every, lo), down_i),
+                        (-sn + 1, (lo, every, hi), down_i),
                         (-sn + ni, (lo, hi, every), amp_c),
                         (0, (every, every, every), diag),
                         (sn - ni, (hi, lo, every), amp_c),
-                        (sn - 1, (hi, every, lo), 1j * amp_i),
-                        (sn + 1, (hi, every, hi), 1j * amp_i),
+                        (sn - 1, (hi, every, lo), up_i),
+                        (sn + 1, (hi, every, hi), up_i),
                         (sn + ni, (hi, hi, every), amp_c)])
 
 
@@ -135,56 +133,38 @@ def double_parities(basis: DoubleEDBasis) -> tuple[np.ndarray, np.ndarray]:
     return u_c, u_i
 
 
+def _phases(u_c: np.ndarray) -> np.ndarray:
+    """The gauge D: 1 where U_C = +1 and i where U_C = -1, for the U_C
+    diagonal u_c."""
+    return np.where(u_c > 0, 1.0 + 0j, 1j)
+
+
 def symmetry_residuals(H: sp.csr_matrix,
                        basis: DoubleEDBasis) -> tuple[float, float, float]:
     """Max-abs residuals of the two antiunitary invariances
-    U_k conj(H) - H U_k and of total-parity commutation; all exactly zero
-    for a correctly assembled matrix."""
+    U_k conj(H) - H U_k and of total-parity commutation of the physical
+    matrix D H D^dag, for H as build_double_hamiltonian writes it; all
+    exactly zero for a correctly assembled matrix."""
     u_c, u_i = double_parities(basis)
-    res = []
-    for u in (u_c, u_i):
-        U = sp.diags(u)
-        D = U @ H.conj() - H @ U
-        res.append(0.0 if D.nnz == 0 else float(np.abs(D.data).max()))
+    D = sp.diags(_phases(u_c))
+    H = D @ H @ D.conj()
+    res = [U @ H.conj() - H @ U for U in (sp.diags(u_c), sp.diags(u_i))]
     P = sp.diags(u_c * u_i)
-    D = P @ H - H @ P
-    res.append(0.0 if D.nnz == 0 else float(np.abs(D.data).max()))
-    return tuple(res)
-
-
-def _real_gauge(H: sp.csr_matrix,
-                u_c: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
-    """D^dag H D as a real matrix, and the phases D (1 where U_C = +1,
-    i where U_C = -1), for the U_C diagonal u_c.
-
-    Entries within one U_C sector are real and keep their value; entries
-    across sectors are imaginary and become -Im H (row U_C = +1) or
-    +Im H (row U_C = -1), so the imaginary part dropped is exactly zero.
-    The result shares its index arrays with H.
-    """
-    H = H.tocsr()
-    row_u = np.repeat(u_c, np.diff(H.indptr))
-    data = H.data.real + 0.5 * (u_c[H.indices] - row_u) * H.data.imag
-    d = np.where(u_c > 0, 1.0 + 0j, 1j)
-    return sp.csr_matrix((data, H.indices, H.indptr), shape=H.shape), d
+    res.append(P @ H - H @ P)
+    return tuple(0.0 if R.nnz == 0 else float(np.abs(R.data).max())
+                 for R in res)
 
 
 def double_ground_state(H: sp.csr_matrix, basis: DoubleEDBasis,
                         seed: int = DEFAULT_SEED) -> EDResult:
-    """Lowest state of each total-parity sector of the complex Hermitian
-    matrix, solved in the real gauge; the ground state is the lower one,
-    a total-parity eigenstate."""
+    """Lowest state of each total-parity sector of H as
+    build_double_hamiltonian writes it, with the phases D put back on
+    the state; the ground state is the lower one, a total-parity
+    eigenstate of the physical Hamiltonian."""
     u_c, u_i = double_parities(basis)
-    H_real, d = _real_gauge(H, u_c)
-    slab = (basis.n_c + 1) * (basis.n_i + 1)
-    res = _sector_ground_state(H_real, u_c * u_i, slab, seed)
-    res = replace(res, state=d * res.state)
-    if not res.cutoff_converged:
-        top = _top_slab_weight(res.state, slab)
-        warnings.warn(
-            f"top Fock slab holds weight {top:.3e}; increase the cutoff",
-            CutoffWarning, stacklevel=2)
-    return res
+    res = _sector_ground_state(H.tocsr(), u_c * u_i,
+                               (basis.n_c + 1) * (basis.n_i + 1), seed)
+    return replace(res, state=_phases(u_c) * res.state)
 
 
 def photon_moments_double(result: EDResult,
@@ -196,11 +176,8 @@ def photon_moments_double(result: EDResult,
     root1 = np.sqrt(levels[1:].astype(float))
     occ = float(np.sum(levels[:, None] * np.abs(w) ** 2))
     mean = complex(np.sum(root1[:, None] * w[:-1].conj() * w[1:]))
-    if basis.n_max >= 2:
-        root2 = np.sqrt((levels[:-2] + 1.0) * (levels[:-2] + 2.0))
-        a_sq = complex(np.sum(root2[:, None] * w[:-2].conj() * w[2:]))
-    else:
-        a_sq = 0.0j
+    root2 = np.sqrt((levels[:-2] + 1.0) * (levels[:-2] + 2.0))
+    a_sq = complex(np.sum(root2[:, None] * w[:-2].conj() * w[2:]))
     return heisenberg_product(mean_a=mean, a_sq=a_sq, occupation=occ)
 
 

@@ -8,8 +8,8 @@ Hamiltonian
 
 is real symmetric with at most five nonzeros per row and commutes exactly
 with the parity (-1)^(n + m + j), which is diagonal in this basis.
-_offset_csr writes it, and the two-chain matrix of double_ed, straight
-into canonical CSR with no stored zeros.
+_offset_csr writes it, and the real two-chain matrix of double_ed,
+straight into canonical float64 CSR with no stored zeros.
 
 The solver works per parity sector (Emary & Brandes, PRE 67, 066203
 (2003)): H splits into an even and an odd block of about half the
@@ -17,8 +17,10 @@ dimension, and the lowest eigenpair of each is found, densely below
 _DENSE_DIM and with ARPACK above.  The ground state is the lower of the
 two and is a parity eigenstate by construction, so the superradiant cat
 pair needs no separate resolution; gap01 is the splitting between the
-two sector minima.  The same core serves the two-chain model in
-double_ed after a diagonal gauge makes that Hamiltonian real.
+two sector minima.  The same core serves the two-chain model of
+double_ed, whose builder writes that Hamiltonian in a real diagonal
+gauge.  The solve warns CutoffWarning when the top Fock level of the
+ground state holds TOP_ROW_TOL or more of its weight.
 """
 
 from __future__ import annotations
@@ -136,7 +138,7 @@ def _spin_diagonals(n_spins: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _offset_csr(shape: tuple[int, ...], entries) -> sp.csr_matrix:
-    """Canonical CSR matrix, with no stored zeros, over a basis grid of
+    """Real canonical CSR matrix, with no stored zeros, over a basis grid of
     this shape (C order) from (column offset, row box, values) entries in
     column order; values broadcast over the box.  One loop counts each
     row's nonzeros and a second writes them in place, so no temporary
@@ -153,8 +155,7 @@ def _offset_csr(shape: tuple[int, ...], entries) -> sp.csr_matrix:
         nonzero.append(nz)
     indptr = np.zeros(dim + 1, dtype=itype)
     np.cumsum(count, out=indptr[1:])
-    data = np.empty(indptr[-1],
-                    dtype=np.result_type(*[v for _, _, v in entries]))
+    data = np.empty(indptr[-1])
     indices = np.empty(indptr[-1], dtype=itype)
     pos = indptr[:-1].reshape(shape).copy()
     for (offset, box, v), nz in zip(entries, nonzero):
@@ -190,13 +191,6 @@ def parity_diagonal(basis: EDBasis) -> np.ndarray:
     return np.kron(n_par, m_par)
 
 
-def _top_slab_weight(state: np.ndarray, slab: int) -> float:
-    """Weight of the last slab entries: the top Fock level, since the
-    photon number is the outermost index of both basis layouts."""
-    top = state[-slab:]
-    return float(np.vdot(top, top).real)
-
-
 def _fix_sign(v: np.ndarray) -> np.ndarray:
     k = int(np.argmax(np.abs(v)))
     return -v if v[k] < 0 else v
@@ -226,7 +220,9 @@ def _sector_ground_state(H_real: sp.csr_matrix, parity: np.ndarray,
 
     The odd minimum is the ground state only when it lies lower by more
     than SOLVE_TOL*max(1, |E|); a cat pair degenerate to that accuracy
-    reports its even member.  gap01 is |E_odd - E_even|.
+    reports its even member.  gap01 is |E_odd - E_even|.  A ground state
+    whose top Fock slab holds TOP_ROW_TOL or more of the weight is not
+    cutoff_converged and warns CutoffWarning.
     """
     dim = H_real.shape[0]
     v0 = np.random.default_rng(seed).standard_normal(dim)
@@ -238,7 +234,12 @@ def _sector_ground_state(H_real: sp.csr_matrix, parity: np.ndarray,
     psi = np.zeros(dim)
     psi[parity == sign] = v / np.linalg.norm(v)
     psi = _fix_sign(psi)
-    converged = _top_slab_weight(psi, basis_top_slab) < TOP_ROW_TOL
+    # the photon number is the outermost index of both basis layouts
+    top = float(np.vdot(psi[-basis_top_slab:], psi[-basis_top_slab:]))
+    converged = top < TOP_ROW_TOL
+    if not converged:
+        warnings.warn(f"top Fock level holds {top:.2e} of the weight; "
+                      "moments may be truncated", CutoffWarning, stacklevel=3)
     return EDResult(ground_energy=e0, gap01=abs(e_odd - e_even), state=psi,
                     parity=sign, cutoff_converged=converged,
                     n_max_used=dim // basis_top_slab - 1)
@@ -258,17 +259,9 @@ def _state_matrix(result: EDResult, basis: EDBasis) -> np.ndarray:
     return result.state.reshape(basis.n_max + 1, basis.n_spins + 1)
 
 
-def _warn_if_truncated(result: EDResult, basis: EDBasis):
-    w = _top_slab_weight(result.state, basis.n_spins + 1)
-    if w > TOP_ROW_TOL:
-        warnings.warn(f"top Fock level holds {w:.2e} of the weight; "
-                      "moments may be truncated", CutoffWarning, stacklevel=3)
-
-
 def photon_moments_ed(result: EDResult, basis: EDBasis) -> FluctuationReport:
     """Photon <a>, <a^2>, <a^dag a> of the ground state, centered and fed
     to the generic uncertainty-product reducer."""
-    _warn_if_truncated(result, basis)
     W = _state_matrix(result, basis)
     root1 = np.sqrt(np.arange(1, basis.n_max + 1))
     mean_a = float(np.sum(root1[:, None] * W[:-1] * W[1:]))
@@ -281,7 +274,6 @@ def photon_moments_ed(result: EDResult, basis: EDBasis) -> FluctuationReport:
 
 def photon_entropy_ed(result: EDResult, basis: EDBasis) -> float:
     """Entanglement entropy (bits) of the photon reduced density matrix."""
-    _warn_if_truncated(result, basis)
     W = _state_matrix(result, basis)
     rho = W @ W.T
     w = np.linalg.eigvalsh(rho)

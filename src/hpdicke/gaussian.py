@@ -143,11 +143,25 @@ def per_element(fn, *args) -> np.ndarray:
     broadcast.  numpy's transcendental functions (cos, sin, power, log,
     exp, atan2) may round differently from the math library, and from
     one CPU to another through numpy's SIMD kernels, so array code that
-    must reproduce scalar float code bitwise maps those calls with this."""
+    must reproduce scalar float code bitwise maps those calls with this.
+    An element whose call overflows gives +inf, as numpy's power would:
+    every mapped call that can overflow (x^2, s^3, mu^2.5) is
+    nonnegative-valued."""
     n = next(len(a) for a in args if isinstance(a, np.ndarray))
     cols = [a.tolist() if isinstance(a, np.ndarray) else [a] * n
             for a in args]
-    return np.array(list(map(fn, *cols)), dtype=float)
+    try:
+        return np.array(list(map(fn, *cols)), dtype=float)
+    except OverflowError:
+        return np.array([_inf_on_overflow(fn, *a) for a in zip(*cols)],
+                        dtype=float)
+
+
+def _inf_on_overflow(fn, *args) -> float:
+    try:
+        return fn(*args)
+    except OverflowError:
+        return math.inf
 
 
 def _sigma_z(n: int) -> np.ndarray:
@@ -212,10 +226,12 @@ def _xp_blocks(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return A, 0.5 * (B + B.swapaxes(-1, -2))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _nambu_stack(G: np.ndarray) -> np.ndarray:
     """Stack of the matrices form_matrix(form_from_xp(G[k])), bitwise
     equal to building each one alone, for a stack G of quadrature forms
-    that form_from_xp accepts."""
+    that form_from_xp accepts; a form that is not finite gives a matrix
+    that is not finite."""
     return _nambu(*_xp_blocks(np.asarray(G, dtype=float)))
 
 
@@ -384,11 +400,18 @@ def _bogoliubov_stack(M: np.ndarray, stable: np.ndarray) -> _BogoliubovStack:
     still get their gaps.  bogoliubov_gaps and symplectic_diagonalize
     are this step on a stack of one.  A row whose gaps do not pair
     skips the Krein step; its error, or the Krein step's, is errors[k].
+    A row that is not finite stays out of the eigen-decomposition and
+    fails with InstabilityError.
     """
     n = M.shape[-1] // 2
-    ev, vec = np.linalg.eig(_sigma_z(n) @ M)
+    finite = np.isfinite(M).all(axis=(-2, -1))
+    ev = np.full(M.shape[:-1], math.nan, dtype=complex)
+    vec = np.full(M.shape, math.nan, dtype=complex)
+    ev[finite], vec[finite] = np.linalg.eig(_sigma_z(n) @ M[finite])
     scale = np.maximum(_norms(M), 1e-300)
     gaps, errors = _paired_gaps(ev, scale)
+    for k in np.flatnonzero(~finite):
+        errors[k] = InstabilityError("quadratic form is not finite")
     modes = np.full(gaps.shape, math.nan)
     transform = np.full(M.shape, math.nan, dtype=complex)
     rows = np.flatnonzero([s and e is None for s, e in zip(stable, errors)])
@@ -533,23 +556,25 @@ def quadratures(n_c: np.ndarray, sq: np.ndarray):
     occupation n_c and real centered <a^2> = sq, each point bitwise what
     scalar float code gives.  Values within HP_CLAMP_BAND below a bound
     are clamped onto it; a point further below gets nan and its
-    UncertaintyViolation in errors, leaving the other points as they are.
+    UncertaintyViolation in errors, leaving the other points as they are;
+    so does a point whose product is not a number.
 
     The thermo grids reach the gaussian layer through this function and
     heisenberg_products, once per grid; both are public so that the
     benchmark's trace of the layer sees those calls.
     """
     n_occ = np.where(0.0 > n_c, 0.0, n_c)
-    dx2 = 0.5 + n_occ + sq
-    dp2 = 0.5 + n_occ - sq
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        dx2 = 0.5 + n_occ + sq
+        dp2 = 0.5 + n_occ - sq
         dx, dp = np.sqrt(dx2), np.sqrt(dp2)
         hp = dx * dp
         clamp = hp < 0.5
         hp_out = np.where(clamp, 0.5, hp)
         dp = np.where(clamp, 0.5 / dx, dp)
+    # written so that a nan product fails too
     bad = ((n_c < -HP_CLAMP_BAND) | (dx2 <= 0.0) | (dp2 <= 0.0)
-           | (hp < 0.5 - HP_CLAMP_BAND))
+           | ~(hp >= 0.5 - HP_CLAMP_BAND))
     errors: list[UncertaintyViolation | None] = [None] * len(n_c)
     for k in np.flatnonzero(bad):
         errors[k] = UncertaintyViolation(

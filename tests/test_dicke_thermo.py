@@ -6,7 +6,8 @@ import pytest
 from hpdicke.dicke import (DickeParams, Phase, classify_phase,
                            dicke_quadratic_form, entropy_thermo, hp_thermo,
                            lambda_critical, solve_thermo)
-from hpdicke.errors import BranchError, CriticalPointDivergence, DomainError
+from hpdicke.errors import (BranchError, CriticalPointDivergence, DomainError,
+                            UncertaintyViolation)
 from hpdicke.gaussian import (photon_moments_from_solution,
                               symplectic_diagonalize)
 
@@ -128,3 +129,11 @@ def test_mu_continuous_across_transition():
     above = solve_thermo(DickeParams(1.0, 1.0, 0.5 * (1 + 1e-9))).mu
     assert below == pytest.approx(1.0, abs=1e-8)
     assert above == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("lam", [1e4, 1e8, 1e40])
+def test_strong_coupling_overflow_raises(lam):
+    # gap_minus^2 cancels to zero here, so the moments are inf and nan;
+    # they once came back as a nan report
+    with pytest.raises(UncertaintyViolation):
+        hp_thermo(DickeParams(1.0, 1.0, lam))

@@ -8,8 +8,7 @@ import scipy.sparse as sp
 from hpdicke import ed as sed
 from hpdicke.dicke import DickeParams
 from hpdicke.double import DoubleDickeParams
-from hpdicke.double_ed import (DoubleEDBasis, _real_gauge,
-                               build_double_hamiltonian,
+from hpdicke.double_ed import (DoubleEDBasis, build_double_hamiltonian,
                                converge_cutoff_double, double_ed,
                                double_ground_state, double_parities,
                                photon_entropy_double, photon_moments_double,
@@ -93,14 +92,23 @@ def _brute_force(p, basis):
     return Hd
 
 
+def _gauged(H, basis):
+    """D^dag H D, dense, for a physical matrix H: the real matrix the
+    builder writes, with D = 1 where U_C = +1 and i where U_C = -1."""
+    d = np.where(double_parities(basis)[0] > 0, 1.0 + 0j, 1j)
+    H = H.toarray() if sp.issparse(H) else H
+    return d.conj()[:, None] * H * d[None, :]
+
+
 @pytest.mark.parametrize("args", [(1.0, 1.0, 1.0, 0.3, 0.4, 2),
                                   (1.3, 0.7, 1.9, 0.51, 0.22, 3)])
 def test_assembly_against_brute_force(args):
     p = P(*args)
     basis = DoubleEDBasis(p.n_c, p.n_i, 5)
     H = build_double_hamiltonian(p, basis)
-    Hd = _brute_force(p, basis)
-    assert np.abs(H.toarray() - Hd).max() < 1e-14
+    G = _gauged(_brute_force(p, basis), basis)
+    assert not np.any(G.imag)
+    assert np.abs(H.toarray() - G.real).max() < 1e-14
 
 
 def _kron_reference(p, basis):
@@ -152,9 +160,11 @@ def test_builder_matches_kron_assembly(args, dims):
     p, basis = _params(*args), DoubleEDBasis(*dims)
     H = build_double_hamiltonian(p, basis)
     ref = _kron_reference(p, basis)
-    assert np.array_equal(H.indptr, ref.indptr)
-    assert np.array_equal(H.indices, ref.indices)
-    assert np.array_equal(H.data, ref.data)
+    G = _gauged(ref, basis)
+    assert not np.any(G.imag)
+    assert np.array_equal(G.real, H.toarray())
+    assert H.nnz == ref.nnz
+    assert isinstance(H, sp.csr_matrix) and H.dtype == np.float64
     assert H.has_canonical_format
     assert not np.any(H.data == 0)
     assert symmetry_residuals(H, basis) == (0.0, 0.0, 0.0)
@@ -168,10 +178,25 @@ def test_builder_matches_kron_assembly_for_a_single_spin(dims):
     H = build_double_hamiltonian(p, basis)
     ref = _kron_reference(p, basis)
     ref.eliminate_zeros()
-    assert np.array_equal(H.indptr, ref.indptr)
-    assert np.array_equal(H.indices, ref.indices)
-    assert np.array_equal(H.data, ref.data)
+    G = _gauged(ref, basis)
+    assert not np.any(G.imag)
+    assert np.array_equal(G.real, H.toarray())
+    assert H.nnz == ref.nnz
     assert symmetry_residuals(H, basis) == (0.0, 0.0, 0.0)
+
+
+def test_symmetry_residuals_catch_a_parity_breaking_entry():
+    basis = DoubleEDBasis(3, 2, 6)
+    H = build_double_hamiltonian(_params(1.1, 0.9, 1.3, 0.37, 0.52),
+                                 basis).tolil()
+    u_c, u_i = double_parities(basis)
+    # the ground slab |0, 0, 0> and |0, 0, 1>, of opposite total parity
+    i, j = basis.index(0, 0, 0), basis.index(0, 0, 1)
+    assert u_c[i] * u_i[i] == -u_c[j] * u_i[j]
+    H[i, j] = H[j, i] = 0.5
+    res = symmetry_residuals(H.tocsr(), basis)
+    assert res[2] > 0.0
+    assert max(res[:2]) > 0.0
 
 
 def test_iterative_matches_dense_and_is_deterministic():
@@ -200,11 +225,11 @@ def test_real_gauge_is_exact_and_keeps_the_sector_minima(args):
     p = P(*args)
     basis = DoubleEDBasis(p.n_c, p.n_i, 12)
     H = build_double_hamiltonian(p, basis)
-    H_real, d = _real_gauge(H, double_parities(basis)[0])
-    G = sp.diags(d.conj()) @ H @ sp.diags(d)
-    assert not np.any(G.toarray().imag)
-    assert np.array_equal(G.toarray().real, H_real.toarray())
-    w, e_even, e_odd = _sector_minima(H, basis)
+    ref = _kron_reference(p, basis)
+    G = _gauged(ref, basis)
+    assert not np.any(G.imag)
+    assert np.array_equal(G.real, H.toarray())
+    w, e_even, e_odd = _sector_minima(ref, basis)
     res = double_ground_state(H, basis)
     other = res.ground_energy + res.gap01
     want = (e_even, e_odd) if res.parity > 0 else (e_odd, e_even)

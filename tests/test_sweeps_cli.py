@@ -455,6 +455,34 @@ class TestThermoRowFailures:
         # row 1 lies halfway to the double point (row 2)
         self._check_one_failed(cfg, table, reference, 1, "GaplessError")
 
+    @pytest.mark.parametrize("coupling", [1e4, 1e40, 1e160, 1e300])
+    @pytest.mark.parametrize("model,key", [("dicke", "coupling_max"),
+                                           ("double-dicke", "r_max")])
+    def test_huge_couplings_fail_their_rows(self, tmp_path, capsys, model,
+                                            key, coupling):
+        # overflowing closed forms once gave nan rows without a reason or
+        # aborted the sweep with an OverflowError
+        raw = {"model": model, "mode": "thermo", key: coupling, "steps": 3}
+        table = sweep_rows(SweepConfig.from_dict(raw))
+        for row in table:
+            v = row.values
+            if row.failed:
+                assert v["reason"].startswith("solver: ")
+                assert math.isnan(v["hp"])
+            else:
+                assert v["reason"] == ""
+                assert all(math.isfinite(v[c])
+                           for c in ("dx", "dp", "hp", "s_vn"))
+        assert table.failed[0] is False
+        failed = sum(table.failed)
+        out = tmp_path / "s.csv"
+        assert cli.main(["sweep", "--config",
+                         _write_config(tmp_path, "c.json", raw),
+                         "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        reported = f"({failed} row(s) with recorded solver" in err
+        assert reported == (failed > 0)
+
 
 class TestFileOutput:
     def test_run_sweep_writes_csv(self, tmp_path):
