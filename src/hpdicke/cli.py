@@ -19,6 +19,7 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
+from .ed import DEFAULT_BUDGET_NNZ, DEFAULT_SEED
 from .errors import (BudgetExceeded, ConfigError, DegenerateFit,
                      HpDickeError)
 from .figures import reproduce_figure
@@ -229,7 +230,6 @@ def _jsonable(obj):
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    from .ed import DEFAULT_BUDGET_NNZ, DEFAULT_SEED
     budget = args.budget_nnz if args.budget_nnz is not None \
         else DEFAULT_BUDGET_NNZ
     seed = args.seed if args.seed is not None else DEFAULT_SEED

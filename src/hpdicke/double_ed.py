@@ -20,16 +20,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .double import DoubleDickeParams
 from .ed import (DEFAULT_BUDGET_NNZ, DEFAULT_SEED, EDResult, _check_budget,
-                 _offset_csr, _sector_ground_state, _spin_diagonals,
+                 _offset_csr, _scipy, _sector_ground_state, _spin_diagonals,
                  _walk_cutoff, _whole)
 from .errors import CutoffError, DomainError
 from .gaussian import FluctuationReport, heisenberg_product
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "DoubleEDBasis",
@@ -145,6 +148,7 @@ def symmetry_residuals(H: sp.csr_matrix,
     U_k conj(H) - H U_k and of total-parity commutation of the physical
     matrix D H D^dag, for H as build_double_hamiltonian writes it; all
     exactly zero for a correctly assembled matrix."""
+    sp = _scipy().sparse
     u_c, u_i = double_parities(basis)
     D = sp.diags(_phases(u_c))
     H = D @ H @ D.conj()

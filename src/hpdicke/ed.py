@@ -20,7 +20,8 @@ pair needs no separate resolution; gap01 is the splitting between the
 two sector minima.  The same core serves the two-chain model of
 double_ed, whose builder writes that Hamiltonian in a real diagonal
 gauge.  The solve warns CutoffWarning when the top Fock level of the
-ground state holds TOP_ROW_TOL or more of its weight.
+ground state holds TOP_ROW_TOL or more of its weight.  scipy loads at
+the first ED call or ED config (_scipy), so thermo runs need only numpy.
 """
 
 from __future__ import annotations
@@ -29,17 +30,18 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .dicke import DickeParams
 from .errors import (BudgetExceeded, ConvergenceError, CutoffError,
                      CutoffWarning, DegenerateFit, DomainError)
 from .fits import ExponentFit, _ols
 from .gaussian import FluctuationReport, heisenberg_product
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "EDBasis",
@@ -129,6 +131,13 @@ class ScalingReport:
     fit_sizes: tuple[int, ...]
 
 
+def _scipy():
+    """scipy, its solvers loaded; callers look eigsh up at each call."""
+    import scipy.linalg
+    import scipy.sparse.linalg
+    return scipy
+
+
 def _spin_diagonals(n_spins: int) -> tuple[np.ndarray, np.ndarray]:
     """m = -j .. j and <m+1|J+|m> = sqrt((j - m)(j + m + 1)) for m < j in
     the maximal sector j = n_spins/2, clipped for roundoff."""
@@ -163,7 +172,7 @@ def _offset_csr(shape: tuple[int, ...], entries) -> sp.csr_matrix:
         data[at] = np.broadcast_to(v, nz.shape)[nz]
         indices[at] = rows[box][nz] + offset
         pos[box] += nz
-    return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+    return _scipy().sparse.csr_matrix((data, indices, indptr), (dim, dim))
 
 
 def build_hamiltonian(p: DickeParams, basis: EDBasis) -> sp.csr_matrix:
@@ -201,12 +210,12 @@ def _sector_minimum(H: sp.csr_matrix, idx: np.ndarray,
     """Lowest eigenpair of H restricted to the basis states idx."""
     block = H[idx][:, idx]
     if H.shape[0] <= _DENSE_DIM:
-        w, v = sla.eigh(block.toarray(), subset_by_index=[0, 0])
+        w, v = _scipy().linalg.eigh(block.toarray(), subset_by_index=[0, 0])
         return float(w[0]), v[:, 0]
     try:
-        w, v = spla.eigsh(block, k=1, which="SA", v0=v0[idx],
-                         tol=SOLVE_TOL)
-    except spla.ArpackNoConvergence as exc:
+        w, v = _scipy().sparse.linalg.eigsh(block, k=1, which="SA",
+                                            v0=v0[idx], tol=SOLVE_TOL)
+    except _scipy().sparse.linalg.ArpackNoConvergence as exc:
         raise ConvergenceError(
             f"eigensolver stalled at dim {idx.size} of {H.shape[0]}",
             iterations=getattr(exc, "iterations", None)) from exc

@@ -30,7 +30,6 @@ import os
 import tempfile
 import warnings
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields as dc_fields
 from itertools import repeat
 
@@ -40,7 +39,7 @@ from . import __version__
 from .dicke import DickeParams, _thermo_grid, lambda_critical
 from .double import DoubleDickeParams, _double_thermo_grid
 from .ed import (DEFAULT_BUDGET_NNZ, DEFAULT_SEED, EDBasis, _check_budget,
-                 build_hamiltonian, converge_cutoff, ground_state,
+                 _scipy, build_hamiltonian, converge_cutoff, ground_state,
                  photon_entropy_ed, photon_moments_ed)
 from .double_ed import (DoubleEDBasis, build_double_hamiltonian,
                         converge_cutoff_double, double_ground_state,
@@ -110,6 +109,7 @@ class SweepConfig:
         return cfg
 
     def validate(self):
+        """Raise ConfigError on a bad field; an ED config loads scipy."""
         for f in dc_fields(self):
             value = getattr(self, f.name)
             if f.type in ("float", float) and not math.isfinite(value):
@@ -140,6 +140,7 @@ class SweepConfig:
                 raise ConfigError("n_max must be positive when given")
             if self.renyi:
                 raise ConfigError("renyi entropies are thermo-only")
+            _scipy()
         if self.budget_nnz <= 0:
             raise ConfigError("budget must be positive")
         if self.tol <= 0:
@@ -364,6 +365,7 @@ def sweep_rows(cfg: SweepConfig) -> SweepTable:
         return _thermo_rows(cfg)
     jobs = [(cfg, i, x) for i, x in enumerate(cfg.grid().tolist())]
     if cfg.workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         order = sorted(jobs, key=lambda j: -abs(j[2]))
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             done = list(pool.map(_ed_row, *zip(*order)))
