@@ -9,8 +9,9 @@ makes it real too, so D^dag H D is exactly real symmetric.
 build_double_hamiltonian writes that matrix, the diagonal and at most
 eight couplings per row, through ed._offset_csr as the single-chain one;
 it commutes with the total parity U_C U_I and goes to the parity-sector
-core of ed, and the phases D are put back on the ground state before any
-moment is taken.  symmetry_residuals checks the physical D H_r D^dag.
+core of ed (its ARPACK start at a normal point is D^dag times the HP
+ground state), and the phases D are put back on the ground state before
+any moment is taken.  symmetry_residuals checks the physical D H_r D^dag.
 
 Basis layout: flat index n*(n_c+1)*(n_i+1) + mc_idx*(n_i+1) + mi_idx with
 mc_idx = m_C + N_C/2, mi_idx = m_I + N_I/2.
@@ -18,16 +19,18 @@ mc_idx = m_C + N_C/2, mi_idx = m_I + N_I/2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .double import DoubleDickeParams
-from .ed import (DEFAULT_BUDGET_NNZ, DEFAULT_SEED, EDResult, _check_budget,
-                 _offset_csr, _scipy, _sector_ground_state, _spin_diagonals,
-                 _walk_cutoff, _whole)
+from .double import (DoubleDickeParams, DoublePhase,
+                     build_double_quadratic_form, classify_double_phase)
+from .ed import (_DENSE_DIM, DEFAULT_BUDGET_NNZ, DEFAULT_SEED, EDResult,
+                 _check_budget, _hp_starts, _offset_csr, _scipy,
+                 _sector_ground_state, _spin_diagonals, _walk_cutoff, _whole)
 from .errors import CutoffError, DomainError
 from .gaussian import FluctuationReport, heisenberg_product
 
@@ -160,14 +163,25 @@ def symmetry_residuals(H: sp.csr_matrix,
 
 
 def double_ground_state(H: sp.csr_matrix, basis: DoubleEDBasis,
-                        seed: int = DEFAULT_SEED) -> EDResult:
+                        seed: int = DEFAULT_SEED, *,
+                        params: DoubleDickeParams | None = None) -> EDResult:
     """Lowest state of each total-parity sector of H as
     build_double_hamiltonian writes it, with the phases D put back on
     the state; the ground state is the lower one, a total-parity
-    eigenstate of the physical Hamiltonian."""
+    eigenstate of the physical Hamiltonian.  Given the params of H, ARPACK
+    starts at a normal point from D^dag times the HP state (a, b_C, b_I)
+    of build_double_quadratic_form (ed._hp_starts)."""
     u_c, u_i = double_parities(basis)
+    hp_start = None
+    if (params is not None and basis.dim > _DENSE_DIM
+            and classify_double_phase(params).phase is DoublePhase.NORMAL):
+        hp_start = functools.partial(
+            _hp_starts, build_double_quadratic_form(params),
+            (basis.n_max + 1, basis.n_c + 1, basis.n_i + 1),
+            lambda idx: _phases(u_c[idx]).conj())
     res = _sector_ground_state(H.tocsr(), u_c * u_i,
-                               (basis.n_c + 1) * (basis.n_i + 1), seed)
+                               (basis.n_c + 1) * (basis.n_i + 1), seed,
+                               hp_start)
     return replace(res, state=_phases(u_c) * res.state)
 
 
@@ -215,7 +229,7 @@ def converge_cutoff_double(p: DoubleDickeParams, tol: float = 1e-8,
     return _walk_cutoff(
         n0, lambda n: DoubleEDBasis(n_c=p.n_c, n_i=p.n_i, n_max=n),
         lambda basis: double_ground_state(
-            build_double_hamiltonian(p, basis), basis, seed=seed),
+            build_double_hamiltonian(p, basis), basis, seed=seed, params=p),
         photon_moments_double, tol, budget_nnz)
 
 

@@ -14,18 +14,20 @@ straight into canonical float64 CSR with no stored zeros.
 The solver works per parity sector (Emary & Brandes, PRE 67, 066203
 (2003)): H splits into an even and an odd block of about half the
 dimension, and the lowest eigenpair of each is found, densely below
-_DENSE_DIM and with ARPACK above.  The ground state is the lower of the
-two and is a parity eigenstate by construction, so the superradiant cat
-pair needs no separate resolution; gap01 is the splitting between the
-two sector minima.  The same core serves the two-chain model of
-double_ed, whose builder writes that Hamiltonian in a real diagonal
-gauge.  The solve warns CutoffWarning when the top Fock level of the
-ground state holds TOP_ROW_TOL or more of its weight.  scipy loads at
-the first ED call or ED config (_scipy), so thermo runs need only numpy.
+_DENSE_DIM and with ARPACK above, from a seeded draw or, at a normal
+point whose params the caller passes, from its Holstein-Primakoff ground
+state (_hp_starts).  The ground state is the lower of the two and a
+parity eigenstate by construction, so the superradiant cat pair needs no
+separate resolution; gap01 is the splitting of the two minima.  Both
+models share this core; double_ed writes its Hamiltonian in a real
+diagonal gauge.  The solve warns CutoffWarning when the top Fock level
+of the ground state holds TOP_ROW_TOL or more of its weight.  scipy
+loads at the first ED call or ED config (_scipy): thermo needs numpy only.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -34,11 +36,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dicke import DickeParams
+from .dicke import DickeParams, Phase, classify_phase, dicke_quadratic_form
 from .errors import (BudgetExceeded, ConvergenceError, CutoffError,
-                     CutoffWarning, DegenerateFit, DomainError)
+                     CutoffWarning, DegenerateFit, DomainError,
+                     InstabilityError)
 from .fits import ExponentFit, _ols
-from .gaussian import FluctuationReport, heisenberg_product
+from .gaussian import (FluctuationReport, QuadraticForm, heisenberg_product,
+                       symplectic_diagonalize)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -214,7 +218,7 @@ def _sector_minimum(H: sp.csr_matrix, idx: np.ndarray,
         return float(w[0]), v[:, 0]
     try:
         w, v = _scipy().sparse.linalg.eigsh(block, k=1, which="SA",
-                                            v0=v0[idx], tol=SOLVE_TOL)
+                                            v0=v0, tol=SOLVE_TOL)
     except _scipy().sparse.linalg.ArpackNoConvergence as exc:
         raise ConvergenceError(
             f"eigensolver stalled at dim {idx.size} of {H.shape[0]}",
@@ -222,21 +226,75 @@ def _sector_minimum(H: sp.csr_matrix, idx: np.ndarray,
     return float(w[0]), v[:, 0]
 
 
+def _add_created(out: np.ndarray, coef, psi: np.ndarray, axis: int):
+    """out += coef a^dag psi, a^dag raising the mode on axis of psi."""
+    src, dst = np.moveaxis(psi, axis, -1), np.moveaxis(out, axis, -1)
+    dst[..., 1:] += (coef * np.sqrt(np.arange(1, src.shape[-1]))
+                     * src[..., :-1])
+
+
+def _pair_state(Z: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """<n|exp(a^dag Z a^dag / 2)|0> on the Fock box of this shape, slice by
+    slice of mode 0: G(n + e_0) = sum_j Z_0j (a_j^dag G)(n) / sqrt(n_0 + 1)."""
+    psi = np.zeros(shape, dtype=complex)
+    psi[0] = _pair_state(Z[1:, 1:], shape[1:]) if len(shape) > 1 else 1.0
+    for n in range(shape[0] - 1):
+        nxt = Z[0, 0] * math.sqrt(n) * psi[max(n - 1, 0)]
+        for j in range(1, len(shape)):
+            _add_created(nxt, Z[0, j], psi[n], j - 1)
+        psi[n + 1] = nxt / math.sqrt(n + 1)
+    return psi
+
+
+def _hp_starts(form: QuadraticForm, shape: tuple[int, ...], gauge, sectors,
+               draws: list[np.ndarray]) -> list[np.ndarray]:
+    """Sector starts from the polariton rows (X, Y) of a normal-phase form
+    over the basis axes: G = exp(a^dag Z a^dag / 2)|0>, Z = -X^-1 Y, and
+    b_soft^dag G, each on its sector idx times gauge(idx), phase-fixed and
+    real, plus 1e-6 of its unit draw; the draws when the form is unstable."""
+    try:
+        T = symplectic_diagonalize(form).transform
+    except InstabilityError:
+        return draws
+    n = form.n_modes
+    X, Y = T[:n, :n], T[:n, n:]
+    Z = -np.linalg.solve(X, Y)
+    even = _pair_state(Z, shape)
+    w = X[0].conj() + Y[0].conj() @ Z
+    odd = np.zeros_like(even)
+    for j in range(n):
+        _add_created(odd, w[j], even, j)
+    starts = []
+    for psi, idx, r in zip((even, odd), sectors, draws):
+        v = psi.ravel()[idx] * (1.0 if gauge is None else gauge(idx))
+        v = (v * v[np.argmax(np.abs(v))].conjugate()).real
+        starts.append(v / np.linalg.norm(v) + 1e-6 * r / np.linalg.norm(r))
+    return starts
+
+
 def _sector_ground_state(H_real: sp.csr_matrix, parity: np.ndarray,
-                         basis_top_slab: int, seed: int) -> EDResult:
+                         basis_top_slab: int, seed: int,
+                         hp_start=None) -> EDResult:
     """Ground state of a real symmetric H that commutes with the diagonal
     parity (entries +-1), from the lowest eigenpair of each sector.
 
-    The odd minimum is the ground state only when it lies lower by more
-    than SOLVE_TOL*max(1, |E|); a cat pair degenerate to that accuracy
-    reports its even member.  gap01 is |E_odd - E_even|.  A ground state
-    whose top Fock slab holds TOP_ROW_TOL or more of the weight is not
+    ARPACK starts from each sector's part of a seeded draw, or from
+    hp_start(sectors, those parts) when given (_hp_starts).  The odd
+    minimum is the ground state only when it lies lower by more than
+    SOLVE_TOL*max(1, |E|); a cat pair degenerate to that accuracy reports
+    its even member.  gap01 is |E_odd - E_even|.  A ground state whose top
+    Fock slab holds TOP_ROW_TOL or more of the weight is not
     cutoff_converged and warns CutoffWarning.
     """
     dim = H_real.shape[0]
     v0 = np.random.default_rng(seed).standard_normal(dim)
-    e_even, v_even = _sector_minimum(H_real, np.flatnonzero(parity > 0), v0)
-    e_odd, v_odd = _sector_minimum(H_real, np.flatnonzero(parity < 0), v0)
+    sectors = (np.flatnonzero(parity > 0), np.flatnonzero(parity < 0))
+    starts = [v0[idx] for idx in sectors]
+    del v0
+    if hp_start is not None:
+        starts = hp_start(sectors, starts)
+    (e_even, v_even), (e_odd, v_odd) = (
+        _sector_minimum(H_real, idx, s) for idx, s in zip(sectors, starts))
     sign = (-1.0 if e_odd < e_even - SOLVE_TOL * max(1.0, abs(e_even))
             else 1.0)
     e0, v = (e_odd, v_odd) if sign < 0 else (e_even, v_even)
@@ -254,12 +312,20 @@ def _sector_ground_state(H_real: sp.csr_matrix, parity: np.ndarray,
                     n_max_used=dim // basis_top_slab - 1)
 
 
-def ground_state(H: sp.spmatrix, basis: EDBasis,
-                 seed: int = DEFAULT_SEED) -> EDResult:
+def ground_state(H: sp.spmatrix, basis: EDBasis, seed: int = DEFAULT_SEED,
+                 *, params: DickeParams | None = None) -> EDResult:
     """Lowest state of each parity sector, deterministic for a fixed seed;
-    the ground state is a parity eigenstate (see _sector_ground_state)."""
+    the ground state is a parity eigenstate (see _sector_ground_state).
+    Given the params of H, ARPACK starts at a normal point from the HP
+    state of dicke_quadratic_form, HP boson k = m + j (_hp_starts)."""
+    hp_start = None
+    if (params is not None and basis.dim > _DENSE_DIM
+            and classify_phase(params).phase is Phase.NORMAL):
+        hp_start = functools.partial(
+            _hp_starts, dicke_quadratic_form(params),
+            (basis.n_max + 1, basis.n_spins + 1), None)
     return _sector_ground_state(H.tocsr(), parity_diagonal(basis),
-                                basis.n_spins + 1, seed)
+                                basis.n_spins + 1, seed, hp_start)
 
 
 def _state_matrix(result: EDResult, basis: EDBasis) -> np.ndarray:
@@ -354,7 +420,7 @@ def converge_cutoff(p: DickeParams, n_spins: int, tol: float = 1e-8,
     return _walk_cutoff(
         n0, lambda n: EDBasis(n_spins, n),
         lambda basis: ground_state(build_hamiltonian(p, basis), basis,
-                                   seed=seed),
+                                   seed=seed, params=p),
         photon_moments_ed, tol, budget_nnz)
 
 

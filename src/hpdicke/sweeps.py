@@ -335,7 +335,7 @@ def _ed_row(cfg: SweepConfig, i: int, x: float) -> SweepRow:
             else:
                 basis = basis_at(cfg.n_max)
                 _check_budget(basis, cfg.budget_nnz)
-                res = solve(build(p, basis), basis, seed=cfg.seed)
+                res = solve(build(p, basis), basis, seed=cfg.seed, params=p)
             rep = moments(res, basis)
             s = entropy(res, basis)
     except BudgetExceeded:

@@ -181,13 +181,20 @@ ED_GOLDEN = {
     "ed_auto_double": dict(model="double-dicke", mode="ed",
                            theta=math.pi / 8, r_min=0.2, r_max=0.8,
                            steps=4, n_spins=3),
+    "ed_fixed_dicke": dict(model="dicke", mode="ed", coupling_min=0.2,
+                           coupling_max=0.4, steps=3, n_spins=30, n_max=44),
+    "ed_fixed_double": dict(model="double-dicke", mode="ed",
+                            theta=math.pi / 8, r_min=0.2, r_max=0.4,
+                            steps=3, n_spins=8, n_max=30),
 }
 
 
 class TestEdGolden:
-    """Frozen ED output with the cutoff found by the walk: one
+    """Frozen ED output.  With the cutoff found by the walk: one
     single-chain and one two-chain sweep from the normal phase into the
-    superradiant one."""
+    superradiant one.  At an explicit cutoff above _DENSE_DIM: one
+    normal-phase sweep of each model, whose sparse solves start from the
+    Holstein-Primakoff state."""
 
     @pytest.mark.parametrize("tag", sorted(ED_GOLDEN))
     @pytest.mark.parametrize("fmt", ["csv", "json"])
