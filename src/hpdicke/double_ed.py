@@ -8,10 +8,11 @@ real, while every chain-I term flips U_C and picks up a factor +-i that
 makes it real too, so D^dag H D is exactly real symmetric.
 build_double_hamiltonian writes that matrix, the diagonal and at most
 eight couplings per row, through ed._offset_csr as the single-chain one;
-it commutes with the total parity U_C U_I and goes to the parity-sector
-core of ed (its ARPACK start at a normal point is D^dag times the HP
-ground state), and the phases D are put back on the ground state before
-any moment is taken.  symmetry_residuals checks the physical D H_r D^dag.
+it commutes with the total parity U_C U_I.  The rest is the one ED path
+of ed, which DoubleEDBasis._model describes this model to: the ARPACK
+start at a normal point is D^dag times the HP ground state, and the
+phases D are put back on the ground state before any moment is taken.
+symmetry_residuals checks the physical D H_r D^dag.
 
 Basis layout: flat index n*(n_c+1)*(n_i+1) + mc_idx*(n_i+1) + mi_idx with
 mc_idx = m_C + N_C/2, mi_idx = m_I + N_I/2.
@@ -19,20 +20,20 @@ mc_idx = m_C + N_C/2, mi_idx = m_I + N_I/2.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .double import (DoubleDickeParams, DoublePhase,
                      build_double_quadratic_form, classify_double_phase)
-from .ed import (_DENSE_DIM, DEFAULT_BUDGET_NNZ, DEFAULT_SEED, EDResult,
-                 _check_budget, _hp_starts, _offset_csr, _scipy,
-                 _sector_ground_state, _spin_diagonals, _walk_cutoff, _whole)
-from .errors import CutoffError, DomainError
-from .gaussian import FluctuationReport, heisenberg_product
+from .ed import (DEFAULT_BUDGET_NNZ, DEFAULT_SEED, EDResult, _Basis,
+                 _checkerboard, _coherent_n0, _entropy, _Model, _moments,
+                 _observables, _offset_csr, _scipy, _solve, _solve_at,
+                 _spin_diagonals, _walk_cutoff)
+from .gaussian import FluctuationReport
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -49,43 +50,34 @@ __all__ = [
     "double_ed",
 ]
 
-_ENTROPY_FLOOR = 1e-14  # reduced-density eigenvalues it drops
-
 
 @dataclass(frozen=True)
-class DoubleEDBasis:
-    """Photon Fock space times two maximal-j spin sectors."""
+class DoubleEDBasis(_Basis):
+    """Photon Fock space times two maximal-j spin sectors; index(n,
+    mc_idx, mi_idx) is the flat index of |n, mc_idx, mi_idx>."""
 
     n_c: int
     n_i: int
     n_max: int
 
-    def __post_init__(self):
-        for n in (self.n_c, self.n_i):
-            if not (isinstance(n, (int, np.integer)) and n >= 1):
-                raise DomainError(
-                    f"chain sizes must be positive integers, got {n!r}")
-        if not (isinstance(self.n_max, (int, np.integer)) and self.n_max >= 1):
-            raise CutoffError(f"n_max must be >= 1, got {self.n_max!r}")
-
     @property
-    def dim(self) -> int:
-        return (self.n_max + 1) * (self.n_c + 1) * (self.n_i + 1)
+    def shape(self) -> tuple[int, int, int]:
+        return (self.n_max + 1, self.n_c + 1, self.n_i + 1)
 
-    @property
-    def max_nnz(self) -> int:
-        """Upper bound on the stored entries of the Hamiltonian: the
-        diagonal and four corners per coupling."""
-        return 9 * self.dim
+    def _model(self, p: DoubleDickeParams | None = None) -> _Model:
+        """HP modes (a, b_C, b_I); n0 takes the larger chain and coupling,
+        and is at least 8."""
+        if p is None:
+            return _Model(self.shape, 1e-14)
+        return _Model(self.shape, 1e-14, lambda: (
+            build_double_quadratic_form(p)
+            if classify_double_phase(p).phase is DoublePhase.NORMAL else None),
+            max(8, _coherent_n0(max(self.n_c, self.n_i),
+                                max(p.lambda_c, p.lambda_i), p.omega_cav)))
 
-    def index(self, n: int, mc_idx: int, mi_idx: int) -> int:
-        """Flat index of |n, mc_idx, mi_idx>."""
-        if not (_whole(n, self.n_max) and _whole(mc_idx, self.n_c)
-                and _whole(mi_idx, self.n_i)):
-            raise DomainError(f"state (n={n}, mc_idx={mc_idx}, "
-                              f"mi_idx={mi_idx}) outside the basis")
-        return ((int(n) * (self.n_c + 1) + int(mc_idx)) * (self.n_i + 1)
-                + int(mi_idx))
+    def _api(self) -> tuple[Callable, ...]:
+        return (build_double_hamiltonian, double_ground_state,
+                photon_moments_double, photon_entropy_double)
 
 
 def build_double_hamiltonian(p: DoubleDickeParams,
@@ -105,7 +97,7 @@ def build_double_hamiltonian(p: DoubleDickeParams,
             + p.omega0_i * m_i)
     # i(a - a^dag) is -i on the row with more photons; the gauge makes it
     # U_C(row) toward n - 1 and -U_C(row) toward n + 1
-    u_c = ((-1.0) ** (np.arange(nn)[:, None] + np.arange(nc)))[:, :, None]
+    u_c = _checkerboard((nn, nc)).reshape(nn, nc, 1)
     down_i, up_i = u_c[1:] * amp_i, -u_c[:-1] * amp_i
     # to n - 1 (mc - 1, mi - 1, mi + 1, mc + 1), diagonal, to n + 1
     lo, hi, every = slice(1, None), slice(None, -1), slice(None)
@@ -129,20 +121,9 @@ def double_parities(basis: DoubleEDBasis) -> tuple[np.ndarray, np.ndarray]:
     T_k = U_k composed with complex conjugation leaves the Hamiltonian
     invariant exactly; the product U_C U_I is the unitary total parity.
     """
-    sn = (-1.0) ** np.arange(basis.n_max + 1)
-    sc = (-1.0) ** np.arange(basis.n_c + 1)
-    si = (-1.0) ** np.arange(basis.n_i + 1)
-    ones_c = np.ones(basis.n_c + 1)
-    ones_i = np.ones(basis.n_i + 1)
-    u_c = np.kron(np.kron(sn, sc), ones_i)
-    u_i = np.kron(np.kron(np.ones(basis.n_max + 1), ones_c), si)
-    return u_c, u_i
-
-
-def _phases(u_c: np.ndarray) -> np.ndarray:
-    """The gauge D: 1 where U_C = +1 and i where U_C = -1, for the U_C
-    diagonal u_c."""
-    return np.where(u_c > 0, 1.0 + 0j, 1j)
+    nn, nc, ni = basis.shape
+    return (np.repeat(_checkerboard((nn, nc)), ni),
+            np.tile(_checkerboard((ni,)), nn * nc))
 
 
 def symmetry_residuals(H: sp.csr_matrix,
@@ -153,7 +134,7 @@ def symmetry_residuals(H: sp.csr_matrix,
     exactly zero for a correctly assembled matrix."""
     sp = _scipy().sparse
     u_c, u_i = double_parities(basis)
-    D = sp.diags(_phases(u_c))
+    D = sp.diags(basis._model().gauge)
     H = D @ H @ D.conj()
     res = [U @ H.conj() - H @ U for U in (sp.diags(u_c), sp.diags(u_i))]
     P = sp.diags(u_c * u_i)
@@ -171,41 +152,19 @@ def double_ground_state(H: sp.csr_matrix, basis: DoubleEDBasis,
     eigenstate of the physical Hamiltonian.  Given the params of H, ARPACK
     starts at a normal point from D^dag times the HP state (a, b_C, b_I)
     of build_double_quadratic_form (ed._hp_starts)."""
-    u_c, u_i = double_parities(basis)
-    hp_start = None
-    if (params is not None and basis.dim > _DENSE_DIM
-            and classify_double_phase(params).phase is DoublePhase.NORMAL):
-        hp_start = functools.partial(
-            _hp_starts, build_double_quadratic_form(params),
-            (basis.n_max + 1, basis.n_c + 1, basis.n_i + 1),
-            lambda idx: _phases(u_c[idx]).conj())
-    res = _sector_ground_state(H.tocsr(), u_c * u_i,
-                               (basis.n_c + 1) * (basis.n_i + 1), seed,
-                               hp_start)
-    return replace(res, state=_phases(u_c) * res.state)
+    return _solve(H, basis._model(params), seed)
 
 
 def photon_moments_double(result: EDResult,
                           basis: DoubleEDBasis) -> FluctuationReport:
     """Photon <a>, <a^2>, <a^dag a> of the ground state, reduced over both
     chains and fed to the generic uncertainty-product reducer."""
-    w = result.state.reshape(basis.n_max + 1, -1)
-    levels = np.arange(basis.n_max + 1)
-    root1 = np.sqrt(levels[1:].astype(float))
-    occ = float(np.sum(levels[:, None] * np.abs(w) ** 2))
-    mean = complex(np.sum(root1[:, None] * w[:-1].conj() * w[1:]))
-    root2 = np.sqrt((levels[:-2] + 1.0) * (levels[:-2] + 2.0))
-    a_sq = complex(np.sum(root2[:, None] * w[:-2].conj() * w[2:]))
-    return heisenberg_product(mean_a=mean, a_sq=a_sq, occupation=occ)
+    return _moments(result, basis._model())
 
 
 def photon_entropy_double(result: EDResult, basis: DoubleEDBasis) -> float:
     """Entanglement entropy (bits) between the photon and both chains."""
-    w = result.state.reshape(basis.n_max + 1, -1)
-    rho = w @ w.conj().T
-    vals = np.linalg.eigvalsh(rho)
-    vals = vals[vals > _ENTROPY_FLOOR]
-    return float(-np.sum(vals * np.log2(vals)))
+    return _entropy(result, basis._model())
 
 
 def converge_cutoff_double(p: DoubleDickeParams, tol: float = 1e-8,
@@ -219,32 +178,17 @@ def converge_cutoff_double(p: DoubleDickeParams, tol: float = 1e-8,
     n0 = max(8, ceil(4 (N lambda^2/omega^2 + sqrt(N)))) with the larger
     chain size and coupling.
     """
-    if p.n_c is None or p.n_i is None:
-        raise DomainError("chain sizes n_c and n_i are required for ED")
-    lam = max(p.lambda_c, p.lambda_i)
-    nbar = max(p.n_c, p.n_i)
-    n0 = max(
-        8, math.ceil(4.0 * (nbar * lam ** 2 / p.omega_cav ** 2
-                            + math.sqrt(nbar))))
-    return _walk_cutoff(
-        n0, lambda n: DoubleEDBasis(n_c=p.n_c, n_i=p.n_i, n_max=n),
-        lambda basis: double_ground_state(
-            build_double_hamiltonian(p, basis), basis, seed=seed, params=p),
-        photon_moments_double, tol, budget_nnz)
+    return _walk_cutoff(p, DoubleEDBasis(p.n_c, p.n_i, 1), tol, budget_nnz,
+                        seed)
 
 
 def double_ed(p: DoubleDickeParams, n_max: int, seed: int = DEFAULT_SEED,
               budget_nnz: int = DEFAULT_BUDGET_NNZ
               ) -> tuple[EDResult, float, FluctuationReport]:
     """Ground state, photon entanglement entropy (bits), and photon
-    fluctuation report at the given cutoff.  Requires n_c and n_i on the
-    params."""
-    if p.n_c is None or p.n_i is None:
-        raise DomainError("chain sizes n_c and n_i are required for ED")
-    basis = DoubleEDBasis(n_c=p.n_c, n_i=p.n_i, n_max=n_max)
-    _check_budget(basis, budget_nnz)
-    H = build_double_hamiltonian(p, basis)
-    res = double_ground_state(H, basis, seed=seed)
-    s_bits = photon_entropy_double(res, basis)
-    rep = photon_moments_double(res, basis)
-    return res, s_bits, rep
+    fluctuation report at the given cutoff, from the solve of a sweep row
+    at this n_max (HP start included).  Requires n_c and n_i on the
+    params: DoubleEDBasis rejects None with DomainError."""
+    basis = DoubleEDBasis(p.n_c, p.n_i, n_max)
+    res = _solve_at(p, basis, budget_nnz, seed)
+    return (res, *_observables(res, basis))

@@ -1,4 +1,5 @@
-"""Exact diagonalization of the Dicke model at finite N.
+"""Exact diagonalization of the Dicke model at finite N, and the one ED
+path that both models share.
 
 Works in the maximal-spin sector j = N/2 (the collective coupling never
 leaves it), with basis states |n, m> indexed n*(N+1) + (m+j).  The
@@ -11,18 +12,18 @@ with the parity (-1)^(n + m + j), which is diagonal in this basis.
 _offset_csr writes it, and the real two-chain matrix of double_ed,
 straight into canonical float64 CSR with no stored zeros.
 
-The solver works per parity sector (Emary & Brandes, PRE 67, 066203
-(2003)): H splits into an even and an odd block of about half the
-dimension, and the lowest eigenpair of each is found, densely below
-_DENSE_DIM and with ARPACK above, from a seeded draw or, at a normal
-point whose params the caller passes, from its Holstein-Primakoff ground
-state (_hp_starts).  The ground state is the lower of the two and a
-parity eigenstate by construction, so the superradiant cat pair needs no
-separate resolution; gap01 is the splitting of the two minima.  Both
-models share this core; double_ed writes its Hamiltonian in a real
-diagonal gauge.  The solve warns CutoffWarning when the top Fock level
-of the ground state holds TOP_ROW_TOL or more of its weight.  scipy
-loads at the first ED call or ED config (_scipy): thermo needs numpy only.
+Both models are this Fock ladder times one or two maximal-j spins, a
+C-order grid whose parity is its checkerboard, and share one path: a
+basis and its params give a _Model, _solve finds the lowest eigenpair of
+each parity sector (Emary & Brandes, PRE 67, 066203 (2003)), densely
+below _DENSE_DIM and with ARPACK above, from a seeded draw or, at a
+normal point, from the params' Holstein-Primakoff ground state
+(_hp_starts).  The ground state is the lower of the two, a parity
+eigenstate, so the superradiant cat pair needs no separate resolution.
+_moments and _entropy reduce it, _solve_at solves at one cutoff and
+_walk_cutoff searches for one, each reaching the model's public
+functions through basis._api() when called.  scipy loads at the first
+ED call or ED config (_scipy): thermo needs numpy only.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -63,9 +65,9 @@ __all__ = [
 # Top-Fock-row weight above which moments are flagged unreliable.
 TOP_ROW_TOL = 1e-8
 # ARPACK tolerance, and the odd sector's relative margin to be the ground
-# state; reduced-density eigenvalues <= _ENTROPY_FLOOR carry no entropy.
+# state.  ARPACK takes it relative to the Ritz value, about -N/2, so a
+# sparse solve's state errs by about SOLVE_TOL |E| / gap, growing with N.
 SOLVE_TOL = 1e-12
-_ENTROPY_FLOOR = 1e-16
 DEFAULT_BUDGET_NNZ = int(5e7)
 DEFAULT_SEED = 7
 
@@ -74,43 +76,101 @@ DEFAULT_SEED = 7
 _DENSE_DIM = 1200
 
 
-def _whole(k, top) -> bool:
-    """k is an integer value in 0 .. top."""
-    return 0 <= k <= top and float(k).is_integer()
+def _checkerboard(shape: tuple[int, ...]) -> np.ndarray:
+    """(-1)^(sum of the grid indices) over a C-order grid, flattened."""
+    return functools.reduce(np.kron, [(-1.0) ** np.arange(k) for k in shape])
 
 
 @dataclass(frozen=True)
-class EDBasis:
+class _Model:
+    """A model at one basis as the shared ED path reads it.  shape is the
+    grid (n_max + 1, N + 1) or (n_max + 1, N_C + 1, N_I + 1); the photon
+    number is its outer index, so the top Fock slab is the last
+    prod(shape[1:]) states.  With the params, hp_form() is the HP form at
+    a normal point (else None) and n0 the walk's start.  Reduced-density
+    eigenvalues <= entropy_floor carry no entropy."""
+
+    shape: tuple[int, ...]
+    entropy_floor: float
+    hp_form: Callable[[], QuadraticForm | None] | None = None
+    n0: int | None = None
+
+    @property
+    def parity(self) -> np.ndarray:
+        return _checkerboard(self.shape)
+
+    @property
+    def gauge(self) -> np.ndarray | None:
+        """D on each basis state; None for one chain."""
+        if len(self.shape) == 2:
+            return None
+        u_c = np.repeat(_checkerboard(self.shape[:2]), self.shape[2])
+        return np.where(u_c > 0, 1.0 + 0j, 1j)
+
+
+class _Basis:
+    """The C-order grid of a subclass's shape, whose fields (chain sizes,
+    then n_max) are positive integers.  Subclasses give shape, _model and
+    _api: the model's public (build, solve, moments, entropy), looked up
+    when it is called."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            k = getattr(self, f.name)
+            if not (isinstance(k, (int, np.integer)) and k >= 1):
+                raise (CutoffError if f.name == "n_max" else DomainError)(
+                    f"{f.name} must be a positive integer, got {k!r}")
+
+    @property
+    def dim(self) -> int:
+        return math.prod(self.shape)
+
+    @property
+    def max_nnz(self) -> int:
+        """Upper bound on the stored entries of the Hamiltonian: the
+        diagonal and four corners per chain's coupling."""
+        return (4 * (len(self.shape) - 1) + 1) * self.dim
+
+    def index(self, *state) -> int:
+        """Flat index of the grid point state, one index per axis."""
+        if not (len(state) == len(self.shape) and all(
+                0 <= k < top and float(k).is_integer()
+                for k, top in zip(state, self.shape))):
+            raise DomainError(f"state {state} outside the {self.shape} grid")
+        return int(np.ravel_multi_index(tuple(map(int, state)), self.shape))
+
+
+@dataclass(frozen=True)
+class EDBasis(_Basis):
     """Photon Fock ladder times the maximal-spin multiplet."""
 
     n_spins: int
     n_max: int
-
-    def __post_init__(self):
-        if not (isinstance(self.n_spins, (int, np.integer)) and self.n_spins >= 1):
-            raise DomainError(f"n_spins must be a positive integer, got {self.n_spins!r}")
-        if not (isinstance(self.n_max, (int, np.integer)) and self.n_max >= 1):
-            raise CutoffError(f"n_max must be >= 1, got {self.n_max!r}")
 
     @property
     def j(self) -> float:
         return 0.5 * self.n_spins
 
     @property
-    def dim(self) -> int:
-        return (self.n_max + 1) * (self.n_spins + 1)
-
-    @property
-    def max_nnz(self) -> int:
-        """Upper bound on the stored entries of the Hamiltonian."""
-        return 5 * self.dim
+    def shape(self) -> tuple[int, int]:
+        return (self.n_max + 1, self.n_spins + 1)
 
     def index(self, n: int, m: float) -> int:
         """Flat index of |n, m>, m in {-j .. j} in integer steps."""
-        col = m + self.j
-        if not (_whole(n, self.n_max) and _whole(col, self.n_spins)):
-            raise DomainError(f"state (n={n}, m={m}) outside the basis")
-        return int(n) * (self.n_spins + 1) + int(col)
+        return super().index(n, m + self.j)
+
+    def _model(self, p: DickeParams | None = None) -> _Model:
+        """HP boson k = m + j, the grid's own spin index."""
+        if p is None:
+            return _Model(self.shape, 1e-16)
+        return _Model(self.shape, 1e-16, lambda: (
+            dicke_quadratic_form(p)
+            if classify_phase(p).phase is Phase.NORMAL else None),
+            _coherent_n0(self.n_spins, p.coupling, p.omega))
+
+    def _api(self) -> tuple[Callable, ...]:
+        return (build_hamiltonian, ground_state, photon_moments_ed,
+                photon_entropy_ed)
 
 
 @dataclass(frozen=True)
@@ -140,6 +200,12 @@ def _scipy():
     import scipy.linalg
     import scipy.sparse.linalg
     return scipy
+
+
+def _coherent_n0(n_spins: int, coupling: float, omega: float) -> int:
+    """The coherent-shift cutoff ceil(4 (N lambda^2/omega^2 + sqrt(N)))."""
+    return math.ceil(
+        4.0 * (n_spins * coupling ** 2 / omega ** 2 + math.sqrt(n_spins)))
 
 
 def _spin_diagonals(n_spins: int) -> tuple[np.ndarray, np.ndarray]:
@@ -199,14 +265,7 @@ def build_hamiltonian(p: DickeParams, basis: EDBasis) -> sp.csr_matrix:
 
 def parity_diagonal(basis: EDBasis) -> np.ndarray:
     """Diagonal of the parity operator, entries (-1)^(n + m + j)."""
-    n_par = (-1.0) ** np.arange(basis.n_max + 1)
-    m_par = (-1.0) ** np.arange(basis.n_spins + 1)
-    return np.kron(n_par, m_par)
-
-
-def _fix_sign(v: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(v)))
-    return -v if v[k] < 0 else v
+    return _checkerboard(basis.shape)
 
 
 def _sector_minimum(H: sp.csr_matrix, idx: np.ndarray,
@@ -246,12 +305,14 @@ def _pair_state(Z: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return psi
 
 
-def _hp_starts(form: QuadraticForm, shape: tuple[int, ...], gauge, sectors,
+def _hp_starts(form: QuadraticForm, shape: tuple[int, ...],
+               gauge: np.ndarray | None, sectors,
                draws: list[np.ndarray]) -> list[np.ndarray]:
     """Sector starts from the polariton rows (X, Y) of a normal-phase form
     over the basis axes: G = exp(a^dag Z a^dag / 2)|0>, Z = -X^-1 Y, and
-    b_soft^dag G, each on its sector idx times gauge(idx), phase-fixed and
-    real, plus 1e-6 of its unit draw; the draws when the form is unstable."""
+    b_soft^dag G, each on its sector idx taken into the gauge (D^dag),
+    phase-fixed and real, plus 1e-6 of its unit draw; the draws when the
+    form is unstable."""
     try:
         T = symplectic_diagonalize(form).transform
     except InstabilityError:
@@ -266,97 +327,114 @@ def _hp_starts(form: QuadraticForm, shape: tuple[int, ...], gauge, sectors,
         _add_created(odd, w[j], even, j)
     starts = []
     for psi, idx, r in zip((even, odd), sectors, draws):
-        v = psi.ravel()[idx] * (1.0 if gauge is None else gauge(idx))
+        v = psi.ravel()[idx] * (1.0 if gauge is None
+                                else gauge[idx].conj())
         v = (v * v[np.argmax(np.abs(v))].conjugate()).real
         starts.append(v / np.linalg.norm(v) + 1e-6 * r / np.linalg.norm(r))
     return starts
 
 
-def _sector_ground_state(H_real: sp.csr_matrix, parity: np.ndarray,
-                         basis_top_slab: int, seed: int,
-                         hp_start=None) -> EDResult:
-    """Ground state of a real symmetric H that commutes with the diagonal
-    parity (entries +-1), from the lowest eigenpair of each sector.
+def _solve(H: sp.spmatrix, model: _Model, seed: int) -> EDResult:
+    """Ground state of the model's real symmetric H from the lowest
+    eigenpair of each parity sector, ARPACK starting from each sector's
+    part of a seeded draw or from model.hp_form()'s HP state.
 
-    ARPACK starts from each sector's part of a seeded draw, or from
-    hp_start(sectors, those parts) when given (_hp_starts).  The odd
-    minimum is the ground state only when it lies lower by more than
-    SOLVE_TOL*max(1, |E|); a cat pair degenerate to that accuracy reports
-    its even member.  gap01 is |E_odd - E_even|.  A ground state whose top
-    Fock slab holds TOP_ROW_TOL or more of the weight is not
-    cutoff_converged and warns CutoffWarning.
+    The odd minimum is the ground state only when it lies lower by more
+    than SOLVE_TOL*max(1, |E|); a cat pair degenerate to that accuracy
+    reports its even member.  gap01 is |E_odd - E_even|.  A ground state
+    whose top Fock slab holds TOP_ROW_TOL or more of the weight is not
+    cutoff_converged and warns CutoffWarning.  The state carries the
+    gauge D.
     """
-    dim = H_real.shape[0]
+    H = H.tocsr()
+    dim = H.shape[0]
+    parity, gauge = model.parity, model.gauge
     v0 = np.random.default_rng(seed).standard_normal(dim)
     sectors = (np.flatnonzero(parity > 0), np.flatnonzero(parity < 0))
     starts = [v0[idx] for idx in sectors]
     del v0
-    if hp_start is not None:
-        starts = hp_start(sectors, starts)
+    form = (model.hp_form() if model.hp_form is not None and dim > _DENSE_DIM
+            else None)
+    if form is not None:
+        starts = _hp_starts(form, model.shape, gauge, sectors, starts)
     (e_even, v_even), (e_odd, v_odd) = (
-        _sector_minimum(H_real, idx, s) for idx, s in zip(sectors, starts))
+        _sector_minimum(H, idx, s) for idx, s in zip(sectors, starts))
     sign = (-1.0 if e_odd < e_even - SOLVE_TOL * max(1.0, abs(e_even))
             else 1.0)
     e0, v = (e_odd, v_odd) if sign < 0 else (e_even, v_even)
     psi = np.zeros(dim)
     psi[parity == sign] = v / np.linalg.norm(v)
-    psi = _fix_sign(psi)
-    # the photon number is the outermost index of both basis layouts
-    top = float(np.vdot(psi[-basis_top_slab:], psi[-basis_top_slab:]))
+    if psi[np.argmax(np.abs(psi))] < 0:
+        psi = -psi
+    top_slab = math.prod(model.shape[1:])
+    top = float(np.vdot(psi[-top_slab:], psi[-top_slab:]))
     converged = top < TOP_ROW_TOL
     if not converged:
         warnings.warn(f"top Fock level holds {top:.2e} of the weight; "
                       "moments may be truncated", CutoffWarning, stacklevel=3)
-    return EDResult(ground_energy=e0, gap01=abs(e_odd - e_even), state=psi,
+    return EDResult(ground_energy=e0, gap01=abs(e_odd - e_even),
+                    state=psi if gauge is None else gauge * psi,
                     parity=sign, cutoff_converged=converged,
-                    n_max_used=dim // basis_top_slab - 1)
+                    n_max_used=model.shape[0] - 1)
 
 
 def ground_state(H: sp.spmatrix, basis: EDBasis, seed: int = DEFAULT_SEED,
                  *, params: DickeParams | None = None) -> EDResult:
     """Lowest state of each parity sector, deterministic for a fixed seed;
-    the ground state is a parity eigenstate (see _sector_ground_state).
-    Given the params of H, ARPACK starts at a normal point from the HP
-    state of dicke_quadratic_form, HP boson k = m + j (_hp_starts)."""
-    hp_start = None
-    if (params is not None and basis.dim > _DENSE_DIM
-            and classify_phase(params).phase is Phase.NORMAL):
-        hp_start = functools.partial(
-            _hp_starts, dicke_quadratic_form(params),
-            (basis.n_max + 1, basis.n_spins + 1), None)
-    return _sector_ground_state(H.tocsr(), parity_diagonal(basis),
-                                basis.n_spins + 1, seed, hp_start)
+    the ground state is a parity eigenstate (see _solve).  Given the
+    params of H, ARPACK starts at a normal point from the HP state of
+    dicke_quadratic_form, HP boson k = m + j (_hp_starts)."""
+    return _solve(H, basis._model(params), seed)
 
 
-def _state_matrix(result: EDResult, basis: EDBasis) -> np.ndarray:
-    if result.state.size != basis.dim:
+def _photon_rows(result: EDResult, model: _Model) -> np.ndarray:
+    """The state as a matrix, one row per photon number."""
+    if result.state.size != math.prod(model.shape):
         raise DomainError("state length does not match the basis dimension")
-    return result.state.reshape(basis.n_max + 1, basis.n_spins + 1)
+    return result.state.reshape(model.shape[0], -1)
+
+
+def _moments(result: EDResult, model: _Model) -> FluctuationReport:
+    """Photon <a>, <a^2>, <a^dag a> of the ground state, reduced over the
+    chains and fed to the generic uncertainty-product reducer.  A complex
+    (two-chain) state takes <a^dag a> from |w|^2 and the rest from
+    conj(w) w, a real one from w w: one arithmetic would move either
+    model's last bits."""
+    W = _photon_rows(result, model)
+    levels = np.arange(model.shape[0])
+    if np.iscomplexobj(W):
+        occ = float(np.sum(levels[:, None] * np.abs(W) ** 2))
+        left, kind = W.conj(), complex
+    else:
+        occ = float(np.sum(levels[:, None] * W * W))
+        left, kind = W, float
+    root1 = np.sqrt(levels[1:])
+    mean_a = kind(np.sum(root1[:, None] * left[:-1] * W[1:]))
+    root2 = np.sqrt(levels[1:-1] * levels[2:])
+    a_sq = kind(np.sum(root2[:, None] * left[:-2] * W[2:]))
+    return heisenberg_product(mean_a=mean_a, a_sq=a_sq, occupation=occ)
+
+
+def _entropy(result: EDResult, model: _Model) -> float:
+    """Entanglement entropy (bits) between the photon and the chains."""
+    W = _photon_rows(result, model)
+    w = np.linalg.eigvalsh(W @ W.conj().T)
+    w = w[w > model.entropy_floor]
+    return float(-np.sum(w * np.log2(w)))
 
 
 def photon_moments_ed(result: EDResult, basis: EDBasis) -> FluctuationReport:
     """Photon <a>, <a^2>, <a^dag a> of the ground state, centered and fed
     to the generic uncertainty-product reducer."""
-    W = _state_matrix(result, basis)
-    root1 = np.sqrt(np.arange(1, basis.n_max + 1))
-    mean_a = float(np.sum(root1[:, None] * W[:-1] * W[1:]))
-    root2 = np.sqrt(np.arange(1, basis.n_max)
-                    * np.arange(2, basis.n_max + 1))
-    a_sq = float(np.sum(root2[:, None] * W[:-2] * W[2:]))
-    occ = float(np.sum(np.arange(basis.n_max + 1)[:, None] * W * W))
-    return heisenberg_product(mean_a=mean_a, a_sq=a_sq, occupation=occ)
+    return _moments(result, basis._model())
 
 
 def photon_entropy_ed(result: EDResult, basis: EDBasis) -> float:
     """Entanglement entropy (bits) of the photon reduced density matrix."""
-    W = _state_matrix(result, basis)
-    rho = W @ W.T
-    w = np.linalg.eigvalsh(rho)
-    w = w[w > _ENTROPY_FLOOR]
-    return float(-np.sum(w * np.log2(w)))
+    return _entropy(result, basis._model())
 
 
-def _check_budget(basis, budget_nnz: int) -> None:
+def _check_budget(basis: _Basis, budget_nnz: int) -> None:
     """Raise BudgetExceeded when the basis's Hamiltonian may store more
     than budget_nnz entries."""
     need = basis.max_nnz
@@ -366,36 +444,52 @@ def _check_budget(basis, budget_nnz: int) -> None:
             f"of {budget_nnz}", needed=need, budget=budget_nnz)
 
 
-def _walk_cutoff(n0: int, basis_at, solve, moments, tol: float,
-                 budget_nnz: int) -> EDResult:
+def _solve_at(p, basis: _Basis, budget_nnz: int, seed: int) -> EDResult:
+    """The ground state of the params on this basis, after the budget
+    check, through the model's public builder and solve."""
+    _check_budget(basis, budget_nnz)
+    build, solve, _, _ = basis._api()
+    return solve(build(p, basis), basis, seed=seed, params=p)
+
+
+def _observables(result: EDResult,
+                 basis: _Basis) -> tuple[float, FluctuationReport]:
+    """The photon entropy (bits) and fluctuation report of a solve on this
+    basis, through the model's public reducers."""
+    _, _, moments, entropy = basis._api()
+    return entropy(result, basis), moments(result, basis)
+
+
+def _walk_cutoff(p, basis: _Basis, tol: float, budget_nnz: int,
+                 seed: int) -> EDResult:
     """The solve at the first accepted cutoff of the halving grid below
-    n0, walked cheapest-first; above n0 the walk doubles until a cutoff
-    is accepted.
+    n0 = basis._model(p).n0, walked cheapest-first over bases like this
+    one; above n0 the walk doubles until a cutoff is accepted.
 
     A cutoff n is accepted when its own solve is cutoff_converged and one
     larger solve confirms it: |hp(n) - hp(ceil(1.25 n))| < tol.  The
     probe ceil(1.25 n) is solved only when n's own solve is converged,
     and the budget is checked at the probe before n is solved.
-    solve(basis) gives the EDResult at basis_at(n) and
-    moments(result, basis).hp its hp.
     """
     if not tol > 0:
         raise DomainError("tol must be positive")
 
     def solved(n: int) -> tuple[EDResult, float]:
-        basis = basis_at(n)
+        at = replace(basis, n_max=n)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CutoffWarning)
-            res = solve(basis)
-            return res, moments(res, basis).hp
+            res = _solve_at(p, at, budget_nnz, seed)
+            _, _, moments, _ = at._api()
+            return res, moments(res, at).hp
 
+    n0 = basis._model(p).n0
     grid = [n0]
     while grid[-1] > 1:
         grid.append(grid[-1] // 2)
     above = (n0 * 2 ** k for k in itertools.count(1))
     for n in itertools.chain(reversed(grid), above):
         probe = max(n + 1, math.ceil(1.25 * n))
-        _check_budget(basis_at(probe), budget_nnz)
+        _check_budget(replace(basis, n_max=probe), budget_nnz)
         res, hp = solved(n)
         if res.cutoff_converged and abs(hp - solved(probe)[1]) < tol:
             return res
@@ -415,13 +509,7 @@ def converge_cutoff(p: DickeParams, n_spins: int, tol: float = 1e-8,
     first accepted cutoff, and doubles n0 if none is.  Each call walks
     afresh.
     """
-    n0 = math.ceil(
-        4.0 * (n_spins * p.coupling ** 2 / p.omega ** 2 + math.sqrt(n_spins)))
-    return _walk_cutoff(
-        n0, lambda n: EDBasis(n_spins, n),
-        lambda basis: ground_state(build_hamiltonian(p, basis), basis,
-                                   seed=seed, params=p),
-        photon_moments_ed, tol, budget_nnz)
+    return _walk_cutoff(p, EDBasis(n_spins, 1), tol, budget_nnz, seed)
 
 
 def scaling_at_critical(p: DickeParams, n_list: tuple[int, ...] | list[int],

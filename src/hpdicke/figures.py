@@ -19,10 +19,9 @@ import numpy as np
 from . import __version__
 from .dicke import DickeParams
 from .double import DoubleDickeParams, classify_double_phase
-from .ed import (DEFAULT_BUDGET_NNZ, DEFAULT_SEED, EDBasis, converge_cutoff,
-                 photon_entropy_ed, photon_moments_ed, scaling_at_critical)
-from .double_ed import (DoubleEDBasis, converge_cutoff_double,
-                        photon_entropy_double, photon_moments_double)
+from .ed import (DEFAULT_BUDGET_NNZ, DEFAULT_SEED, EDBasis, _observables,
+                 converge_cutoff, scaling_at_critical)
+from .double_ed import DoubleEDBasis, converge_cutoff_double
 from .errors import BudgetExceeded, DomainError
 from .sweeps import SweepConfig, _csv_lines, run_sweep, write_atomic
 
@@ -186,31 +185,23 @@ def _figure_2(outdir: str, budget_nnz: int, seed: int,
     return col.report(seed, budget_nnz)
 
 
-def _single_size_rows(p: DickeParams, sizes: list[int], budget_nnz: int,
-                      seed: int) -> list[dict]:
+def _size_rows(model: str, sizes: list[int], budget_nnz: int,
+               seed: int) -> list[dict]:
+    """Inset rows at lambda = 0.5 (both couplings for the double model)
+    and unit frequencies: each size's accepted cutoff and its solve."""
     rows = []
     for n in sizes:
-        res = converge_cutoff(p, n, budget_nnz=budget_nnz, seed=seed)
-        basis = EDBasis(n, res.n_max_used)
-        rows.append(dict(n_spins=n, n_max_used=res.n_max_used,
-                         hp=photon_moments_ed(res, basis).hp,
-                         s_vn=photon_entropy_ed(res, basis),
-                         gap01=res.gap01, parity=res.parity))
-    return rows
-
-
-def _double_size_rows(sizes: list[int], budget_nnz: int,
-                      seed: int) -> list[dict]:
-    rows = []
-    for n in sizes:
-        p = DoubleDickeParams(omega_cav=1.0, omega0_c=1.0, omega0_i=1.0,
-                              lambda_c=0.5, lambda_i=0.5, n_c=n, n_i=n)
-        res = converge_cutoff_double(p, budget_nnz=budget_nnz, seed=seed)
-        basis = DoubleEDBasis(n, n, res.n_max_used)
-        rows.append(dict(n_spins=n, n_max_used=res.n_max_used,
-                         hp=photon_moments_double(res, basis).hp,
-                         s_vn=photon_entropy_double(res, basis),
-                         gap01=res.gap01, parity=res.parity))
+        if model == "dicke":
+            res = converge_cutoff(DickeParams(1.0, 1.0, 0.5), n,
+                                  budget_nnz=budget_nnz, seed=seed)
+            basis = EDBasis(n, res.n_max_used)
+        else:
+            p = DoubleDickeParams(1.0, 1.0, 1.0, 0.5, 0.5, n, n)
+            res = converge_cutoff_double(p, budget_nnz=budget_nnz, seed=seed)
+            basis = DoubleEDBasis(n, n, res.n_max_used)
+        s, rep = _observables(res, basis)
+        rows.append(dict(n_spins=n, n_max_used=res.n_max_used, hp=rep.hp,
+                         s_vn=s, gap01=res.gap01, parity=res.parity))
     return rows
 
 
@@ -235,7 +226,8 @@ def _figure_3(outdir: str, budget_nnz: int, seed: int,
              "thermodynamic curves at 121 radii")
 
     try:
-        drows = _double_size_rows([2, 4, 8, 16, 32], budget_nnz, seed)
+        drows = _size_rows("double-dicke", [2, 4, 8, 16, 32], budget_nnz,
+                           seed)
     except BudgetExceeded:
         col.stop("fig3_inset_double.csv")
         return col.report(seed, budget_nnz)
@@ -244,10 +236,9 @@ def _figure_3(outdir: str, budget_nnz: int, seed: int,
     col.add(path)
     col.note("double-model size inset sampled to N = 32 (cap N <= 64)")
 
-    p = DickeParams(omega=1.0, omega0=1.0, coupling=0.5)
     try:
-        srows = _single_size_rows(p, [8, 16, 32, 64, 128, 256, 512],
-                                  budget_nnz, seed)
+        srows = _size_rows("dicke", [8, 16, 32, 64, 128, 256, 512],
+                           budget_nnz, seed)
     except BudgetExceeded:
         col.stop("fig3_inset_single.csv")
         return col.report(seed, budget_nnz)

@@ -38,12 +38,9 @@ import numpy as np
 from . import __version__
 from .dicke import DickeParams, _thermo_grid, lambda_critical
 from .double import DoubleDickeParams, _double_thermo_grid
-from .ed import (DEFAULT_BUDGET_NNZ, DEFAULT_SEED, EDBasis, _check_budget,
-                 _scipy, build_hamiltonian, converge_cutoff, ground_state,
-                 photon_entropy_ed, photon_moments_ed)
-from .double_ed import (DoubleEDBasis, build_double_hamiltonian,
-                        converge_cutoff_double, double_ground_state,
-                        photon_entropy_double, photon_moments_double)
+from .ed import (DEFAULT_BUDGET_NNZ, DEFAULT_SEED, EDBasis, _observables,
+                 _scipy, _solve_at, converge_cutoff)
+from .double_ed import DoubleEDBasis, converge_cutoff_double
 from .errors import BudgetExceeded, ConfigError, CutoffWarning, HpDickeError
 
 __all__ = ["SCHEMA", "SweepConfig", "SweepRow", "SweepTable", "run_sweep",
@@ -304,40 +301,33 @@ def _thermo_rows(cfg: SweepConfig) -> SweepTable:
 def _ed_row(cfg: SweepConfig, i: int, x: float) -> SweepRow:
     """One ED grid point of either model: a single solve at an explicit
     n_max, otherwise the solve the cutoff walk accepted."""
+    n = cfg.n_spins
     if cfg.model == "dicke":
         p = DickeParams(omega=cfg.omega, omega0=cfg.omega0, coupling=x)
         base = {"index": i, "coupling": x, "dist_cr": x - lambda_critical(p)}
-        basis_at = functools.partial(EDBasis, cfg.n_spins)
-        walk = functools.partial(converge_cutoff, p, cfg.n_spins)
-        build, solve = build_hamiltonian, ground_state
-        moments, entropy = photon_moments_ed, photon_entropy_ed
+        basis_at = functools.partial(EDBasis, n)
+        walk = functools.partial(converge_cutoff, p, n)
     else:
         lam_c = x * math.cos(cfg.theta)
         lam_i = x * math.sin(cfg.theta)
         p = DoubleDickeParams(omega_cav=cfg.omega, omega0_c=cfg.omega0_c,
                               omega0_i=cfg.omega0_i, lambda_c=lam_c,
-                              lambda_i=lam_i, n_c=cfg.n_spins,
-                              n_i=cfg.n_spins)
+                              lambda_i=lam_i, n_c=n, n_i=n)
         base = {"index": i, "r": x, "theta": cfg.theta,
                 "lambda_c": lam_c, "lambda_i": lam_i}
-        basis_at = functools.partial(DoubleEDBasis, cfg.n_spins, cfg.n_spins)
+        basis_at = functools.partial(DoubleEDBasis, n, n)
         walk = functools.partial(converge_cutoff_double, p)
-        build, solve = build_double_hamiltonian, double_ground_state
-        moments, entropy = photon_moments_double, photon_entropy_double
-    base["n_spins"] = cfg.n_spins
+    base["n_spins"] = n
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CutoffWarning)
             if cfg.n_max is None:
                 res = walk(tol=cfg.tol, budget_nnz=cfg.budget_nnz,
                            seed=cfg.seed)
-                basis = basis_at(res.n_max_used)
             else:
-                basis = basis_at(cfg.n_max)
-                _check_budget(basis, cfg.budget_nnz)
-                res = solve(build(p, basis), basis, seed=cfg.seed, params=p)
-            rep = moments(res, basis)
-            s = entropy(res, basis)
+                res = _solve_at(p, basis_at(cfg.n_max), cfg.budget_nnz,
+                                cfg.seed)
+            s, rep = _observables(res, basis_at(res.n_max_used))
     except BudgetExceeded:
         raise
     except HpDickeError as exc:

@@ -96,6 +96,7 @@ def test_builder_matches_coo_assembly(n_spins, n_max, omega, omega0, lam):
     assert np.array_equal(H.data, ref.data)
     assert H.has_canonical_format
     assert not np.any(H.data == 0)
+    assert H.nnz <= basis.max_nnz
 
 
 def test_exact_symmetry_and_parity_commutation():
