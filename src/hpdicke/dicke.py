@@ -119,6 +119,20 @@ def classify_phase(p: DickeParams) -> PhaseInfo:
     return PhaseInfo(phase=phase, lambda_cr=lam_cr, critical=critical)
 
 
+def _resolve_branch(broken: bool, eps, label: str) -> int:
+    """The branch sign of a symmetry: 0 when unbroken, else +1 or -1, the
+    given eps or +1 when it is None."""
+    if not broken:
+        if eps in (None, 0):
+            return 0
+        raise BranchError(f"{label} is unbroken; branch must be 0, got {eps}")
+    if eps is None:
+        return 1
+    if eps in (1, -1):
+        return eps
+    raise BranchError(f"broken {label} takes branch +1 or -1, got {eps}")
+
+
 def solve_thermo(p: DickeParams, epsilon: int | None = None) -> ThermoSolution:
     """Order parameter, gaps, mixing angle and coherences.
 
@@ -128,19 +142,7 @@ def solve_thermo(p: DickeParams, epsilon: int | None = None) -> ThermoSolution:
     """
     info = classify_phase(p)
     om, lam = p.omega, p.coupling
-    if info.phase is Phase.NORMAL:
-        if epsilon not in (None, 0):
-            raise BranchError("normal phase has a unique ground state; "
-                              f"branch {epsilon} is not available")
-        eps = 0
-    else:
-        if epsilon in (None,):
-            eps = 1
-        elif epsilon in (1, -1):
-            eps = epsilon
-        else:
-            raise BranchError("superradiant branch must be +1 or -1, "
-                              f"got {epsilon}")
+    eps = _resolve_branch(info.phase is Phase.SUPERRADIANT, epsilon, "parity")
     mu, gap_minus, gap_plus, gamma = (
         a.item() for a in _polaritons(om, p.omega0, np.array([lam]),
                                       np.array([eps == 0])))

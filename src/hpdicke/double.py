@@ -26,8 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dicke import CRITICAL_REL_TOL, _is_critical
-from .errors import (BranchError, CriticalPointDivergence, DomainError,
+from .dicke import _is_critical, _resolve_branch
+from .errors import (CriticalPointDivergence, DomainError,
                      GaplessError, HpDickeError, MeanFieldError,
                      RegimeError)
 from .gaussian import (EntropyReport, FluctuationReport, QuadraticForm,
@@ -171,19 +171,6 @@ def classify_double_phase(p: DoubleDickeParams) -> DoublePhaseInfo:
                            critical_c=crit_c, critical_i=crit_i)
 
 
-def _resolve_branch(broken: bool, eps, label: str) -> int:
-    if not broken:
-        if eps in (None, 0):
-            return 0
-        raise BranchError(f"direction {label} is unbroken; branch must be 0")
-    if eps is None:
-        return 1
-    if eps in (1, -1):
-        return eps
-    raise BranchError(f"broken direction {label} takes branch +1 or -1, "
-                      f"got {eps}")
-
-
 def _broken(info: DoublePhaseInfo) -> tuple[bool, bool]:
     """Whether the C and the I symmetry are broken."""
     return (info.phase in (DoublePhase.SUPERRADIANT_REAL,
@@ -198,8 +185,8 @@ def _one_point(p: DoubleDickeParams, branch: tuple[int, int] | None):
     MeanFieldError."""
     broken_c, broken_i = _broken(classify_double_phase(p))
     eps_c, eps_i = branch if branch is not None else (None, None)
-    eps_c = _resolve_branch(broken_c, eps_c, "C")
-    eps_i = _resolve_branch(broken_i, eps_i, "I")
+    eps_c = _resolve_branch(broken_c, eps_c, "direction C")
+    eps_i = _resolve_branch(broken_i, eps_i, "direction I")
     args = (p.omega_cav, p.omega0_c, p.omega0_i, np.array([p.lambda_c]),
             np.array([p.lambda_i]), np.array([eps_c]), np.array([eps_i]))
     mf, (error,) = _mean_field_grid(*args)
@@ -447,18 +434,19 @@ def hp_double(p: DoubleDickeParams) -> FluctuationReport:
     """Photon quadrature fluctuations.  Diverges on each critical line
     (exponent -1/4 in the distance), except at the double point where the
     two divergences compensate and dx = dp = sqrt(hp)."""
-    info = classify_double_phase(p)
-    if info.critical_c and info.critical_i:
-        return _double_point_report(p)
-    if info.critical_c or info.critical_i:
+    g = _double_thermo_grid(p.omega_cav, p.omega0_c, p.omega0_i,
+                            [p.lambda_c], [p.lambda_i])
+    (info,), (photon,), (error,) = g.info, g.photon, g.errors
+    on_line = info.critical_c or info.critical_i
+    if photon is None and on_line:
+        if info.critical_c and info.critical_i:
+            _require_matter_degenerate(p)
         raise CriticalPointDivergence(
             "photon fluctuations diverge on a critical line",
             quantity="hp", exponent=-0.25)
-    g = _double_thermo_grid(p.omega_cav, p.omega0_c, p.omega0_i,
-                            [p.lambda_c], [p.lambda_i])
-    if g.errors[0] is not None:
-        raise g.errors[0]
-    return g.photon[0]
+    if error is not None and not on_line:
+        raise error
+    return photon
 
 
 def entropy_double(p: DoubleDickeParams, include_degeneracy: bool = True,
@@ -478,10 +466,10 @@ class _DoubleThermoGrid:
     point; entropies include the degeneracy bits.
 
     photon holds hp_double's report, None on a critical line away from a
-    finite double point.  There dx and dp are nan, hp and the entropies
-    inf, and the gaps still hold (the lowest is 0).  errors holds None or
-    the error of a point that failed; its dx, dp, hp and entropies are
-    nan.
+    finite double point (one with omega0_C = omega0_I).  There dx and dp
+    are nan, hp and the entropies inf, and the gaps still hold (the
+    lowest is 0).  errors holds None or the error of a point that failed;
+    its dx, dp, hp and entropies are nan.
     """
 
     info: list[DoublePhaseInfo]
@@ -502,12 +490,12 @@ def _double_thermo_grid(omega_cav: float, omega0_c: float, omega0_i: float,
     pair (lambda_c[k], lambda_i[k]) on the default branch.
 
     The quadrature forms are built as one stack and diagonalized by one
-    batched eigen-decomposition; rows on a critical line take hp_double's
-    closed forms.  Next to a finite double point the soft gap is linear
-    in the distance, so within about 1e-9 the Krein step finds it zero;
-    those rows take the double point's closed form, good to that order.
-    A zero soft gap outside DOUBLE_BAND_REL of the double point leaves
-    the row failed with GaplessError.
+    batched eigen-decomposition, rows on a critical line left out.  A
+    finite double point takes its closed form.  Next to one the soft gap
+    is linear in the distance, so within about 1e-9 the Krein step finds
+    it zero; those rows take the closed form too, good to that order.  A
+    zero soft gap outside DOUBLE_BAND_REL of the double point leaves the
+    row failed with GaplessError.
     """
     lam_c = np.asarray(lambda_c, dtype=float)
     lam_i = np.asarray(lambda_i, dtype=float)
@@ -527,14 +515,13 @@ def _double_thermo_grid(omega_cav: float, omega0_c: float, omega0_i: float,
     for k, *report_and_error in zip(ok, *heisenberg_products(
             _mode_moments(stack.transform[ok], 0j, 0))):
         photon[k], errors[k] = report_and_error
-    for k, exc in enumerate(errors):
+    for k, (i, exc) in enumerate(zip(info, errors)):
         try:
-            if on_line[k]:
-                photon[k] = hp_double(params[k])
+            if i.critical_c and i.critical_i:
+                photon[k] = _double_point_report(params[k])
             elif (isinstance(exc, GaplessError)
                   and _next_to_double_point(params[k])):
-                photon[k] = _double_point_report(params[k])
-                errors[k] = None
+                photon[k], errors[k] = _double_point_report(params[k]), None
         except CriticalPointDivergence:
             pass
     hp = [math.nan if e is not None else math.inf if r is None else r.hp

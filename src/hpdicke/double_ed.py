@@ -9,9 +9,9 @@ makes it real too, so D^dag H D is exactly real symmetric.
 build_double_hamiltonian writes that matrix, the diagonal and at most
 eight couplings per row, through ed._offset_csr as the single-chain one;
 it commutes with the total parity U_C U_I.  The rest is the one ED path
-of ed, which DoubleEDBasis._model describes this model to: the ARPACK
-start at a normal point is D^dag times the HP ground state, and the
-phases D are put back on the ground state before any moment is taken.
+of ed, which DoubleEDBasis describes this model to: the ARPACK start at
+a normal point is D^dag times the HP ground state, and the phases D are
+put back on the ground state before any moment is taken.
 symmetry_residuals checks the physical D H_r D^dag.
 
 Basis layout: flat index n*(n_c+1)*(n_i+1) + mc_idx*(n_i+1) + mi_idx with
@@ -30,10 +30,10 @@ import numpy as np
 from .double import (DoubleDickeParams, DoublePhase,
                      build_double_quadratic_form, classify_double_phase)
 from .ed import (DEFAULT_BUDGET_NNZ, DEFAULT_SEED, EDResult, _Basis,
-                 _checkerboard, _coherent_n0, _entropy, _Model, _moments,
+                 _checkerboard, _coherent_n0, _entropy, _moments,
                  _observables, _offset_csr, _scipy, _solve, _solve_at,
                  _spin_diagonals, _walk_cutoff)
-from .gaussian import FluctuationReport
+from .gaussian import FluctuationReport, QuadraticForm
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -59,21 +59,21 @@ class DoubleEDBasis(_Basis):
     n_c: int
     n_i: int
     n_max: int
+    _entropy_floor = 1e-14
 
     @property
     def shape(self) -> tuple[int, int, int]:
         return (self.n_max + 1, self.n_c + 1, self.n_i + 1)
 
-    def _model(self, p: DoubleDickeParams | None = None) -> _Model:
-        """HP modes (a, b_C, b_I); n0 takes the larger chain and coupling,
-        and is at least 8."""
-        if p is None:
-            return _Model(self.shape, 1e-14)
-        return _Model(self.shape, 1e-14, lambda: (
-            build_double_quadratic_form(p)
-            if classify_double_phase(p).phase is DoublePhase.NORMAL else None),
-            max(8, _coherent_n0(max(self.n_c, self.n_i),
-                                max(p.lambda_c, p.lambda_i), p.omega_cav)))
+    def _hp_form(self, p: DoubleDickeParams) -> QuadraticForm | None:
+        """HP modes (a, b_C, b_I)."""
+        normal = classify_double_phase(p).phase is DoublePhase.NORMAL
+        return build_double_quadratic_form(p) if normal else None
+
+    def _n0(self, p: DoubleDickeParams) -> int:
+        """The larger chain and coupling's n0, at least 8."""
+        return max(8, _coherent_n0(max(self.n_c, self.n_i),
+                                   max(p.lambda_c, p.lambda_i), p.omega_cav))
 
     def _api(self) -> tuple[Callable, ...]:
         return (build_double_hamiltonian, double_ground_state,
@@ -134,7 +134,7 @@ def symmetry_residuals(H: sp.csr_matrix,
     exactly zero for a correctly assembled matrix."""
     sp = _scipy().sparse
     u_c, u_i = double_parities(basis)
-    D = sp.diags(basis._model().gauge)
+    D = sp.diags(basis.gauge)
     H = D @ H @ D.conj()
     res = [U @ H.conj() - H @ U for U in (sp.diags(u_c), sp.diags(u_i))]
     P = sp.diags(u_c * u_i)
@@ -152,19 +152,19 @@ def double_ground_state(H: sp.csr_matrix, basis: DoubleEDBasis,
     eigenstate of the physical Hamiltonian.  Given the params of H, ARPACK
     starts at a normal point from D^dag times the HP state (a, b_C, b_I)
     of build_double_quadratic_form (ed._hp_starts)."""
-    return _solve(H, basis._model(params), seed)
+    return _solve(H, basis, seed, params)
 
 
 def photon_moments_double(result: EDResult,
                           basis: DoubleEDBasis) -> FluctuationReport:
     """Photon <a>, <a^2>, <a^dag a> of the ground state, reduced over both
     chains and fed to the generic uncertainty-product reducer."""
-    return _moments(result, basis._model())
+    return _moments(result, basis)
 
 
 def photon_entropy_double(result: EDResult, basis: DoubleEDBasis) -> float:
     """Entanglement entropy (bits) between the photon and both chains."""
-    return _entropy(result, basis._model())
+    return _entropy(result, basis)
 
 
 def converge_cutoff_double(p: DoubleDickeParams, tol: float = 1e-8,

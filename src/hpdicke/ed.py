@@ -13,17 +13,18 @@ _offset_csr writes it, and the real two-chain matrix of double_ed,
 straight into canonical float64 CSR with no stored zeros.
 
 Both models are this Fock ladder times one or two maximal-j spins, a
-C-order grid whose parity is its checkerboard, and share one path: a
-basis and its params give a _Model, _solve finds the lowest eigenpair of
-each parity sector (Emary & Brandes, PRE 67, 066203 (2003)), densely
-below _DENSE_DIM and with ARPACK above, from a seeded draw or, at a
-normal point, from the params' Holstein-Primakoff ground state
-(_hp_starts).  The ground state is the lower of the two, a parity
-eigenstate, so the superradiant cat pair needs no separate resolution.
-_moments and _entropy reduce it, _solve_at solves at one cutoff and
-_walk_cutoff searches for one, each reaching the model's public
-functions through basis._api() when called.  scipy loads at the first
-ED call or ED config (_scipy): thermo needs numpy only.
+C-order grid whose parity is its checkerboard, and share one path.  The
+basis describes the model (_Basis): grid, parity, gauge, entropy floor,
+HP form and walk start.  _solve finds the lowest eigenpair of each
+parity sector (Emary & Brandes, PRE 67, 066203 (2003)), densely below
+_DENSE_DIM and with ARPACK above, from a seeded draw or, at a normal
+point, from the params' Holstein-Primakoff ground state (_hp_starts).
+The ground state is the lower of the two, a parity eigenstate, so the
+superradiant cat pair needs no separate resolution.  _moments and
+_entropy reduce it, _solve_at solves at one cutoff and _walk_cutoff
+searches for one, each reaching the model's public functions through
+basis._api() when called.  scipy loads at the first ED call or ED
+config (_scipy): thermo needs numpy only.
 """
 
 from __future__ import annotations
@@ -81,38 +82,16 @@ def _checkerboard(shape: tuple[int, ...]) -> np.ndarray:
     return functools.reduce(np.kron, [(-1.0) ** np.arange(k) for k in shape])
 
 
-@dataclass(frozen=True)
-class _Model:
-    """A model at one basis as the shared ED path reads it.  shape is the
-    grid (n_max + 1, N + 1) or (n_max + 1, N_C + 1, N_I + 1); the photon
-    number is its outer index, so the top Fock slab is the last
-    prod(shape[1:]) states.  With the params, hp_form() is the HP form at
-    a normal point (else None) and n0 the walk's start.  Reduced-density
-    eigenvalues <= entropy_floor carry no entropy."""
-
-    shape: tuple[int, ...]
-    entropy_floor: float
-    hp_form: Callable[[], QuadraticForm | None] | None = None
-    n0: int | None = None
-
-    @property
-    def parity(self) -> np.ndarray:
-        return _checkerboard(self.shape)
-
-    @property
-    def gauge(self) -> np.ndarray | None:
-        """D on each basis state; None for one chain."""
-        if len(self.shape) == 2:
-            return None
-        u_c = np.repeat(_checkerboard(self.shape[:2]), self.shape[2])
-        return np.where(u_c > 0, 1.0 + 0j, 1j)
-
-
 class _Basis:
-    """The C-order grid of a subclass's shape, whose fields (chain sizes,
-    then n_max) are positive integers.  Subclasses give shape, _model and
-    _api: the model's public (build, solve, moments, entropy), looked up
-    when it is called."""
+    """A model at one cutoff as the shared ED path reads it: the C-order
+    grid of a subclass's shape, (n_max + 1, N + 1) or (n_max + 1,
+    N_C + 1, N_I + 1), whose fields (chain sizes, then n_max) are
+    positive integers.  The photon number is the outer index, so the top
+    Fock slab is the last prod(shape[1:]) states.  Subclasses give shape;
+    _entropy_floor, below which reduced-density eigenvalues carry no
+    entropy; _hp_form(p), the HP form at a normal point of the params p
+    (else None); _n0(p), the walk's start; and _api, the model's public
+    (build, solve, moments, entropy), looked up when it is called."""
 
     def __post_init__(self):
         for f in fields(self):
@@ -131,6 +110,18 @@ class _Basis:
         diagonal and four corners per chain's coupling."""
         return (4 * (len(self.shape) - 1) + 1) * self.dim
 
+    @property
+    def parity(self) -> np.ndarray:
+        return _checkerboard(self.shape)
+
+    @property
+    def gauge(self) -> np.ndarray | None:
+        """D on each basis state; None for one chain."""
+        if len(self.shape) == 2:
+            return None
+        u_c = np.repeat(_checkerboard(self.shape[:2]), self.shape[2])
+        return np.where(u_c > 0, 1.0 + 0j, 1j)
+
     def index(self, *state) -> int:
         """Flat index of the grid point state, one index per axis."""
         if not (len(state) == len(self.shape) and all(
@@ -146,6 +137,7 @@ class EDBasis(_Basis):
 
     n_spins: int
     n_max: int
+    _entropy_floor = 1e-16
 
     @property
     def j(self) -> float:
@@ -159,14 +151,13 @@ class EDBasis(_Basis):
         """Flat index of |n, m>, m in {-j .. j} in integer steps."""
         return super().index(n, m + self.j)
 
-    def _model(self, p: DickeParams | None = None) -> _Model:
+    def _hp_form(self, p: DickeParams) -> QuadraticForm | None:
         """HP boson k = m + j, the grid's own spin index."""
-        if p is None:
-            return _Model(self.shape, 1e-16)
-        return _Model(self.shape, 1e-16, lambda: (
-            dicke_quadratic_form(p)
-            if classify_phase(p).phase is Phase.NORMAL else None),
-            _coherent_n0(self.n_spins, p.coupling, p.omega))
+        return (dicke_quadratic_form(p)
+                if classify_phase(p).phase is Phase.NORMAL else None)
+
+    def _n0(self, p: DickeParams) -> int:
+        return _coherent_n0(self.n_spins, p.coupling, p.omega)
 
     def _api(self) -> tuple[Callable, ...]:
         return (build_hamiltonian, ground_state, photon_moments_ed,
@@ -334,10 +325,11 @@ def _hp_starts(form: QuadraticForm, shape: tuple[int, ...],
     return starts
 
 
-def _solve(H: sp.spmatrix, model: _Model, seed: int) -> EDResult:
-    """Ground state of the model's real symmetric H from the lowest
-    eigenpair of each parity sector, ARPACK starting from each sector's
-    part of a seeded draw or from model.hp_form()'s HP state.
+def _solve(H: sp.spmatrix, basis: _Basis, seed: int, p=None) -> EDResult:
+    """Ground state of the real symmetric H of the params p on this basis
+    from the lowest eigenpair of each parity sector, ARPACK starting from
+    each sector's part of a seeded draw or from the HP state of
+    basis._hp_form(p).
 
     The odd minimum is the ground state only when it lies lower by more
     than SOLVE_TOL*max(1, |E|); a cat pair degenerate to that accuracy
@@ -348,15 +340,14 @@ def _solve(H: sp.spmatrix, model: _Model, seed: int) -> EDResult:
     """
     H = H.tocsr()
     dim = H.shape[0]
-    parity, gauge = model.parity, model.gauge
+    parity, gauge = basis.parity, basis.gauge
     v0 = np.random.default_rng(seed).standard_normal(dim)
     sectors = (np.flatnonzero(parity > 0), np.flatnonzero(parity < 0))
     starts = [v0[idx] for idx in sectors]
     del v0
-    form = (model.hp_form() if model.hp_form is not None and dim > _DENSE_DIM
-            else None)
+    form = basis._hp_form(p) if p is not None and dim > _DENSE_DIM else None
     if form is not None:
-        starts = _hp_starts(form, model.shape, gauge, sectors, starts)
+        starts = _hp_starts(form, basis.shape, gauge, sectors, starts)
     (e_even, v_even), (e_odd, v_odd) = (
         _sector_minimum(H, idx, s) for idx, s in zip(sectors, starts))
     sign = (-1.0 if e_odd < e_even - SOLVE_TOL * max(1.0, abs(e_even))
@@ -366,7 +357,7 @@ def _solve(H: sp.spmatrix, model: _Model, seed: int) -> EDResult:
     psi[parity == sign] = v / np.linalg.norm(v)
     if psi[np.argmax(np.abs(psi))] < 0:
         psi = -psi
-    top_slab = math.prod(model.shape[1:])
+    top_slab = math.prod(basis.shape[1:])
     top = float(np.vdot(psi[-top_slab:], psi[-top_slab:]))
     converged = top < TOP_ROW_TOL
     if not converged:
@@ -375,7 +366,7 @@ def _solve(H: sp.spmatrix, model: _Model, seed: int) -> EDResult:
     return EDResult(ground_energy=e0, gap01=abs(e_odd - e_even),
                     state=psi if gauge is None else gauge * psi,
                     parity=sign, cutoff_converged=converged,
-                    n_max_used=model.shape[0] - 1)
+                    n_max_used=basis.n_max)
 
 
 def ground_state(H: sp.spmatrix, basis: EDBasis, seed: int = DEFAULT_SEED,
@@ -384,24 +375,24 @@ def ground_state(H: sp.spmatrix, basis: EDBasis, seed: int = DEFAULT_SEED,
     the ground state is a parity eigenstate (see _solve).  Given the
     params of H, ARPACK starts at a normal point from the HP state of
     dicke_quadratic_form, HP boson k = m + j (_hp_starts)."""
-    return _solve(H, basis._model(params), seed)
+    return _solve(H, basis, seed, params)
 
 
-def _photon_rows(result: EDResult, model: _Model) -> np.ndarray:
+def _photon_rows(result: EDResult, basis: _Basis) -> np.ndarray:
     """The state as a matrix, one row per photon number."""
-    if result.state.size != math.prod(model.shape):
+    if result.state.size != basis.dim:
         raise DomainError("state length does not match the basis dimension")
-    return result.state.reshape(model.shape[0], -1)
+    return result.state.reshape(basis.shape[0], -1)
 
 
-def _moments(result: EDResult, model: _Model) -> FluctuationReport:
+def _moments(result: EDResult, basis: _Basis) -> FluctuationReport:
     """Photon <a>, <a^2>, <a^dag a> of the ground state, reduced over the
     chains and fed to the generic uncertainty-product reducer.  A complex
     (two-chain) state takes <a^dag a> from |w|^2 and the rest from
     conj(w) w, a real one from w w: one arithmetic would move either
     model's last bits."""
-    W = _photon_rows(result, model)
-    levels = np.arange(model.shape[0])
+    W = _photon_rows(result, basis)
+    levels = np.arange(basis.shape[0])
     if np.iscomplexobj(W):
         occ = float(np.sum(levels[:, None] * np.abs(W) ** 2))
         left, kind = W.conj(), complex
@@ -415,23 +406,23 @@ def _moments(result: EDResult, model: _Model) -> FluctuationReport:
     return heisenberg_product(mean_a=mean_a, a_sq=a_sq, occupation=occ)
 
 
-def _entropy(result: EDResult, model: _Model) -> float:
+def _entropy(result: EDResult, basis: _Basis) -> float:
     """Entanglement entropy (bits) between the photon and the chains."""
-    W = _photon_rows(result, model)
+    W = _photon_rows(result, basis)
     w = np.linalg.eigvalsh(W @ W.conj().T)
-    w = w[w > model.entropy_floor]
+    w = w[w > basis._entropy_floor]
     return float(-np.sum(w * np.log2(w)))
 
 
 def photon_moments_ed(result: EDResult, basis: EDBasis) -> FluctuationReport:
     """Photon <a>, <a^2>, <a^dag a> of the ground state, centered and fed
     to the generic uncertainty-product reducer."""
-    return _moments(result, basis._model())
+    return _moments(result, basis)
 
 
 def photon_entropy_ed(result: EDResult, basis: EDBasis) -> float:
     """Entanglement entropy (bits) of the photon reduced density matrix."""
-    return _entropy(result, basis._model())
+    return _entropy(result, basis)
 
 
 def _check_budget(basis: _Basis, budget_nnz: int) -> None:
@@ -463,7 +454,7 @@ def _observables(result: EDResult,
 def _walk_cutoff(p, basis: _Basis, tol: float, budget_nnz: int,
                  seed: int) -> EDResult:
     """The solve at the first accepted cutoff of the halving grid below
-    n0 = basis._model(p).n0, walked cheapest-first over bases like this
+    n0 = basis._n0(p), walked cheapest-first over bases like this
     one; above n0 the walk doubles until a cutoff is accepted.
 
     A cutoff n is accepted when its own solve is cutoff_converged and one
@@ -482,7 +473,7 @@ def _walk_cutoff(p, basis: _Basis, tol: float, budget_nnz: int,
             _, _, moments, _ = at._api()
             return res, moments(res, at).hp
 
-    n0 = basis._model(p).n0
+    n0 = basis._n0(p)
     grid = [n0]
     while grid[-1] > 1:
         grid.append(grid[-1] // 2)

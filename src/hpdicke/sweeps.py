@@ -254,31 +254,41 @@ def columns_for(cfg: SweepConfig) -> list[str]:
             "dx", "dp", "hp", "s_vn", "reason"]
 
 
-def _thermo_rows(cfg: SweepConfig) -> SweepTable:
-    """All rows of a thermo sweep, from one grid evaluation of the
-    request.  Divergent cells are inf with the reason critical-point; on
-    a double-model line the bounded quadrature's limit is not evaluated
-    exactly, so dx and dp are nan there.  A point whose solve failed
-    gets nan in every computed column."""
+def _coordinates(cfg: SweepConfig) -> dict[str, Sequence]:
+    """The index and coordinate columns over the sweep's grid, for either
+    mode: coupling and dist_cr, or r, theta, lambda_c = r cos(theta),
+    lambda_i = r sin(theta), dist_c and dist_i."""
     x = cfg.grid()
     if cfg.model == "dicke":
-        g = _thermo_grid(cfg.omega, cfg.omega0, x, cfg.renyi)
         coupling = x.tolist()
-        cols = {"coupling": coupling,
-                "dist_cr": [c - i.lambda_cr for c, i in zip(coupling, g.info)],
-                "critical": [i.critical for i in g.info]}
+        lam_cr = lambda_critical(DickeParams(cfg.omega, cfg.omega0, 0.0))
+        return {"index": range(len(x)), "coupling": coupling,
+                "dist_cr": [c - lam_cr for c in coupling]}
+    p = DoubleDickeParams(cfg.omega, cfg.omega0_c, cfg.omega0_i, 0.0, 0.0)
+    lam_c = (x * math.cos(cfg.theta)).tolist()
+    lam_i = (x * math.sin(cfg.theta)).tolist()
+    return {"index": range(len(x)), "r": x.tolist(),
+            "theta": [cfg.theta] * len(x), "lambda_c": lam_c,
+            "lambda_i": lam_i, "dist_c": [c - p.lambda_c_cr for c in lam_c],
+            "dist_i": [c - p.lambda_i_cr for c in lam_i]}
+
+
+def _thermo_rows(cfg: SweepConfig, cols: dict[str, Sequence]) -> SweepTable:
+    """All rows of a thermo sweep over the coordinate columns cols, from
+    one grid evaluation of the request.  Divergent cells are inf with the
+    reason critical-point; on a double-model line the bounded
+    quadrature's limit is not evaluated exactly, so dx and dp are nan
+    there.  A point whose solve failed gets nan in every computed
+    column."""
+    if cfg.model == "dicke":
+        g = _thermo_grid(cfg.omega, cfg.omega0, cols["coupling"], cfg.renyi)
+        cols["critical"] = [i.critical for i in g.info]
         computed = {"gap_minus": g.gap_minus, "gap_plus": g.gap_plus}
     else:
-        lam_c = (x * math.cos(cfg.theta)).tolist()
-        lam_i = (x * math.sin(cfg.theta)).tolist()
         g = _double_thermo_grid(cfg.omega, cfg.omega0_c, cfg.omega0_i,
-                                lam_c, lam_i, cfg.renyi)
-        cols = {"r": x.tolist(), "theta": [cfg.theta] * len(x),
-                "lambda_c": lam_c, "lambda_i": lam_i,
-                "dist_c": [c - i.lambda_c_cr for c, i in zip(lam_c, g.info)],
-                "dist_i": [c - i.lambda_i_cr for c, i in zip(lam_i, g.info)],
-                "critical_c": [i.critical_c for i in g.info],
-                "critical_i": [i.critical_i for i in g.info]}
+                                cols["lambda_c"], cols["lambda_i"], cfg.renyi)
+        cols.update(critical_c=[i.critical_c for i in g.info],
+                    critical_i=[i.critical_i for i in g.info])
         computed = dict(zip(("gap_1", "gap_2", "gap_3"),
                             map(list, zip(*g.gaps))))
     ent = g.entropy
@@ -292,32 +302,32 @@ def _thermo_rows(cfg: SweepConfig) -> SweepTable:
             reason[k] = f"solver: {type(exc).__name__}"
             for column in computed.values():
                 column[k] = math.nan
-    cols.update(computed, index=range(len(x)),
-                phase=[i.phase.value for i in g.info], reason=reason)
+    cols.update(computed, phase=[i.phase.value for i in g.info],
+                reason=reason)
     return SweepTable({c: cols[c] for c in columns_for(cfg)},
                       [e is not None for e in g.errors])
 
 
-def _ed_row(cfg: SweepConfig, i: int, x: float) -> SweepRow:
-    """One ED grid point of either model: a single solve at an explicit
-    n_max, otherwise the solve the cutoff walk accepted."""
+# the solver cells of an ED row whose solve failed, less its reason
+_ED_FAILED = dict(n_max_used=0, ground_energy=math.nan, gap01=math.nan,
+                  parity=math.nan, converged=False, dx=math.nan, dp=math.nan,
+                  hp=math.nan, s_vn=math.nan)
+
+
+def _ed_cells(cfg: SweepConfig, at) -> dict:
+    """The solver cells of one ED grid point of either model at the
+    couplings at, a coupling or (lambda_c, lambda_i): a single solve at an
+    explicit n_max, otherwise the solve the cutoff walk accepted."""
     n = cfg.n_spins
     if cfg.model == "dicke":
-        p = DickeParams(omega=cfg.omega, omega0=cfg.omega0, coupling=x)
-        base = {"index": i, "coupling": x, "dist_cr": x - lambda_critical(p)}
+        p = DickeParams(omega=cfg.omega, omega0=cfg.omega0, coupling=at)
         basis_at = functools.partial(EDBasis, n)
         walk = functools.partial(converge_cutoff, p, n)
     else:
-        lam_c = x * math.cos(cfg.theta)
-        lam_i = x * math.sin(cfg.theta)
-        p = DoubleDickeParams(omega_cav=cfg.omega, omega0_c=cfg.omega0_c,
-                              omega0_i=cfg.omega0_i, lambda_c=lam_c,
-                              lambda_i=lam_i, n_c=n, n_i=n)
-        base = {"index": i, "r": x, "theta": cfg.theta,
-                "lambda_c": lam_c, "lambda_i": lam_i}
+        p = DoubleDickeParams(cfg.omega, cfg.omega0_c, cfg.omega0_i, *at,
+                              n_c=n, n_i=n)
         basis_at = functools.partial(DoubleEDBasis, n, n)
         walk = functools.partial(converge_cutoff_double, p)
-    base["n_spins"] = n
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CutoffWarning)
@@ -331,16 +341,11 @@ def _ed_row(cfg: SweepConfig, i: int, x: float) -> SweepRow:
     except BudgetExceeded:
         raise
     except HpDickeError as exc:
-        base.update(n_max_used=0, ground_energy=math.nan, gap01=math.nan,
-                    parity=math.nan, converged=False, dx=math.nan,
-                    dp=math.nan, hp=math.nan, s_vn=math.nan,
-                    reason=f"solver: {type(exc).__name__}")
-        return SweepRow(index=i, values=base, failed=True)
-    base.update(n_max_used=res.n_max_used, ground_energy=res.ground_energy,
+        return dict(_ED_FAILED, reason=f"solver: {type(exc).__name__}")
+    return dict(n_max_used=res.n_max_used, ground_energy=res.ground_energy,
                 gap01=res.gap01, parity=res.parity,
                 converged=res.cutoff_converged, dx=rep.dx, dp=rep.dp,
                 hp=rep.hp, s_vn=s, reason="")
-    return SweepRow(index=i, values=base)
 
 
 def sweep_rows(cfg: SweepConfig) -> SweepTable:
@@ -351,20 +356,22 @@ def sweep_rows(cfg: SweepConfig) -> SweepTable:
     (a proxy for matrix size) and reassembled in order, so the output is
     independent of the worker count.
     """
+    cols = _coordinates(cfg)
     if cfg.mode == "thermo":
-        return _thermo_rows(cfg)
-    jobs = [(cfg, i, x) for i, x in enumerate(cfg.grid().tolist())]
-    if cfg.workers > 1 and len(jobs) > 1:
+        return _thermo_rows(cfg, cols)
+    at = (cols["coupling"] if cfg.model == "dicke"
+          else list(zip(cols["lambda_c"], cols["lambda_i"])))
+    if cfg.workers > 1 and len(at) > 1:
         from concurrent.futures import ProcessPoolExecutor
-        order = sorted(jobs, key=lambda j: -abs(j[2]))
+        # the grid ascends, so reversed it is largest first
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            done = list(pool.map(_ed_row, *zip(*order)))
-        rows = sorted(done, key=lambda r: r.index)
+            cells = list(pool.map(_ed_cells, [cfg] * len(at), at[::-1]))[::-1]
     else:
-        rows = [_ed_row(*j) for j in jobs]
-    return SweepTable({c: [r.values[c] for r in rows]
-                       for c in columns_for(cfg)},
-                      [r.failed for r in rows])
+        cells = [_ed_cells(cfg, a) for a in at]
+    cols["n_spins"] = [cfg.n_spins] * len(at)
+    cols.update({c: [r[c] for r in cells] for c in cells[0]})
+    return SweepTable({c: cols[c] for c in columns_for(cfg)},
+                      [r["reason"] != "" for r in cells])
 
 
 def _header_lines(cfg: SweepConfig, cols: list[str]) -> list[str]:
@@ -473,8 +480,8 @@ def run_sweep(cfg: SweepConfig) -> tuple[str, int]:
 
 def radial_sweep(theta: float, r_min: float, r_max: float, steps: int,
                  mode: str = "thermo", **overrides) -> SweepTable:
-    """Double-model sweep along a polar ray; convenience wrapper used by
-    the figure generators and tests."""
+    """Double-model sweep along a polar ray, a public convenience wrapper
+    over sweep_rows; the figure generators call run_sweep instead."""
     cfg = SweepConfig.from_dict(dict(model="double-dicke", mode=mode,
                                      theta=theta, r_min=r_min, r_max=r_max,
                                      steps=steps, **overrides))

@@ -346,6 +346,23 @@ class TestDoublePointBand:
         with pytest.raises(GaplessError):
             hp_double(P(2.0, 0.5, 0.5, 0.5 * (1 - 1.3e-6), 0.5 * (1 - 1e-9)))
 
+    @pytest.mark.parametrize("fn", [hp_double, entropy_double])
+    def test_exact_double_point_needs_equal_matter_frequencies(self, fn):
+        # lambda_C,cr = 1/2 and lambda_I,cr = 1 exactly
+        with pytest.raises(CriticalPointDivergence,
+                           match="equal matter frequencies only") as err:
+            fn(P(1.0, 1.0, 4.0, 0.5, 1.0))
+        assert err.value.quantity == "hp" and err.value.exponent is None
+
+    @pytest.mark.parametrize("fn", [hp_double, entropy_double])
+    @pytest.mark.parametrize("wi,lc,li", [(1.0, 0.5, 0.2), (1.0, 0.2, 0.5),
+                                          (4.0, 0.5, 0.3), (4.0, 2.0, 1.0)])
+    def test_exact_single_line_point_diverges(self, fn, wi, lc, li):
+        with pytest.raises(CriticalPointDivergence,
+                           match="diverge on a critical line") as err:
+            fn(P(1.0, 1.0, wi, lc, li))
+        assert err.value.exponent == -0.25
+
     def test_unequal_matter_frequencies_fail_in_the_band(self):
         wi = 1.0 + 1e-6
         p = P(1.0, 1.0, wi, 0.5 * (1 - 1e-10), math.sqrt(wi) / 2 * (1 - 1e-10))

@@ -125,11 +125,30 @@ def test_ed_tables_with_a_failed_row_render_like_reference(tag,
             raise ConvergenceError("forced")
         return walk(*args, **kwargs)
 
+    clean = sweep_rows(cfg)
     monkeypatch.setattr(sweeps, name, failing_second_point)
     table = sweep_rows(cfg)
     assert table.failed == [False, True] + [False] * (len(table) - 2)
     assert table[1].values["reason"] == "solver: ConvergenceError"
     _assert_renders_like_reference(cfg, table)
+    # the failed row keeps its grid cells, bit for bit, and its solver
+    # cells are the failure's: no cutoff, not converged, nan floats
+    got, want = table[1].values, clean[1].values
+    solver = columns_for(cfg)[columns_for(cfg).index("n_max_used"):-1]
+    for c in set(got) - set(solver) - {"reason"}:
+        assert type(got[c]) is type(want[c]), c
+        assert np.array_equal(np.float64(got[c]).view(np.int64),
+                              np.float64(want[c]).view(np.int64)), c
+    assert got["index"] == 1 and got["n_spins"] == cfg.n_spins
+    assert got["n_max_used"] == 0 and type(got["n_max_used"]) is int
+    assert got["converged"] is False
+    floats = [c for c in solver if c not in ("n_max_used", "converged")]
+    assert floats == ["ground_energy", "gap01", "parity", "dx", "dp", "hp",
+                      "s_vn"]
+    assert all(isinstance(got[c], float) and math.isnan(got[c])
+               for c in floats)
+    assert [r.values for k, r in enumerate(table) if k != 1] \
+        == [r.values for k, r in enumerate(clean) if k != 1]
 
 
 def test_numpy_bool_cells_render_like_reference():

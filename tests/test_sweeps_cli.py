@@ -2,6 +2,7 @@ import json
 import math
 import os
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -207,6 +208,30 @@ class TestEdGolden:
 
 def _bits(v) -> bytes:
     return struct.pack("<d", v)
+
+
+@pytest.mark.parametrize("raw,names", [
+    (dict(model="dicke", coupling_min=0.1, coupling_max=0.9, steps=9),
+     ("coupling", "dist_cr")),
+    (dict(model="double-dicke", theta=5 * math.pi / 32, r_min=0.1,
+          r_max=0.9, steps=9), ("r", "theta", "lambda_c", "lambda_i")),
+], ids=["dicke", "double-dicke"])
+def test_thermo_and_ed_sweeps_share_coordinates(raw, names):
+    thermo = sweep_rows(SweepConfig.from_dict(dict(raw, mode="thermo")))
+    ed = sweep_rows(SweepConfig.from_dict(dict(raw, mode="ed", n_spins=2,
+                                               n_max=6)))
+    for name in names:
+        assert list(map(_bits, thermo.columns[name])) \
+            == list(map(_bits, ed.columns[name])), name
+    if raw["model"] == "double-dicke":
+        # r cos(theta) and r sin(theta) round at every r but 0.5, so
+        # both modes must round the same products
+        th, cols = raw["theta"], thermo.columns
+        exact = [r for r, c, i in zip(cols["r"], cols["lambda_c"],
+                                      cols["lambda_i"])
+                 if Fraction(c) == Fraction(r) * Fraction(math.cos(th))
+                 or Fraction(i) == Fraction(r) * Fraction(math.sin(th))]
+        assert exact == [0.5]
 
 
 def _assert_cells(row: dict, expected: dict):
