@@ -213,13 +213,19 @@ def hp_thermo(p: DickeParams) -> FluctuationReport:
     returning a large float.  Both superradiant branches give the same
     fluctuations.
     """
-    if classify_phase(p).critical:
+    return _thermo_point(p)[1]
+
+
+def _thermo_point(p: DickeParams) -> tuple[PhaseInfo, FluctuationReport]:
+    """The phase and hp_thermo's report at p, from its one-point grid."""
+    g = _thermo_grid(p.omega, p.omega0, [p.coupling])
+    (info,) = g.info
+    if info.critical:
         raise CriticalPointDivergence(
             "photon fluctuations diverge at the critical coupling",
             quantity="hp", exponent=-0.25)
-    g = _thermo_grid(p.omega, p.omega0, [p.coupling])
-    return heisenberg_product(mean_a=0.0, a_sq=g.sq[0].item(),
-                              occupation=g.n_c[0].item())
+    return info, heisenberg_product(mean_a=0.0, a_sq=g.sq[0].item(),
+                                    occupation=g.n_c[0].item())
 
 
 def entropy_thermo(p: DickeParams, include_degeneracy: bool = True,
@@ -229,8 +235,7 @@ def entropy_thermo(p: DickeParams, include_degeneracy: bool = True,
     With include_degeneracy, one bit is added in the superradiant phase so
     the value is comparable to finite-size symmetric (cat) ground states.
     """
-    rep = hp_thermo(p)
-    info = classify_phase(p)
+    info, rep = _thermo_point(p)
     offset = 1 if (include_degeneracy and info.phase is Phase.SUPERRADIANT) else 0
     return entropy_from_hp(rep.hp, degeneracy_offset=offset,
                            renyi_alphas=renyi_alphas)

@@ -434,6 +434,12 @@ def hp_double(p: DoubleDickeParams) -> FluctuationReport:
     """Photon quadrature fluctuations.  Diverges on each critical line
     (exponent -1/4 in the distance), except at the double point where the
     two divergences compensate and dx = dp = sqrt(hp)."""
+    return _double_point(p)[1]
+
+
+def _double_point(p: DoubleDickeParams
+                  ) -> tuple[DoublePhaseInfo, FluctuationReport]:
+    """The phase and hp_double's report at p, from its one-point grid."""
     g = _double_thermo_grid(p.omega_cav, p.omega0_c, p.omega0_i,
                             [p.lambda_c], [p.lambda_i])
     (info,), (photon,), (error,) = g.info, g.photon, g.errors
@@ -446,15 +452,14 @@ def hp_double(p: DoubleDickeParams) -> FluctuationReport:
             quantity="hp", exponent=-0.25)
     if error is not None and not on_line:
         raise error
-    return photon
+    return info, photon
 
 
 def entropy_double(p: DoubleDickeParams, include_degeneracy: bool = True,
                    renyi_alphas: tuple[float, ...] = ()) -> EntropyReport:
     """Photon-matter entanglement entropy; the degeneracy offset maps the
     phase degeneracy {1, 2, 4} to {0, 1, 2} bits."""
-    rep = hp_double(p)
-    info = classify_double_phase(p)
+    info, rep = _double_point(p)
     offset = _OFFSET_BITS[info.degeneracy] if include_degeneracy else 0
     return entropy_from_hp(rep.hp, degeneracy_offset=offset,
                            renyi_alphas=renyi_alphas)

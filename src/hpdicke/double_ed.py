@@ -170,13 +170,15 @@ def photon_entropy_double(result: EDResult, basis: DoubleEDBasis) -> float:
 def converge_cutoff_double(p: DoubleDickeParams, tol: float = 1e-8,
                            budget_nnz: int = DEFAULT_BUDGET_NNZ,
                            seed: int = DEFAULT_SEED) -> EDResult:
-    """Ground state at the smallest accepted Fock cutoff; its n_max_used
-    is the cutoff.
+    """Ground state at an accepted Fock cutoff; its n_max_used is the
+    cutoff.
 
     Same walk and acceptance rule as ed.converge_cutoff (top Fock slab
-    below TOP_ROW_TOL and hp stable to tol against ceil(1.25 n)), from
-    n0 = max(8, ceil(4 (N lambda^2/omega^2 + sqrt(N)))) with the larger
-    chain size and coupling.
+    below TOP_ROW_TOL and hp stable to tol against ceil(1.25 n)) on the
+    halving grid below n0 = max(8, ceil(4 (N lambda^2/omega^2 +
+    sqrt(N)))) with the larger chain size and coupling: from the highest
+    dense grid point at most n0/2 (else the lowest), down the grid while
+    cutoffs are accepted, or up it and past n0 until one is.
     """
     return _walk_cutoff(p, DoubleEDBasis(p.n_c, p.n_i, 1), tol, budget_nnz,
                         seed)

@@ -16,15 +16,18 @@ Both models are this Fock ladder times one or two maximal-j spins, a
 C-order grid whose parity is its checkerboard, and share one path.  The
 basis describes the model (_Basis): grid, parity, gauge, entropy floor,
 HP form and walk start.  _solve finds the lowest eigenpair of each
-parity sector (Emary & Brandes, PRE 67, 066203 (2003)), densely below
-_DENSE_DIM and with ARPACK above, from a seeded draw or, at a normal
-point, from the params' Holstein-Primakoff ground state (_hp_starts).
-The ground state is the lower of the two, a parity eigenstate, so the
-superradiant cat pair needs no separate resolution.  _moments and
-_entropy reduce it, _solve_at solves at one cutoff and _walk_cutoff
-searches for one, each reaching the model's public functions through
-basis._api() when called.  scipy loads at the first ED call or ED
-config (_scipy): thermo needs numpy only.
+parity sector (Emary & Brandes, PRE 67, 066203 (2003)): up to _DENSE_DIM
+densely, on blocks scattered straight from the CSR arrays
+(_dense_blocks); above it with ARPACK, from a seeded draw or, at a
+normal point, from the params' Holstein-Primakoff ground state
+(_hp_starts).  The ground state is the lower of the two, a parity
+eigenstate, so the superradiant cat pair needs no separate resolution.
+_moments and _entropy reduce it, _solve_at solves at one cutoff and
+_walk_cutoff searches for one on the halving grid below n0: from its
+highest dense point at most n0/2 it walks down while cutoffs are
+accepted, or up until one is.  Each reaches the model's public
+functions through basis._api() when called.  scipy loads at the first
+ED call or ED config (_scipy): thermo needs numpy only.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import functools
 import itertools
 import math
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
 
@@ -259,15 +262,40 @@ def parity_diagonal(basis: EDBasis) -> np.ndarray:
     return _checkerboard(basis.shape)
 
 
+def _dense_blocks(H: sp.csr_matrix, parity: np.ndarray,
+                  sectors) -> Iterator[np.ndarray]:
+    """The dense block H[idx][:, idx] of each sector idx, made only when
+    the previous one is taken, so a caller that is done with a block
+    holds one at a time.  The entries of H that join two states of one
+    sector are scattered into its block at their positions in it, one
+    numpy scatter per block; with duplicate entries summed first, this is
+    the block bitwise."""
+    H.sum_duplicates()
+    at = np.empty(parity.size, dtype=np.intp)
+    for idx in sectors:
+        at[idx] = np.arange(idx.size)
+    per_row = np.diff(H.indptr)
+    rows, cols = np.repeat(at, per_row), at[H.indices]
+    row_even, col_even = np.repeat(parity > 0, per_row), parity[H.indices] > 0
+    for idx, keep in zip(sectors, (row_even & col_even,
+                                   ~(row_even | col_even))):
+        block = np.zeros((idx.size, idx.size))
+        block[rows[keep], cols[keep]] = H.data[keep]
+        yield block
+
+
+def _dense_minimum(block: np.ndarray) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of a dense sector block."""
+    w, v = _scipy().linalg.eigh(block, subset_by_index=[0, 0])
+    return float(w[0]), v[:, 0]
+
+
 def _sector_minimum(H: sp.csr_matrix, idx: np.ndarray,
                     v0: np.ndarray) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of H restricted to the basis states idx."""
-    block = H[idx][:, idx]
-    if H.shape[0] <= _DENSE_DIM:
-        w, v = _scipy().linalg.eigh(block.toarray(), subset_by_index=[0, 0])
-        return float(w[0]), v[:, 0]
+    """Lowest eigenpair of H restricted to the basis states idx, by ARPACK
+    from v0."""
     try:
-        w, v = _scipy().sparse.linalg.eigsh(block, k=1, which="SA",
+        w, v = _scipy().sparse.linalg.eigsh(H[idx][:, idx], k=1, which="SA",
                                             v0=v0, tol=SOLVE_TOL)
     except _scipy().sparse.linalg.ArpackNoConvergence as exc:
         raise ConvergenceError(
@@ -327,9 +355,9 @@ def _hp_starts(form: QuadraticForm, shape: tuple[int, ...],
 
 def _solve(H: sp.spmatrix, basis: _Basis, seed: int, p=None) -> EDResult:
     """Ground state of the real symmetric H of the params p on this basis
-    from the lowest eigenpair of each parity sector, ARPACK starting from
-    each sector's part of a seeded draw or from the HP state of
-    basis._hp_form(p).
+    from the lowest eigenpair of each parity sector: dense up to
+    _DENSE_DIM, else by ARPACK starting from each sector's part of a
+    seeded draw or from the HP state of basis._hp_form(p).
 
     The odd minimum is the ground state only when it lies lower by more
     than SOLVE_TOL*max(1, |E|); a cat pair degenerate to that accuracy
@@ -341,15 +369,20 @@ def _solve(H: sp.spmatrix, basis: _Basis, seed: int, p=None) -> EDResult:
     H = H.tocsr()
     dim = H.shape[0]
     parity, gauge = basis.parity, basis.gauge
-    v0 = np.random.default_rng(seed).standard_normal(dim)
     sectors = (np.flatnonzero(parity > 0), np.flatnonzero(parity < 0))
-    starts = [v0[idx] for idx in sectors]
-    del v0
-    form = basis._hp_form(p) if p is not None and dim > _DENSE_DIM else None
-    if form is not None:
-        starts = _hp_starts(form, basis.shape, gauge, sectors, starts)
-    (e_even, v_even), (e_odd, v_odd) = (
-        _sector_minimum(H, idx, s) for idx, s in zip(sectors, starts))
+    if dim <= _DENSE_DIM:
+        minima = [_dense_minimum(block)
+                  for block in _dense_blocks(H, parity, sectors)]
+    else:
+        v0 = np.random.default_rng(seed).standard_normal(dim)
+        starts = [v0[idx] for idx in sectors]
+        del v0
+        form = basis._hp_form(p) if p is not None else None
+        if form is not None:
+            starts = _hp_starts(form, basis.shape, gauge, sectors, starts)
+        minima = [_sector_minimum(H, idx, s)
+                  for idx, s in zip(sectors, starts)]
+    (e_even, v_even), (e_odd, v_odd) = minima
     sign = (-1.0 if e_odd < e_even - SOLVE_TOL * max(1.0, abs(e_even))
             else 1.0)
     e0, v = (e_odd, v_odd) if sign < 0 else (e_even, v_even)
@@ -453,9 +486,13 @@ def _observables(result: EDResult,
 
 def _walk_cutoff(p, basis: _Basis, tol: float, budget_nnz: int,
                  seed: int) -> EDResult:
-    """The solve at the first accepted cutoff of the halving grid below
-    n0 = basis._n0(p), walked cheapest-first over bases like this
-    one; above n0 the walk doubles until a cutoff is accepted.
+    """The solve at the accepted cutoff of the halving grid n0 / 2^k
+    below n0 = basis._n0(p) over bases like this one, walked from a dense
+    start: the highest grid point n with 2 n <= n0 whose basis is dense
+    (dim <= _DENSE_DIM), else the lowest one.  When the start is
+    accepted the walk goes down the grid until a cutoff fails and takes
+    the lowest accepted one; when it fails the walk goes up the rest of
+    the grid, then doubles n0, until a cutoff is accepted.
 
     A cutoff n is accepted when its own solve is cutoff_converged and one
     larger solve confirms it: |hp(n) - hp(ceil(1.25 n))| < tol.  The
@@ -473,32 +510,52 @@ def _walk_cutoff(p, basis: _Basis, tol: float, budget_nnz: int,
             _, _, moments, _ = at._api()
             return res, moments(res, at).hp
 
-    n0 = basis._n0(p)
-    grid = [n0]
-    while grid[-1] > 1:
-        grid.append(grid[-1] // 2)
-    above = (n0 * 2 ** k for k in itertools.count(1))
-    for n in itertools.chain(reversed(grid), above):
+    def accepted(n: int) -> EDResult | None:
         probe = max(n + 1, math.ceil(1.25 * n))
         _check_budget(replace(basis, n_max=probe), budget_nnz)
         res, hp = solved(n)
         if res.cutoff_converged and abs(hp - solved(probe)[1]) < tol:
+            return res
+        return None
+
+    n0 = basis._n0(p)
+    grid = [n0]
+    while grid[-1] > 1:
+        grid.append(grid[-1] // 2)
+    grid.reverse()
+    start = max((k for k, n in enumerate(grid) if 2 * n <= n0
+                 and replace(basis, n_max=n).dim <= _DENSE_DIM), default=0)
+    res = accepted(grid[start])
+    if res is not None:
+        for n in reversed(grid[:start]):
+            lower = accepted(n)
+            if lower is None:
+                break
+            res = lower
+        return res
+    above = (n0 * 2 ** k for k in itertools.count(1))
+    for n in itertools.chain(grid[start + 1:], above):
+        res = accepted(n)
+        if res is not None:
             return res
 
 
 def converge_cutoff(p: DickeParams, n_spins: int, tol: float = 1e-8,
                     budget_nnz: int = DEFAULT_BUDGET_NNZ,
                     seed: int = DEFAULT_SEED) -> EDResult:
-    """Ground state at the first accepted Fock cutoff; its n_max_used is
-    the cutoff.
+    """Ground state at an accepted Fock cutoff; its n_max_used is the
+    cutoff.
 
     A cutoff n is accepted when the top Fock level holds less than
     TOP_ROW_TOL of the weight and |hp(n) - hp(ceil(1.25 n))| < tol; the
-    larger probe is solved only once n passes the first test.  From the
-    coherent-shift estimate n0 = ceil(4 (N lambda^2/omega^2 + sqrt(N)))
-    the search tries the halving grid n0 / 2^k cheapest-first, takes the
-    first accepted cutoff, and doubles n0 if none is.  Each call walks
-    afresh.
+    larger probe is solved only once n passes the first test.  The
+    search walks the halving grid n0 / 2^k below the coherent-shift
+    estimate n0 = ceil(4 (N lambda^2/omega^2 + sqrt(N))).  It starts at
+    the highest grid point n with 2 n <= n0 whose basis is dense (dim
+    <= _DENSE_DIM), else at the lowest one.  An accepted start is
+    followed down the grid until a cutoff fails, and the lowest accepted
+    one is returned; a failed start is followed up the grid, then by
+    doubling n0, until a cutoff is accepted.  Each call walks afresh.
     """
     return _walk_cutoff(p, EDBasis(n_spins, 1), tol, budget_nnz, seed)
 

@@ -1,6 +1,6 @@
 import numpy as np
 
-from hpdicke import gaussian
+from hpdicke import ed, gaussian
 from hpdicke.errors import InstabilityError
 from hpdicke.gaussian import QuadraticForm, symplectic_diagonalize
 
@@ -45,3 +45,14 @@ def fail_krein_rows(monkeypatch, error: Exception, rows=None):
         return modes, transform, errors
 
     monkeypatch.setattr(gaussian, "_krein_step", failing)
+
+
+def assert_dense_blocks(H, basis):
+    """The dense blocks that ed scatters from H equal scipy's
+    H[idx][:, idx].toarray() bitwise, for both parity sectors idx."""
+    parity = basis.parity
+    sectors = (np.flatnonzero(parity > 0), np.flatnonzero(parity < 0))
+    blocks = list(ed._dense_blocks(H, parity, sectors))
+    assert len(blocks) == 2
+    for idx, block in zip(sectors, blocks):
+        assert block.tobytes() == H[idx][:, idx].toarray().tobytes()

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from hpdicke import dicke
 from hpdicke.dicke import (DickeParams, Phase, classify_phase,
                            dicke_quadratic_form, entropy_thermo, hp_thermo,
                            lambda_critical, solve_thermo)
 from hpdicke.errors import (BranchError, CriticalPointDivergence, DomainError,
                             UncertaintyViolation)
-from hpdicke.gaussian import (photon_moments_from_solution,
+from hpdicke.gaussian import (entropy_from_hp, photon_moments_from_solution,
                               symplectic_diagonalize)
 
 
@@ -103,6 +104,34 @@ def test_superradiant_entropy_offset():
     # normal phase carries no offset
     pn = DickeParams(1.0, 1.0, 0.2)
     assert entropy_thermo(pn).degeneracy_offset == 0
+
+
+@pytest.mark.parametrize("include_degeneracy", [True, False])
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 0.7, 2.0])
+def test_entropy_thermo_classifies_its_point_once(monkeypatch, lam,
+                                                   include_degeneracy):
+    # the report of hp_thermo plus a separate classification, bitwise
+    p, alphas = DickeParams(1.0, 1.0, lam), (0.5, 2.0)
+    info = classify_phase(p)
+    if not info.critical:
+        offset = int(include_degeneracy
+                     and info.phase is Phase.SUPERRADIANT)
+        want = entropy_from_hp(hp_thermo(p).hp, degeneracy_offset=offset,
+                               renyi_alphas=alphas)
+    calls = []
+
+    def counting(q):
+        calls.append(q)
+        return classify_phase(q)
+
+    monkeypatch.setattr(dicke, "classify_phase", counting)
+    if info.critical:
+        with pytest.raises(CriticalPointDivergence):
+            entropy_thermo(p, include_degeneracy, alphas)
+    else:
+        got = entropy_thermo(p, include_degeneracy, alphas)
+        assert repr(got) == repr(want)
+    assert calls == [p]
 
 
 def test_renyi_passthrough():

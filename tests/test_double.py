@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import fail_krein_rows
-from hpdicke import dicke
+from hpdicke import dicke, double
 from hpdicke.double import (DoubleDickeParams, DoublePhase,
                             _double_thermo_grid, build_double_quadratic_form,
                             classify_double_phase, double_gaps,
@@ -14,7 +14,7 @@ from hpdicke.double import (DoubleDickeParams, DoublePhase,
 from hpdicke.errors import (BranchError, CriticalPointDivergence,
                             GaplessError, RegimeError)
 from hpdicke.fits import fit_critical_exponent
-from hpdicke.gaussian import form_matrix
+from hpdicke.gaussian import entropy_from_hp, form_matrix
 
 SZ = np.diag([1.0, 1, 1, -1, -1, -1])
 
@@ -413,3 +413,33 @@ def test_deep_double_phase_saturates():
     assert s_deep.degeneracy_offset == 2
     assert abs(s_deep.s_vn - 2.0) < 0.02
     assert hp_double(P(1, 1, 1, 5.0, 5.0)).hp < 0.52
+
+
+@pytest.mark.parametrize("include_degeneracy", [True, False])
+@pytest.mark.parametrize("couplings", [(0.2, 0.3), (0.8, 0.3), (0.2, 0.9),
+                                       (0.8, 0.9), (0.5, 0.5), (0.5, 0.3)])
+def test_entropy_double_classifies_its_point_once(monkeypatch, couplings,
+                                                  include_degeneracy):
+    # the report of hp_double plus a separate classification, bitwise
+    p, alphas = P(1, 1, 1, *couplings), (0.5, 2.0)
+    info = classify_double_phase(p)
+    on_line = (info.critical_c or info.critical_i) and couplings != (0.5, 0.5)
+    if not on_line:
+        offset = {1: 0, 2: 1, 4: 2}[info.degeneracy]
+        want = entropy_from_hp(hp_double(p).hp,
+                               degeneracy_offset=offset * include_degeneracy,
+                               renyi_alphas=alphas)
+    calls = []
+
+    def counting(q):
+        calls.append(q)
+        return classify_double_phase(q)
+
+    monkeypatch.setattr(double, "classify_double_phase", counting)
+    if on_line:
+        with pytest.raises(CriticalPointDivergence):
+            entropy_double(p, include_degeneracy, alphas)
+    else:
+        got = entropy_double(p, include_degeneracy, alphas)
+        assert repr(got) == repr(want)
+    assert calls == [p]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import assert_dense_blocks
 from hpdicke import ed as sed
 from hpdicke.dicke import DickeParams
 from hpdicke.double import DoubleDickeParams
@@ -168,6 +169,7 @@ def test_builder_matches_kron_assembly(args, dims):
     assert H.has_canonical_format
     assert not np.any(H.data == 0)
     assert symmetry_residuals(H, basis) == (0.0, 0.0, 0.0)
+    assert_dense_blocks(H, basis)
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 4), (1, 3, 5), (3, 1, 1)])
@@ -183,6 +185,7 @@ def test_builder_matches_kron_assembly_for_a_single_spin(dims):
     assert np.array_equal(G.real, H.toarray())
     assert H.nnz == ref.nnz <= basis.max_nnz
     assert symmetry_residuals(H, basis) == (0.0, 0.0, 0.0)
+    assert_dense_blocks(H, basis)
 
 
 def test_symmetry_residuals_catch_a_parity_breaking_entry():

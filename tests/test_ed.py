@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import assert_dense_blocks
+from hpdicke import ed
 from hpdicke.dicke import DickeParams
 from hpdicke.ed import (_DENSE_DIM, TOP_ROW_TOL, EDBasis, build_hamiltonian,
                         converge_cutoff, ground_state, parity_diagonal,
@@ -97,6 +99,31 @@ def test_builder_matches_coo_assembly(n_spins, n_max, omega, omega0, lam):
     assert H.has_canonical_format
     assert not np.any(H.data == 0)
     assert H.nnz <= basis.max_nnz
+    if basis.dim <= _DENSE_DIM:
+        assert_dense_blocks(H, basis)
+
+
+def test_dense_blocks_of_any_csr_are_scipys():
+    # a CSR with duplicate entries, (0, 0) and (5, 2), and one joining
+    # the two parity sectors, (0, 1): the duplicates are summed and the
+    # joining entry left out, as H[idx][:, idx].toarray() does
+    basis = EDBasis(3, 5)
+    H = build_hamiltonian(DickeParams(1.0, 1.0, 0.7), basis)
+    rows = [list(zip(H.indices[a:b], H.data[a:b]))
+            for a, b in zip(H.indptr[:-1], H.indptr[1:])]
+    rows[0] += [(0, 0.25), (1, -1.5)]
+    rows[5] += [(2, 2.0)]
+    G = sp.csr_matrix(([v for r in rows for _, v in r],
+                       [c for r in rows for c, _ in r],
+                       np.cumsum([0] + [len(r) for r in rows])),
+                      shape=H.shape)
+    assert not G.has_canonical_format
+    parity = basis.parity
+    sectors = (np.flatnonzero(parity > 0), np.flatnonzero(parity < 0))
+    want = [G[idx][:, idx].toarray() for idx in sectors]
+    got = list(ed._dense_blocks(G, parity, sectors))
+    assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
+    assert got[0][2, 1] == H[5, 2] + 2.0  # states 5 and 2 are even
 
 
 def test_exact_symmetry_and_parity_commutation():
@@ -237,11 +264,8 @@ def test_cutoff_searches_are_independent():
         converge_cutoff(p, 16, budget_nnz=10)
 
 
-def test_unconverged_cutoff_skips_its_probe(monkeypatch):
-    # N = 8, lambda = 0.46 walks the halving grid 1, 2, 4, 9, 19 below
-    # n0 = 19.  The solves at 1, 2, 4 and 9 are not cutoff_converged, so
-    # none of them is paired with its probe (3, 5 and 12 stay unsolved);
-    # 19 is converged and confirmed by its probe 24.
+def _solves(monkeypatch):
+    """(n_max, cutoff_converged) of each ground-state solve, in order."""
     solved = []
 
     def counting(H, basis, *args, **kwargs):
@@ -250,26 +274,43 @@ def test_unconverged_cutoff_skips_its_probe(monkeypatch):
         return res
 
     monkeypatch.setattr("hpdicke.ed.ground_state", counting)
+    return solved
+
+
+def test_unconverged_cutoff_skips_its_probe(monkeypatch):
+    # N = 8, lambda = 0.46 has the halving grid 1, 2, 4, 9, 19 below
+    # n0 = 19 and starts at 9, the highest point at most n0/2 (all are
+    # dense).  The solve at 9 is not cutoff_converged, so its probe 12
+    # stays unsolved and the walk goes up; 19 is converged and confirmed
+    # by its probe 24.
+    solved = _solves(monkeypatch)
     res = converge_cutoff(DickeParams(1.0, 1.0, 0.46), 8)
     assert res.n_max_used == 19
-    assert solved == [(1, False), (2, False), (4, False), (9, False),
-                      (19, True), (24, True)]
+    assert solved == [(9, False), (19, True), (24, True)]
 
 
 def test_accepted_cutoff_needs_no_confirmation_above_it(monkeypatch):
-    # N = 16, lambda = 0.5 from n0 = 16: 1, 2, 4 and 8 fail their own
-    # top-level test, 16 passes it and its probe 20 confirms hp, so the
-    # walk stops there without solving the grid point 32 or its probe 40
-    solved = []
-
-    def counting(H, basis, *args, **kwargs):
-        solved.append(basis.n_max)
-        return ground_state(H, basis, *args, **kwargs)
-
-    monkeypatch.setattr("hpdicke.ed.ground_state", counting)
+    # N = 16, lambda = 0.5 from n0 = 32 starts at 16: it passes its own
+    # top-level test and its probe 20 confirms hp, so the walk goes down
+    # to 8, which fails its own test; 16 is returned without solving the
+    # grid point 32 or its probe 40
+    solved = _solves(monkeypatch)
     res = converge_cutoff(DickeParams(1.0, 1.0, 0.5), 16)
     assert res.n_max_used == 16
-    assert solved == [1, 2, 4, 8, 16, 20]
+    assert solved == [(16, True), (20, True), (8, False)]
+
+
+def test_large_critical_walk_starts_dense(monkeypatch):
+    # N = 256, lambda = 0.5: n0 = 320, and of the grid 1, 2, 5, ..., 160
+    # only 1 and 2 have dense bases, so the walk starts at 2 and goes up;
+    # 40 is the first converged cutoff and its probe 50 the only solve
+    # above it
+    solved = _solves(monkeypatch)
+    res = converge_cutoff(DickeParams(1.0, 1.0, 0.5), 256)
+    assert res.n_max_used == 40
+    assert solved == [(2, False), (5, False), (10, False), (20, False),
+                      (40, True), (50, True)]
+    assert EDBasis(256, 2).dim <= _DENSE_DIM < EDBasis(256, 5).dim
 
 
 # accepted cutoffs, frozen before the walk dropped its second

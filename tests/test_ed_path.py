@@ -1,7 +1,7 @@
 """The one ED path behind both models' public names: every sweep and the
 one-shot double_ed reach the eleven public ED functions through their
-module attributes, as often as before the path was shared, and double_ed
-gives the bits of the sweep row at the same point."""
+module attributes, as often as the walk and the fixed-cutoff solve need,
+and double_ed gives the bits of the sweep row at the same point."""
 
 import collections
 import math
@@ -57,13 +57,13 @@ def _fixed(model, n_spins, n_max):
                 theta=math.pi / 8, r_min=0.2, r_max=0.4, steps=2)
 
 
-# counts of the code with one ED path per model, before the path was
-# shared: a walk of 3 points makes 15 solves and 18 moment reductions
-WALK_SINGLE = {"converge_cutoff": 3, "build_hamiltonian": 15,
-               "ground_state": 15, "photon_moments_ed": 18,
+# a walk of 3 points from its dense start makes 9 solves and 12 moment
+# reductions (one per solve, one per row)
+WALK_SINGLE = {"converge_cutoff": 3, "build_hamiltonian": 9,
+               "ground_state": 9, "photon_moments_ed": 12,
                "photon_entropy_ed": 3}
-WALK_DOUBLE = {"converge_cutoff_double": 3, "build_double_hamiltonian": 15,
-               "double_ground_state": 15, "photon_moments_double": 18,
+WALK_DOUBLE = {"converge_cutoff_double": 3, "build_double_hamiltonian": 9,
+               "double_ground_state": 9, "photon_moments_double": 12,
                "photon_entropy_double": 3}
 FIXED_SINGLE = {"build_hamiltonian": 2, "ground_state": 2,
                 "photon_moments_ed": 2, "photon_entropy_ed": 2}
