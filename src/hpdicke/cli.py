@@ -24,7 +24,7 @@ from .errors import (BudgetExceeded, ConfigError, DegenerateFit,
                      HpDickeError)
 from .figures import reproduce_figure
 from .fits import fit_critical_exponent, fit_entropy_slope
-from .sweeps import SweepConfig, run_sweep
+from .sweeps import _ALIASES, SweepConfig, run_sweep
 
 __all__ = ["main", "load_config", "run_fit"]
 
@@ -66,11 +66,13 @@ def load_config(path: str) -> dict:
 
 
 def _apply_overrides(raw: dict, args: argparse.Namespace) -> dict:
-    for flag, key in (("seed", "seed"), ("workers", "workers"),
-                      ("budget_nnz", "budget_nnz"), ("out", "out"),
-                      ("format", "format")):
-        value = getattr(args, flag, None)
+    """raw with each option given on the command line in place of the
+    config file's value, under whichever spelling the file used."""
+    for key in ("seed", "workers", "budget_nnz", "out", "format"):
+        value = getattr(args, key, None)
         if value is not None:
+            raw = {k: v for k, v in raw.items()
+                   if _ALIASES.get(k, k) != key}
             raw[key] = value
     return raw
 

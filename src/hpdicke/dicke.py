@@ -103,8 +103,11 @@ def lambda_critical(p: DickeParams) -> float:
     return math.sqrt(p.omega * p.omega0) / 2.0
 
 
-def _is_critical(lam: float, lam_cr: float) -> bool:
-    return abs(lam - lam_cr) <= CRITICAL_REL_TOL * max(1.0, lam_cr)
+def _phase_rule(lam: float, lam_cr: float) -> tuple[bool, bool]:
+    """Whether a coupling is critical, and whether it breaks its
+    symmetry: a coupling on its critical value or above it does."""
+    critical = abs(lam - lam_cr) <= CRITICAL_REL_TOL * max(1.0, lam_cr)
+    return critical, critical or lam > lam_cr
 
 
 def classify_phase(p: DickeParams) -> PhaseInfo:
@@ -114,8 +117,8 @@ def classify_phase(p: DickeParams) -> PhaseInfo:
     is Superradiant with the critical flag set.
     """
     lam_cr = lambda_critical(p)
-    critical = _is_critical(p.coupling, lam_cr)
-    phase = Phase.NORMAL if (p.coupling < lam_cr and not critical) else Phase.SUPERRADIANT
+    critical, broken = _phase_rule(p.coupling, lam_cr)
+    phase = Phase.SUPERRADIANT if broken else Phase.NORMAL
     return PhaseInfo(phase=phase, lambda_cr=lam_cr, critical=critical)
 
 

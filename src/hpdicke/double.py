@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dicke import _is_critical, _resolve_branch
+from .dicke import _phase_rule, _resolve_branch
 from .errors import (CriticalPointDivergence, DomainError,
                      GaplessError, HpDickeError, MeanFieldError,
                      RegimeError)
@@ -104,13 +104,12 @@ class DoublePhase(enum.Enum):
     SUPERRADIANT_DOUBLE = "SuperradiantDouble"
 
 
-_DEGENERACY = {
-    DoublePhase.NORMAL: 1,
-    DoublePhase.SUPERRADIANT_REAL: 2,
-    DoublePhase.SUPERRADIANT_IMAG: 2,
-    DoublePhase.SUPERRADIANT_DOUBLE: 4,
-}
-_OFFSET_BITS = {1: 0, 2: 1, 4: 2}
+# the phase from whether the C and the I symmetry are broken, and back
+_PHASES = {(False, False): DoublePhase.NORMAL,
+           (True, False): DoublePhase.SUPERRADIANT_REAL,
+           (False, True): DoublePhase.SUPERRADIANT_IMAG,
+           (True, True): DoublePhase.SUPERRADIANT_DOUBLE}
+_BROKEN = {phase: broken for broken, phase in _PHASES.items()}
 
 
 @dataclass(frozen=True)
@@ -151,32 +150,20 @@ class DoubleThermoSolution:
 
 
 def classify_double_phase(p: DoubleDickeParams) -> DoublePhaseInfo:
-    """Phase from the two critical lines; a coupling exactly on its line
-    counts as broken, with the matching critical flag set."""
-    crit_c = _is_critical(p.lambda_c, p.lambda_c_cr)
-    crit_i = _is_critical(p.lambda_i, p.lambda_i_cr)
-    broken_c = crit_c or p.lambda_c > p.lambda_c_cr
-    broken_i = crit_i or p.lambda_i > p.lambda_i_cr
-    if broken_c and broken_i:
-        phase = DoublePhase.SUPERRADIANT_DOUBLE
-    elif broken_c:
-        phase = DoublePhase.SUPERRADIANT_REAL
-    elif broken_i:
-        phase = DoublePhase.SUPERRADIANT_IMAG
-    else:
-        phase = DoublePhase.NORMAL
-    return DoublePhaseInfo(phase=phase, degeneracy=_DEGENERACY[phase],
-                           lambda_c_cr=p.lambda_c_cr,
-                           lambda_i_cr=p.lambda_i_cr,
+    """Phase from the two critical lines, each direction by the single
+    chain's rule; each broken symmetry doubles the degeneracy."""
+    lam_c_cr, lam_i_cr = p.lambda_c_cr, p.lambda_i_cr
+    crit_c, broken_c = _phase_rule(p.lambda_c, lam_c_cr)
+    crit_i, broken_i = _phase_rule(p.lambda_i, lam_i_cr)
+    return DoublePhaseInfo(phase=_PHASES[broken_c, broken_i],
+                           degeneracy=(1 + broken_c) * (1 + broken_i),
+                           lambda_c_cr=lam_c_cr, lambda_i_cr=lam_i_cr,
                            critical_c=crit_c, critical_i=crit_i)
 
 
 def _broken(info: DoublePhaseInfo) -> tuple[bool, bool]:
     """Whether the C and the I symmetry are broken."""
-    return (info.phase in (DoublePhase.SUPERRADIANT_REAL,
-                           DoublePhase.SUPERRADIANT_DOUBLE),
-            info.phase in (DoublePhase.SUPERRADIANT_IMAG,
-                           DoublePhase.SUPERRADIANT_DOUBLE))
+    return _BROKEN[info.phase]
 
 
 def _one_point(p: DoubleDickeParams, branch: tuple[int, int] | None):
@@ -369,8 +356,14 @@ def solve_double_thermo(p: DoubleDickeParams,
                                 gaps=gaps, polariton_transform=transform)
 
 
+def _matter_degenerate(omega0_c: float, omega0_i: float) -> bool:
+    """Whether the matter frequencies are equal, as a finite double point
+    needs."""
+    return abs(omega0_c - omega0_i) <= 1e-12 * max(omega0_c, omega0_i)
+
+
 def _require_matter_degenerate(p: DoubleDickeParams):
-    if abs(p.omega0_c - p.omega0_i) > 1e-12 * max(p.omega0_c, p.omega0_i):
+    if not _matter_degenerate(p.omega0_c, p.omega0_i):
         raise CriticalPointDivergence(
             "finite double-point values hold for equal matter frequencies "
             "only; this double point has omega0_c != omega0_i",
@@ -457,10 +450,10 @@ def _double_point(p: DoubleDickeParams
 
 def entropy_double(p: DoubleDickeParams, include_degeneracy: bool = True,
                    renyi_alphas: tuple[float, ...] = ()) -> EntropyReport:
-    """Photon-matter entanglement entropy; the degeneracy offset maps the
-    phase degeneracy {1, 2, 4} to {0, 1, 2} bits."""
+    """Photon-matter entanglement entropy; the degeneracy offset is one
+    bit per broken symmetry."""
     info, rep = _double_point(p)
-    offset = _OFFSET_BITS[info.degeneracy] if include_degeneracy else 0
+    offset = sum(_broken(info)) if include_degeneracy else 0
     return entropy_from_hp(rep.hp, degeneracy_offset=offset,
                            renyi_alphas=renyi_alphas)
 
@@ -495,12 +488,13 @@ def _double_thermo_grid(omega_cav: float, omega0_c: float, omega0_i: float,
     pair (lambda_c[k], lambda_i[k]) on the default branch.
 
     The quadrature forms are built as one stack and diagonalized by one
-    batched eigen-decomposition, rows on a critical line left out.  A
-    finite double point takes its closed form.  Next to one the soft gap
-    is linear in the distance, so within about 1e-9 the Krein step finds
-    it zero; those rows take the closed form too, good to that order.  A
-    zero soft gap outside DOUBLE_BAND_REL of the double point leaves the
-    row failed with GaplessError.
+    batched eigen-decomposition, rows on a critical line left out.  With
+    equal matter frequencies, checked once per grid, a double point takes
+    its finite closed form.  Next to one the soft gap is linear in the
+    distance, so within about 1e-9 the Krein step finds it zero; those
+    rows take the closed form too, good to that order.  A zero soft gap
+    outside DOUBLE_BAND_REL of the double point leaves the row failed
+    with GaplessError.
     """
     lam_c = np.asarray(lambda_c, dtype=float)
     lam_i = np.asarray(lambda_i, dtype=float)
@@ -508,8 +502,9 @@ def _double_thermo_grid(omega_cav: float, omega0_c: float, omega0_i: float,
               for c, i in zip(lam_c.tolist(), lam_i.tolist())]
     info = [classify_double_phase(q) for q in params]
     on_line = np.array([i.critical_c or i.critical_i for i in info])
+    broken = [_broken(i) for i in info]
     # the default branch: +1 in a broken direction, else 0
-    eps_c, eps_i = np.array([_broken(i) for i in info], dtype=float).T
+    eps_c, eps_i = np.array(broken, dtype=float).T
     args = (omega_cav, omega0_c, omega0_i, lam_c, lam_i)
     mf, errors = _mean_field_grid(*args, eps_c, eps_i)
     G = _hessian_grid(*args, mf)
@@ -520,20 +515,18 @@ def _double_thermo_grid(omega_cav: float, omega0_c: float, omega0_i: float,
     for k, *report_and_error in zip(ok, *heisenberg_products(
             _mode_moments(stack.transform[ok], 0j, 0))):
         photon[k], errors[k] = report_and_error
-    for k, (i, exc) in enumerate(zip(info, errors)):
-        try:
+    if _matter_degenerate(omega0_c, omega0_i):
+        for k, (i, exc) in enumerate(zip(info, errors)):
             if i.critical_c and i.critical_i:
                 photon[k] = _double_point_report(params[k])
             elif (isinstance(exc, GaplessError)
                   and _next_to_double_point(params[k])):
                 photon[k], errors[k] = _double_point_report(params[k]), None
-        except CriticalPointDivergence:
-            pass
     hp = [math.nan if e is not None else math.inf if r is None else r.hp
           for r, e in zip(photon, errors)]
-    offsets = [_OFFSET_BITS[i.degeneracy] for i in info]
     return _DoubleThermoGrid(
         info=info, gaps=stack.gaps.tolist(), photon=photon,
         dx=[math.nan if r is None else r.dx for r in photon],
         dp=[math.nan if r is None else r.dp for r in photon], hp=hp,
-        errors=errors, entropy=_entropy_columns(hp, offsets, renyi_alphas))
+        errors=errors, entropy=_entropy_columns(
+            hp, [sum(b) for b in broken], renyi_alphas))

@@ -592,18 +592,6 @@ def _clamped_hp(hp: float) -> float:
     return max(hp, 0.5)
 
 
-def _s_vn_bits(hp: float) -> float:
-    u = hp - 0.5
-    if u == 0.0:
-        return 0.0
-    return math.log2(hp + 0.5) + u * math.log1p(1.0 / u) / LN2
-
-
-def _check_offset(offset: int):
-    if offset not in (0, 1, 2):
-        raise DomainError(f"degeneracy offset {offset!r} not in (0, 1, 2)")
-
-
 def entropy_from_hp(hp: float, degeneracy_offset: int = 0,
                     renyi_alphas: tuple[float, ...] = ()) -> EntropyReport:
     """Von Neumann entropy (bits) of a mode with aligned uncertainty
@@ -613,13 +601,12 @@ def entropy_from_hp(hp: float, degeneracy_offset: int = 0,
 
     evaluated in a cancellation-free arrangement.  degeneracy_offset (0, 1
     or 2 bits) is added to s_vn for comparison against finite-size
-    symmetric ground states of degenerate phases.
+    symmetric ground states of degenerate phases.  This is the one-point
+    read of _entropy_columns, so an infinite hp gives infinite entropies.
     """
-    _check_offset(degeneracy_offset)
-    hp = _clamped_hp(hp)
-    alphas = {float(a): renyi_entropy(hp, a) for a in renyi_alphas}
-    return EntropyReport(s_vn=_s_vn_bits(hp) + degeneracy_offset,
-                         s_renyi=alphas,
+    cols = _entropy_columns([hp], [degeneracy_offset], renyi_alphas)
+    return EntropyReport(s_vn=cols.s_vn[0],
+                         s_renyi={a: c[0] for a, c in cols.s_renyi.items()},
                          pseudo_energy=pseudo_energy(hp),
                          degeneracy_offset=degeneracy_offset)
 
@@ -637,29 +624,36 @@ class _EntropyColumns:
     s_renyi: dict[float, list[float]]
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _entropy_columns(hp, degeneracy_offsets,
                      renyi_alphas: tuple[float, ...] = ()) -> _EntropyColumns:
-    """entropy_from_hp over a column of uncertainty products, each value
-    bitwise equal to the scalar one.  An infinite hp marks a divergence
-    and gives inf in every entropy column; a nan hp (a failed point)
-    gives nan."""
-    s_vn, bare = [], []
-    renyi: dict[float, list[float]] = {float(a): [] for a in renyi_alphas}
-    for h, offset in zip(hp, degeneracy_offsets):
-        if not h < math.inf:
-            s = b = h
-            for column in renyi.values():
-                column.append(h)
-        else:
-            _check_offset(offset)
-            h = _clamped_hp(h)
-            s = _s_vn_bits(h) + offset
-            b = s - offset
-            for a, column in renyi.items():
-                column.append(renyi_entropy(h, a))
-        s_vn.append(s)
-        bare.append(b)
-    return _EntropyColumns(s_vn=s_vn, s_vn_bare=bare, s_renyi=renyi)
+    """The entropies of entropy_from_hp over a column of uncertainty
+    products, as array steps whose logarithms go through per_element, so
+    each cell is what scalar float code gives.  Every offset must be 0, 1
+    or 2, and an hp more than HP_CLAMP_BAND below 1/2 raises DomainError.
+    An infinite hp marks a divergence and gives inf in every entropy
+    column; a nan hp (a failed point) gives nan."""
+    bad = [o for o in degeneracy_offsets if o not in (0, 1, 2)]
+    if bad:
+        raise DomainError(f"degeneracy offset {bad[0]!r} not in (0, 1, 2)")
+    offsets = np.asarray(degeneracy_offsets)
+    h = np.asarray(hp, dtype=float)
+    low = np.flatnonzero(h < 0.5 - HP_CLAMP_BAND)
+    if len(low):
+        raise DomainError(f"uncertainty product {h[low[0]].item()!r} "
+                          "below 1/2")
+    h = np.maximum(h, 0.5)
+    finite = h < math.inf
+    u = h - 0.5
+    bits = np.where(u == 0.0, 0.0, per_element(math.log2, h + 0.5)
+                    + u * per_element(math.log1p, 1.0 / u) / LN2)
+    s_vn = np.where(finite, bits + offsets, h)
+    renyi = {float(a): np.where(finite, per_element(renyi_entropy, h, a),
+                                h).tolist() for a in renyi_alphas}
+    return _EntropyColumns(s_vn=s_vn.tolist(),
+                           s_vn_bare=np.where(finite, s_vn - offsets,
+                                              h).tolist(),
+                           s_renyi=renyi)
 
 
 def renyi_entropy(hp: float, alpha: float) -> float:

@@ -27,7 +27,6 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields as dc_fields
@@ -92,12 +91,15 @@ class SweepConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":
         known = {f.name: f for f in dc_fields(cls)}
-        kwargs = {}
+        kwargs, spelled = {}, {}
         for key, value in raw.items():
             name = _ALIASES.get(key, key)
             if name not in known:
                 raise ConfigError(f"unknown config key {key!r}")
-            kwargs[name] = value
+            if name in spelled:
+                raise ConfigError(f"config keys {spelled[name]!r} and "
+                                  f"{key!r} both set {name}")
+            kwargs[name], spelled[name] = value, key
         try:
             cfg = cls(**_coerced(kwargs, known))
         except (TypeError, ValueError) as exc:
@@ -450,9 +452,11 @@ def render_json(cfg: SweepConfig, table: SweepTable) -> str:
 
 def write_atomic(path: str, text: str):
     """Write-to-temp then rename, so a killed run never leaves a torn
-    file and re-runs overwrite cleanly."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sweep-", text=True)
+    file and re-runs overwrite cleanly.  The file gets the mode a plain
+    open gives: the temp file is created with 0o666, less the umask."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".sweep-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

@@ -56,6 +56,20 @@ class TestHeisenbergProduct:
             heisenberg_product(0.0, 0.5, 0.0)
 
 
+@pytest.mark.parametrize("linear, shift", [((0.7, 0.0), 1.0),
+                                         ((0.0, 0.7), 1j)])
+def test_linear_terms_displace_the_oscillator(linear, shift):
+    # H = omega/2 (x^2 + p^2) + g.r: <a> = -(g_x + i g_p)/(omega sqrt 2)
+    # and the ground energy drops by g^2/(2 omega)
+    omega, g = 1.3, 0.7
+    sol = symplectic_diagonalize(form_from_xp(np.diag([omega, omega]),
+                                              linear=linear))
+    assert sol.displacements[0] == pytest.approx(
+        -shift * g / (omega * math.sqrt(2.0)), abs=1e-14)
+    assert sol.ground_energy == pytest.approx(
+        omega / 2 - g * g / (2 * omega), abs=1e-14)
+
+
 class TestEntropy:
     @pytest.mark.parametrize("hp", [0.5, 0.7, 1.0, 3.3, 10.0, 100.0])
     def test_matches_thermal_weight_sum(self, hp):
@@ -73,8 +87,14 @@ class TestEntropy:
         assert entropy_from_hp(2.0, 2).s_vn - base == pytest.approx(2.0)
         rep = entropy_from_hp(2.0, 1)
         assert rep.degeneracy_offset == 1
-        with pytest.raises(DomainError):
-            entropy_from_hp(2.0, 3)
+        for hp in (2.0, math.nan, math.inf):
+            with pytest.raises(DomainError,
+                               match=r"^degeneracy offset 3 not in"):
+                entropy_from_hp(hp, 3)
+
+    def test_infinite_hp_has_infinite_entropies(self):
+        rep = entropy_from_hp(math.inf, 1, renyi_alphas=(2.0,))
+        assert rep.s_vn == rep.s_renyi[2.0] == math.inf
 
     def test_renyi_closed_forms(self):
         assert renyi_entropy(10.0, 2) == pytest.approx(math.log2(20.0),
@@ -254,18 +274,36 @@ class TestStacks:
         assert math.isnan(cols.s_vn[1]) and math.isnan(cols.s_vn_bare[1])
         assert math.isnan(cols.s_renyi[2.0][1])
 
+    @staticmethod
+    def _s_vn_oracle(hp: float) -> float:
+        """The scalar von Neumann formula, bits without offset."""
+        hp = max(hp, 0.5)
+        u = hp - 0.5
+        if u == 0.0:
+            return 0.0
+        return math.log2(hp + 0.5) + u * math.log1p(1.0 / u) / math.log(2.0)
+
     def test_entropy_columns_match_entropy_from_hp(self):
-        hp = [0.5, 0.5 + 1e-10, 0.61, 2.5, 40.0, math.inf]
-        offsets = [0, 1, 2, 0, 1, 1]
+        values = [0.5, 0.5 + 1e-10, 0.5 - 0.5 * HP_CLAMP_BAND, 0.61, 2.5,
+                  40.0, 1e6]
+        hp = [h for h in values for _ in range(3)] + [math.inf]
+        offsets = [0, 1, 2] * len(values) + [1]
         cols = _entropy_columns(hp, offsets, (0.5, 2.0))
-        for k, (h, off) in enumerate(zip(hp, offsets)):
-            if h == math.inf:
-                assert cols.s_vn[k] == cols.s_vn_bare[k] == math.inf
-                assert cols.s_renyi[2.0][k] == math.inf
-                continue
+        for k, (h, off) in enumerate(zip(hp[:-1], offsets)):
+            want = self._s_vn_oracle(h) + off
             ref = entropy_from_hp(h, degeneracy_offset=off,
                                   renyi_alphas=(0.5, 2.0))
-            assert cols.s_vn[k] == ref.s_vn
-            assert cols.s_vn_bare[k] == ref.s_vn - off
-            assert cols.s_renyi[0.5][k] == ref.s_renyi[0.5]
-            assert cols.s_renyi[2.0][k] == ref.s_renyi[2.0]
+            assert cols.s_vn[k].hex() == ref.s_vn.hex() == want.hex()
+            assert cols.s_vn_bare[k].hex() == (want - off).hex()
+            for a in (0.5, 2.0):
+                assert (cols.s_renyi[a][k].hex() == ref.s_renyi[a].hex()
+                        == renyi_entropy(h, a).hex())
+        assert cols.s_vn[-1] == cols.s_vn_bare[-1] == math.inf
+        assert cols.s_renyi[0.5][-1] == cols.s_renyi[2.0][-1] == math.inf
+
+    def test_entropy_columns_check_offsets_and_clamp_once(self):
+        with pytest.raises(DomainError,
+                           match=r"^degeneracy offset 3 not in \(0, 1, 2\)$"):
+            _entropy_columns([0.7, math.nan], [0, 3])
+        with pytest.raises(DomainError, match=r"^uncertainty product 0\.4 "):
+            _entropy_columns([0.7, 0.4, 0.3], [0, 0, 0])

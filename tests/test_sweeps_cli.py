@@ -58,6 +58,15 @@ class TestSweepConfig:
         assert cfg.n_spins == 12
         assert cfg.budget_nnz == 1000
 
+    @pytest.mark.parametrize("first, second", [
+        ("lambda_min", "coupling_min"), ("coupling_min", "lambda_min"),
+        ("lambda", "lambda_min"), ("n", "n_spins"), ("n_spins", "n"),
+        ("budget", "budget_nnz"), ("budget_nnz", "budget")])
+    def test_two_spellings_of_one_field_rejected(self, first, second):
+        with pytest.raises(ConfigError,
+                           match=f"'{first}' and '{second}' both set"):
+            SweepConfig.from_dict({first: 1, second: 2})
+
     @pytest.mark.parametrize("raw", [
         {"model": "nonsense"},
         {"mode": "nonsense"},
@@ -539,6 +548,28 @@ class TestFileOutput:
                      if p.startswith(".sweep-")]
         assert leftovers == []
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644),
+                                             (0o077, 0o600)])
+    def test_atomic_write_takes_the_mode_of_a_plain_open(self, tmp_path,
+                                                          umask, mode):
+        old = os.umask(umask)
+        try:
+            write_atomic(str(tmp_path / "table.csv"), "x\n")
+            open(tmp_path / "plain.csv", "w").close()
+        finally:
+            os.umask(old)
+        modes = {p.name: p.stat().st_mode & 0o777
+                 for p in tmp_path.iterdir()}
+        assert modes == {"table.csv": mode, "plain.csv": mode}
+
+    def test_failed_atomic_write_leaves_no_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_atomic(str(tmp_path / "table.csv"), None)
+        (tmp_path / "dir").mkdir()
+        with pytest.raises(OSError):
+            write_atomic(str(tmp_path / "dir"), "x\n")
+        assert os.listdir(tmp_path) == ["dir"]
+
 
 def _write_config(tmp_path, name, mapping):
     path = tmp_path / name
@@ -610,6 +641,21 @@ class TestCli:
         config = json.loads(capsys.readouterr().out)["config"]
         assert (config["budget_nnz"], config["n_spins"], config["steps"],
                 config["n_max"]) == (10_000_000, 8, 5, 12)
+
+    def test_option_overrides_either_spelling_in_the_file(self, tmp_path,
+                                                           capsys):
+        path = tmp_path / "c.cfg"
+        path.write_text("budget = 1000\n")
+        assert cli.main(["validate-config", "--config", str(path),
+                         "--budget-nnz", "2000"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["budget_nnz"] == 2000
+
+    def test_two_spellings_in_the_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "c.cfg"
+        path.write_text("budget = 1000\nbudget_nnz = 2000\n")
+        assert cli.main(["validate-config", "--config", str(path)]) == 2
+        assert "'budget' and 'budget_nnz' both set" in capsys.readouterr().err
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert cli.main(["sweep", "--config",
@@ -725,6 +771,29 @@ class TestCli:
         src.write_text(GOLDEN_CSV)
         assert cli.main(["fit", "--input", str(src), "--column", "nope",
                          "--x-column", "coupling"]) == 2
+
+    def test_fit_reads_json_sweep_files(self, tmp_path):
+        raw = dict(model="dicke", coupling_min=0.3, coupling_max=0.49,
+                   steps=40)
+        reports = []
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"s.{fmt}"
+            run_sweep(SweepConfig.from_dict(dict(raw, format=fmt,
+                                                 out=str(out))))
+            report = cli.run_fit(str(out), "hp", "dist_cr")
+            assert report.pop("input") == str(out)
+            reports.append(report)
+        assert reports[0]["n_rows"] == 40
+        assert reports[1] == reports[0]
+
+    @pytest.mark.parametrize("text", ['{"columns": ["hp"', '{"rows": []}',
+                                      '{"columns": 1, "rows": []}'])
+    def test_fit_malformed_json_exits_2(self, tmp_path, capsys, text):
+        src = tmp_path / "s.json"
+        src.write_text(text)
+        assert cli.main(["fit", "--input", str(src), "--column", "hp",
+                         "--x-column", "dist_cr"]) == 2
+        assert "malformed sweep JSON" in capsys.readouterr().err
 
     def test_fit_too_few_rows_exits_2(self, tmp_path):
         src = tmp_path / "s.csv"
