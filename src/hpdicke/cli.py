@@ -34,8 +34,18 @@ EXIT_BUDGET = 3
 EXIT_SOLVER = 4
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict; a repeated key is a ConfigError."""
+    keys = [key for key, _ in pairs]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise ConfigError(f"config key {key!r} is repeated")
+    return dict(pairs)
+
+
 def load_config(path: str) -> dict:
-    """Read a config file: a JSON object, or key=value lines."""
+    """Read a config file: a JSON object, or key=value lines.  A key
+    given twice is a ConfigError."""
     try:
         with open(path) as handle:
             text = handle.read()
@@ -44,13 +54,13 @@ def load_config(path: str) -> dict:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
-            raw = json.loads(text)
+            raw = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {path!r}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config JSON must be an object")
         return raw
-    raw = {}
+    raw, lines = {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -58,6 +68,9 @@ def load_config(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
+        if lines.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} already set "
+                              f"on line {lines[key]}")
         try:
             raw[key] = json.loads(value)
         except json.JSONDecodeError:

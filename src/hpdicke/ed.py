@@ -25,9 +25,12 @@ eigenstate, so the superradiant cat pair needs no separate resolution.
 _moments and _entropy reduce it, _solve_at solves at one cutoff and
 _walk_cutoff searches for one on the halving grid below n0: from its
 highest dense point at most n0/2 it walks down while cutoffs are
-accepted, or up until one is.  Each reaches the model's public
-functions through basis._api() when called.  scipy loads at the first
-ED call or ED config (_scipy): thermo needs numpy only.
+accepted, or up until one is.  A cutoff is confirmed at a larger probe
+cutoff by one step of inverse iteration from its own solve
+(_probe_hp), a sparse LU solve that checks its own residual, not by a
+second eigensolve.  Each reaches the model's public functions through
+basis._api() when called.  scipy loads at the first ED call or ED
+config (_scipy): thermo needs numpy only.
 """
 
 from __future__ import annotations
@@ -92,9 +95,11 @@ class _Basis:
     positive integers.  The photon number is the outer index, so the top
     Fock slab is the last prod(shape[1:]) states.  Subclasses give shape;
     _entropy_floor, below which reduced-density eigenvalues carry no
-    entropy; _hp_form(p), the HP form at a normal point of the params p
-    (else None); _n0(p), the walk's start; and _api, the model's public
-    (build, solve, moments, entropy), looked up when it is called."""
+    entropy; _lu_dim, the largest probe dimension the walk confirms by
+    a sparse LU (_probe_hp) rather than a solve; _hp_form(p), the HP form
+    at a normal point of the params p (else None); _n0(p), the walk's
+    start; and _api, the model's public (build, solve, moments,
+    entropy), looked up when it is called."""
 
     def __post_init__(self):
         for f in fields(self):
@@ -118,10 +123,10 @@ class _Basis:
         return _checkerboard(self.shape)
 
     @property
-    def gauge(self) -> np.ndarray | None:
-        """D on each basis state; None for one chain."""
+    def gauge(self) -> np.ndarray:
+        """D on each basis state; 1 for one chain."""
         if len(self.shape) == 2:
-            return None
+            return np.ones(self.dim)
         u_c = np.repeat(_checkerboard(self.shape[:2]), self.shape[2])
         return np.where(u_c > 0, 1.0 + 0j, 1j)
 
@@ -141,6 +146,10 @@ class EDBasis(_Basis):
     n_spins: int
     n_max: int
     _entropy_floor = 1e-16
+    # H is a 2-D grid: the probe's LU step beat its solve at all 15 probes
+    # of the figure 1 inset walks, 2-core Xeon (at N = 1000, dim 89,089:
+    # 0.23 s against a 2.4 s ARPACK solve, L + U 3.8x the probe's max_nnz)
+    _lu_dim = math.inf
 
     @property
     def j(self) -> float:
@@ -325,7 +334,7 @@ def _pair_state(Z: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _hp_starts(form: QuadraticForm, shape: tuple[int, ...],
-               gauge: np.ndarray | None, sectors,
+               gauge: np.ndarray, sectors,
                draws: list[np.ndarray]) -> list[np.ndarray]:
     """Sector starts from the polariton rows (X, Y) of a normal-phase form
     over the basis axes: G = exp(a^dag Z a^dag / 2)|0>, Z = -X^-1 Y, and
@@ -346,8 +355,7 @@ def _hp_starts(form: QuadraticForm, shape: tuple[int, ...],
         _add_created(odd, w[j], even, j)
     starts = []
     for psi, idx, r in zip((even, odd), sectors, draws):
-        v = psi.ravel()[idx] * (1.0 if gauge is None
-                                else gauge[idx].conj())
+        v = psi.ravel()[idx] * gauge[idx].conj()
         v = (v * v[np.argmax(np.abs(v))].conjugate()).real
         starts.append(v / np.linalg.norm(v) + 1e-6 * r / np.linalg.norm(r))
     return starts
@@ -397,7 +405,7 @@ def _solve(H: sp.spmatrix, basis: _Basis, seed: int, p=None) -> EDResult:
         warnings.warn(f"top Fock level holds {top:.2e} of the weight; "
                       "moments may be truncated", CutoffWarning, stacklevel=3)
     return EDResult(ground_energy=e0, gap01=abs(e_odd - e_even),
-                    state=psi if gauge is None else gauge * psi,
+                    state=gauge * psi,
                     parity=sign, cutoff_converged=converged,
                     n_max_used=basis.n_max)
 
@@ -460,7 +468,11 @@ def photon_entropy_ed(result: EDResult, basis: EDBasis) -> float:
 
 def _check_budget(basis: _Basis, budget_nnz: int) -> None:
     """Raise BudgetExceeded when the basis's Hamiltonian may store more
-    than budget_nnz entries."""
+    than budget_nnz entries.  The budget bounds H only, not the L + U
+    fill of a cutoff probe's LU step (_probe_hp): on the figure 1 inset's
+    one-chain probes it grows from 1.1x max_nnz at dim 330 to 3.8x at
+    N = 1000 (dim 89,089, 1.7e6 entries, +32 MB peak); two-chain LU steps
+    stop at DoubleEDBasis._lu_dim, where it is under 3x."""
     need = basis.max_nnz
     if need > budget_nnz:
         raise BudgetExceeded(
@@ -484,6 +496,44 @@ def _observables(result: EDResult,
     return entropy(result, basis), moments(result, basis)
 
 
+def _probe_hp(p, res: EDResult, at: _Basis, probe: _Basis) -> float:
+    """hp of the ground state on the larger basis probe, by one step of
+    inverse iteration from the converged solve res on the basis at; nan
+    when the step fails its self-check.
+
+    The basis is photon-number-major, so res's state padded with zeros is
+    a state of the probe basis (taken out of the gauge D), and H at
+    cutoff n is the leading block of H at the probe.  One sparse LU
+    solve with H_sec - sigma, H_sec the probe's H on the parity sector
+    of res, turns it into the probe's ground state phi to rounding.  The
+    shift sigma = E_n - SOLVE_TOL*max(1, |E_n|) lies just below E_n, not
+    on it: at lambda = 0 H is diagonal and E_n an exact eigenvalue of
+    H_sec.  phi counts only when its Rayleigh quotient rho is at most
+    E_n + SOLVE_TOL*max(1, |E_n|) and ||(H_sec - rho) phi|| at most
+    SOLVE_TOL*max(1, |E_n|), and when the factor is not singular.  H is
+    built, and hp taken with the gauge put back, through the model's
+    public functions."""
+    build, _, moments, _ = probe._api()
+    idx = np.flatnonzero(probe.parity == res.parity)
+    psi = np.pad((at.gauge.conj() * res.state).real, (0, probe.dim - at.dim))
+    H_sec = build(p, probe)[idx][:, idx]
+    e, scale = res.ground_energy, SOLVE_TOL * max(1.0, abs(res.ground_energy))
+    try:
+        phi = _scipy().sparse.linalg.splu(
+            (H_sec - (e - scale) * _scipy().sparse.identity(idx.size)).tocsc(),
+            permc_spec="MMD_AT_PLUS_A").solve(psi[idx])
+    except RuntimeError:
+        return math.nan
+    phi /= np.linalg.norm(phi)
+    h_phi = H_sec @ phi
+    rho = float(phi @ h_phi)
+    if not (rho <= e + scale and np.linalg.norm(h_phi - rho * phi) <= scale):
+        return math.nan
+    psi[idx] = phi  # psi is zero off the sector
+    return moments(replace(res, state=probe.gauge * psi,
+                           n_max_used=probe.n_max), probe).hp
+
+
 def _walk_cutoff(p, basis: _Basis, tol: float, budget_nnz: int,
                  seed: int) -> EDResult:
     """The solve at the accepted cutoff of the halving grid n0 / 2^k
@@ -494,29 +544,31 @@ def _walk_cutoff(p, basis: _Basis, tol: float, budget_nnz: int,
     the lowest accepted one; when it fails the walk goes up the rest of
     the grid, then doubles n0, until a cutoff is accepted.
 
-    A cutoff n is accepted when its own solve is cutoff_converged and one
-    larger solve confirms it: |hp(n) - hp(ceil(1.25 n))| < tol.  The
-    probe ceil(1.25 n) is solved only when n's own solve is converged,
-    and the budget is checked at the probe before n is solved.
+    A cutoff n is accepted when its own solve is cutoff_converged and
+    the probe ceil(1.25 n) confirms it: |hp(n) - hp(probe)| < tol.  The
+    probe is taken only when n's own solve is converged, by one
+    inverse-iteration step from that solve (_probe_hp) when the probe's
+    dimension is at most basis._lu_dim, else by a solve; a step that
+    fails its self-check leaves n unaccepted.  The budget is checked at
+    the probe before n is solved.
     """
     if not tol > 0:
         raise DomainError("tol must be positive")
 
-    def solved(n: int) -> tuple[EDResult, float]:
+    def accepted(n: int) -> EDResult | None:
         at = replace(basis, n_max=n)
+        probe = replace(basis, n_max=max(n + 1, math.ceil(1.25 * n)))
+        _check_budget(probe, budget_nnz)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CutoffWarning)
             res = _solve_at(p, at, budget_nnz, seed)
+            if not res.cutoff_converged:
+                return None
             _, _, moments, _ = at._api()
-            return res, moments(res, at).hp
-
-    def accepted(n: int) -> EDResult | None:
-        probe = max(n + 1, math.ceil(1.25 * n))
-        _check_budget(replace(basis, n_max=probe), budget_nnz)
-        res, hp = solved(n)
-        if res.cutoff_converged and abs(hp - solved(probe)[1]) < tol:
-            return res
-        return None
+            hp = (_probe_hp(p, res, at, probe) if probe.dim <= probe._lu_dim
+                  else moments(_solve_at(p, probe, budget_nnz, seed),
+                               probe).hp)
+        return res if abs(moments(res, at).hp - hp) < tol else None
 
     n0 = basis._n0(p)
     grid = [n0]
@@ -547,9 +599,16 @@ def converge_cutoff(p: DickeParams, n_spins: int, tol: float = 1e-8,
     cutoff.
 
     A cutoff n is accepted when the top Fock level holds less than
-    TOP_ROW_TOL of the weight and |hp(n) - hp(ceil(1.25 n))| < tol; the
-    larger probe is solved only once n passes the first test.  The
-    search walks the halving grid n0 / 2^k below the coherent-shift
+    TOP_ROW_TOL of the weight and |hp(n) - hp(ceil(1.25 n))| < tol.  The
+    probe is taken only once n passes the first test, and it is no
+    second eigensolve: one sparse LU solve with H - sigma at the probe,
+    sigma just below E_n, on the parity sector of n's state padded with
+    zeros, gives the probe's ground state.  That step counts only when
+    its Rayleigh quotient and residual are within SOLVE_TOL*max(1, |E_n|)
+    of E_n and of zero; else n is not accepted.  The budget is checked
+    at the probe before n is solved.
+
+    The search walks the halving grid n0 / 2^k below the coherent-shift
     estimate n0 = ceil(4 (N lambda^2/omega^2 + sqrt(N))).  It starts at
     the highest grid point n with 2 n <= n0 whose basis is dense (dim
     <= _DENSE_DIM), else at the lowest one.  An accepted start is

@@ -264,52 +264,62 @@ def test_cutoff_searches_are_independent():
         converge_cutoff(p, 16, budget_nnz=10)
 
 
-def _solves(monkeypatch):
-    """(n_max, cutoff_converged) of each ground-state solve, in order."""
-    solved = []
+def _walked(monkeypatch):
+    """(n_max, cutoff_converged) of each ground-state solve, and n_max of
+    each Hamiltonian build, in order; a probe is a build with no solve."""
+    solved, built = [], []
 
-    def counting(H, basis, *args, **kwargs):
+    def solving(H, basis, *args, **kwargs):
         res = ground_state(H, basis, *args, **kwargs)
         solved.append((basis.n_max, res.cutoff_converged))
         return res
 
-    monkeypatch.setattr("hpdicke.ed.ground_state", counting)
-    return solved
+    def building(p, basis):
+        built.append(basis.n_max)
+        return build_hamiltonian(p, basis)
+
+    monkeypatch.setattr("hpdicke.ed.ground_state", solving)
+    monkeypatch.setattr("hpdicke.ed.build_hamiltonian", building)
+    return solved, built
 
 
 def test_unconverged_cutoff_skips_its_probe(monkeypatch):
     # N = 8, lambda = 0.46 has the halving grid 1, 2, 4, 9, 19 below
     # n0 = 19 and starts at 9, the highest point at most n0/2 (all are
     # dense).  The solve at 9 is not cutoff_converged, so its probe 12
-    # stays unsolved and the walk goes up; 19 is converged and confirmed
-    # by its probe 24.
-    solved = _solves(monkeypatch)
+    # is not even built and the walk goes up; 19 is converged and
+    # confirmed by an inverse-iteration step at its probe 24, which
+    # builds H there but solves no eigenproblem.
+    solved, built = _walked(monkeypatch)
     res = converge_cutoff(DickeParams(1.0, 1.0, 0.46), 8)
     assert res.n_max_used == 19
-    assert solved == [(9, False), (19, True), (24, True)]
+    assert solved == [(9, False), (19, True)]
+    assert built == [9, 19, 24]
 
 
 def test_accepted_cutoff_needs_no_confirmation_above_it(monkeypatch):
     # N = 16, lambda = 0.5 from n0 = 32 starts at 16: it passes its own
     # top-level test and its probe 20 confirms hp, so the walk goes down
-    # to 8, which fails its own test; 16 is returned without solving the
-    # grid point 32 or its probe 40
-    solved = _solves(monkeypatch)
+    # to 8, which fails its own test; 16 is returned without building
+    # the grid point 32 or its probe 40
+    solved, built = _walked(monkeypatch)
     res = converge_cutoff(DickeParams(1.0, 1.0, 0.5), 16)
     assert res.n_max_used == 16
-    assert solved == [(16, True), (20, True), (8, False)]
+    assert solved == [(16, True), (8, False)]
+    assert built == [16, 20, 8]
 
 
 def test_large_critical_walk_starts_dense(monkeypatch):
     # N = 256, lambda = 0.5: n0 = 320, and of the grid 1, 2, 5, ..., 160
     # only 1 and 2 have dense bases, so the walk starts at 2 and goes up;
-    # 40 is the first converged cutoff and its probe 50 the only solve
+    # 40 is the first converged cutoff and its probe 50 the only build
     # above it
-    solved = _solves(monkeypatch)
+    solved, built = _walked(monkeypatch)
     res = converge_cutoff(DickeParams(1.0, 1.0, 0.5), 256)
     assert res.n_max_used == 40
     assert solved == [(2, False), (5, False), (10, False), (20, False),
-                      (40, True), (50, True)]
+                      (40, True)]
+    assert built == [2, 5, 10, 20, 40, 50]
     assert EDBasis(256, 2).dim <= _DENSE_DIM < EDBasis(256, 5).dim
 
 

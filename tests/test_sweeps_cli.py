@@ -657,6 +657,20 @@ class TestCli:
         assert cli.main(["validate-config", "--config", str(path)]) == 2
         assert "'budget' and 'budget_nnz' both set" in capsys.readouterr().err
 
+    def test_repeated_key_in_a_key_value_file_exits_2(self, tmp_path,
+                                                       capsys):
+        path = tmp_path / "c.cfg"
+        path.write_text("steps = 5\n# a comment\nmodel = dicke\nsteps = 9\n")
+        assert cli.main(["validate-config", "--config", str(path)]) == 2
+        assert (f"{path}:4: key 'steps' already set on line 1"
+                in capsys.readouterr().err)
+
+    def test_repeated_key_in_a_json_object_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text('{"steps": 5, "model": "dicke", "steps": 9}')
+        assert cli.main(["validate-config", "--config", str(path)]) == 2
+        assert "config key 'steps' is repeated" in capsys.readouterr().err
+
     def test_missing_config_file_exits_2(self, tmp_path):
         assert cli.main(["sweep", "--config",
                          str(tmp_path / "absent.json")]) == 2
