@@ -19,12 +19,11 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .ed import DEFAULT_BUDGET_NNZ, DEFAULT_SEED
 from .errors import (BudgetExceeded, ConfigError, DegenerateFit,
                      HpDickeError)
 from .figures import reproduce_figure
 from .fits import fit_critical_exponent, fit_entropy_slope
-from .sweeps import _ALIASES, SweepConfig, run_sweep
+from .sweeps import _ALIASES, SweepConfig, run_sweep, write_atomic
 
 __all__ = ["main", "load_config", "run_fit"]
 
@@ -222,8 +221,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
                      window=window, kind=args.kind)
     text = json.dumps(_jsonable(report), indent=1) + "\n"
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        write_atomic(args.out, text)
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
@@ -245,11 +243,10 @@ def _jsonable(obj):
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    budget = args.budget_nnz if args.budget_nnz is not None \
-        else DEFAULT_BUDGET_NNZ
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    rep = reproduce_figure(args.id, args.out, budget_nnz=budget, seed=seed,
-                           workers=args.workers or 1)
+    given = {key: getattr(args, key)
+             for key in ("budget_nnz", "seed", "workers")
+             if getattr(args, key) is not None}
+    rep = reproduce_figure(args.id, args.out, **given)
     print(f"wrote {len(rep.files)} file(s) to {rep.outdir}",
           file=sys.stderr)
     for note in rep.notes:

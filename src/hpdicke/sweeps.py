@@ -47,6 +47,7 @@ __all__ = ["SCHEMA", "SweepConfig", "SweepRow", "SweepTable", "run_sweep",
            "write_atomic"]
 
 SCHEMA = "hpdicke-sweep-v1"
+_UNITS = "frequencies and couplings in units of omega_cav"
 
 _MODELS = ("dicke", "double-dicke")
 _MODES = ("thermo", "ed")
@@ -376,17 +377,6 @@ def sweep_rows(cfg: SweepConfig) -> SweepTable:
                       [r["reason"] != "" for r in cells])
 
 
-def _header_lines(cfg: SweepConfig, cols: list[str]) -> list[str]:
-    return [
-        f"# schema: {SCHEMA}",
-        f"# version: {__version__}",
-        f"# config-sha256: {cfg.config_sha256()}",
-        f"# seed: {cfg.seed}",
-        "# units: frequencies and couplings in units of omega_cav",
-        f"# columns: {','.join(cols)}",
-    ]
-
-
 # the kind of a cell's type; bool comes first, as bool subclasses int
 _KINDS = ((bool, (bool, np.bool_)), (int, (int, np.integer)),
           (float, (float, np.floating)), (str, (str,)))
@@ -423,11 +413,18 @@ def _csv_lines(columns) -> list[str]:
     return list(map(",".join, zip(*(_texts(c, False) for c in columns))))
 
 
+def _csv_text(head: dict, columns: dict[str, Sequence]) -> str:
+    """A CSV file: a '# key: value' line for each item of head, then the
+    units and the column names, then the rows given as columns."""
+    head = dict(head, units=_UNITS, columns=",".join(columns))
+    lines = [f"# {key}: {value}" for key, value in head.items()]
+    return "\n".join(lines + _csv_lines(columns.values())) + "\n"
+
+
 def render_csv(cfg: SweepConfig, table: SweepTable) -> str:
-    cols = columns_for(cfg)
-    lines = _header_lines(cfg, cols)
-    lines += _csv_lines([table.columns[c] for c in cols])
-    return "\n".join(lines) + "\n"
+    head = {"schema": SCHEMA, "version": __version__,
+            "config-sha256": cfg.config_sha256(), "seed": cfg.seed}
+    return _csv_text(head, {c: table.columns[c] for c in columns_for(cfg)})
 
 
 def render_json(cfg: SweepConfig, table: SweepTable) -> str:
@@ -439,7 +436,7 @@ def render_json(cfg: SweepConfig, table: SweepTable) -> str:
         "version": __version__,
         "config_sha256": cfg.config_sha256(),
         "seed": cfg.seed,
-        "units": "frequencies and couplings in units of omega_cav",
+        "units": _UNITS,
         "columns": cols,
         "rows": [],
     }, indent=1)

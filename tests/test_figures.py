@@ -1,9 +1,11 @@
 import json
+import os
 
 import pytest
 
+from hpdicke import __version__, cli, figures
 from hpdicke.dicke import DickeParams, hp_thermo
-from hpdicke.errors import DomainError
+from hpdicke.errors import BudgetExceeded, DomainError
 from hpdicke.figures import reproduce_figure
 
 
@@ -73,3 +75,47 @@ def test_entropy_figure_partial_on_small_budget(tmp_path):
     assert "fig3_thermo_theta_pi4.csv" in rep.files
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["budget_exceeded"] is True
+
+
+def _budget_stop(name):
+    return f"sparse budget exhausted while producing {name}; output is partial"
+
+
+@pytest.mark.parametrize("figure, budget, files, notes", [
+    (1, 500, ["fig1_thermo.csv"],
+     ["thermodynamic curve sampled at 101 couplings; size curves at 51",
+      _budget_stop("fig1_ed_n8.csv")]),
+    (3, 2000, ["fig3_thermo_theta_5pi16.csv", "fig3_thermo_theta_pi4.csv"],
+     [_budget_stop("fig3_ed_theta_5pi16_n4.csv")]),
+])
+def test_budget_stop_manifest(tmp_path, figure, budget, files, notes):
+    rep = reproduce_figure(figure, str(tmp_path), budget_nnz=budget)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest == {"schema": "hpdicke-figure-v1",
+                        "version": __version__, "figure": figure,
+                        "seed": 7, "budget_nnz": budget, "files": files,
+                        "notes": notes, "budget_exceeded": True}
+    assert rep.files == (*files, "manifest.json")
+    assert rep.notes == tuple(notes)
+    assert sorted(os.listdir(tmp_path)) == sorted(rep.files)
+
+
+def test_budget_stop_inside_a_table_step(tmp_path, monkeypatch):
+    def stop(*args, **kwargs):
+        raise BudgetExceeded("stopped in the inset")
+    monkeypatch.setattr(figures, "scaling_at_critical", stop)
+    rep = reproduce_figure(1, str(tmp_path))
+    assert rep.budget_exceeded
+    assert rep.notes[-1] == _budget_stop("fig1_inset_scaling.csv")
+    assert rep.files == ("fig1_thermo.csv", "fig1_ed_n8.csv",
+                         "fig1_ed_n16.csv", "fig1_ed_n32.csv",
+                         "manifest.json")
+    assert sorted(os.listdir(tmp_path)) == sorted(rep.files)
+
+
+@pytest.mark.parametrize("option", [["--seed", "-1"], ["--budget-nnz", "0"],
+                                    ["--workers", "0"]])
+def test_bad_figure_argument_exits_2_and_writes_nothing(tmp_path, option):
+    out = tmp_path / "fig2"
+    assert cli.main(["figure", "2", "--out", str(out), *option]) == 2
+    assert not out.exists()

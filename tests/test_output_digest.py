@@ -1,5 +1,6 @@
 """tools/output_digest.py: one sha256 line per lattice point, equal to the
-hash of the CSV the point renders to in this checkout."""
+hash of the CSV the point renders to in this checkout, or one per file
+that a figure writes, equal to the hash of that file."""
 
 import hashlib
 import subprocess
@@ -7,6 +8,7 @@ import sys
 from pathlib import Path
 
 from hpdicke import sweeps
+from hpdicke.figures import reproduce_figure
 
 _ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(_ROOT / "bench"))
@@ -35,6 +37,16 @@ def test_digest_lines_are_the_rendered_csv_hashes():
             expected.append(
                 f"{key} {hashlib.sha256(text.encode()).hexdigest()}")
         assert out.splitlines() == expected
+
+
+def test_figure_digest_lines_are_the_written_file_hashes(tmp_path):
+    code, out = _digest(["figure", "1", "--budget-nnz", "500"])
+    assert code == 0
+    rep = reproduce_figure(1, str(tmp_path), budget_nnz=500)
+    assert out.splitlines() == [
+        f"{name} {hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()}"
+        for name in rep.files]
+    assert rep.files[-1] == "manifest.json"
 
 
 def test_unknown_workload_exits_2():

@@ -48,7 +48,12 @@ def _ref_json_value(v):
 
 def ref_render_csv(cfg: SweepConfig, rows) -> str:
     cols = columns_for(cfg)
-    lines = sweeps._header_lines(cfg, cols)
+    lines = [f"# schema: {sweeps.SCHEMA}",
+             f"# version: {sweeps.__version__}",
+             f"# config-sha256: {cfg.config_sha256()}",
+             f"# seed: {cfg.seed}",
+             "# units: frequencies and couplings in units of omega_cav",
+             f"# columns: {','.join(cols)}"]
     for row in rows:
         lines.append(",".join(_ref_fmt(row.values.get(c, "nan"))
                               for c in cols))

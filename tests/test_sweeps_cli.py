@@ -741,6 +741,34 @@ class TestCli:
         assert report["n_rows"] == 8
         assert report["exponent"] == pytest.approx(-0.25, abs=1e-12)
 
+    def _power_input(self, tmp_path):
+        xs = np.geomspace(1e-6, 1e-3, 8)
+        src = tmp_path / "p.csv"
+        src.write_text("# columns: dist_cr,hp\n" + "".join(
+            f"{x:.17g},{2.0 * x ** -0.25:.17g}\n" for x in xs))
+        return ["fit", "--input", str(src), "--column", "hp",
+                "--x-column", "dist_cr", "--out", str(tmp_path / "fit.json")]
+
+    def test_fit_out_failed_rename_leaves_no_file(self, tmp_path,
+                                                   monkeypatch):
+        argv = self._power_input(tmp_path)
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            cli.main(argv)
+        assert os.listdir(tmp_path) == ["p.csv"]
+
+    def test_fit_out_takes_the_mode_of_a_plain_open(self, tmp_path):
+        argv = self._power_input(tmp_path)
+        old = os.umask(0o077)
+        try:
+            assert cli.main(argv) == 0
+        finally:
+            os.umask(old)
+        assert (tmp_path / "fit.json").stat().st_mode & 0o777 == 0o600
+
     def test_fit_skips_divergent_rows(self, tmp_path, capsys):
         # the golden table keeps only 4 finite hp rows once the boundary
         # row is dropped, below the minimum for a fit
