@@ -5,8 +5,9 @@ Subcommands: sweep (run a parameter sweep from a config file), fit
 (regenerate the data behind one of the three summary figures), and
 validate-config (parse, validate, and echo the canonical form).
 
-Exit codes: 0 success, 2 configuration or input error, 3 sparse budget
-exceeded, 4 solver failure.  Config files are either JSON objects or
+Exit codes: 0 success, 2 configuration or input error (an output path
+that cannot be written included), 3 sparse budget exceeded, 4 solver
+failure.  Config files are either JSON objects or
 key=value lines with '#' comments.
 """
 
@@ -329,6 +330,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(f"run 'hpdicke {args.command} --help' for usage",
               file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

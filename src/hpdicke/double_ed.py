@@ -30,7 +30,7 @@ import numpy as np
 from .double import (DoubleDickeParams, DoublePhase,
                      build_double_quadratic_form, classify_double_phase)
 from .ed import (DEFAULT_BUDGET_NNZ, DEFAULT_SEED, EDResult, _Basis,
-                 _DENSE_DIM, _checkerboard, _coherent_n0, _entropy, _moments,
+                 _checkerboard, _coherent_n0, _entropy, _moments,
                  _observables, _offset_csr, _scipy, _solve, _solve_at,
                  _spin_diagonals, _walk_cutoff)
 from .gaussian import FluctuationReport, QuadraticForm
@@ -60,12 +60,6 @@ class DoubleEDBasis(_Basis):
     n_i: int
     n_max: int
     _entropy_floor = 1e-14
-    # H is a 3-D grid: the probe's LU step beats the dense solve it
-    # replaces (4x at dim 1,176) but not an ARPACK one past the dense
-    # limit: on a 2-core Xeon the walks' probes tie at dims 2,106 and
-    # 6,069, then 0.8 s against 0.4 s at 38,115 and 8.0 s against 1.2 s
-    # at 130,975, with L + U fill 19.5x and 31x max_nnz (+140, +755 MB)
-    _lu_dim = _DENSE_DIM
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -184,13 +178,10 @@ def converge_cutoff_double(p: DoubleDickeParams, tol: float = 1e-8,
     halving grid below n0 = max(8, ceil(4 (N lambda^2/omega^2 +
     sqrt(N)))) with the larger chain size and coupling: from the highest
     dense grid point at most n0/2 (else the lowest), down the grid while
-    cutoffs are accepted, or up it and past n0 until one is.  A probe of
-    dimension at most ed._DENSE_DIM is one self-checked inverse-iteration
-    step from n's solve, as for one chain, with the gauge D taken off
-    and put back.  A larger one is solved: there the solve is ARPACK's,
-    which the LU step of the three-dimensional two-chain grid ties at
-    first and then loses to in time and memory (DoubleEDBasis._lu_dim).
-    The budget is checked at the probe before n is solved.
+    cutoffs are accepted, or up it and past n0 until one is.  The probe
+    is one ARPACK solve of its parity sector started from n's solve
+    padded with zeros, as for one chain, with the gauge D taken off and
+    put back.  The budget is checked at the probe before n is solved.
     """
     return _walk_cutoff(p, DoubleEDBasis(p.n_c, p.n_i, 1), tol, budget_nnz,
                         seed)

@@ -26,9 +26,9 @@ _moments and _entropy reduce it, _solve_at solves at one cutoff and
 _walk_cutoff searches for one on the halving grid below n0: from its
 highest dense point at most n0/2 it walks down while cutoffs are
 accepted, or up until one is.  A cutoff is confirmed at a larger probe
-cutoff by one step of inverse iteration from its own solve
-(_probe_hp), a sparse LU solve that checks its own residual, not by a
-second eigensolve.  Each reaches the model's public functions through
+cutoff by one ARPACK solve of the probe's parity sector started from
+its own solve padded with zeros (_probe_hp), for both models and at
+every dimension.  Each reaches the model's public functions through
 basis._api() when called.  scipy loads at the first ED call or ED
 config (_scipy): thermo needs numpy only.
 """
@@ -95,11 +95,9 @@ class _Basis:
     positive integers.  The photon number is the outer index, so the top
     Fock slab is the last prod(shape[1:]) states.  Subclasses give shape;
     _entropy_floor, below which reduced-density eigenvalues carry no
-    entropy; _lu_dim, the largest probe dimension the walk confirms by
-    a sparse LU (_probe_hp) rather than a solve; _hp_form(p), the HP form
-    at a normal point of the params p (else None); _n0(p), the walk's
-    start; and _api, the model's public (build, solve, moments,
-    entropy), looked up when it is called."""
+    entropy; _hp_form(p), the HP form at a normal point of the params p
+    (else None); _n0(p), the walk's start; and _api, the model's public
+    (build, solve, moments, entropy), looked up when it is called."""
 
     def __post_init__(self):
         for f in fields(self):
@@ -146,10 +144,6 @@ class EDBasis(_Basis):
     n_spins: int
     n_max: int
     _entropy_floor = 1e-16
-    # H is a 2-D grid: the probe's LU step beat its solve at all 15 probes
-    # of the figure 1 inset walks, 2-core Xeon (at N = 1000, dim 89,089:
-    # 0.23 s against a 2.4 s ARPACK solve, L + U 3.8x the probe's max_nnz)
-    _lu_dim = math.inf
 
     @property
     def j(self) -> float:
@@ -468,11 +462,8 @@ def photon_entropy_ed(result: EDResult, basis: EDBasis) -> float:
 
 def _check_budget(basis: _Basis, budget_nnz: int) -> None:
     """Raise BudgetExceeded when the basis's Hamiltonian may store more
-    than budget_nnz entries.  The budget bounds H only, not the L + U
-    fill of a cutoff probe's LU step (_probe_hp): on the figure 1 inset's
-    one-chain probes it grows from 1.1x max_nnz at dim 330 to 3.8x at
-    N = 1000 (dim 89,089, 1.7e6 entries, +32 MB peak); two-chain LU steps
-    stop at DoubleEDBasis._lu_dim, where it is under 3x."""
+    than budget_nnz entries.  Every matrix the cutoff walk builds, a
+    probe's included, is such a Hamiltonian."""
     need = basis.max_nnz
     if need > budget_nnz:
         raise BudgetExceeded(
@@ -497,41 +488,22 @@ def _observables(result: EDResult,
 
 
 def _probe_hp(p, res: EDResult, at: _Basis, probe: _Basis) -> float:
-    """hp of the ground state on the larger basis probe, by one step of
-    inverse iteration from the converged solve res on the basis at; nan
-    when the step fails its self-check.
+    """hp of the ground state on the larger basis probe, by one ARPACK
+    solve (_sector_minimum) of the probe's H on the parity sector of
+    res, the converged solve on the basis at, started from res's state.
 
-    The basis is photon-number-major, so res's state padded with zeros is
-    a state of the probe basis (taken out of the gauge D), and H at
-    cutoff n is the leading block of H at the probe.  One sparse LU
-    solve with H_sec - sigma, H_sec the probe's H on the parity sector
-    of res, turns it into the probe's ground state phi to rounding.  The
-    shift sigma = E_n - SOLVE_TOL*max(1, |E_n|) lies just below E_n, not
-    on it: at lambda = 0 H is diagonal and E_n an exact eigenvalue of
-    H_sec.  phi counts only when its Rayleigh quotient rho is at most
-    E_n + SOLVE_TOL*max(1, |E_n|) and ||(H_sec - rho) phi|| at most
-    SOLVE_TOL*max(1, |E_n|), and when the factor is not singular.  H is
-    built, and hp taken with the gauge put back, through the model's
-    public functions."""
+    The basis is photon-number-major, so res's state padded with zeros
+    is a state of the probe basis (taken out of the gauge D), and H at
+    cutoff n is the leading block of H at the probe: the start is close
+    to the probe's ground state, and exact where res's state is an
+    eigenvector of the probe's H, as at lambda = 0.  A stalled solve
+    raises ConvergenceError.  H is built, and hp taken with the gauge put
+    back, through the model's public functions."""
     build, _, moments, _ = probe._api()
     idx = np.flatnonzero(probe.parity == res.parity)
     psi = np.pad((at.gauge.conj() * res.state).real, (0, probe.dim - at.dim))
-    H_sec = build(p, probe)[idx][:, idx]
-    e, scale = res.ground_energy, SOLVE_TOL * max(1.0, abs(res.ground_energy))
-    try:
-        phi = _scipy().sparse.linalg.splu(
-            (H_sec - (e - scale) * _scipy().sparse.identity(idx.size)).tocsc(),
-            permc_spec="MMD_AT_PLUS_A").solve(psi[idx])
-    except RuntimeError:
-        return math.nan
-    phi /= np.linalg.norm(phi)
-    h_phi = H_sec @ phi
-    rho = float(phi @ h_phi)
-    if not (rho <= e + scale and np.linalg.norm(h_phi - rho * phi) <= scale):
-        return math.nan
-    psi[idx] = phi  # psi is zero off the sector
-    return moments(replace(res, state=probe.gauge * psi,
-                           n_max_used=probe.n_max), probe).hp
+    psi[idx] = _sector_minimum(build(p, probe), idx, psi[idx])[1]
+    return moments(replace(res, state=probe.gauge * psi), probe).hp
 
 
 def _walk_cutoff(p, basis: _Basis, tol: float, budget_nnz: int,
@@ -546,10 +518,8 @@ def _walk_cutoff(p, basis: _Basis, tol: float, budget_nnz: int,
 
     A cutoff n is accepted when its own solve is cutoff_converged and
     the probe ceil(1.25 n) confirms it: |hp(n) - hp(probe)| < tol.  The
-    probe is taken only when n's own solve is converged, by one
-    inverse-iteration step from that solve (_probe_hp) when the probe's
-    dimension is at most basis._lu_dim, else by a solve; a step that
-    fails its self-check leaves n unaccepted.  The budget is checked at
+    probe is taken only when n's own solve is converged, by one sector
+    solve started from that solve (_probe_hp).  The budget is checked at
     the probe before n is solved.
     """
     if not tol > 0:
@@ -565,9 +535,7 @@ def _walk_cutoff(p, basis: _Basis, tol: float, budget_nnz: int,
             if not res.cutoff_converged:
                 return None
             _, _, moments, _ = at._api()
-            hp = (_probe_hp(p, res, at, probe) if probe.dim <= probe._lu_dim
-                  else moments(_solve_at(p, probe, budget_nnz, seed),
-                               probe).hp)
+            hp = _probe_hp(p, res, at, probe)
         return res if abs(moments(res, at).hp - hp) < tol else None
 
     n0 = basis._n0(p)
@@ -600,12 +568,10 @@ def converge_cutoff(p: DickeParams, n_spins: int, tol: float = 1e-8,
 
     A cutoff n is accepted when the top Fock level holds less than
     TOP_ROW_TOL of the weight and |hp(n) - hp(ceil(1.25 n))| < tol.  The
-    probe is taken only once n passes the first test, and it is no
-    second eigensolve: one sparse LU solve with H - sigma at the probe,
-    sigma just below E_n, on the parity sector of n's state padded with
-    zeros, gives the probe's ground state.  That step counts only when
-    its Rayleigh quotient and residual are within SOLVE_TOL*max(1, |E_n|)
-    of E_n and of zero; else n is not accepted.  The budget is checked
+    probe is taken only once n passes the first test: one ARPACK solve
+    of the probe's H on the parity sector of n's state, started from
+    that state padded with zeros, gives the probe's ground state.  A
+    stalled probe solve raises ConvergenceError.  The budget is checked
     at the probe before n is solved.
 
     The search walks the halving grid n0 / 2^k below the coherent-shift

@@ -1,20 +1,20 @@
-"""The cutoff walk's probe: one inverse-iteration step from the padded
-solve at cutoff n against an exact eigensolve at the probe cutoff, and a
-step that fails its self-check, which leaves n unaccepted."""
+"""The cutoff walk's probe: one sector solve at the probe cutoff started
+from the padded solve at cutoff n, against an exact eigensolve there, for
+both models at every dimension; a stalled probe fails only its own row."""
 
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from hpdicke import double_ed, ed
 from hpdicke.dicke import DickeParams
 from hpdicke.double import DoubleDickeParams
 from hpdicke.double_ed import DoubleEDBasis, converge_cutoff_double
 from hpdicke.ed import EDBasis, converge_cutoff
+from hpdicke.errors import ConvergenceError
+from hpdicke.sweeps import SweepConfig, sweep_rows
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::hpdicke.errors.CutoffWarning")
@@ -23,6 +23,9 @@ pytestmark = pytest.mark.filterwarnings(
 def _double(r, n_spins, theta=math.pi / 8):
     return DoubleDickeParams(1.0, 1.0, 1.0, r * math.cos(theta),
                              r * math.sin(theta), n_spins, n_spins)
+
+
+_DOUBLE_ABOVE_DENSE = DoubleDickeParams(1.0, 1.0, 1.0, 0.5, 0.5, 8, 8)
 
 
 def _walked(p, basis):
@@ -45,8 +48,9 @@ def _walked(p, basis):
     (_double(0.3, 2), DoubleEDBasis(2, 2, 1)),
     (_double(0.6, 3), DoubleEDBasis(3, 3, 1)),
     (_double(1.0, 2), DoubleEDBasis(2, 2, 1)),
+    (_DOUBLE_ABOVE_DENSE, DoubleEDBasis(8, 8, 1)),
 ], ids=["decoupled", "normal", "critical", "superradiant", "double-normal",
-        "double-critical", "double-superradiant"])
+        "double-critical", "double-superradiant", "double-above-dense"])
 def test_probe_matches_the_exact_probe_solve(p, basis):
     at, res, probe = _walked(p, basis)
     build, solve, moments, _ = probe._api()
@@ -68,61 +72,22 @@ def test_sparse_probe_matches_the_exact_probe_solve():
 
 
 def test_decoupled_probe_needs_the_shift():
-    # at lambda = 0 H is diagonal, so E_n is an exact eigenvalue of the
-    # probe's H and H - E_n is singular in the state's sector
+    # at lambda = 0 H is diagonal, so the padded state is an exact
+    # eigenvector of the probe's H: the sector solve starts on its answer
+    # and the probe reads the vacuum's hp = 1/2
     p = DickeParams(1.0, 1.0, 0.0)
     at, res, probe = _walked(p, EDBasis(4, 1))
     idx = np.flatnonzero(probe.parity == res.parity)
+    psi = np.pad(res.state, (0, probe.dim - at.dim))[idx]
     H = ed.build_hamiltonian(p, probe)[idx][:, idx]
-    with pytest.raises(RuntimeError, match="singular"):
-        spla.splu((H - res.ground_energy * sp.identity(idx.size)).tocsc())
-    assert not math.isnan(ed._probe_hp(p, res, at, probe))
+    assert np.array_equal(H @ psi, res.ground_energy * psi)
+    assert ed._probe_hp(p, res, at, probe) == pytest.approx(0.5, abs=1e-15)
 
 
-class _FirstFactorFails:
-    """splu whose first factor raises as a singular one does, or solves
-    to a vector that is no eigenvector; later factors are scipy's."""
-
-    def __init__(self, how):
-        self.how, self.calls = how, 0
-
-    def __call__(self, A, _splu=spla.splu, **kwargs):
-        self.calls += 1
-        if self.calls > 1:
-            return _splu(A, **kwargs)
-        if self.how == "singular":
-            raise RuntimeError("Factor is exactly singular")
-        return type("Factor", (), {"solve": lambda self, b: (
-            np.random.default_rng(0).standard_normal(b.size))})()
-
-
-@pytest.mark.parametrize("how", ["singular", "wrong-vector"])
-def test_failed_self_check_leaves_the_cutoff_unaccepted(monkeypatch, how):
-    # N = 16, lambda = 0.5 accepts its start 16 (probe 20); when that
-    # probe fails its self-check 16 is not accepted, and the walk goes up
-    # to the grid point 32, which its probe 40 confirms
-    p = DickeParams(1.0, 1.0, 0.5)
-    good = converge_cutoff(p, 16)
-    assert good.n_max_used == 16
-    at = EDBasis(16, 16)
-    res = ed.ground_state(ed.build_hamiltonian(p, at), at, params=p)
-    failing = _FirstFactorFails(how)
-    monkeypatch.setattr(spla, "splu", failing)
-    assert math.isnan(ed._probe_hp(p, res, at, EDBasis(16, 20)))
-    failing.calls = 0
-    got = converge_cutoff(p, 16)
-    assert got.n_max_used == 32
-    assert got.cutoff_converged
-    hp_good = ed.photon_moments_ed(good, at).hp
-    hp_got = ed.photon_moments_ed(got, EDBasis(16, 32)).hp
-    assert abs(hp_got - hp_good) < 1e-8
-
-
-def test_large_two_chain_probe_is_solved(monkeypatch):
-    # N = 8, lambda = 0.5 on both chains accepts 20: its probe 25 has
-    # dimension 2106 > DoubleEDBasis._lu_dim, past which the ARPACK solve
-    # of the three-dimensional two-chain grid is no slower than an LU
-    # step, so the probe is solved
+def test_two_chain_probe_above_the_dense_limit_is_not_solved(monkeypatch):
+    # N = 8, lambda = 0.5 on both chains starts at 10, goes up to 20 and
+    # accepts it; its probe 25 (dimension 2106, past the dense limit) is
+    # the sector solve of _probe_hp, never a ground-state solve
     solved = []
 
     def solving(H, basis, *args, _solve=double_ed.double_ground_state,
@@ -131,7 +96,41 @@ def test_large_two_chain_probe_is_solved(monkeypatch):
         return _solve(H, basis, *args, **kwargs)
 
     monkeypatch.setattr(double_ed, "double_ground_state", solving)
-    p = DoubleDickeParams(1.0, 1.0, 1.0, 0.5, 0.5, 8, 8)
-    assert converge_cutoff_double(p).n_max_used == 20
-    assert solved[-2:] == [20, 25]
-    assert DoubleEDBasis(8, 8, 25).dim > DoubleEDBasis._lu_dim
+    assert converge_cutoff_double(_DOUBLE_ABOVE_DENSE).n_max_used == 20
+    assert solved == [10, 20]
+    assert DoubleEDBasis(8, 8, 25).dim == 2106 > ed._DENSE_DIM
+
+
+def _stalling_once(sla):
+    """eigsh that raises ArpackNoConvergence on its first call, then is
+    scipy's; and the list of its calls."""
+    calls, eigsh = [], sla.eigsh
+
+    def eigsh_or_stall(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise sla.ArpackNoConvergence("forced stall", [], [])
+        return eigsh(*args, **kwargs)
+    return eigsh_or_stall, calls
+
+
+def test_stalled_probe_raises_and_fails_only_its_row(monkeypatch, tmp_path):
+    # N = 16 solves densely at every cutoff its walks take, so the probe
+    # is the only eigsh call: at lambda = 0.5 the first one
+    sla = ed._scipy().sparse.linalg
+    cfg = SweepConfig.from_dict(dict(
+        model="dicke", mode="ed", n_spins=16, coupling_min=0.5,
+        coupling_max=0.6, steps=2, out=str(tmp_path / "s.csv")))
+    clean = sweep_rows(cfg)
+    stalling, calls = _stalling_once(sla)
+    monkeypatch.setattr(sla, "eigsh", stalling)
+    with pytest.raises(ConvergenceError):
+        converge_cutoff(DickeParams(1.0, 1.0, 0.5), 16)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    stalling, calls = _stalling_once(sla)
+    monkeypatch.setattr(sla, "eigsh", stalling)
+    table = sweep_rows(cfg)
+    assert table.failed == [True, False]
+    assert table[0].values["reason"] == "solver: ConvergenceError"
+    assert table[1].values == clean[1].values

@@ -1,17 +1,25 @@
 """tools/output_digest.py: one sha256 line per lattice point, equal to the
 hash of the CSV the point renders to in this checkout, or one per file
-that a figure writes, equal to the hash of that file."""
+that a figure writes, equal to the hash of that file, or one line per
+point of the cutoff-walk scan, equal to the walk's accepted solve."""
 
 import hashlib
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 from hpdicke import sweeps
+from hpdicke.dicke import DickeParams
+from hpdicke.double import DoubleDickeParams
+from hpdicke.double_ed import (DoubleEDBasis, converge_cutoff_double,
+                               photon_moments_double)
+from hpdicke.ed import EDBasis, converge_cutoff, photon_moments_ed
 from hpdicke.figures import reproduce_figure
 
 _ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(_ROOT / "bench"))
+sys.path[:0] = [str(_ROOT / "bench"), str(_ROOT / "tools")]
+import output_digest  # noqa: E402
 import workloads  # noqa: E402
 
 KEYS = {"thermo-grid": ["dt:500", "tt:8:200"],
@@ -51,3 +59,22 @@ def test_figure_digest_lines_are_the_written_file_hashes(tmp_path):
 
 def test_unknown_workload_exits_2():
     assert _digest(["no-such-workload"]) == (2, "")
+
+
+def test_walk_lines_are_the_accepted_solves():
+    code, out = _digest(["walk", "d:8:6", "d:1:0", "t:2:4:5"])
+    assert code == 0
+    single = [(key, n, converge_cutoff(DickeParams(1.0, 1.0, lam), n))
+              for key, n, lam in (("d:8:6", 8, 0.05 * 6), ("d:1:0", 1, 0.0))]
+    expected = [(key, res, photon_moments_ed(
+        res, EDBasis(n, res.n_max_used)).hp) for key, n, res in single]
+    theta, r = 4 * math.pi / 32, 0.1 * 5
+    res = converge_cutoff_double(DoubleDickeParams(
+        1.0, 1.0, 1.0, r * math.cos(theta), r * math.sin(theta), 2, 2))
+    expected.append(("t:2:4:5", res, photon_moments_double(
+        res, DoubleEDBasis(2, 2, res.n_max_used)).hp))
+    assert out.splitlines() == [
+        f"{key} {res.n_max_used} {hp.hex()} {res.ground_energy.hex()}"
+        for key, res, hp in expected]
+    keys = output_digest.walk_points()
+    assert (len(keys), len(set(keys))) == (670, 670)

@@ -756,9 +756,30 @@ class TestCli:
         def fail(src, dst):
             raise OSError("rename failed")
         monkeypatch.setattr(os, "replace", fail)
-        with pytest.raises(OSError, match="rename failed"):
-            cli.main(argv)
+        assert cli.main(argv) == 2
         assert os.listdir(tmp_path) == ["p.csv"]
+
+    def test_fit_out_in_a_missing_directory_exits_2(self, tmp_path, capsys):
+        argv = self._power_input(tmp_path)
+        argv[-1] = str(tmp_path / "missing" / "fit.json")
+        assert cli.main(argv) == 2
+        assert "error: cannot write output" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["p.csv"]
+
+    def test_sweep_out_in_a_missing_directory_exits_2(self, tmp_path,
+                                                      capsys):
+        cfg_path = _write_config(tmp_path, "c.json", GOLDEN_CONFIG)
+        assert cli.main(["sweep", "--config", cfg_path, "--out",
+                         str(tmp_path / "missing" / "s.csv")]) == 2
+        assert "error: cannot write output" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["c.json"]
+
+    def test_figure_out_on_an_existing_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        assert cli.main(["figure", "2", "--out", str(out)]) == 2
+        assert "error: cannot write output" in capsys.readouterr().err
+        assert out.read_text() == "kept\n"
 
     def test_fit_out_takes_the_mode_of_a_plain_open(self, tmp_path):
         argv = self._power_input(tmp_path)
