@@ -31,8 +31,8 @@ from .double import (DoubleDickeParams, DoublePhase,
                      build_double_quadratic_form, classify_double_phase)
 from .ed import (DEFAULT_BUDGET_NNZ, DEFAULT_SEED, EDResult, _Basis,
                  _checkerboard, _coherent_n0, _entropy, _moments,
-                 _observables, _offset_csr, _scipy, _solve, _solve_at,
-                 _spin_diagonals, _walk_cutoff)
+                 _offset_csr, _row, _scipy, _solve, _spin_diagonals,
+                 _walk_cutoff)
 from .gaussian import FluctuationReport, QuadraticForm
 
 if TYPE_CHECKING:
@@ -77,7 +77,8 @@ class DoubleEDBasis(_Basis):
 
     def _api(self) -> tuple[Callable, ...]:
         return (build_double_hamiltonian, double_ground_state,
-                photon_moments_double, photon_entropy_double)
+                photon_moments_double, photon_entropy_double,
+                converge_cutoff_double)
 
 
 def build_double_hamiltonian(p: DoubleDickeParams,
@@ -191,9 +192,8 @@ def double_ed(p: DoubleDickeParams, n_max: int, seed: int = DEFAULT_SEED,
               budget_nnz: int = DEFAULT_BUDGET_NNZ
               ) -> tuple[EDResult, float, FluctuationReport]:
     """Ground state, photon entanglement entropy (bits), and photon
-    fluctuation report at the given cutoff, from the solve of a sweep row
-    at this n_max (HP start included).  Requires n_c and n_i on the
-    params: DoubleEDBasis rejects None with DomainError."""
-    basis = DoubleEDBasis(p.n_c, p.n_i, n_max)
-    res = _solve_at(p, basis, budget_nnz, seed)
-    return (res, *_observables(res, basis))
+    fluctuation report at the given cutoff: the ED row (ed._row) that a
+    sweep at this n_max computes, HP start included.  Requires n_c and
+    n_i on the params: DoubleEDBasis rejects None with DomainError."""
+    return _row(p, DoubleEDBasis(p.n_c, p.n_i, n_max), n_max,
+                budget_nnz=budget_nnz, seed=seed)

@@ -28,9 +28,12 @@ highest dense point at most n0/2 it walks down while cutoffs are
 accepted, or up until one is.  A cutoff is confirmed at a larger probe
 cutoff by one ARPACK solve of the probe's parity sector started from
 its own solve padded with zeros (_probe_hp), for both models and at
-every dimension.  Each reaches the model's public functions through
-basis._api() when called.  scipy loads at the first ED call or ED
-config (_scipy): thermo needs numpy only.
+every dimension.  _row is one ED row: the solve at an explicit cutoff,
+or the one the model's walk accepted, with the entropy and moments of
+its state; sweeps, the figure insets and double_ed read it.  Each
+reaches the model's public functions through basis._api() when called.
+scipy loads at the first ED call or ED config (_scipy): thermo needs
+numpy only.
 """
 
 from __future__ import annotations
@@ -97,7 +100,8 @@ class _Basis:
     _entropy_floor, below which reduced-density eigenvalues carry no
     entropy; _hp_form(p), the HP form at a normal point of the params p
     (else None); _n0(p), the walk's start; and _api, the model's public
-    (build, solve, moments, entropy), looked up when it is called."""
+    (build, solve, moments, entropy, walk), looked up when it is called;
+    the walk takes (p, tol=, budget_nnz=, seed=)."""
 
     def __post_init__(self):
         for f in fields(self):
@@ -167,7 +171,8 @@ class EDBasis(_Basis):
 
     def _api(self) -> tuple[Callable, ...]:
         return (build_hamiltonian, ground_state, photon_moments_ed,
-                photon_entropy_ed)
+                photon_entropy_ed,
+                functools.partial(converge_cutoff, n_spins=self.n_spins))
 
 
 @dataclass(frozen=True)
@@ -475,16 +480,8 @@ def _solve_at(p, basis: _Basis, budget_nnz: int, seed: int) -> EDResult:
     """The ground state of the params on this basis, after the budget
     check, through the model's public builder and solve."""
     _check_budget(basis, budget_nnz)
-    build, solve, _, _ = basis._api()
+    build, solve, *_ = basis._api()
     return solve(build(p, basis), basis, seed=seed, params=p)
-
-
-def _observables(result: EDResult,
-                 basis: _Basis) -> tuple[float, FluctuationReport]:
-    """The photon entropy (bits) and fluctuation report of a solve on this
-    basis, through the model's public reducers."""
-    _, _, moments, entropy = basis._api()
-    return entropy(result, basis), moments(result, basis)
 
 
 def _probe_hp(p, res: EDResult, at: _Basis, probe: _Basis) -> float:
@@ -499,7 +496,7 @@ def _probe_hp(p, res: EDResult, at: _Basis, probe: _Basis) -> float:
     eigenvector of the probe's H, as at lambda = 0.  A stalled solve
     raises ConvergenceError.  H is built, and hp taken with the gauge put
     back, through the model's public functions."""
-    build, _, moments, _ = probe._api()
+    build, _, moments, *_ = probe._api()
     idx = np.flatnonzero(probe.parity == res.parity)
     psi = np.pad((at.gauge.conj() * res.state).real, (0, probe.dim - at.dim))
     psi[idx] = _sector_minimum(build(p, probe), idx, psi[idx])[1]
@@ -534,7 +531,7 @@ def _walk_cutoff(p, basis: _Basis, tol: float, budget_nnz: int,
             res = _solve_at(p, at, budget_nnz, seed)
             if not res.cutoff_converged:
                 return None
-            _, _, moments, _ = at._api()
+            _, _, moments, *_ = at._api()
             hp = _probe_hp(p, res, at, probe)
         return res if abs(moments(res, at).hp - hp) < tol else None
 
@@ -583,6 +580,22 @@ def converge_cutoff(p: DickeParams, n_spins: int, tol: float = 1e-8,
     doubling n0, until a cutoff is accepted.  Each call walks afresh.
     """
     return _walk_cutoff(p, EDBasis(n_spins, 1), tol, budget_nnz, seed)
+
+
+def _row(p, basis: _Basis, n_max: int | None = None, tol: float = 1e-8,
+         budget_nnz: int = DEFAULT_BUDGET_NNZ, seed: int = DEFAULT_SEED
+         ) -> tuple[EDResult, float, FluctuationReport]:
+    """One ED row of the params p on bases like this one: the solve at an
+    explicit n_max (_solve_at, HP start included), else the solve that
+    the model's public walk accepted, with the photon entropy (bits) and
+    fluctuation report of its state at its n_max_used.  Every step goes
+    through the model's public functions (basis._api())."""
+    res = (basis._api()[4](p, tol=tol, budget_nnz=budget_nnz, seed=seed)
+           if n_max is None
+           else _solve_at(p, replace(basis, n_max=n_max), budget_nnz, seed))
+    at = replace(basis, n_max=res.n_max_used)
+    _, _, moments, entropy, _ = at._api()
+    return res, entropy(res, at), moments(res, at)
 
 
 def scaling_at_critical(p: DickeParams, n_list: tuple[int, ...] | list[int],

@@ -25,9 +25,9 @@ import numpy as np
 from . import __version__
 from .dicke import DickeParams
 from .double import DoubleDickeParams, classify_double_phase
-from .ed import (DEFAULT_BUDGET_NNZ, DEFAULT_SEED, EDBasis, _observables,
-                 converge_cutoff, scaling_at_critical)
-from .double_ed import DoubleEDBasis, converge_cutoff_double
+from .ed import (DEFAULT_BUDGET_NNZ, DEFAULT_SEED, EDBasis, _row,
+                 scaling_at_critical)
+from .double_ed import DoubleEDBasis
 from .errors import BudgetExceeded, DomainError
 from .sweeps import SweepConfig, _csv_text, run_sweep, write_atomic
 
@@ -107,22 +107,18 @@ def _figure_2(run: SweepConfig, head: dict):
 def _size_inset(run: SweepConfig, head: dict, model: str, sizes: list[int],
                 note: str):
     """The writer of an inset at lambda = 0.5 (both couplings for the
-    double model) and unit frequencies: each size's accepted cutoff and
-    its solve.  A solver error propagates."""
+    double model) and unit frequencies: each size's ED row (ed._row) at
+    its accepted cutoff.  A solver error propagates."""
     def write(path: str) -> list[str]:
         rows = []
         for n in sizes:
             if model == "dicke":
-                res = converge_cutoff(DickeParams(1.0, 1.0, 0.5), n,
-                                      budget_nnz=run.budget_nnz,
-                                      seed=run.seed)
-                basis = EDBasis(n, res.n_max_used)
+                p, basis = DickeParams(1.0, 1.0, 0.5), EDBasis(n, 1)
             else:
                 p = DoubleDickeParams(1.0, 1.0, 1.0, 0.5, 0.5, n, n)
-                res = converge_cutoff_double(p, budget_nnz=run.budget_nnz,
-                                             seed=run.seed)
-                basis = DoubleEDBasis(n, n, res.n_max_used)
-            s, rep = _observables(res, basis)
+                basis = DoubleEDBasis(n, n, 1)
+            res, s, rep = _row(p, basis, budget_nnz=run.budget_nnz,
+                               seed=run.seed)
             rows.append((n, res.n_max_used, rep.hp, s, res.gap01,
                          res.parity))
         names = ("n_spins", "n_max_used", "hp", "s_vn", "gap01", "parity")

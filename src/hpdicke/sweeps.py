@@ -22,7 +22,6 @@ sweep.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -37,9 +36,8 @@ import numpy as np
 from . import __version__
 from .dicke import DickeParams, _thermo_grid, lambda_critical
 from .double import DoubleDickeParams, _double_thermo_grid
-from .ed import (DEFAULT_BUDGET_NNZ, DEFAULT_SEED, EDBasis, _observables,
-                 _scipy, _solve_at, converge_cutoff)
-from .double_ed import DoubleEDBasis, converge_cutoff_double
+from .ed import DEFAULT_BUDGET_NNZ, DEFAULT_SEED, EDBasis, _row, _scipy
+from .double_ed import DoubleEDBasis
 from .errors import BudgetExceeded, ConfigError, CutoffWarning, HpDickeError
 
 __all__ = ["SCHEMA", "SweepConfig", "SweepRow", "SweepTable", "run_sweep",
@@ -319,28 +317,23 @@ _ED_FAILED = dict(n_max_used=0, ground_energy=math.nan, gap01=math.nan,
 
 def _ed_cells(cfg: SweepConfig, at) -> dict:
     """The solver cells of one ED grid point of either model at the
-    couplings at, a coupling or (lambda_c, lambda_i): a single solve at an
-    explicit n_max, otherwise the solve the cutoff walk accepted."""
+    couplings at, a coupling or (lambda_c, lambda_i): its ED row
+    (ed._row), the solve at an explicit n_max, otherwise the solve the
+    cutoff walk accepted.  CutoffWarning is silenced, and a solver error
+    other than BudgetExceeded fails the row."""
     n = cfg.n_spins
     if cfg.model == "dicke":
         p = DickeParams(omega=cfg.omega, omega0=cfg.omega0, coupling=at)
-        basis_at = functools.partial(EDBasis, n)
-        walk = functools.partial(converge_cutoff, p, n)
+        basis = EDBasis(n, 1)
     else:
         p = DoubleDickeParams(cfg.omega, cfg.omega0_c, cfg.omega0_i, *at,
                               n_c=n, n_i=n)
-        basis_at = functools.partial(DoubleEDBasis, n, n)
-        walk = functools.partial(converge_cutoff_double, p)
+        basis = DoubleEDBasis(n, n, 1)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CutoffWarning)
-            if cfg.n_max is None:
-                res = walk(tol=cfg.tol, budget_nnz=cfg.budget_nnz,
-                           seed=cfg.seed)
-            else:
-                res = _solve_at(p, basis_at(cfg.n_max), cfg.budget_nnz,
-                                cfg.seed)
-            s, rep = _observables(res, basis_at(res.n_max_used))
+            res, s, rep = _row(p, basis, cfg.n_max, cfg.tol, cfg.budget_nnz,
+                               cfg.seed)
     except BudgetExceeded:
         raise
     except HpDickeError as exc:
@@ -355,9 +348,10 @@ def sweep_rows(cfg: SweepConfig) -> SweepTable:
     """All rows of the sweep, in grid order, as one table.
 
     A thermo sweep is evaluated over its whole grid at once.  ED rows may
-    be computed in parallel; they are scheduled largest grid value first
-    (a proxy for matrix size) and reassembled in order, so the output is
-    independent of the worker count.
+    be computed in parallel, by at most one worker process per row; they
+    are scheduled largest grid value first (a proxy for matrix size) and
+    reassembled in order, so the output is independent of the worker
+    count.
     """
     cols = _coordinates(cfg)
     if cfg.mode == "thermo":
@@ -367,7 +361,7 @@ def sweep_rows(cfg: SweepConfig) -> SweepTable:
     if cfg.workers > 1 and len(at) > 1:
         from concurrent.futures import ProcessPoolExecutor
         # the grid ascends, so reversed it is largest first
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(min(cfg.workers, len(at))) as pool:
             cells = list(pool.map(_ed_cells, [cfg] * len(at), at[::-1]))[::-1]
     else:
         cells = [_ed_cells(cfg, a) for a in at]
@@ -450,10 +444,14 @@ def render_json(cfg: SweepConfig, table: SweepTable) -> str:
 def write_atomic(path: str, text: str):
     """Write-to-temp then rename, so a killed run never leaves a torn
     file and re-runs overwrite cleanly.  The file gets the mode a plain
-    open gives: the temp file is created with 0o666, less the umask."""
+    open gives: the temp file is created with 0o666, less the umask.  A
+    temp file that cannot be created is reported under path."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
                        f".sweep-{os.urandom(8).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

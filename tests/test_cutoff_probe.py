@@ -34,7 +34,7 @@ def _walked(p, basis):
             else converge_cutoff_double(p))
     n = walk.n_max_used
     at = replace(basis, n_max=n)
-    build, solve, _, _ = at._api()
+    build, solve, *_ = at._api()
     res = solve(build(p, at), at, params=p)
     assert res.cutoff_converged
     return at, res, replace(basis, n_max=max(n + 1, math.ceil(1.25 * n)))
@@ -53,7 +53,7 @@ def _walked(p, basis):
         "double-critical", "double-superradiant", "double-above-dense"])
 def test_probe_matches_the_exact_probe_solve(p, basis):
     at, res, probe = _walked(p, basis)
-    build, solve, moments, _ = probe._api()
+    build, solve, moments, *_ = probe._api()
     exact = solve(build(p, probe), probe, params=p)
     assert exact.parity == res.parity
     assert ed._probe_hp(p, res, at, probe) == pytest.approx(

@@ -22,7 +22,7 @@ pytestmark = pytest.mark.filterwarnings(
 def _ascending_walk(p, basis, tol=1e-8, seed=DEFAULT_SEED):
     """The first accepted cutoff of n0 / 2^k cheapest first, then
     n0 * 2^k: converged at n and hp within tol of hp(ceil(1.25 n))."""
-    build, solve, moments, _ = basis._api()
+    build, solve, moments, *_ = basis._api()
 
     def solved(n):
         at = replace(basis, n_max=n)

@@ -1,14 +1,15 @@
-"""The one ED path behind both models' public names: every sweep and the
-one-shot double_ed reach the eleven public ED functions through their
-module attributes, as often as the walk and the fixed-cutoff solve need,
-and double_ed gives the bits of the sweep row at the same point."""
+"""The one ED path behind both models' public names: every sweep, the
+figure-3 size insets and the one-shot double_ed reach the eleven public
+ED functions through their module attributes, as often as the walk and
+the fixed-cutoff solve need, and double_ed gives the bits of the sweep
+row at the same point."""
 
 import collections
 import math
 
 import pytest
 
-from hpdicke import double_ed, ed, sweeps
+from hpdicke import double_ed, ed, figures, sweeps
 from hpdicke.double import DoubleDickeParams
 
 PUBLIC = {ed: ("build_hamiltonian", "ground_state", "photon_moments_ed",
@@ -87,6 +88,31 @@ def test_sweeps_call_each_public_name(calls, raw, expected):
                  else double_ed.DoubleEDBasis(n, n, cfg.n_max))
         assert basis.dim > ed._DENSE_DIM
     sweeps.sweep_rows(cfg)
+    assert dict(calls) == expected
+
+
+# the figure-3 inset at sizes 4 and 8, or 1 and 2 for two chains: each
+# walk turns down cutoffs that are not cutoff_converged (one build and
+# solve each; one for each single-chain size, two for the two-chain
+# N = 2) and accepts the next (two builds, one solve, two moment
+# reductions); each row then takes its moments and entropy once
+INSET_SINGLE = {"converge_cutoff": 2, "build_hamiltonian": 6,
+                "ground_state": 4, "photon_moments_ed": 6,
+                "photon_entropy_ed": 2}
+INSET_DOUBLE = {"converge_cutoff_double": 2, "build_double_hamiltonian": 7,
+                "double_ground_state": 5, "photon_moments_double": 6,
+                "photon_entropy_double": 2}
+
+
+@pytest.mark.parametrize("model,sizes,expected", [
+    ("dicke", [4, 8], INSET_SINGLE),
+    ("double-dicke", [1, 2], INSET_DOUBLE),
+], ids=["single", "double"])
+def test_figure_inset_calls_each_public_name(calls, tmp_path, model, sizes,
+                                             expected):
+    run = sweeps.SweepConfig.from_dict({})
+    write = figures._size_inset(run, {"figure": 3}, model, sizes, "inset")
+    assert write(str(tmp_path / "inset.csv")) == ["inset"]
     assert dict(calls) == expected
 
 

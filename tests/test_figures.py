@@ -5,8 +5,14 @@ import pytest
 
 from hpdicke import __version__, cli, figures
 from hpdicke.dicke import DickeParams, hp_thermo
+from hpdicke.double import DoubleDickeParams
+from hpdicke.double_ed import (DoubleEDBasis, converge_cutoff_double,
+                               photon_entropy_double, photon_moments_double)
+from hpdicke.ed import (EDBasis, converge_cutoff, photon_entropy_ed,
+                        photon_moments_ed)
 from hpdicke.errors import BudgetExceeded, DomainError
 from hpdicke.figures import reproduce_figure
+from hpdicke.sweeps import SweepConfig
 
 
 def _rows(path):
@@ -16,6 +22,38 @@ def _rows(path):
     cols = cols.removeprefix("# columns: ").split(",")
     data = [l.split(",") for l in lines if not l.startswith("#")]
     return cols, data
+
+
+def _public_inset_row(model, n, budget_nnz, seed):
+    """The inset row of size n from the public walk, moments and entropy,
+    each float cell as the 17 significant digits that round-trip it."""
+    if model == "dicke":
+        res = converge_cutoff(DickeParams(1.0, 1.0, 0.5), n,
+                              budget_nnz=budget_nnz, seed=seed)
+        basis = EDBasis(n, res.n_max_used)
+        hp = photon_moments_ed(res, basis).hp
+        s = photon_entropy_ed(res, basis)
+    else:
+        res = converge_cutoff_double(
+            DoubleDickeParams(1.0, 1.0, 1.0, 0.5, 0.5, n, n),
+            budget_nnz=budget_nnz, seed=seed)
+        basis = DoubleEDBasis(n, n, res.n_max_used)
+        hp = photon_moments_double(res, basis).hp
+        s = photon_entropy_double(res, basis)
+    return [str(n), str(res.n_max_used)] + [
+        format(v, ".17g") for v in (hp, s, res.gap01, res.parity)]
+
+
+@pytest.mark.parametrize("model,sizes", [("dicke", [4, 8]),
+                                         ("double-dicke", [1, 2])])
+def test_size_inset_rows_are_the_public_ed_rows(tmp_path, model, sizes):
+    run = SweepConfig.from_dict(dict(budget_nnz=10 ** 6, seed=3))
+    write = figures._size_inset(run, {"figure": 3}, model, sizes, "inset")
+    assert write(str(tmp_path / "inset.csv")) == ["inset"]
+    cols, data = _rows(tmp_path / "inset.csv")
+    assert cols == ["n_spins", "n_max_used", "hp", "s_vn", "gap01",
+                    "parity"]
+    assert data == [_public_inset_row(model, n, 10 ** 6, 3) for n in sizes]
 
 
 def test_figure_id_validated(tmp_path):

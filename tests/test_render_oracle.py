@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from hpdicke import sweeps
+from hpdicke import double_ed, ed, sweeps
 from hpdicke.errors import ConvergenceError
 from hpdicke.sweeps import (SweepConfig, SweepRow, SweepTable, columns_for,
                             render_csv, render_json, sweep_rows)
@@ -119,9 +119,9 @@ ED_CONFIGS = {
 def test_ed_tables_with_a_failed_row_render_like_reference(tag,
                                                            monkeypatch):
     cfg = SweepConfig.from_dict(ED_CONFIGS[tag])
-    name = "converge_cutoff" if cfg.model == "dicke" \
-        else "converge_cutoff_double"
-    walk = getattr(sweeps, name)
+    module, name = ((ed, "converge_cutoff") if cfg.model == "dicke"
+                    else (double_ed, "converge_cutoff_double"))
+    walk = getattr(module, name)
     calls = []
 
     def failing_second_point(*args, **kwargs):
@@ -131,7 +131,7 @@ def test_ed_tables_with_a_failed_row_render_like_reference(tag,
         return walk(*args, **kwargs)
 
     clean = sweep_rows(cfg)
-    monkeypatch.setattr(sweeps, name, failing_second_point)
+    monkeypatch.setattr(module, name, failing_second_point)
     table = sweep_rows(cfg)
     assert table.failed == [False, True] + [False] * (len(table) - 2)
     assert table[1].values["reason"] == "solver: ConvergenceError"

@@ -147,6 +147,38 @@ class TestRendering:
         assert render_csv(serial, sweep_rows(serial)) \
             == render_csv(parallel, sweep_rows(parallel))
 
+    @pytest.mark.parametrize("workers, steps, forked", [(64, 3, 3),
+                                                        (2, 3, 2)])
+    def test_ed_pool_has_at_most_one_worker_per_row(self, monkeypatch,
+                                                    workers, steps, forked):
+        # a pool of the standard library forks every requested worker up
+        # front, so the pool is sized by the rows; this one maps serially
+        import concurrent.futures
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers=None):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        raw = dict(model="dicke", mode="ed", coupling_min=0.2,
+                   coupling_max=0.6, steps=steps, n_spins=4)
+        serial = SweepConfig.from_dict(raw)
+        want = render_csv(serial, sweep_rows(serial))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
+        cfg = SweepConfig.from_dict(dict(raw, workers=workers))
+        assert render_csv(cfg, sweep_rows(cfg)) == want
+        assert sizes == [forked]
+
     def test_axis_ray_matches_single_chain(self):
         # a ray along the real-coupling axis is the single-chain model
         rows = radial_sweep(0.0, 0.1, 0.9, 5)
@@ -773,6 +805,23 @@ class TestCli:
                          str(tmp_path / "missing" / "s.csv")]) == 2
         assert "error: cannot write output" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["c.json"]
+
+    def test_fit_out_in_a_missing_directory_names_the_given_path(
+            self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "fit.json")
+        argv = self._power_input(tmp_path)
+        argv[-1] = out
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert repr(out) in err and ".sweep-" not in err
+
+    def test_sweep_out_in_a_missing_directory_names_the_given_path(
+            self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "s.csv")
+        cfg_path = _write_config(tmp_path, "c.json", GOLDEN_CONFIG)
+        assert cli.main(["sweep", "--config", cfg_path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert repr(out) in err and ".sweep-" not in err
 
     def test_figure_out_on_an_existing_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "taken"
