@@ -51,15 +51,11 @@ def load_config(path: str) -> dict:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         try:
-            raw = json.loads(text, object_pairs_hook=_unique_keys)
+            return json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {path!r}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config JSON must be an object")
-        return raw
     raw, lines = {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -315,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate-config",
                            help="validate and echo a config")
     common(p_val)
-    p_val.add_argument("--out", help="unused; accepted for symmetry")
+    p_val.add_argument("--out", help="output path echoed in the canonical "
+                                     "config; nothing is written")
     p_val.add_argument("--format", choices=("csv", "json"))
     p_val.set_defaults(fn=_cmd_validate)
     return parser

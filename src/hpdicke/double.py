@@ -31,11 +31,10 @@ from .errors import (CriticalPointDivergence, DomainError,
                      GaplessError, HpDickeError, MeanFieldError,
                      RegimeError)
 from .gaussian import (EntropyReport, FluctuationReport, QuadraticForm,
-                       _bogoliubov_stack, _EntropyColumns, _entropy_columns,
-                       _mode_moments, _nambu_stack, bogoliubov_gaps,
+                       _bogoliubov_stack, _BogoliubovStack, _EntropyColumns,
+                       _entropy_columns, _mode_moments, _nambu_stack,
                        entropy_from_hp, form_from_xp, heisenberg_product,
-                       heisenberg_products, per_element,
-                       symplectic_diagonalize)
+                       heisenberg_products, per_element)
 
 __all__ = [
     "DoubleDickeParams",
@@ -63,7 +62,6 @@ GRADIENT_TOL = 1e-10
 # Krein step reads it as zero below about 1e-9 of that unit (1.7e-6 at
 # omega0_C/omega_cav = 1000); this allows a thousandfold margin.
 DOUBLE_BAND_REL = 1e-6
-SOFT_MODE_TOL = 1e-8  # stiffness relative to the largest that is soft
 
 
 @dataclass(frozen=True)
@@ -168,9 +166,10 @@ def _broken(info: DoublePhaseInfo) -> tuple[bool, bool]:
 
 def _one_point(p: DoubleDickeParams, branch: tuple[int, int] | None):
     """The branch signs at p, p as the one-point arrays that
-    _mean_field_grid takes, and the mean field there; raises the point's
-    MeanFieldError."""
-    broken_c, broken_i = _broken(classify_double_phase(p))
+    _mean_field_grid takes, the mean field there and the phase of p;
+    raises the point's MeanFieldError."""
+    info = classify_double_phase(p)
+    broken_c, broken_i = _broken(info)
     eps_c, eps_i = branch if branch is not None else (None, None)
     eps_c = _resolve_branch(broken_c, eps_c, "direction C")
     eps_i = _resolve_branch(broken_i, eps_i, "direction I")
@@ -179,7 +178,7 @@ def _one_point(p: DoubleDickeParams, branch: tuple[int, int] | None):
     mf, (error,) = _mean_field_grid(*args)
     if error is not None:
         raise error
-    return (eps_c, eps_i), args, mf
+    return (eps_c, eps_i), args, mf, info
 
 
 def mean_field(p: DoubleDickeParams,
@@ -192,7 +191,7 @@ def mean_field(p: DoubleDickeParams,
     Each gradient component at the returned point is checked below
     1e-10 of the largest term summed into it.
     """
-    (eps_c, eps_i), _, mf = _one_point(p, branch)
+    (eps_c, eps_i), _, mf, _ = _one_point(p, branch)
     return MeanField(**{k: a.item() for k, a in mf._asdict().items()},
                      epsilon_c=eps_c, epsilon_i=eps_i)
 
@@ -268,7 +267,7 @@ def double_quadrature_matrix(p: DoubleDickeParams,
 
     Identical for all symmetry branches (the entries are even in the
     coherence signs)."""
-    _, args, mf = _one_point(p, branch)
+    _, args, mf, _ = _one_point(p, branch)
     return _hessian_grid(*args[:5], mf)[0], mf.energy.item()
 
 
@@ -309,6 +308,16 @@ def build_double_quadratic_form(p: DoubleDickeParams,
     return form_from_xp(G, const=f_min)
 
 
+def _point_stack(args, mf, stable: bool) -> _BogoliubovStack:
+    """The Bogoliubov step on the one-point form around mf, at _one_point's
+    args, with the transform when stable; raises the point's error."""
+    stack = _bogoliubov_stack(_nambu_stack(_hessian_grid(*args[:5], mf)),
+                              [stable])
+    if stack.errors[0] is not None:
+        raise stack.errors[0]
+    return stack
+
+
 def double_gaps(p: DoubleDickeParams) -> tuple[float, float, float]:
     """The three polariton gaps, ascending.  Valid on the critical lines
     too, where the lowest one vanishes.
@@ -318,19 +327,16 @@ def double_gaps(p: DoubleDickeParams) -> tuple[float, float, float]:
     canonical pair: the ascending triple still holds exactly one zero,
     and the number of independent soft directions is what
     soft_mode_count reports."""
-    form = build_double_quadratic_form(p)
-    gaps = bogoliubov_gaps(form)
-    return tuple(sorted(float(g) for g in gaps))
+    _, args, mf, _ = _one_point(p, None)
+    return tuple(_point_stack(args, mf, False).gaps[0].tolist())
 
 
 def soft_mode_count(p: DoubleDickeParams) -> int:
     """Number of independent zero-stiffness quadrature directions: 0 in a
     phase interior, 1 on a single critical line, 2 at the double point
-    (one per simultaneously breaking symmetry)."""
-    G, _ = double_quadrature_matrix(p)
-    ev = np.linalg.eigvalsh(G)
-    return int(np.sum(np.abs(ev)
-                      < SOFT_MODE_TOL * max(1.0, np.abs(ev).max())))
+    (one per simultaneously breaking symmetry), by the phase rule."""
+    info = classify_double_phase(p)
+    return int(info.critical_c) + int(info.critical_i)
 
 
 def solve_double_thermo(p: DoubleDickeParams,
@@ -339,21 +345,15 @@ def solve_double_thermo(p: DoubleDickeParams,
     """Mean field plus Bogoliubov data.  Exactly on a critical line the
     zero mode admits no symplectic normalization, so the transform is
     None there while the gaps remain available."""
-    info = classify_double_phase(p)
-    mf = mean_field(p, branch)
-    form = build_double_quadratic_form(p, branch)
+    _, args, mf, info = _one_point(p, branch)
     on_line = info.critical_c or info.critical_i
-    transform = None
-    if on_line:
-        gaps = tuple(sorted(float(g) for g in bogoliubov_gaps(form)))
-    else:
-        sol = symplectic_diagonalize(form)
-        gaps = tuple(float(g) for g in sol.gaps)
-        transform = sol.transform.copy()
-    return DoubleThermoSolution(phase=info.phase, mu_c=mf.mu_c, mu_i=mf.mu_i,
-                                displacements=(complex(mf.u, mf.v),
-                                               mf.x_c, mf.x_i),
-                                gaps=gaps, polariton_transform=transform)
+    stack = _point_stack(args, mf, not on_line)
+    return DoubleThermoSolution(
+        phase=info.phase, mu_c=mf.mu_c.item(), mu_i=mf.mu_i.item(),
+        displacements=(complex(mf.u.item(), mf.v.item()), mf.x_c.item(),
+                       mf.x_i.item()),
+        gaps=tuple((stack.gaps if on_line else stack.modes)[0].tolist()),
+        polariton_transform=None if on_line else stack.transform[0].copy())
 
 
 def _matter_degenerate(omega0_c: float, omega0_i: float) -> bool:
@@ -394,9 +394,9 @@ def lower_polariton(p: DoubleDickeParams) -> np.ndarray:
         raise RegimeError(
             f"lower polariton row is defined in the normal phase, "
             f"not {info.phase.value}")
-    sol = symplectic_diagonalize(build_double_quadratic_form(p))
-    k = int(np.argmin(sol.gaps))
-    return sol.transform[k].copy()
+    _, args, mf, _ = _one_point(p, None)
+    stack = _point_stack(args, mf, True)
+    return stack.transform[0, int(np.argmin(stack.modes[0]))].copy()
 
 
 def double_point_hp(p: DoubleDickeParams) -> float:

@@ -18,18 +18,16 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__
 from .dicke import DickeParams
 from .double import DoubleDickeParams, classify_double_phase
-from .ed import (DEFAULT_BUDGET_NNZ, DEFAULT_SEED, EDBasis, _row,
-                 scaling_at_critical)
-from .double_ed import DoubleEDBasis
+from .ed import DEFAULT_BUDGET_NNZ, DEFAULT_SEED, scaling_at_critical
 from .errors import BudgetExceeded, DomainError
-from .sweeps import SweepConfig, _csv_text, run_sweep, write_atomic
+from .sweeps import SweepConfig, _csv_text, _ed_row, run_sweep, write_atomic
 
 __all__ = ["FigureReport", "reproduce_figure"]
 
@@ -107,18 +105,15 @@ def _figure_2(run: SweepConfig, head: dict):
 def _size_inset(run: SweepConfig, head: dict, model: str, sizes: list[int],
                 note: str):
     """The writer of an inset at lambda = 0.5 (both couplings for the
-    double model) and unit frequencies: each size's ED row (ed._row) at
-    its accepted cutoff.  A solver error propagates."""
+    double model) and the run's unit frequencies: each size's ED row
+    (sweeps._ed_row) at its accepted cutoff.  A solver error propagates."""
+    at = 0.5 if model == "dicke" else (0.5, 0.5)
+
     def write(path: str) -> list[str]:
         rows = []
         for n in sizes:
-            if model == "dicke":
-                p, basis = DickeParams(1.0, 1.0, 0.5), EDBasis(n, 1)
-            else:
-                p = DoubleDickeParams(1.0, 1.0, 1.0, 0.5, 0.5, n, n)
-                basis = DoubleEDBasis(n, n, 1)
-            res, s, rep = _row(p, basis, budget_nnz=run.budget_nnz,
-                               seed=run.seed)
+            res, s, rep = _ed_row(
+                replace(run, model=model, mode="ed", n_spins=n), at)
             rows.append((n, res.n_max_used, rep.hp, s, res.gap01,
                          res.parity))
         names = ("n_spins", "n_max_used", "hp", "s_vn", "gap01", "parity")

@@ -315,12 +315,10 @@ _ED_FAILED = dict(n_max_used=0, ground_energy=math.nan, gap01=math.nan,
                   hp=math.nan, s_vn=math.nan)
 
 
-def _ed_cells(cfg: SweepConfig, at) -> dict:
-    """The solver cells of one ED grid point of either model at the
-    couplings at, a coupling or (lambda_c, lambda_i): its ED row
-    (ed._row), the solve at an explicit n_max, otherwise the solve the
-    cutoff walk accepted.  CutoffWarning is silenced, and a solver error
-    other than BudgetExceeded fails the row."""
+def _ed_row(cfg: SweepConfig, at):
+    """The ED row (ed._row) of the config's model and n_spins at the
+    couplings at, a coupling or (lambda_c, lambda_i): the solve at an
+    explicit n_max, otherwise the solve the cutoff walk accepted."""
     n = cfg.n_spins
     if cfg.model == "dicke":
         p = DickeParams(omega=cfg.omega, omega0=cfg.omega0, coupling=at)
@@ -329,11 +327,17 @@ def _ed_cells(cfg: SweepConfig, at) -> dict:
         p = DoubleDickeParams(cfg.omega, cfg.omega0_c, cfg.omega0_i, *at,
                               n_c=n, n_i=n)
         basis = DoubleEDBasis(n, n, 1)
+    return _row(p, basis, cfg.n_max, cfg.tol, cfg.budget_nnz, cfg.seed)
+
+
+def _ed_cells(cfg: SweepConfig, at) -> dict:
+    """The solver cells of one ED grid point, from its _ed_row.
+    CutoffWarning is silenced, and a solver error other than
+    BudgetExceeded fails the row."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CutoffWarning)
-            res, s, rep = _row(p, basis, cfg.n_max, cfg.tol, cfg.budget_nnz,
-                               cfg.seed)
+            res, s, rep = _ed_row(cfg, at)
     except BudgetExceeded:
         raise
     except HpDickeError as exc:
@@ -445,7 +449,7 @@ def write_atomic(path: str, text: str):
     """Write-to-temp then rename, so a killed run never leaves a torn
     file and re-runs overwrite cleanly.  The file gets the mode a plain
     open gives: the temp file is created with 0o666, less the umask.  A
-    temp file that cannot be created is reported under path."""
+    temp file that cannot be created or renamed is reported under path."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
                        f".sweep-{os.urandom(8).hex()}")
     try:
@@ -456,9 +460,11 @@ def write_atomic(path: str, text: str):
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if getattr(exc, "filename", None) == tmp:
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

@@ -14,7 +14,8 @@ from hpdicke.double import (DoubleDickeParams, DoublePhase,
 from hpdicke.errors import (BranchError, CriticalPointDivergence,
                             GaplessError, RegimeError)
 from hpdicke.fits import fit_critical_exponent
-from hpdicke.gaussian import entropy_from_hp, form_matrix
+from hpdicke.gaussian import (bogoliubov_gaps, entropy_from_hp, form_matrix,
+                              symplectic_diagonalize)
 
 SZ = np.diag([1.0, 1, 1, -1, -1, -1])
 
@@ -170,6 +171,16 @@ class TestGapStructure:
         assert soft_mode_count(P(1, 1, 1, 0.5, 0.9)) == 1
         assert soft_mode_count(P(1, 1, 1, 0.5, 0.5)) == 2
 
+    @pytest.mark.parametrize("scalar", [float, np.float64])
+    def test_soft_modes_next_to_a_line_are_the_phase_rule(self, scalar):
+        # at relative distance 1e-10 the phase rule sees no line, though
+        # the Hessian's softest stiffness is below 1e-8 of its largest
+        p = P(*map(scalar, (1, 1, 1, 0.5 * (1 + 1e-10), 0.3)))
+        q = P(*map(scalar, (1, 1, 1, 0.5 * (1 - 1e-10), 0.5 * (1 + 1e-10))))
+        assert (soft_mode_count(p), soft_mode_count(q)) == (0, 0)
+        double_point = soft_mode_count(P(*map(scalar, (1, 1, 1, 0.5, 0.5))))
+        assert type(double_point) is int and double_point == 2
+
     def test_one_zero_gap_per_line(self):
         for p in (P(1, 1, 1, 0.5, 0.2), P(1, 1, 1, 0.3, 0.5),
                   P(1, 1, 1, 0.5, 0.9),
@@ -205,6 +216,62 @@ class TestSolveDoubleThermo:
         d = sol.displacements
         assert d[0].real > 0 and d[0].imag > 0
         assert d[1] < 0 and d[2] > 0
+
+
+# normal, superradiant in each direction and both, on each line, at the
+# double point, and on a line with unequal matter frequencies
+COMPOSED = [(P(1, 1, 1, 0.2, 0.3), None), (P(1, 1, 1, 0.8, 0.3), None),
+            (P(1, 1, 1, 0.2, 0.9), (0, -1)), (P(1, 1, 1, 0.8, 0.9), (-1, 1)),
+            (P(1, 1, 1, 0.5, 0.2), None), (P(1, 1, 1, 0.3, 0.5), None),
+            (P(1, 1, 1, 0.5, 0.5), None),
+            (P(1.2, 0.7, 1.9, math.sqrt(1.2 * 0.7) / 2, 0.22), None)]
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("p,branch", COMPOSED)
+def test_scalar_results_are_the_public_composition(p, branch):
+    """solve_double_thermo, double_gaps and lower_polariton equal, bit for
+    bit, the public Bogoliubov functions on build_double_quadratic_form."""
+    form = build_double_quadratic_form(p, branch)
+    info, mf = classify_double_phase(p), mean_field(p, branch)
+    on_line = info.critical_c or info.critical_i
+    sol = solve_double_thermo(p, branch)
+    assert repr((sol.phase, sol.mu_c, sol.mu_i, sol.displacements)) == repr(
+        (info.phase, mf.mu_c, mf.mu_i, (complex(mf.u, mf.v), mf.x_c, mf.x_i)))
+    if on_line:
+        want = sorted(float(g) for g in bogoliubov_gaps(form))
+        assert sol.polariton_transform is None
+    else:
+        ref = symplectic_diagonalize(form)
+        want = ref.gaps
+        assert sol.polariton_transform.tobytes() == ref.transform.tobytes()
+    assert _hexes(sol.gaps) == _hexes(want)
+    if branch is None:
+        assert _hexes(double_gaps(p)) == _hexes(
+            sorted(float(g) for g in bogoliubov_gaps(form)))
+    if info.phase is DoublePhase.NORMAL and not on_line:
+        row = lower_polariton(p)
+        assert row.tobytes() == ref.transform[np.argmin(ref.gaps)].tobytes()
+
+
+def test_solve_double_thermo_classifies_and_solves_once(monkeypatch):
+    calls = {"classify": 0, "mean_field": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(double, "classify_double_phase", counted(
+        "classify", double.classify_double_phase))
+    monkeypatch.setattr(double, "_mean_field_grid", counted(
+        "mean_field", double._mean_field_grid))
+    solve_double_thermo(P(1, 1, 1, 0.8, 0.3))
+    assert calls == {"classify": 1, "mean_field": 1}
 
 
 def _asymptotic_row(p, d1):

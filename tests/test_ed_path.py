@@ -59,9 +59,10 @@ def _fixed(model, n_spins, n_max):
 
 
 # a walk of 3 points from its dense start makes 9 builds, 3 of them for
-# probes that inverse iteration confirms with no eigensolve, 6 solves, 3
-# of them not cutoff_converged, and 9 moment reductions (one per
-# converged solve, per probe and per row)
+# probes that one sector solve each confirms (ed._probe_hp, which these
+# public-name counts do not see), 6 solves, 3 of them not
+# cutoff_converged, and 9 moment reductions (one per converged solve,
+# per probe and per row)
 WALK_SINGLE = {"converge_cutoff": 3, "build_hamiltonian": 9,
                "ground_state": 6, "photon_moments_ed": 9,
                "photon_entropy_ed": 3}

@@ -1,7 +1,8 @@
 """tools/output_digest.py: one sha256 line per lattice point, equal to the
 hash of the CSV the point renders to in this checkout, or one per file
 that a figure writes, equal to the hash of that file, or one line per
-point of the cutoff-walk scan, equal to the walk's accepted solve."""
+point of the cutoff-walk scan, equal to the walk's accepted solve, or
+one line per point of the double scan, equal to the scalar results."""
 
 import hashlib
 import math
@@ -11,10 +12,12 @@ from pathlib import Path
 
 from hpdicke import sweeps
 from hpdicke.dicke import DickeParams
-from hpdicke.double import DoubleDickeParams
+from hpdicke.double import (DoubleDickeParams, double_gaps, lower_polariton,
+                            soft_mode_count, solve_double_thermo)
 from hpdicke.double_ed import (DoubleEDBasis, converge_cutoff_double,
                                photon_moments_double)
 from hpdicke.ed import EDBasis, converge_cutoff, photon_moments_ed
+from hpdicke.errors import CriticalPointDivergence, GaplessError, RegimeError
 from hpdicke.figures import reproduce_figure
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -78,3 +81,38 @@ def test_walk_lines_are_the_accepted_solves():
         for key, res, hp in expected]
     keys = output_digest.walk_points()
     assert (len(keys), len(set(keys))) == (670, 670)
+
+
+def test_double_lines_are_the_scalar_results():
+    keys = ["g:0:4:14", "c:0:D:+0", "c:1:C:-10", "c:2:D:+10"]
+    code, out = _digest(["double", *keys])
+    assert code == 0
+    expected = []
+    for key in keys:
+        p = output_digest._double_params(key)
+        gaps = ",".join(g.hex() for g in double_gaps(p))
+        try:
+            sol = solve_double_thermo(p)
+        except GaplessError as exc:
+            solve = type(exc).__name__
+        else:
+            blob = repr((sol.phase, sol.mu_c, sol.mu_i,
+                         sol.displacements)).encode()
+            if sol.polariton_transform is not None:
+                blob += sol.polariton_transform.tobytes()
+            solve = (",".join(g.hex() for g in sol.gaps) + "/"
+                     + hashlib.sha256(blob).hexdigest())
+        try:
+            lower = hashlib.sha256(lower_polariton(p).tobytes()).hexdigest()
+        except (CriticalPointDivergence, GaplessError, RegimeError) as exc:
+            lower = type(exc).__name__
+        expected.append(f"{key} {gaps} {solve} {lower} {soft_mode_count(p)}")
+    assert out.splitlines() == expected
+    assert [output_digest._double_params(k) for k in keys[1:]] == [
+        DoubleDickeParams(1.0, 1.0, 1.0, 0.5, 0.5),
+        DoubleDickeParams(1.0, 0.5, 2.0, math.sqrt(0.5) / 2 * (1 - 1e-10),
+                          0.5 * math.sqrt(2.0) / 2),
+        DoubleDickeParams(1.0, 3.0, 0.7, math.sqrt(3.0) / 2 * (1 + 1e-10),
+                          math.sqrt(0.7) / 2 * (1 + 1e-10))]
+    keys = output_digest.double_points()
+    assert (len(keys), len(set(keys))) == (1197, 1197)

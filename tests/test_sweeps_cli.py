@@ -14,8 +14,9 @@ from hpdicke.dicke import (DickeParams, classify_phase, entropy_thermo,
 from hpdicke.double import (DoubleDickeParams, build_double_quadratic_form,
                             classify_double_phase, double_gaps,
                             double_point_hp, entropy_double, hp_double)
-from hpdicke.errors import (ConfigError, CriticalPointDivergence,
-                            GaplessError, InstabilityError, MeanFieldError)
+from hpdicke.errors import (ConfigError, ConvergenceError,
+                            CriticalPointDivergence, GaplessError,
+                            InstabilityError, MeanFieldError)
 from hpdicke.gaussian import (heisenberg_product,
                               photon_moments_from_solution,
                               symplectic_diagonalize)
@@ -822,6 +823,76 @@ class TestCli:
         assert cli.main(["sweep", "--config", cfg_path, "--out", out]) == 2
         err = capsys.readouterr().err
         assert repr(out) in err and ".sweep-" not in err
+
+    def test_sweep_out_on_an_existing_directory_names_the_given_path(
+            self, tmp_path, capsys):
+        out = tmp_path / "outdir"
+        out.mkdir()
+        cfg_path = _write_config(tmp_path, "c.json", GOLDEN_CONFIG)
+        assert cli.main(["sweep", "--config", cfg_path, "--out",
+                         str(out)]) == 2
+        err = capsys.readouterr().err
+        assert repr(str(out)) in err and ".sweep-" not in err
+        assert sorted(os.listdir(tmp_path)) == ["c.json", "outdir"]
+        assert os.listdir(out) == []
+
+    def test_fit_out_on_an_existing_directory_names_the_given_path(
+            self, tmp_path, capsys):
+        out = tmp_path / "outdir"
+        out.mkdir()
+        argv = self._power_input(tmp_path)
+        argv[-1] = str(out)
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert repr(str(out)) in err and ".sweep-" not in err
+        assert sorted(os.listdir(tmp_path)) == ["outdir", "p.csv"]
+
+    def test_solver_error_exits_4(self, tmp_path, capsys, monkeypatch):
+        def fail(cfg):
+            raise ConvergenceError("no convergence")
+        monkeypatch.setattr(cli, "run_sweep", fail)
+        cfg_path = _write_config(tmp_path, "c.json", GOLDEN_CONFIG)
+        assert cli.main(["sweep", "--config", cfg_path, "--out",
+                         str(tmp_path / "s.csv")]) == 4
+        assert "error: no convergence" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"steps": 5,', "invalid JSON"),
+        ("[1, 2]", "expected key=value"),
+        ("steps = 5\nmodel dicke\n", "expected key=value"),
+    ])
+    def test_unparsable_config_exits_2(self, tmp_path, capsys, text,
+                                       message):
+        path = tmp_path / "c.cfg"
+        path.write_text(text)
+        assert cli.main(["validate-config", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"mode": "ed", "n_max": 0}, "n_max must be positive"),
+        ({"tol": 0}, "tolerance must be positive"),
+    ])
+    def test_zero_cutoff_or_tolerance_exits_2(self, tmp_path, capsys, raw,
+                                               message):
+        cfg_path = _write_config(tmp_path, "c.json", raw)
+        assert cli.main(["validate-config", "--config", cfg_path]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_fit_unreadable_input_exits_2(self, tmp_path, capsys):
+        argv = self._power_input(tmp_path)
+        argv[2] = str(tmp_path / "absent.csv")
+        assert cli.main(argv) == 2
+        assert "cannot read input" in capsys.readouterr().err
+
+    def test_failed_fit_exits_2(self, tmp_path, capsys):
+        # eight distances within one decade: too narrow a span to fit
+        src = tmp_path / "p.csv"
+        src.write_text("# columns: dist_cr,hp\n" + "".join(
+            f"{x:.17g},{2.0 * x ** -0.25:.17g}\n"
+            for x in np.linspace(1e-4, 2e-4, 8)))
+        assert cli.main(["fit", "--input", str(src), "--column", "hp",
+                         "--x-column", "dist_cr"]) == 2
+        assert "fit failed" in capsys.readouterr().err
 
     def test_figure_out_on_an_existing_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "taken"

@@ -2,7 +2,8 @@
 benchmark workload, one "key digest" line per point, or of every file
 that one figure writes, one "file digest" line per file, or the accepted
 cutoff of every point of the cutoff-walk scan, one "key n_max_used hp
-energy" line per point.
+energy" line per point, or the double-model scalar results at every
+point of the double scan, one line per point.
 
 Each point of bench/workloads.lattice(workload) is swept on its own and
 rendered as CSV, so two checkouts give the same output on every point
@@ -14,12 +15,27 @@ omega0 = 1: one chain, key d:N:k, with N in 1, 2, 3, 4, 6, 8, 12, 16, 24,
 32 at lambda = 0.05 k, k = 0 .. 30; two chains, key t:N:a:k, with N_C =
 N_I = N in 1 .. 4 on theta = a pi/32, a = 0, 2, .. 16, at r = 0.1 k,
 k = 1 .. 10.  hp and the ground energy print as float.hex, so equal
-lines are equal bits.  The program is imported from the src/ of the
-checkout that holds this script.
+lines are equal bits.
+
+The double scan is 1,197 points at omega_cav = 1 and (omega0_C,
+omega0_I) = (1, 1), (0.5, 2), (3, 0.7), index m = 0, 1, 2: key g:m:a:k
+on theta = a pi/16, a = 0 .. 8, at r = 0.05 k, k = 0 .. 40; and key
+c:m:L:sE next to line L, C, I or D (the double point), at relative
+distance d = 0 (E = 0) or 10^-E (E = 13, 10, 7, 4) on side s, + or -:
+the line's couplings are lambda_cr (1 + s d), and on a single line the
+other coupling is half its critical value.  A line reads "key gaps
+solve lower soft": double_gaps as float.hex; solve_double_thermo's gaps
+as float.hex, a slash and the sha256 of its other fields (their repr)
+and its transform's bytes; the sha256 of lower_polariton's bytes; and
+soft_mode_count.  A call that raises gives its error class instead.
+
+The program is imported from the src/ of the checkout that holds this
+script.
 
 Usage: python tools/output_digest.py WORKLOAD [KEY ...]
        python tools/output_digest.py figure N [--budget-nnz B]
        python tools/output_digest.py walk [KEY ...]
+       python tools/output_digest.py double [KEY ...]
 
 With keys, only those points are digested, in the order given.
 """
@@ -38,7 +54,7 @@ sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "bench")]
 
 import workloads  # noqa: E402
 
-from hpdicke import double_ed, ed, sweeps  # noqa: E402
+from hpdicke import double, double_ed, ed, sweeps  # noqa: E402
 from hpdicke.dicke import DickeParams  # noqa: E402
 from hpdicke.double import DoubleDickeParams  # noqa: E402
 from hpdicke.ed import DEFAULT_BUDGET_NNZ  # noqa: E402
@@ -87,6 +103,65 @@ def walk_line(key: str) -> str:
     return f"{key} {res.n_max_used} {hp.hex()} {res.ground_energy.hex()}"
 
 
+# (omega0_C, omega0_I) of the double scan
+_MATTER = ((1.0, 1.0), (0.5, 2.0), (3.0, 0.7))
+
+
+def double_points() -> list[str]:
+    """The keys of the double scan, in scan order."""
+    return [key for m in range(len(_MATTER)) for key in (
+        [f"g:{m}:{a}:{k}" for a in range(9) for k in range(41)]
+        + [f"c:{m}:{line}:{s}{e}" for line in "CID" for s in "+-"
+           for e in (0, 13, 10, 7, 4)])]
+
+
+def _double_params(key: str) -> DoubleDickeParams:
+    kind, m, *rest = key.split(":")
+    om0_c, om0_i = _MATTER[int(m)]
+    p = DoubleDickeParams(1.0, om0_c, om0_i, 0.0, 0.0)
+    if kind == "g":
+        theta, r = int(rest[0]) * math.pi / 16, 0.05 * int(rest[1])
+        return DoubleDickeParams(1.0, om0_c, om0_i, r * math.cos(theta),
+                                 r * math.sin(theta))
+    line, side = rest
+    d = 0.0 if side[1:] == "0" else float(f"{side[0]}1e-{side[1:]}")
+    near = {"C": (1.0 + d, 0.5), "I": (0.5, 1.0 + d), "D": (1.0 + d, 1.0 + d)}
+    c, i = near[line]
+    return DoubleDickeParams(1.0, om0_c, om0_i, p.lambda_c_cr * c,
+                             p.lambda_i_cr * i)
+
+
+def _called(fn, text):
+    """text(fn()), or the class name of the error fn raises."""
+    try:
+        value = fn()
+    except Exception as exc:
+        return type(exc).__name__
+    return text(value)
+
+
+def _hexes(values) -> str:
+    return ",".join(float(v).hex() for v in values)
+
+
+def _solution_text(sol: double.DoubleThermoSolution) -> str:
+    blob = repr((sol.phase, sol.mu_c, sol.mu_i, sol.displacements)).encode()
+    if sol.polariton_transform is not None:
+        blob += sol.polariton_transform.tobytes()
+    return f"{_hexes(sol.gaps)}/{hashlib.sha256(blob).hexdigest()}"
+
+
+def double_line(key: str) -> str:
+    """"key gaps solve lower soft" for one point of the double scan."""
+    p = _double_params(key)
+    return " ".join([
+        key, _called(lambda: double.double_gaps(p), _hexes),
+        _called(lambda: double.solve_double_thermo(p), _solution_text),
+        _called(lambda: double.lower_polariton(p),
+                lambda row: hashlib.sha256(row.tobytes()).hexdigest()),
+        _called(lambda: double.soft_mode_count(p), str)])
+
+
 def main(argv: list[str]) -> int:
     if argv[1:2] == ["figure"]:
         parser = argparse.ArgumentParser(prog="output_digest.py figure")
@@ -100,11 +175,16 @@ def main(argv: list[str]) -> int:
         for key in argv[2:] or walk_points():
             print(walk_line(key), flush=True)
         return 0
+    if argv[1:2] == ["double"]:
+        for key in argv[2:] or double_points():
+            print(double_line(key), flush=True)
+        return 0
     if len(argv) < 2 or argv[1] not in workloads.WORKLOADS:
         print("usage: python tools/output_digest.py WORKLOAD [KEY ...]\n"
               "       python tools/output_digest.py figure N "
               "[--budget-nnz B]\n"
-              "       python tools/output_digest.py walk [KEY ...]",
+              "       python tools/output_digest.py walk [KEY ...]\n"
+              "       python tools/output_digest.py double [KEY ...]",
               file=sys.stderr)
         return 2
     points = workloads.lattice(argv[1])
