@@ -164,11 +164,14 @@ def _broken(info: DoublePhaseInfo) -> tuple[bool, bool]:
     return _BROKEN[info.phase]
 
 
-def _one_point(p: DoubleDickeParams, branch: tuple[int, int] | None):
+def _one_point(p: DoubleDickeParams, branch: tuple[int, int] | None,
+               info: DoublePhaseInfo | None = None):
     """The branch signs at p, p as the one-point arrays that
-    _mean_field_grid takes, the mean field there and the phase of p;
-    raises the point's MeanFieldError."""
-    info = classify_double_phase(p)
+    _mean_field_grid takes, the mean field there and the phase of p (the
+    given info, else classified here); raises the point's
+    MeanFieldError."""
+    if info is None:
+        info = classify_double_phase(p)
     broken_c, broken_i = _broken(info)
     eps_c, eps_i = branch if branch is not None else (None, None)
     eps_c = _resolve_branch(broken_c, eps_c, "direction C")
@@ -394,7 +397,7 @@ def lower_polariton(p: DoubleDickeParams) -> np.ndarray:
         raise RegimeError(
             f"lower polariton row is defined in the normal phase, "
             f"not {info.phase.value}")
-    _, args, mf, _ = _one_point(p, None)
+    _, args, mf, _ = _one_point(p, None, info)
     stack = _point_stack(args, mf, True)
     return stack.transform[0, int(np.argmin(stack.modes[0]))].copy()
 

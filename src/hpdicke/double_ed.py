@@ -9,9 +9,11 @@ makes it real too, so D^dag H D is exactly real symmetric.
 build_double_hamiltonian writes that matrix, the diagonal and at most
 eight couplings per row, through ed._offset_csr as the single-chain one;
 it commutes with the total parity U_C U_I.  The rest is the one ED path
-of ed, which DoubleEDBasis describes this model to: the ARPACK start at
-a normal point is D^dag times the HP ground state, and the phases D are
-put back on the ground state before any moment is taken.
+of ed, which DoubleEDBasis describes this model to: a large grid at a
+normal or critical point is solved on the HP shell n + k_C + k_I <= K
+(ed._solve_at), the ARPACK start at a normal point is D^dag times the
+HP ground state, and the phases D are put back on the ground state,
+embedded in the grid, before any moment is taken.
 symmetry_residuals checks the physical D H_r D^dag.
 
 Basis layout: flat index n*(n_c+1)*(n_i+1) + mc_idx*(n_i+1) + mi_idx with
@@ -27,8 +29,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .double import (DoubleDickeParams, DoublePhase,
-                     build_double_quadratic_form, classify_double_phase)
+from .double import (DoubleDickeParams, _broken, build_double_quadratic_form,
+                     classify_double_phase)
 from .ed import (DEFAULT_BUDGET_NNZ, DEFAULT_SEED, EDResult, _Basis,
                  _checkerboard, _coherent_n0, _entropy, _moments,
                  _offset_csr, _row, _scipy, _solve, _spin_diagonals,
@@ -59,6 +61,7 @@ class DoubleEDBasis(_Basis):
     n_c: int
     n_i: int
     n_max: int
+    shell: int | None = None
     _entropy_floor = 1e-14
 
     @property
@@ -66,8 +69,12 @@ class DoubleEDBasis(_Basis):
         return (self.n_max + 1, self.n_c + 1, self.n_i + 1)
 
     def _hp_form(self, p: DoubleDickeParams) -> QuadraticForm | None:
-        """HP modes (a, b_C, b_I)."""
-        normal = classify_double_phase(p).phase is DoublePhase.NORMAL
+        """HP modes (a, b_C, b_I), where each broken symmetry is critical;
+        on a critical line the form is gapless (no start, but a shell)."""
+        info = classify_double_phase(p)
+        broken_c, broken_i = _broken(info)
+        normal = ((info.critical_c or not broken_c)
+                  and (info.critical_i or not broken_i))
         return build_double_quadratic_form(p) if normal else None
 
     def _n0(self, p: DoubleDickeParams) -> int:
@@ -87,7 +94,7 @@ def build_double_hamiltonian(p: DoubleDickeParams,
     1/sqrt(N_k), as D^dag H D: real symmetric float64 in canonical CSR with
     no stored zeros.  The physical matrix is D H_r D^dag, with D = 1 where
     U_C = double_parities(basis)[0] is +1 and i where it is -1."""
-    nn, nc, ni = basis.n_max + 1, basis.n_c + 1, basis.n_i + 1
+    nn, nc = basis.n_max + 1, basis.n_c + 1
     m_c, lad_c = _spin_diagonals(basis.n_c)
     m_i, lad_i = _spin_diagonals(basis.n_i)
     levels = np.arange(nn, dtype=float)
@@ -101,18 +108,11 @@ def build_double_hamiltonian(p: DoubleDickeParams,
     u_c = _checkerboard((nn, nc)).reshape(nn, nc, 1)
     down_i, up_i = u_c[1:] * amp_i, -u_c[:-1] * amp_i
     # to n - 1 (mc - 1, mi - 1, mi + 1, mc + 1), diagonal, to n + 1
-    lo, hi, every = slice(1, None), slice(None, -1), slice(None)
-    sn = nc * ni
-    return _offset_csr((nn, nc, ni),
-                       [(-sn - ni, (lo, lo, every), amp_c),
-                        (-sn - 1, (lo, every, lo), down_i),
-                        (-sn + 1, (lo, every, hi), down_i),
-                        (-sn + ni, (lo, hi, every), amp_c),
-                        (0, (every, every, every), diag),
-                        (sn - ni, (hi, lo, every), amp_c),
-                        (sn - 1, (hi, every, lo), up_i),
-                        (sn + 1, (hi, every, hi), up_i),
-                        (sn + ni, (hi, hi, every), amp_c)])
+    return _offset_csr(basis, [((-1, -1, 0), amp_c), ((-1, 0, -1), down_i),
+                               ((-1, 0, 1), down_i), ((-1, 1, 0), amp_c),
+                               ((0, 0, 0), diag),
+                               ((1, -1, 0), amp_c), ((1, 0, -1), up_i),
+                               ((1, 0, 1), up_i), ((1, 1, 0), amp_c)])
 
 
 def double_parities(basis: DoubleEDBasis) -> tuple[np.ndarray, np.ndarray]:

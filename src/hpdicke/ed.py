@@ -9,21 +9,27 @@ Hamiltonian
 
 is real symmetric with at most five nonzeros per row and commutes exactly
 with the parity (-1)^(n + m + j), which is diagonal in this basis.
-_offset_csr writes it, and the real two-chain matrix of double_ed,
-straight into canonical float64 CSR with no stored zeros.
+_offset_csr writes it, and the real two-chain matrix of double_ed, on
+a basis's support straight into canonical float64 CSR with no stored
+zeros.
 
 Both models are this Fock ladder times one or two maximal-j spins, a
 C-order grid whose parity is its checkerboard, and share one path.  The
-basis describes the model (_Basis): grid, parity, gauge, entropy floor,
-HP form and walk start.  _solve finds the lowest eigenpair of each
-parity sector (Emary & Brandes, PRE 67, 066203 (2003)): up to _DENSE_DIM
-densely, on blocks scattered straight from the CSR arrays
-(_dense_blocks); above it with ARPACK, from a seeded draw or, at a
-normal point, from the params' Holstein-Primakoff ground state
-(_hp_starts).  The ground state is the lower of the two, a parity
-eigenstate, so the superradiant cat pair needs no separate resolution.
-_moments and _entropy reduce it, _solve_at solves at one cutoff and
-_walk_cutoff searches for one on the halving grid below n0: from its
+basis describes the model (_Basis): grid, support, parity, gauge,
+entropy floor, HP form and walk start.  _solve finds the lowest
+eigenpair of each parity sector on the basis's support (Emary & Brandes,
+PRE 67, 066203 (2003)): for a grid of up to _DENSE_DIM states densely,
+on blocks scattered straight from the CSR arrays (_dense_blocks); above
+it with ARPACK, from a seeded draw or, at a normal point, from the
+params' Holstein-Primakoff ground state (_hp_starts).  The ground state
+is the lower of the two, a parity eigenstate, so the superradiant cat
+pair needs no separate resolution; it is embedded in the grid, so
+_moments and _entropy reduce it on the grid.  _solve_at solves at one
+cutoff: a large grid at a normal or critical point on the
+Holstein-Primakoff shell n + sum of k <= K (k = m + j per chain), the
+finite-N form of Emary & Brandes' picture, grown until its top two
+levels are empty; any other grid, a superradiant one included, whole.
+_walk_cutoff searches for a cutoff on the halving grid below n0: from its
 highest dense point at most n0/2 it walks down while cutoffs are
 accepted, or up until one is.  A cutoff is confirmed at a larger probe
 cutoff by one ARPACK solve of the probe's parity sector started from
@@ -96,16 +102,22 @@ class _Basis:
     grid of a subclass's shape, (n_max + 1, N + 1) or (n_max + 1,
     N_C + 1, N_I + 1), whose fields (chain sizes, then n_max) are
     positive integers.  The photon number is the outer index, so the top
-    Fock slab is the last prod(shape[1:]) states.  Subclasses give shape;
+    Fock slab is the last prod(shape[1:]) states.  The last field, shell,
+    is None for the whole grid, or a level K: H is then written and
+    solved on the support, the grid states whose HP level n + sum of k
+    (each chain's spin index k = m + j) is at most K, while the state is
+    embedded in the grid (see _solve_at).  Subclasses give shape;
     _entropy_floor, below which reduced-density eigenvalues carry no
-    entropy; _hp_form(p), the HP form at a normal point of the params p
-    (else None); _n0(p), the walk's start; and _api, the model's public
-    (build, solve, moments, entropy, walk), looked up when it is called;
-    the walk takes (p, tol=, budget_nnz=, seed=)."""
+    entropy; _hp_form(p), the HP form at a normal or critical point of
+    the params p (else None); _n0(p), the walk's start; and _api, the
+    model's public (build, solve, moments, entropy, walk), looked up when
+    it is called; the walk takes (p, tol=, budget_nnz=, seed=)."""
 
     def __post_init__(self):
         for f in fields(self):
             k = getattr(self, f.name)
+            if f.name == "shell" and k is None:
+                continue
             if not (isinstance(k, (int, np.integer)) and k >= 1):
                 raise (CutoffError if f.name == "n_max" else DomainError)(
                     f"{f.name} must be a positive integer, got {k!r}")
@@ -123,6 +135,27 @@ class _Basis:
     @property
     def parity(self) -> np.ndarray:
         return _checkerboard(self.shape)
+
+    @property
+    def levels(self) -> np.ndarray:
+        """The HP level, the sum of the grid indices, of each state."""
+        return functools.reduce(np.add.outer,
+                                [np.arange(k) for k in self.shape]).ravel()
+
+    @property
+    def bound(self) -> tuple[int, ...]:
+        """The extent of the smallest box at the grid's origin that holds
+        the support."""
+        if self.shell is None:
+            return self.shape
+        return tuple(min(k, self.shell + 1) for k in self.shape)
+
+    @property
+    def support(self) -> np.ndarray:
+        """The sorted flat indices that H is written and solved on."""
+        if self.shell is None:
+            return np.arange(self.dim)
+        return np.flatnonzero(self.levels <= self.shell)
 
     @property
     def gauge(self) -> np.ndarray:
@@ -147,6 +180,7 @@ class EDBasis(_Basis):
 
     n_spins: int
     n_max: int
+    shell: int | None = None
     _entropy_floor = 1e-16
 
     @property
@@ -162,9 +196,11 @@ class EDBasis(_Basis):
         return super().index(n, m + self.j)
 
     def _hp_form(self, p: DickeParams) -> QuadraticForm | None:
-        """HP boson k = m + j, the grid's own spin index."""
+        """HP boson k = m + j, the grid's own spin index; at lambda_cr the
+        form is gapless (no start, but a shell)."""
+        info = classify_phase(p)
         return (dicke_quadratic_form(p)
-                if classify_phase(p).phase is Phase.NORMAL else None)
+                if info.phase is Phase.NORMAL or info.critical else None)
 
     def _n0(self, p: DickeParams) -> int:
         return _coherent_n0(self.n_spins, p.coupling, p.omega)
@@ -218,51 +254,64 @@ def _spin_diagonals(n_spins: int) -> tuple[np.ndarray, np.ndarray]:
     return m, np.sqrt(np.clip((j - m[:-1]) * (j + m[:-1] + 1.0), 0.0, None))
 
 
-def _offset_csr(shape: tuple[int, ...], entries) -> sp.csr_matrix:
-    """Real canonical CSR matrix, with no stored zeros, over a basis grid of
-    this shape (C order) from (column offset, row box, values) entries in
-    column order; values broadcast over the box.  One loop counts each
-    row's nonzeros and a second writes them in place, so no temporary
-    outgrows one entry.
+def _offset_csr(basis: _Basis, entries) -> sp.csr_matrix:
+    """Real canonical CSR matrix, with no stored zeros, on the support of
+    the basis in its own indices, from (shift, values) entries in column
+    order: an entry joins each grid state to the one shifted by the given
+    index on each axis, with values broadcast over the box of grid states
+    whose shifted state is on the grid.  It is written where both states
+    lie in the support, and only the box basis.bound that holds the
+    support is visited, so a shell's matrix costs about its own size,
+    not the grid's.  One loop counts each row's nonzeros and a second
+    writes them in place, so no temporary outgrows one entry.
     """
-    dim = math.prod(shape)
-    itype = np.int32 if len(entries) * dim < 2 ** 31 else np.int64
-    rows = np.arange(dim, dtype=itype).reshape(shape)
+    support = basis.support
+    itype = np.int32 if len(entries) * basis.dim < 2 ** 31 else np.int64
+    local = np.full(basis.dim, -1, dtype=itype)
+    local[support] = np.arange(support.size, dtype=itype)
+    # each state's index in the support, -1 outside it, over the box
+    rows = local.reshape(basis.shape)[tuple(map(slice, basis.bound))]
     count = np.zeros_like(rows)
-    nonzero = []
-    for _, box, v in entries:
-        nz = np.broadcast_to(v, rows[box].shape) != 0
-        count[box] += nz
-        nonzero.append(nz)
-    indptr = np.zeros(dim + 1, dtype=itype)
-    np.cumsum(count, out=indptr[1:])
+    kept = []
+    for shift, v in entries:
+        at = tuple(slice(max(0, -k), b - max(0, k))
+                   for k, b in zip(shift, basis.bound))
+        to = tuple(slice(max(0, k), b - max(0, -k))
+                   for k, b in zip(shift, basis.bound))
+        full = [n - abs(k) for k, n in zip(shift, basis.shape)]
+        v = np.broadcast_to(v, full)[tuple(slice(x.stop - x.start)
+                                           for x in at)]
+        nz = (v != 0) & (rows[at] >= 0) & (rows[to] >= 0)
+        count[at] += nz
+        kept.append((at, to, v, nz))
+    inside = rows >= 0
+    indptr = np.zeros(support.size + 1, dtype=itype)
+    np.cumsum(count[inside], out=indptr[1:])
     data = np.empty(indptr[-1])
     indices = np.empty(indptr[-1], dtype=itype)
-    pos = indptr[:-1].reshape(shape).copy()
-    for (offset, box, v), nz in zip(entries, nonzero):
-        at = pos[box][nz]
-        data[at] = np.broadcast_to(v, nz.shape)[nz]
-        indices[at] = rows[box][nz] + offset
-        pos[box] += nz
-    return _scipy().sparse.csr_matrix((data, indices, indptr), (dim, dim))
+    pos = np.zeros_like(rows)
+    pos[inside] = indptr[:-1]
+    for at, to, v, nz in kept:
+        put = pos[at][nz]
+        data[put] = v[nz]
+        indices[put] = rows[to][nz]
+        pos[at] += nz
+    return _scipy().sparse.csr_matrix((data, indices, indptr),
+                                      (support.size, support.size))
 
 
 def build_hamiltonian(p: DickeParams, basis: EDBasis) -> sp.csr_matrix:
     """Sparse real symmetric Hamiltonian in canonical CSR with no stored
     zeros.  All four couplings read one array, indexed by the lower n and
     the lower m of the pair they join, so H is symmetric exactly."""
-    nm = basis.n_spins + 1
     m, lad = _spin_diagonals(basis.n_spins)
     levels = np.arange(basis.n_max + 1)
     g = p.coupling / math.sqrt(basis.n_spins)
     amp = g * np.sqrt(levels[1:])[:, None] * lad
     diag = p.omega * levels[:, None] + p.omega0 * m
     # to n - 1 (m - 1, m + 1), diagonal, to n + 1 (m - 1, m + 1)
-    lo, hi, every = slice(1, None), slice(None, -1), slice(None)
-    return _offset_csr((basis.n_max + 1, nm),
-                       [(-nm - 1, (lo, lo), amp), (-nm + 1, (lo, hi), amp),
-                        (0, (every, every), diag),
-                        (nm - 1, (hi, lo), amp), (nm + 1, (hi, hi), amp)])
+    return _offset_csr(basis, [((-1, -1), amp), ((-1, 1), amp),
+                               ((0, 0), diag), ((1, -1), amp), ((1, 1), amp)])
 
 
 def parity_diagonal(basis: EDBasis) -> np.ndarray:
@@ -332,14 +381,16 @@ def _pair_state(Z: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return psi
 
 
-def _hp_starts(form: QuadraticForm, shape: tuple[int, ...],
+def _hp_starts(form: QuadraticForm, sub: tuple[np.ndarray, ...],
                gauge: np.ndarray, sectors,
                draws: list[np.ndarray]) -> list[np.ndarray]:
     """Sector starts from the polariton rows (X, Y) of a normal-phase form
-    over the basis axes: G = exp(a^dag Z a^dag / 2)|0>, Z = -X^-1 Y, and
-    b_soft^dag G, each on its sector idx taken into the gauge (D^dag),
-    phase-fixed and real, plus 1e-6 of its unit draw; the draws when the
-    form is unstable."""
+    over the basis axes, on the states sub (one grid index array per
+    axis) with the gauge D there: G = exp(a^dag Z a^dag / 2)|0>,
+    Z = -X^-1 Y, and b_soft^dag G, each taken on the smallest Fock box
+    that holds sub, then on its sector idx (positions in sub) into the
+    gauge (D^dag), phase-fixed and real, plus 1e-6 of its unit draw; the
+    draws when the form is unstable."""
     try:
         T = symplectic_diagonalize(form).transform
     except InstabilityError:
@@ -347,24 +398,25 @@ def _hp_starts(form: QuadraticForm, shape: tuple[int, ...],
     n = form.n_modes
     X, Y = T[:n, :n], T[:n, n:]
     Z = -np.linalg.solve(X, Y)
-    even = _pair_state(Z, shape)
+    even = _pair_state(Z, tuple(int(i.max()) + 1 for i in sub))
     w = X[0].conj() + Y[0].conj() @ Z
     odd = np.zeros_like(even)
     for j in range(n):
         _add_created(odd, w[j], even, j)
     starts = []
     for psi, idx, r in zip((even, odd), sectors, draws):
-        v = psi.ravel()[idx] * gauge[idx].conj()
+        v = psi[tuple(i[idx] for i in sub)] * gauge[idx].conj()
         v = (v * v[np.argmax(np.abs(v))].conjugate()).real
         starts.append(v / np.linalg.norm(v) + 1e-6 * r / np.linalg.norm(r))
     return starts
 
 
 def _solve(H: sp.spmatrix, basis: _Basis, seed: int, p=None) -> EDResult:
-    """Ground state of the real symmetric H of the params p on this basis
-    from the lowest eigenpair of each parity sector: dense up to
-    _DENSE_DIM, else by ARPACK starting from each sector's part of a
-    seeded draw or from the HP state of basis._hp_form(p).
+    """Ground state of the real symmetric H of the params p on the support
+    of this basis from the lowest eigenpair of each parity sector there:
+    dense when the grid has at most _DENSE_DIM states, else by ARPACK
+    starting from each sector's part of a seeded draw or from the HP
+    state of basis._hp_form(p).  The state is embedded in the grid.
 
     The odd minimum is the ground state only when it lies lower by more
     than SOLVE_TOL*max(1, |E|); a cat pair degenerate to that accuracy
@@ -374,27 +426,28 @@ def _solve(H: sp.spmatrix, basis: _Basis, seed: int, p=None) -> EDResult:
     gauge D.
     """
     H = H.tocsr()
-    dim = H.shape[0]
-    parity, gauge = basis.parity, basis.gauge
+    support, gauge = basis.support, basis.gauge
+    parity = basis.parity[support]
     sectors = (np.flatnonzero(parity > 0), np.flatnonzero(parity < 0))
-    if dim <= _DENSE_DIM:
+    if basis.dim <= _DENSE_DIM:
         minima = [_dense_minimum(block)
                   for block in _dense_blocks(H, parity, sectors)]
     else:
-        v0 = np.random.default_rng(seed).standard_normal(dim)
+        v0 = np.random.default_rng(seed).standard_normal(support.size)
         starts = [v0[idx] for idx in sectors]
         del v0
         form = basis._hp_form(p) if p is not None else None
         if form is not None:
-            starts = _hp_starts(form, basis.shape, gauge, sectors, starts)
+            starts = _hp_starts(form, np.unravel_index(support, basis.shape),
+                                gauge[support], sectors, starts)
         minima = [_sector_minimum(H, idx, s)
                   for idx, s in zip(sectors, starts)]
     (e_even, v_even), (e_odd, v_odd) = minima
     sign = (-1.0 if e_odd < e_even - SOLVE_TOL * max(1.0, abs(e_even))
             else 1.0)
     e0, v = (e_odd, v_odd) if sign < 0 else (e_even, v_even)
-    psi = np.zeros(dim)
-    psi[parity == sign] = v / np.linalg.norm(v)
+    psi = np.zeros(basis.dim)
+    psi[support[parity == sign]] = v / np.linalg.norm(v)
     if psi[np.argmax(np.abs(psi))] < 0:
         psi = -psi
     top_slab = math.prod(basis.shape[1:])
@@ -411,9 +464,10 @@ def _solve(H: sp.spmatrix, basis: _Basis, seed: int, p=None) -> EDResult:
 
 def ground_state(H: sp.spmatrix, basis: EDBasis, seed: int = DEFAULT_SEED,
                  *, params: DickeParams | None = None) -> EDResult:
-    """Lowest state of each parity sector, deterministic for a fixed seed;
-    the ground state is a parity eigenstate (see _solve).  Given the
-    params of H, ARPACK starts at a normal point from the HP state of
+    """Lowest state of each parity sector of H, the Hamiltonian on the
+    basis's support, deterministic for a fixed seed; the ground state is
+    a parity eigenstate on the whole grid (see _solve).  Given the params
+    of H, ARPACK starts at a normal point from the HP state of
     dicke_quadratic_form, HP boson k = m + j (_hp_starts)."""
     return _solve(H, basis, seed, params)
 
@@ -478,9 +532,31 @@ def _check_budget(basis: _Basis, budget_nnz: int) -> None:
 
 def _solve_at(p, basis: _Basis, budget_nnz: int, seed: int) -> EDResult:
     """The ground state of the params on this basis, after the budget
-    check, through the model's public builder and solve."""
+    check on the whole grid, through the model's public builder and
+    solve.
+
+    A grid of more than _DENSE_DIM states at a point with an HP form
+    (the normal phase, lambda_cr included) is solved by ARPACK on the
+    shells n + sum of k <= K (_Basis), K = 20, 30, 45, .. (each
+    ceil(1.5 K)), until the shell's top two levels, K - 1 and K, hold
+    less of the weight than machine epsilon: a parity sector occupies
+    every other level only, so one level alone can read 0, and a tail
+    of SOLVE_TOL's weight still moves s_vn by up to about 200 times as
+    much.  A shell that would reach the whole grid is the grid.  Any
+    other basis, a superradiant one included, is solved on its whole
+    grid: there the state sits away from the shell's corner.
+    """
     _check_budget(basis, budget_nnz)
     build, solve, *_ = basis._api()
+    if basis.dim > _DENSE_DIM and basis._hp_form(p) is not None:
+        levels, shell = basis.levels, 20
+        while shell < levels[-1]:
+            at = replace(basis, shell=shell)
+            res = solve(build(p, at), at, seed=seed, params=p)
+            edge = res.state[levels >= shell - 1]
+            if np.vdot(edge, edge).real < np.finfo(float).eps:
+                return res
+            shell = math.ceil(1.5 * shell)
     return solve(build(p, basis), basis, seed=seed, params=p)
 
 
@@ -513,10 +589,11 @@ def _walk_cutoff(p, basis: _Basis, tol: float, budget_nnz: int,
     the lowest accepted one; when it fails the walk goes up the rest of
     the grid, then doubles n0, until a cutoff is accepted.
 
-    A cutoff n is accepted when its own solve is cutoff_converged and
-    the probe ceil(1.25 n) confirms it: |hp(n) - hp(probe)| < tol.  The
-    probe is taken only when n's own solve is converged, by one sector
-    solve started from that solve (_probe_hp).  The budget is checked at
+    A cutoff n is accepted when its own solve (_solve_at, on HP shells
+    where they apply) is cutoff_converged and the probe ceil(1.25 n)
+    confirms it: |hp(n) - hp(probe)| < tol.  The probe is taken only
+    when n's own solve is converged, by one sector solve of its whole
+    grid started from that solve (_probe_hp).  The budget is checked at
     the probe before n is solved.
     """
     if not tol > 0:

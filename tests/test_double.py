@@ -274,6 +274,27 @@ def test_solve_double_thermo_classifies_and_solves_once(monkeypatch):
     assert calls == {"classify": 1, "mean_field": 1}
 
 
+@pytest.mark.parametrize("couplings,error", [
+    ((0.2, 0.3), None), ((0.8, 0.3), RegimeError),
+    ((0.5, 0.3), CriticalPointDivergence), ((0.5, 0.5), None)])
+def test_lower_polariton_classifies_its_point_once(monkeypatch, couplings,
+                                                   error):
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return classify_double_phase(q)
+
+    monkeypatch.setattr(double, "classify_double_phase", counted)
+    p = P(1, 1, 1, *couplings)
+    if error is None:
+        lower_polariton(p)
+    else:
+        with pytest.raises(error):
+            lower_polariton(p)
+    assert calls == [p]
+
+
 def _asymptotic_row(p, d1):
     # leading behaviour of the soft-mode row as the lowest gap d1 -> 0
     om, w0c, w0i, li = p.omega_cav, p.omega0_c, p.omega0_i, p.lambda_i

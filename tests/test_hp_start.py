@@ -138,7 +138,8 @@ def test_unstable_form_gives_no_start():
                          d=np.zeros(2))
     sectors = (np.arange(0, 10, 2), np.arange(1, 10, 2))
     draws = [np.ones(5), -np.ones(5)]
-    assert ed._hp_starts(form, (5, 2), None, sectors, draws) is draws
+    sub = np.unravel_index(np.arange(10), (5, 2))
+    assert ed._hp_starts(form, sub, None, sectors, draws) is draws
 
 
 @pytest.mark.parametrize("model", ["single", "double"])

@@ -2,12 +2,14 @@
 hash of the CSV the point renders to in this checkout, or one per file
 that a figure writes, equal to the hash of that file, or one line per
 point of the cutoff-walk scan, equal to the walk's accepted solve, or
-one line per point of the double scan, equal to the scalar results."""
+one line per point of the double scan, equal to the scalar results, or
+one line per ed-fixed point, naming the shell its row was solved on."""
 
 import hashlib
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from hpdicke import sweeps
@@ -116,3 +118,18 @@ def test_double_lines_are_the_scalar_results():
                           math.sqrt(0.7) / 2 * (1 + 1e-10))]
     keys = output_digest.double_points()
     assert (len(keys), len(set(keys))) == (1197, 1197)
+
+
+def test_support_lines_name_the_shell_and_its_accuracy():
+    keys = ["de:128:40:200", "te:16:40:4:110", "de:128:100:505"]
+    code, out = _digest(["support", *keys])
+    assert code == 0
+    grids = [EDBasis(128, 40), DoubleEDBasis(16, 16, 40)]
+    lines = [line.split() for line in out.splitlines()]
+    assert [line[:5] for line in lines] == [
+        [key, str(grid.dim), "20", str(replace(grid, shell=20).support.size),
+         "1"] for key, grid in zip(keys, grids)] + [
+        # superradiant: solved once on the whole grid
+        [keys[2], "13029", "grid", "13029", "1"]]
+    for line in lines:
+        assert max(float(line[5]), float(line[6])) < 1e-10

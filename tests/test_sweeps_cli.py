@@ -236,8 +236,8 @@ class TestEdGolden:
     """Frozen ED output.  With the cutoff found by the walk: one
     single-chain and one two-chain sweep from the normal phase into the
     superradiant one.  At an explicit cutoff above _DENSE_DIM: one
-    normal-phase sweep of each model, whose sparse solves start from the
-    Holstein-Primakoff state."""
+    normal-phase sweep of each model, solved on Holstein-Primakoff shells
+    by sparse solves that start from the Holstein-Primakoff state."""
 
     @pytest.mark.parametrize("tag", sorted(ED_GOLDEN))
     @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -29,6 +29,13 @@ as float.hex, a slash and the sha256 of its other fields (their repr)
 and its transform's bytes; the sha256 of lower_polariton's bytes; and
 soft_mode_count.  A call that raises gives its error class instead.
 
+The support scan takes every point of the ed-fixed lattice, as for a
+workload, and prints "key grid K support rounds hp_rel s_vn_rel": the
+grid dimension, the shell K that the row was accepted on ("grid" for a
+solve on the whole grid), the support dimension, the number of solves
+the row took, and the relative deviation of the row's hp and s_vn from
+a full-grid solve of both parity sectors by ARPACK with tol=0 (_exact).
+
 The program is imported from the src/ of the checkout that holds this
 script.
 
@@ -36,6 +43,7 @@ Usage: python tools/output_digest.py WORKLOAD [KEY ...]
        python tools/output_digest.py figure N [--budget-nnz B]
        python tools/output_digest.py walk [KEY ...]
        python tools/output_digest.py double [KEY ...]
+       python tools/output_digest.py support [KEY ...]
 
 With keys, only those points are digested, in the order given.
 """
@@ -43,16 +51,20 @@ With keys, only those points are digested, in the order given.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "bench")]
 
 import workloads  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 from hpdicke import double, double_ed, ed, sweeps  # noqa: E402
 from hpdicke.dicke import DickeParams  # noqa: E402
@@ -162,6 +174,58 @@ def double_line(key: str) -> str:
         _called(lambda: double.soft_mode_count(p), str)])
 
 
+def _exact(p, basis: ed._Basis) -> tuple[float, float]:
+    """hp and s_vn of the ground state on the whole grid of the basis:
+    each parity sector solved by ARPACK to machine precision (tol=0) from
+    a seeded draw, the odd one taken by the row's own rule."""
+    build, _, moments, entropy, _ = basis._api()
+    H, parity = build(p, basis), basis.parity
+    minima = []
+    for sign in (1.0, -1.0):
+        idx = np.flatnonzero(parity == sign)
+        v0 = np.random.default_rng(ed.DEFAULT_SEED).standard_normal(idx.size)
+        w, v = ed._scipy().sparse.linalg.eigsh(
+            H[idx][:, idx], k=1, which="SA", v0=v0, tol=0)
+        minima.append((float(w[0]), sign, idx, v[:, 0]))
+    even, odd = minima
+    odd_wins = odd[0] < even[0] - ed.SOLVE_TOL * max(1.0, abs(even[0]))
+    e0, sign, idx, v = odd if odd_wins else even
+    psi = np.zeros(basis.dim)
+    psi[idx] = v
+    res = ed.EDResult(ground_energy=e0, gap01=abs(odd[0] - even[0]),
+                      state=basis.gauge * psi, parity=sign,
+                      cutoff_converged=True, n_max_used=basis.n_max)
+    return moments(res, basis).hp, entropy(res, basis)
+
+
+def support_line(key: str) -> str:
+    """"key grid K support rounds hp_rel s_vn_rel" for one point of the
+    ed-fixed lattice: its sweep row, the bases its solves were given,
+    and the full-grid tol=0 solve of the last one."""
+    cfg = sweeps.SweepConfig.from_dict(workloads.lattice("ed-fixed")[key])
+    seen = []
+    saved = [(m, name, getattr(m, name)) for m, name in (
+        (ed, "ground_state"), (double_ed, "double_ground_state"))]
+
+    def recording(H, basis, seed=ed.DEFAULT_SEED, *, params=None, _fn):
+        seen.append((basis, params))
+        return _fn(H, basis, seed, params=params)
+
+    for module, name, fn in saved:
+        setattr(module, name, functools.partial(recording, _fn=fn))
+    try:
+        row = sweeps.sweep_rows(cfg)[0].values
+    finally:
+        for module, name, fn in saved:
+            setattr(module, name, fn)
+    basis, p = seen[-1]
+    hp, s_vn = _exact(p, replace(basis, shell=None))
+    return " ".join([
+        key, str(basis.dim), "grid" if basis.shell is None else str(basis.shell),
+        str(basis.support.size), str(len(seen)),
+        f"{abs(row['hp'] - hp) / hp:.1e}", f"{abs(row['s_vn'] - s_vn) / s_vn:.1e}"])
+
+
 def main(argv: list[str]) -> int:
     if argv[1:2] == ["figure"]:
         parser = argparse.ArgumentParser(prog="output_digest.py figure")
@@ -175,6 +239,10 @@ def main(argv: list[str]) -> int:
         for key in argv[2:] or walk_points():
             print(walk_line(key), flush=True)
         return 0
+    if argv[1:2] == ["support"]:
+        for key in argv[2:] or workloads.lattice("ed-fixed"):
+            print(support_line(key), flush=True)
+        return 0
     if argv[1:2] == ["double"]:
         for key in argv[2:] or double_points():
             print(double_line(key), flush=True)
@@ -184,7 +252,8 @@ def main(argv: list[str]) -> int:
               "       python tools/output_digest.py figure N "
               "[--budget-nnz B]\n"
               "       python tools/output_digest.py walk [KEY ...]\n"
-              "       python tools/output_digest.py double [KEY ...]",
+              "       python tools/output_digest.py double [KEY ...]\n"
+              "       python tools/output_digest.py support [KEY ...]",
               file=sys.stderr)
         return 2
     points = workloads.lattice(argv[1])
