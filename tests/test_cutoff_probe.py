@@ -88,8 +88,8 @@ def test_two_chain_probe_above_the_dense_limit_is_not_solved(monkeypatch):
     # N = 8, lambda = 0.5 on both chains starts at 10, goes up to 20 and
     # accepts it; its probe 25 (dimension 2106, past the dense limit) is
     # the sector solve of _probe_hp, never a ground-state solve.  At the
-    # double point the params have an HP form, so 20 (dimension 1701) is
-    # solved on the shells K = 20 and 30 (ed._solve_at) and then on its
+    # double point the params have a gapless HP form, so 20 (dimension
+    # 1701) is solved on the shell K = 30 (ed._solve_at) and then on its
     # whole grid, whose top level is 36
     solved = []
 
@@ -100,7 +100,7 @@ def test_two_chain_probe_above_the_dense_limit_is_not_solved(monkeypatch):
 
     monkeypatch.setattr(double_ed, "double_ground_state", solving)
     assert converge_cutoff_double(_DOUBLE_ABOVE_DENSE).n_max_used == 20
-    assert solved == [(10, None), (20, 20), (20, 30), (20, None)]
+    assert solved == [(10, None), (20, 30), (20, None)]
     assert DoubleEDBasis(8, 8, 25).dim == 2106 > ed._DENSE_DIM
 
 

@@ -312,19 +312,18 @@ def test_accepted_cutoff_needs_no_confirmation_above_it(monkeypatch):
 def test_large_critical_walk_starts_dense(monkeypatch):
     # N = 256, lambda = 0.5: n0 = 320, and of the grid 1, 2, 5, ..., 160
     # only 1 and 2 have dense bases, so the walk starts at 2 and goes up;
-    # each sparse cutoff is solved on the shells K = 20, 30, 45, .. until
-    # the top two levels are empty (ed._solve_at): two at 5, three at 10,
-    # four at 20, none of them cutoff_converged at the last, and five at
-    # 40, the first converged cutoff; its probe 50, on the whole grid,
-    # is the only build above it
+    # the form is gapless at lambda_cr, so each sparse cutoff is solved on
+    # the shells K = 30, 45, 68, .. until the top two levels are empty
+    # (ed._solve_at): one at 5, two at 10, three at 20, none of them
+    # cutoff_converged, and four at 40, the first converged cutoff; its
+    # probe 50, on the whole grid, is the only build above it
     solved, built = _walked(monkeypatch)
     res = converge_cutoff(DickeParams(1.0, 1.0, 0.5), 256)
     assert res.n_max_used == 40
-    assert solved == [(2, False), (5, False), (5, False), (10, False),
-                      (10, False), (10, False), (20, True), (20, False),
-                      (20, False), (20, False), *[(40, True)] * 5]
-    assert built == [2, 5, 5, 10, 10, 10, 20, 20, 20, 20, 40, 40, 40, 40, 40,
-                     50]
+    assert solved == [(2, False), (5, False), (10, False), (10, False),
+                      (20, False), (20, False), (20, False),
+                      *[(40, True)] * 4]
+    assert built == [2, 5, 10, 10, 20, 20, 20, 40, 40, 40, 40, 50]
     assert EDBasis(256, 2).dim <= _DENSE_DIM < EDBasis(256, 5).dim
 
 

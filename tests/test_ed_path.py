@@ -69,12 +69,12 @@ WALK_SINGLE = {"converge_cutoff": 3, "build_hamiltonian": 9,
 WALK_DOUBLE = {"converge_cutoff_double": 3, "build_double_hamiltonian": 9,
                "double_ground_state": 6, "photon_moments_double": 9,
                "photon_entropy_double": 3}
-# two normal points at an explicit cutoff are solved on shells
-# (ed._solve_at): the first on K = 20, the second on K = 20 and 30, one
-# build and solve each, and each row takes its moments and entropy once
-FIXED_SINGLE = {"build_hamiltonian": 3, "ground_state": 3,
+# two normal points at an explicit cutoff are each solved on the one
+# shell that their HP Gaussian predicts (ed._solve_at), one build and
+# solve each, and each row takes its moments and entropy once
+FIXED_SINGLE = {"build_hamiltonian": 2, "ground_state": 2,
                 "photon_moments_ed": 2, "photon_entropy_ed": 2}
-FIXED_DOUBLE = {"build_double_hamiltonian": 3, "double_ground_state": 3,
+FIXED_DOUBLE = {"build_double_hamiltonian": 2, "double_ground_state": 2,
                 "photon_moments_double": 2, "photon_entropy_double": 2}
 
 

@@ -3,7 +3,8 @@ hash of the CSV the point renders to in this checkout, or one per file
 that a figure writes, equal to the hash of that file, or one line per
 point of the cutoff-walk scan, equal to the walk's accepted solve, or
 one line per point of the double scan, equal to the scalar results, or
-one line per ed-fixed point, naming the shell its row was solved on."""
+one line per ed-fixed point, naming the shell its row was solved on
+and the shell its HP Gaussian predicts."""
 
 import hashlib
 import math
@@ -12,7 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from hpdicke import sweeps
+from hpdicke import ed, sweeps
 from hpdicke.dicke import DickeParams
 from hpdicke.double import (DoubleDickeParams, double_gaps, lower_polariton,
                             soft_mode_count, solve_double_thermo)
@@ -121,15 +122,27 @@ def test_double_lines_are_the_scalar_results():
 
 
 def test_support_lines_name_the_shell_and_its_accuracy():
-    keys = ["de:128:40:200", "te:16:40:4:110", "de:128:100:505"]
+    keys = ["de:128:40:200", "te:16:40:4:110", "de:128:100:505",
+            "de:128:100:500"]
     code, out = _digest(["support", *keys])
     assert code == 0
     grids = [EDBasis(128, 40), DoubleEDBasis(16, 16, 40)]
     lines = [line.split() for line in out.splitlines()]
-    assert [line[:5] for line in lines] == [
-        [key, str(grid.dim), "20", str(replace(grid, shell=20).support.size),
-         "1"] for key, grid in zip(keys, grids)] + [
-        # superradiant: solved once on the whole grid
-        [keys[2], "13029", "grid", "13029", "1"]]
+    # a normal row is one solve on the shell its Gaussian predicts
+    shells = [18, 22]
+    assert [line[:6] for line in lines[:2]] == [
+        [key, str(grid.dim), str(k), str(k),
+         str(replace(grid, shell=k).support.size), "1"]
+        for key, grid, k in zip(keys, grids, shells)]
+    single = grids[0]
+    assert ed._gaussian_shell(single._hp_form(DickeParams(1.0, 1.0, 0.2)),
+                              int(single.levels[-1])) == 18
+    assert lines[2:] == [
+        # superradiant: no HP form, solved once on the whole grid
+        [keys[2], "13029", "grid", "-", "13029", "1", *lines[2][6:]],
+        # lambda_cr: gapless, so shells 30, 45 and 68
+        [keys[3], "13029", "68", "inf",
+         str(EDBasis(128, 100, shell=68).support.size), "3",
+         *lines[3][6:]]]
     for line in lines:
-        assert max(float(line[5]), float(line[6])) < 1e-10
+        assert max(float(line[6]), float(line[7])) < 1e-11

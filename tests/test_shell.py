@@ -1,9 +1,10 @@
 """Rows solved on Holstein-Primakoff shells (ed._solve_at): a grid of
 more than _DENSE_DIM states at a normal or critical point is solved on
-the shell n + sum of k <= K, grown until its top two levels are empty.
-Such rows match a full-grid solve to machine precision, a shell's H is
-the grid's H on the shell, and every other row is today's full-grid
-row bit for bit."""
+the shell n + sum of k <= K, from the shell that the row's HP Gaussian
+predicts (at most 30), grown until its top two levels are empty.  Such
+rows match a full-grid solve to machine precision, a normal row of the
+ed-fixed lattice is one solve, a shell's H is the grid's H on the
+shell, and every other row is the full-grid row bit for bit."""
 
 import math
 import sys
@@ -13,13 +14,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hpdicke import double_ed, ed
+from hpdicke import double_ed, ed, sweeps
 from hpdicke.dicke import DickeParams
 from hpdicke.double import DoubleDickeParams
 from hpdicke.errors import BudgetExceeded
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+_ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(_ROOT / "tools"), str(_ROOT / "bench")]
 import output_digest  # noqa: E402
+import workloads  # noqa: E402
 
 
 def _ray(a: int, k: int) -> tuple[float, float]:
@@ -57,9 +60,12 @@ def solved(monkeypatch):
     ("single", 128, 100, 0.5),          # lambda_cr: no HP start
     # SOLVE_TOL as the boundary weight accepts K = 20, 2.4e-10 off in s_vn
     ("single", 512, 40, 0.34),
+    # an ARPACK tol of SOLVE_TOL, not taken over |E|, is 1.1e-10 off in s_vn
+    ("single", 384, 40, 0.33),
     ("double", 16, 40, *_ray(12, 170)),
     ("double", 8, 30, *_ray(4, 200)),   # on the chain-C critical line
-], ids=["near-critical", "critical", "large-N", "double", "double-line"])
+], ids=["near-critical", "critical", "large-N", "tol", "double",
+        "double-line"])
 def test_shell_rows_match_a_full_grid_solve(solved, point):
     p, grid = _point(*point)
     res, s_vn, rep = ed._row(p, grid, grid.n_max)
@@ -67,8 +73,81 @@ def test_shell_rows_match_a_full_grid_solve(solved, point):
     assert last.shell is not None and last.support.size < grid.dim
     assert res.n_max_used == grid.n_max and res.state.size == grid.dim
     hp, s_exact = output_digest._exact(p, grid)
-    assert rep.hp == pytest.approx(hp, rel=1e-10, abs=0)
-    assert s_vn == pytest.approx(s_exact, rel=1e-10, abs=0)
+    assert rep.hp == pytest.approx(hp, rel=1e-11, abs=0)
+    assert s_vn == pytest.approx(s_exact, rel=1e-11, abs=0)
+
+
+def test_sparse_superradiant_row_matches_a_full_grid_solve(solved):
+    # the ed-fixed point N = 128, lambda = 0.51: ARPACK from a seeded draw
+    # on the whole 13,029-state grid
+    p, grid = _point("single", 128, 100, 0.51)
+    res, s_vn, rep = ed._row(p, grid, grid.n_max)
+    assert solved == [grid] and grid.dim > ed._DENSE_DIM
+    hp, s_exact = output_digest._exact(p, grid)
+    assert rep.hp == pytest.approx(hp, rel=1e-11, abs=0)
+    assert s_vn == pytest.approx(s_exact, rel=1e-11, abs=0)
+
+
+def _gaussian_tail(form, top: int) -> np.ndarray:
+    """The weight of the form's Gaussian on the HP levels >= L, L = 0 ..
+    top, from the generating function of its total boson number,
+    det(1 - Q)^(1/2) / det(1 - s^2 Q)^(1/2) with Q = Z^dag Z: the
+    power series of exp(sum_k tr(Q^k) s^(2k) / 2k), no singular values."""
+    Z = ed._pair_rows(form)[2]
+    Q = Z.conj().T @ Z
+    traces, power = [0.0], np.eye(len(Q))
+    for _ in range(top // 2):
+        power = power @ Q
+        traces.append(np.trace(power).real)
+    series = [1.0]
+    for m in range(1, top // 2 + 1):
+        series.append(sum(traces[k] / 2 * series[m - k]
+                          for k in range(1, m + 1)) / m)
+    level = np.zeros(top + 1)
+    level[::2] = math.sqrt(np.linalg.det(np.eye(len(Q)) - Q).real) * np.array(
+        series)
+    return np.cumsum(level[::-1])[::-1]
+
+
+@pytest.mark.parametrize("point", [
+    ("single", 128, 40, 0.3),
+    ("double", 16, 40, *_ray(4, 130)),
+    ("double", 32, 120, *_ray(8, 120)),
+], ids=["single", "double-16", "double-32"])
+def test_first_shell_is_the_gaussian_prediction(solved, point):
+    p, grid = _point(*point)
+    top = int(grid.levels[-1])
+    tail = _gaussian_tail(grid._hp_form(p), top)
+    k0 = 1 + int(np.flatnonzero(tail < np.finfo(float).eps)[0])
+    assert ed._gaussian_shell(grid._hp_form(p), top) == k0 < 30
+    res, _, _ = ed._row(p, grid, grid.n_max)
+    assert solved == [replace(grid, shell=k0)]
+    edge = res.state[grid.levels >= k0 - 1]
+    assert np.vdot(edge, edge).real <= tail[k0 - 1]
+
+
+@pytest.mark.parametrize("point", [
+    ("single", 128, 100, 0.5),
+    ("double", 8, 30, *_ray(4, 200)),
+], ids=["lambda_cr", "critical-line"])
+def test_gapless_rows_start_at_shell_30(solved, point):
+    p, grid = _point(*point)
+    assert ed._gaussian_shell(grid._hp_form(p), int(grid.levels[-1])) == (
+        math.inf)
+    ed._row(p, grid, grid.n_max)
+    assert solved[0] == replace(grid, shell=30)
+
+
+def test_normal_single_chain_fixed_rows_are_one_solve(solved):
+    points = workloads.lattice("ed-fixed")
+    keys = [key for key in points if key.startswith("de:")
+            and key.split(":")[2] == "40"]
+    assert len(keys) == 124
+    for key in keys:
+        cfg = sweeps.SweepConfig.from_dict(points[key])
+        solved.clear()
+        sweeps.sweep_rows(cfg)
+        assert len(solved) == 1 and solved[0].shell is not None, key
 
 
 @pytest.mark.parametrize("point", [

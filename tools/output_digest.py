@@ -30,9 +30,11 @@ and its transform's bytes; the sha256 of lower_polariton's bytes; and
 soft_mode_count.  A call that raises gives its error class instead.
 
 The support scan takes every point of the ed-fixed lattice, as for a
-workload, and prints "key grid K support rounds hp_rel s_vn_rel": the
+workload, and prints "key grid K K* support rounds hp_rel s_vn_rel": the
 grid dimension, the shell K that the row was accepted on ("grid" for a
-solve on the whole grid), the support dimension, the number of solves
+solve on the whole grid), the shell K* that the row's HP Gaussian
+predicts (ed._gaussian_shell; "inf" where the form is gapless, "-" where
+the point has no HP form), the support dimension, the number of solves
 the row took, and the relative deviation of the row's hp and s_vn from
 a full-grid solve of both parity sectors by ARPACK with tol=0 (_exact).
 
@@ -199,9 +201,10 @@ def _exact(p, basis: ed._Basis) -> tuple[float, float]:
 
 
 def support_line(key: str) -> str:
-    """"key grid K support rounds hp_rel s_vn_rel" for one point of the
-    ed-fixed lattice: its sweep row, the bases its solves were given,
-    and the full-grid tol=0 solve of the last one."""
+    """"key grid K K* support rounds hp_rel s_vn_rel" for one point of
+    the ed-fixed lattice: its sweep row, the bases its solves were given,
+    the Gaussian's shell, and the full-grid tol=0 solve of the last
+    one."""
     cfg = sweeps.SweepConfig.from_dict(workloads.lattice("ed-fixed")[key])
     seen = []
     saved = [(m, name, getattr(m, name)) for m, name in (
@@ -219,10 +222,14 @@ def support_line(key: str) -> str:
         for module, name, fn in saved:
             setattr(module, name, fn)
     basis, p = seen[-1]
-    hp, s_vn = _exact(p, replace(basis, shell=None))
+    grid = replace(basis, shell=None)
+    form = grid._hp_form(p)
+    predicted = ("-" if form is None else
+                 str(ed._gaussian_shell(form, int(grid.levels[-1]))))
+    hp, s_vn = _exact(p, grid)
     return " ".join([
         key, str(basis.dim), "grid" if basis.shell is None else str(basis.shell),
-        str(basis.support.size), str(len(seen)),
+        predicted, str(basis.support.size), str(len(seen)),
         f"{abs(row['hp'] - hp) / hp:.1e}", f"{abs(row['s_vn'] - s_vn) / s_vn:.1e}"])
 
 
