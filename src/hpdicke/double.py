@@ -347,7 +347,11 @@ def solve_double_thermo(p: DoubleDickeParams,
                         ) -> DoubleThermoSolution:
     """Mean field plus Bogoliubov data.  Exactly on a critical line the
     zero mode admits no symplectic normalization, so the transform is
-    None there while the gaps remain available."""
+    None there while the gaps remain available.  Off the lines it is
+    given everywhere but next to the double point: within a relative
+    distance of about 1e-10 of it, at points that classify_double_phase
+    calls interior, the soft gaps lose their digits and this raises
+    GaplessError (ROADMAP item 2 holds the fix)."""
     _, args, mf, info = _one_point(p, branch)
     on_line = info.critical_c or info.critical_i
     stack = _point_stack(args, mf, not on_line)

@@ -11,9 +11,9 @@ eight couplings per row, through ed._offset_csr as the single-chain one;
 it commutes with the total parity U_C U_I.  The rest is the one ED path
 of ed, which DoubleEDBasis describes this model to: a large grid at a
 normal or critical point is solved on the HP shell n + k_C + k_I <= K
-(ed._solve_at), the ARPACK start at a normal point is D^dag times the
-HP ground state, and the phases D are put back on the ground state,
-embedded in the grid, before any moment is taken.
+(ed._solve_at), ARPACK starts from a seeded draw, and the phases D are
+put back on the ground state, embedded in the grid, before any moment
+is taken.
 symmetry_residuals checks the physical D H_r D^dag.
 
 Basis layout: flat index n*(n_c+1)*(n_i+1) + mc_idx*(n_i+1) + mi_idx with
@@ -70,7 +70,8 @@ class DoubleEDBasis(_Basis):
 
     def _hp_form(self, p: DoubleDickeParams) -> QuadraticForm | None:
         """HP modes (a, b_C, b_I), where each broken symmetry is critical;
-        on a critical line the form is gapless (no start, but a shell)."""
+        on a critical line the form is gapless, and its row is still
+        solved on a shell."""
         info = classify_double_phase(p)
         broken_c, broken_i = _broken(info)
         normal = ((info.critical_c or not broken_c)
@@ -145,15 +146,13 @@ def symmetry_residuals(H: sp.csr_matrix,
 
 
 def double_ground_state(H: sp.csr_matrix, basis: DoubleEDBasis,
-                        seed: int = DEFAULT_SEED, *,
-                        params: DoubleDickeParams | None = None) -> EDResult:
+                        seed: int = DEFAULT_SEED) -> EDResult:
     """Lowest state of each total-parity sector of H as
     build_double_hamiltonian writes it, with the phases D put back on
-    the state; the ground state is the lower one, a total-parity
-    eigenstate of the physical Hamiltonian.  Given the params of H, ARPACK
-    starts at a normal point from D^dag times the HP state (a, b_C, b_I)
-    of build_double_quadratic_form (ed._hp_starts)."""
-    return _solve(H, basis, seed, params)
+    the state, deterministic for a fixed seed; the ground state is the
+    lower one, a total-parity eigenstate of the physical Hamiltonian
+    (see ed._solve)."""
+    return _solve(H, basis, seed)
 
 
 def photon_moments_double(result: EDResult,
@@ -193,7 +192,7 @@ def double_ed(p: DoubleDickeParams, n_max: int, seed: int = DEFAULT_SEED,
               ) -> tuple[EDResult, float, FluctuationReport]:
     """Ground state, photon entanglement entropy (bits), and photon
     fluctuation report at the given cutoff: the ED row (ed._row) that a
-    sweep at this n_max computes, HP start included.  Requires n_c and
-    n_i on the params: DoubleEDBasis rejects None with DomainError."""
+    sweep at this n_max computes.  Requires n_c and n_i on the params:
+    DoubleEDBasis rejects None with DomainError."""
     return _row(p, DoubleEDBasis(p.n_c, p.n_i, n_max), n_max,
                 budget_nnz=budget_nnz, seed=seed)

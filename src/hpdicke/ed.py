@@ -20,18 +20,17 @@ entropy floor, HP form and walk start.  _solve finds the lowest
 eigenpair of each parity sector on the basis's support (Emary & Brandes,
 PRE 67, 066203 (2003)): for a grid of up to _DENSE_DIM states densely,
 on blocks scattered straight from the CSR arrays (_dense_blocks); above
-it with ARPACK, from a seeded draw or, at a normal point, from the
-params' Holstein-Primakoff ground state (_hp_starts).  The ground state
-is the lower of the two, a parity eigenstate, so the superradiant cat
-pair needs no separate resolution; it is embedded in the grid, so
-_moments and _entropy reduce it on the grid.  _solve_at solves at one
-cutoff: a large grid at a normal or critical point on the
-Holstein-Primakoff shell n + sum of k <= K (k = m + j per chain), the
-finite-N form of Emary & Brandes' picture, from the shell that the HP
-Gaussian predicts (_gaussian_shell), at most 30, grown until its top
-two levels are empty; any other grid, a superradiant one included,
-whole.  A sparse solve stops on a residual of about SOLVE_TOL at every
-N (_sector_minimum).
+it with ARPACK, from a seeded draw, so a row depends only on its params,
+N, n_max and seed.  The ground state is the lower of the two, a parity
+eigenstate, so the superradiant cat pair needs no separate resolution;
+it is embedded in the grid, so _moments and _entropy reduce it on the
+grid.  _solve_at solves at one cutoff: a large grid at a normal or
+critical point on the Holstein-Primakoff shell n + sum of k <= K
+(k = m + j per chain), the finite-N form of Emary & Brandes' picture,
+from the shell that the HP Gaussian predicts (_gaussian_shell), at most
+30, grown until its top two levels are empty; any other grid, a
+superradiant one included, whole.  A sparse solve stops on a residual
+of about SOLVE_TOL at every N (_sector_minimum).
 _walk_cutoff searches for a cutoff on the halving grid below n0: from its
 highest dense point at most n0/2 it walks down while cutoffs are
 accepted, or up until one is.  A cutoff is confirmed at a larger probe
@@ -199,7 +198,7 @@ class EDBasis(_Basis):
 
     def _hp_form(self, p: DickeParams) -> QuadraticForm | None:
         """HP boson k = m + j, the grid's own spin index; at lambda_cr the
-        form is gapless (no start, but a shell)."""
+        form is gapless, and its row is still solved on a shell."""
         info = classify_phase(p)
         return (dicke_quadratic_form(p)
                 if info.phase is Phase.NORMAL or info.critical else None)
@@ -367,37 +366,16 @@ def _sector_minimum(H: sp.csr_matrix, idx: np.ndarray,
     return float(w[0]), v[:, 0]
 
 
-def _add_created(out: np.ndarray, coef, psi: np.ndarray, axis: int):
-    """out += coef a^dag psi, a^dag raising the mode on axis of psi."""
-    src, dst = np.moveaxis(psi, axis, -1), np.moveaxis(out, axis, -1)
-    dst[..., 1:] += (coef * np.sqrt(np.arange(1, src.shape[-1]))
-                     * src[..., :-1])
-
-
-def _pair_state(Z: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """<n|exp(a^dag Z a^dag / 2)|0> on the Fock box of this shape, slice by
-    slice of mode 0: G(n + e_0) = sum_j Z_0j (a_j^dag G)(n) / sqrt(n_0 + 1)."""
-    psi = np.zeros(shape, dtype=complex)
-    psi[0] = _pair_state(Z[1:, 1:], shape[1:]) if len(shape) > 1 else 1.0
-    for n in range(shape[0] - 1):
-        nxt = Z[0, 0] * math.sqrt(n) * psi[max(n - 1, 0)]
-        for j in range(1, len(shape)):
-            _add_created(nxt, Z[0, j], psi[n], j - 1)
-        psi[n + 1] = nxt / math.sqrt(n + 1)
-    return psi
-
-
-def _pair_rows(form: QuadraticForm) -> tuple[np.ndarray, ...] | None:
-    """The polariton rows (X, Y) of a stable form and the pair matrix
-    Z = -X^-1 Y of its vacuum exp(a^dag Z a^dag / 2)|0>; None when the
-    form is unstable or gapless."""
+def _pair_matrix(form: QuadraticForm) -> np.ndarray | None:
+    """The pair matrix Z = -X^-1 Y of the vacuum exp(a^dag Z a^dag / 2)|0>
+    of a stable form with polariton rows (X, Y); None when the form is
+    unstable or gapless."""
     try:
         T = symplectic_diagonalize(form).transform
     except InstabilityError:
         return None
     n = form.n_modes
-    X, Y = T[:n, :n], T[:n, n:]
-    return X, Y, -np.linalg.solve(X, Y)
+    return -np.linalg.solve(T[:n, :n], T[:n, n:])
 
 
 def _gaussian_shell(form: QuadraticForm, top: int) -> float:
@@ -408,11 +386,11 @@ def _gaussian_shell(form: QuadraticForm, top: int) -> float:
     (its Takagi factors) make the level, the total boson number, a sum of
     independent squeezed vacua, P(2m) = sqrt(1 - z^2) C(2m, m) (z/2)^(2m),
     convolved up to level top."""
-    rows = _pair_rows(form)
-    if rows is None:
+    Z = _pair_matrix(form)
+    if Z is None:
         return math.inf
     level, m = np.eye(1, top + 1)[0], np.arange(1, top // 2 + 1)
-    for z in np.linalg.svd(rows[2], compute_uv=False):
+    for z in np.linalg.svd(Z, compute_uv=False):
         mode = np.zeros(top + 1)
         mode[::2] = math.sqrt(1.0 - z * z) * np.cumprod(
             np.r_[1.0, (m - 0.5) / m * z * z])
@@ -422,40 +400,12 @@ def _gaussian_shell(form: QuadraticForm, top: int) -> float:
     return int(below[0]) + 1 if below.size else math.inf
 
 
-def _hp_starts(form: QuadraticForm, sub: tuple[np.ndarray, ...],
-               gauge: np.ndarray, sectors,
-               draws: list[np.ndarray]) -> list[np.ndarray]:
-    """Sector starts from the polariton rows (X, Y) of a normal-phase form
-    over the basis axes, on the states sub (one grid index array per
-    axis) with the gauge D there: G = exp(a^dag Z a^dag / 2)|0>,
-    Z = -X^-1 Y, and b_soft^dag G, each taken on the smallest Fock box
-    that holds sub, then on its sector idx (positions in sub) into the
-    gauge (D^dag), phase-fixed and real, plus 1e-6 of its unit draw; the
-    draws when the form is unstable."""
-    rows = _pair_rows(form)
-    if rows is None:
-        return draws
-    X, Y, Z = rows
-    n = form.n_modes
-    even = _pair_state(Z, tuple(int(i.max()) + 1 for i in sub))
-    w = X[0].conj() + Y[0].conj() @ Z
-    odd = np.zeros_like(even)
-    for j in range(n):
-        _add_created(odd, w[j], even, j)
-    starts = []
-    for psi, idx, r in zip((even, odd), sectors, draws):
-        v = psi[tuple(i[idx] for i in sub)] * gauge[idx].conj()
-        v = (v * v[np.argmax(np.abs(v))].conjugate()).real
-        starts.append(v / np.linalg.norm(v) + 1e-6 * r / np.linalg.norm(r))
-    return starts
-
-
-def _solve(H: sp.spmatrix, basis: _Basis, seed: int, p=None) -> EDResult:
-    """Ground state of the real symmetric H of the params p on the support
-    of this basis from the lowest eigenpair of each parity sector there:
-    dense when the grid has at most _DENSE_DIM states, else by ARPACK
-    starting from each sector's part of a seeded draw or from the HP
-    state of basis._hp_form(p).  The state is embedded in the grid.
+def _solve(H: sp.spmatrix, basis: _Basis, seed: int) -> EDResult:
+    """Ground state of the real symmetric H on the support of this basis
+    from the lowest eigenpair of each parity sector there: dense when the
+    grid has at most _DENSE_DIM states, else by ARPACK starting from each
+    sector's part of a draw seeded by seed.  The state is embedded in the
+    grid.
 
     The odd minimum is the ground state only when it lies lower by more
     than SOLVE_TOL*max(1, |E|); a cat pair degenerate to that accuracy
@@ -473,14 +423,7 @@ def _solve(H: sp.spmatrix, basis: _Basis, seed: int, p=None) -> EDResult:
                   for block in _dense_blocks(H, parity, sectors)]
     else:
         v0 = np.random.default_rng(seed).standard_normal(support.size)
-        starts = [v0[idx] for idx in sectors]
-        del v0
-        form = basis._hp_form(p) if p is not None else None
-        if form is not None:
-            starts = _hp_starts(form, np.unravel_index(support, basis.shape),
-                                gauge[support], sectors, starts)
-        minima = [_sector_minimum(H, idx, s)
-                  for idx, s in zip(sectors, starts)]
+        minima = [_sector_minimum(H, idx, v0[idx]) for idx in sectors]
     (e_even, v_even), (e_odd, v_odd) = minima
     sign = (-1.0 if e_odd < e_even - SOLVE_TOL * max(1.0, abs(e_even))
             else 1.0)
@@ -501,14 +444,12 @@ def _solve(H: sp.spmatrix, basis: _Basis, seed: int, p=None) -> EDResult:
                     n_max_used=basis.n_max)
 
 
-def ground_state(H: sp.spmatrix, basis: EDBasis, seed: int = DEFAULT_SEED,
-                 *, params: DickeParams | None = None) -> EDResult:
+def ground_state(H: sp.spmatrix, basis: EDBasis,
+                 seed: int = DEFAULT_SEED) -> EDResult:
     """Lowest state of each parity sector of H, the Hamiltonian on the
     basis's support, deterministic for a fixed seed; the ground state is
-    a parity eigenstate on the whole grid (see _solve).  Given the params
-    of H, ARPACK starts at a normal point from the HP state of
-    dicke_quadratic_form, HP boson k = m + j (_hp_starts)."""
-    return _solve(H, basis, seed, params)
+    a parity eigenstate on the whole grid (see _solve)."""
+    return _solve(H, basis, seed)
 
 
 def _photon_rows(result: EDResult, basis: _Basis) -> np.ndarray:
@@ -606,12 +547,12 @@ def _solve_at(p, basis: _Basis, budget_nnz: int, seed: int) -> EDResult:
         shell = min(_gaussian_shell(form, int(levels[-1])), 30)
         while shell < levels[-1]:
             at = replace(basis, shell=shell)
-            res = solve(build(p, at), at, seed=seed, params=p)
+            res = solve(build(p, at), at, seed=seed)
             edge = res.state[levels >= shell - 1]
             if np.vdot(edge, edge).real < np.finfo(float).eps:
                 return res
             shell = math.ceil(1.5 * shell)
-    return solve(build(p, basis), basis, seed=seed, params=p)
+    return solve(build(p, basis), basis, seed=seed)
 
 
 def _probe_hp(p, res: EDResult, at: _Basis, probe: _Basis) -> float:
@@ -717,10 +658,10 @@ def _row(p, basis: _Basis, n_max: int | None = None, tol: float = 1e-8,
          budget_nnz: int = DEFAULT_BUDGET_NNZ, seed: int = DEFAULT_SEED
          ) -> tuple[EDResult, float, FluctuationReport]:
     """One ED row of the params p on bases like this one: the solve at an
-    explicit n_max (_solve_at, HP start included), else the solve that
-    the model's public walk accepted, with the photon entropy (bits) and
-    fluctuation report of its state at its n_max_used.  Every step goes
-    through the model's public functions (basis._api())."""
+    explicit n_max (_solve_at), else the solve that the model's public
+    walk accepted, with the photon entropy (bits) and fluctuation report
+    of its state at its n_max_used.  Every step goes through the model's
+    public functions (basis._api())."""
     res = (basis._api()[4](p, tol=tol, budget_nnz=budget_nnz, seed=seed)
            if n_max is None
            else _solve_at(p, replace(basis, n_max=n_max), budget_nnz, seed))

@@ -35,7 +35,7 @@ def _walked(p, basis):
     n = walk.n_max_used
     at = replace(basis, n_max=n)
     build, solve, *_ = at._api()
-    res = solve(build(p, at), at, params=p)
+    res = solve(build(p, at), at)
     assert res.cutoff_converged
     return at, res, replace(basis, n_max=max(n + 1, math.ceil(1.25 * n)))
 
@@ -54,7 +54,7 @@ def _walked(p, basis):
 def test_probe_matches_the_exact_probe_solve(p, basis):
     at, res, probe = _walked(p, basis)
     build, solve, moments, *_ = probe._api()
-    exact = solve(build(p, probe), probe, params=p)
+    exact = solve(build(p, probe), probe)
     assert exact.parity == res.parity
     assert ed._probe_hp(p, res, at, probe) == pytest.approx(
         moments(exact, probe).hp, rel=1e-11, abs=0)
@@ -66,7 +66,7 @@ def test_sparse_probe_matches_the_exact_probe_solve():
     at, res, probe = _walked(p, EDBasis(32, 1))
     assert (at.n_max, probe.n_max, probe.dim) == (87, 109, 3630)
     assert at.dim > ed._DENSE_DIM
-    exact = ed.ground_state(ed.build_hamiltonian(p, probe), probe, params=p)
+    exact = ed.ground_state(ed.build_hamiltonian(p, probe), probe)
     assert ed._probe_hp(p, res, at, probe) == pytest.approx(
         ed.photon_moments_ed(exact, probe).hp, rel=1e-11, abs=0)
 

@@ -26,7 +26,7 @@ def _ascending_walk(p, basis, tol=1e-8, seed=DEFAULT_SEED):
 
     def solved(n):
         at = replace(basis, n_max=n)
-        res = solve(build(p, at), at, seed=seed, params=p)
+        res = solve(build(p, at), at, seed=seed)
         return res, moments(res, at).hp
 
     n0 = basis._n0(p)

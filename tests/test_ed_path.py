@@ -1,15 +1,17 @@
 """The one ED path behind both models' public names: every sweep, the
 figure-3 size insets and the one-shot double_ed reach the eleven public
 ED functions through their module attributes, as often as the walk and
-the fixed-cutoff solve need, and double_ed gives the bits of the sweep
-row at the same point."""
+the fixed-cutoff solve need, double_ed gives the bits of the sweep row
+at the same point, and a seeded sparse solve repeats bit for bit."""
 
 import collections
 import math
 
+import numpy as np
 import pytest
 
 from hpdicke import double_ed, ed, figures, sweeps
+from hpdicke.dicke import DickeParams
 from hpdicke.double import DoubleDickeParams
 
 PUBLIC = {ed: ("build_hamiltonian", "ground_state", "photon_moments_ed",
@@ -130,8 +132,8 @@ def test_double_ed_calls_each_public_name(calls):
 
 
 def test_double_ed_is_the_sweep_row():
-    """At a sparse normal point double_ed starts from the HP state as the
-    sweep does, so every cell agrees bitwise."""
+    """At a sparse normal point double_ed solves from the seeded draw as
+    the sweep does, so every cell agrees bitwise."""
     cfg = sweeps.SweepConfig.from_dict(dict(
         model="double-dicke", mode="ed", n_spins=16, n_max=40,
         theta=math.atan2(0.2, 0.3), r_min=math.hypot(0.3, 0.2),
@@ -146,3 +148,22 @@ def test_double_ed_is_the_sweep_row():
                converged=res.cutoff_converged, dx=rep.dx, dp=rep.dp,
                hp=rep.hp, s_vn=s)
     assert got == {c: row[c] for c in got}
+
+
+@pytest.mark.parametrize("model", ["single", "double"])
+def test_seeded_sparse_solve_is_deterministic(model):
+    if model == "single":
+        p, basis = DickeParams(1.0, 1.0, 0.4), ed.EDBasis(30, 44)
+    else:
+        # three quarters of the way to the chain-C line on theta = pi/8
+        r = 0.375 / math.cos(math.pi / 8)
+        p = DoubleDickeParams(1.0, 1.0, 1.0, r * math.cos(math.pi / 8),
+                              r * math.sin(math.pi / 8), 8, 8)
+        basis = double_ed.DoubleEDBasis(8, 8, 30)
+    assert basis.dim > ed._DENSE_DIM
+    build, solve, *_ = basis._api()
+    H = build(p, basis)
+    a, b = solve(H, basis, seed=3), solve(H, basis, seed=3)
+    assert np.array_equal(a.state, b.state)
+    assert (a.ground_energy, a.gap01, a.parity) == (
+        b.ground_energy, b.gap01, b.parity)

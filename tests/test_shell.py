@@ -3,8 +3,9 @@ more than _DENSE_DIM states at a normal or critical point is solved on
 the shell n + sum of k <= K, from the shell that the row's HP Gaussian
 predicts (at most 30), grown until its top two levels are empty.  Such
 rows match a full-grid solve to machine precision, a normal row of the
-ed-fixed lattice is one solve, a shell's H is the grid's H on the
-shell, and every other row is the full-grid row bit for bit."""
+ed-fixed lattice is one solve, an unstable form predicts no shell, a
+shell's H is the grid's H on the shell, and every other row is the
+full-grid row bit for bit."""
 
 import math
 import sys
@@ -18,6 +19,7 @@ from hpdicke import double_ed, ed, sweeps
 from hpdicke.dicke import DickeParams
 from hpdicke.double import DoubleDickeParams
 from hpdicke.errors import BudgetExceeded
+from hpdicke.gaussian import QuadraticForm
 
 _ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(_ROOT / "tools"), str(_ROOT / "bench")]
@@ -57,7 +59,7 @@ def solved(monkeypatch):
 @pytest.mark.parametrize("point", [
     # a test on level K alone accepts K = 45 here, 1e-8 off in hp
     ("single", 128, 100, 0.495),
-    ("single", 128, 100, 0.5),          # lambda_cr: no HP start
+    ("single", 128, 100, 0.5),          # lambda_cr: gapless form
     # SOLVE_TOL as the boundary weight accepts K = 20, 2.4e-10 off in s_vn
     ("single", 512, 40, 0.34),
     # an ARPACK tol of SOLVE_TOL, not taken over |E|, is 1.1e-10 off in s_vn
@@ -93,7 +95,7 @@ def _gaussian_tail(form, top: int) -> np.ndarray:
     top, from the generating function of its total boson number,
     det(1 - Q)^(1/2) / det(1 - s^2 Q)^(1/2) with Q = Z^dag Z: the
     power series of exp(sum_k tr(Q^k) s^(2k) / 2k), no singular values."""
-    Z = ed._pair_rows(form)[2]
+    Z = ed._pair_matrix(form)
     Q = Z.conj().T @ Z
     traces, power = [0.0], np.eye(len(Q))
     for _ in range(top // 2):
@@ -138,6 +140,15 @@ def test_gapless_rows_start_at_shell_30(solved, point):
     assert solved[0] == replace(grid, shell=30)
 
 
+def test_unstable_form_has_no_gaussian_shell():
+    lam = 0.6  # the normal-phase expansion past lambda_cr = 1/2
+    form = QuadraticForm(A=np.array([[1.0, lam], [lam, 1.0]]),
+                         B=np.array([[0.0, lam / 2], [lam / 2, 0.0]]),
+                         d=np.zeros(2))
+    assert ed._pair_matrix(form) is None
+    assert ed._gaussian_shell(form, 60) == math.inf
+
+
 def test_normal_single_chain_fixed_rows_are_one_solve(solved):
     points = workloads.lattice("ed-fixed")
     keys = [key for key in points if key.startswith("de:")
@@ -159,7 +170,7 @@ def test_superradiant_rows_keep_the_full_grid_bitwise(solved, point):
     res, s_vn, rep = ed._row(p, grid, grid.n_max)
     assert solved == [grid] and grid.dim > ed._DENSE_DIM
     build, solve, moments, entropy, _ = grid._api()
-    ref = solve(build(p, grid), grid, params=p)
+    ref = solve(build(p, grid), grid)
     assert np.array_equal(res.state, ref.state)
     assert (res.ground_energy, res.gap01, res.parity) == (
         ref.ground_energy, ref.gap01, ref.parity)

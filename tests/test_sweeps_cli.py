@@ -141,12 +141,18 @@ class TestRendering:
         assert isinstance(inner["hp"], float)
 
     def test_ed_sweep_parallel_matches_serial(self):
-        raw = dict(model="dicke", mode="ed", coupling_min=0.2,
-                   coupling_max=0.6, steps=3, n_spins=4)
-        serial = SweepConfig.from_dict(dict(raw, workers=1))
-        parallel = SweepConfig.from_dict(dict(raw, workers=3))
-        assert render_csv(serial, sweep_rows(serial)) \
-            == render_csv(parallel, sweep_rows(parallel))
+        # a dense walk of one chain, and sparse two-chain solves at an
+        # explicit cutoff, each seeded the same in every worker
+        for raw, workers in [
+                (dict(model="dicke", mode="ed", coupling_min=0.2,
+                      coupling_max=0.6, steps=3, n_spins=4), 3),
+                (dict(model="double-dicke", mode="ed", theta=math.pi / 8,
+                      r_min=0.2, r_max=0.4, steps=3, n_spins=8, n_max=30),
+                 2)]:
+            serial = SweepConfig.from_dict(dict(raw, workers=1))
+            parallel = SweepConfig.from_dict(dict(raw, workers=workers))
+            assert render_csv(serial, sweep_rows(serial)) \
+                == render_csv(parallel, sweep_rows(parallel)), raw["model"]
 
     @pytest.mark.parametrize("workers, steps, forked", [(64, 3, 3),
                                                         (2, 3, 2)])
@@ -237,7 +243,7 @@ class TestEdGolden:
     single-chain and one two-chain sweep from the normal phase into the
     superradiant one.  At an explicit cutoff above _DENSE_DIM: one
     normal-phase sweep of each model, solved on Holstein-Primakoff shells
-    by sparse solves that start from the Holstein-Primakoff state."""
+    by sparse solves that start from the seeded draw."""
 
     @pytest.mark.parametrize("tag", sorted(ED_GOLDEN))
     @pytest.mark.parametrize("fmt", ["csv", "json"])

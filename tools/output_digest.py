@@ -202,17 +202,17 @@ def _exact(p, basis: ed._Basis) -> tuple[float, float]:
 
 def support_line(key: str) -> str:
     """"key grid K K* support rounds hp_rel s_vn_rel" for one point of
-    the ed-fixed lattice: its sweep row, the bases its solves were given,
-    the Gaussian's shell, and the full-grid tol=0 solve of the last
-    one."""
+    the ed-fixed lattice: its sweep row, the params and bases of its
+    Hamiltonian builds (one per solve at an explicit cutoff), the
+    Gaussian's shell, and the full-grid tol=0 solve of the last one."""
     cfg = sweeps.SweepConfig.from_dict(workloads.lattice("ed-fixed")[key])
     seen = []
     saved = [(m, name, getattr(m, name)) for m, name in (
-        (ed, "ground_state"), (double_ed, "double_ground_state"))]
+        (ed, "build_hamiltonian"), (double_ed, "build_double_hamiltonian"))]
 
-    def recording(H, basis, seed=ed.DEFAULT_SEED, *, params=None, _fn):
-        seen.append((basis, params))
-        return _fn(H, basis, seed, params=params)
+    def recording(p, basis, *, _fn):
+        seen.append((p, basis))
+        return _fn(p, basis)
 
     for module, name, fn in saved:
         setattr(module, name, functools.partial(recording, _fn=fn))
@@ -221,7 +221,7 @@ def support_line(key: str) -> str:
     finally:
         for module, name, fn in saved:
             setattr(module, name, fn)
-    basis, p = seen[-1]
+    p, basis = seen[-1]
     grid = replace(basis, shell=None)
     form = grid._hp_form(p)
     predicted = ("-" if form is None else
