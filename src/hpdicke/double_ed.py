@@ -151,7 +151,7 @@ def double_ground_state(H: sp.csr_matrix, basis: DoubleEDBasis,
     build_double_hamiltonian writes it, with the phases D put back on
     the state, deterministic for a fixed seed; the ground state is the
     lower one, a total-parity eigenstate of the physical Hamiltonian
-    (see ed._solve)."""
+    (see ed._solve).  H is not modified."""
     return _solve(H, basis, seed)
 
 

@@ -18,9 +18,9 @@ C-order grid whose parity is its checkerboard, and share one path.  The
 basis describes the model (_Basis): grid, support, parity, gauge,
 entropy floor, HP form and walk start.  _solve finds the lowest
 eigenpair of each parity sector on the basis's support (Emary & Brandes,
-PRE 67, 066203 (2003)): for a grid of up to _DENSE_DIM states densely,
-on blocks scattered straight from the CSR arrays (_dense_blocks); above
-it with ARPACK, from a seeded draw, so a row depends only on its params,
+PRE 67, 066203 (2003)), on scipy's restriction H[idx][:, idx] of H to
+the sector idx: for a grid of up to _DENSE_DIM states densely; above it
+with ARPACK, from a seeded draw, so a row depends only on its params,
 N, n_max and seed.  The ground state is the lower of the two, a parity
 eigenstate, so the superradiant cat pair needs no separate resolution;
 it is embedded in the grid, so _moments and _entropy reduce it on the
@@ -50,7 +50,7 @@ import functools
 import itertools
 import math
 import warnings
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
 
@@ -320,48 +320,33 @@ def parity_diagonal(basis: EDBasis) -> np.ndarray:
     return _checkerboard(basis.shape)
 
 
-def _dense_blocks(H: sp.csr_matrix, parity: np.ndarray,
-                  sectors) -> Iterator[np.ndarray]:
-    """The dense block H[idx][:, idx] of each sector idx, made only when
-    the previous one is taken, so a caller that is done with a block
-    holds one at a time.  The entries of H that join two states of one
-    sector are scattered into its block at their positions in it, one
-    numpy scatter per block; with duplicate entries summed first, this is
-    the block bitwise."""
-    H.sum_duplicates()
-    at = np.empty(parity.size, dtype=np.intp)
-    for idx in sectors:
-        at[idx] = np.arange(idx.size)
-    per_row = np.diff(H.indptr)
-    rows, cols = np.repeat(at, per_row), at[H.indices]
-    row_even, col_even = np.repeat(parity > 0, per_row), parity[H.indices] > 0
-    for idx, keep in zip(sectors, (row_even & col_even,
-                                   ~(row_even | col_even))):
-        block = np.zeros((idx.size, idx.size))
-        block[rows[keep], cols[keep]] = H.data[keep]
-        yield block
-
-
-def _dense_minimum(block: np.ndarray) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of a dense sector block."""
-    w, v = _scipy().linalg.eigh(block, subset_by_index=[0, 0])
+def _dense_minimum(block: sp.csr_matrix) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of a sector block H[idx][:, idx], densified into
+    an empty array, which toarray zeroes by writing it: its own
+    zero-filled array is read before it is written, so each fresh page
+    faults twice (1,303 faults against 669 for a block of 585 states)."""
+    w, v = _scipy().linalg.eigh(
+        block.toarray(out=np.empty(block.shape, block.dtype)),
+        subset_by_index=[0, 0])
     return float(w[0]), v[:, 0]
 
 
-def _sector_minimum(H: sp.csr_matrix, idx: np.ndarray,
+def _sector_minimum(block: sp.csr_matrix,
                     v0: np.ndarray) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of H restricted to the basis states idx, by ARPACK
-    from v0.  ARPACK's tol is relative to the Ritz value, so it is
-    SOLVE_TOL over the block's lowest diagonal entry (about -N omega0/2):
-    the residual target stays near SOLVE_TOL at every N."""
-    block = H[idx][:, idx]
+    """Lowest eigenpair of a sector block H[idx][:, idx], by ARPACK from
+    v0, with any duplicate entries summed first: the block is scipy's
+    copy, so the caller's H is left as it was.  ARPACK's tol is relative
+    to the Ritz value, so it is SOLVE_TOL over the block's lowest
+    diagonal entry (about -N omega0/2): the residual target stays near
+    SOLVE_TOL at every N."""
+    block.sum_duplicates()
     tol = SOLVE_TOL / max(1.0, abs(float(block.diagonal().min())))
     try:
         w, v = _scipy().sparse.linalg.eigsh(block, k=1, which="SA", v0=v0,
                                             tol=tol)
     except _scipy().sparse.linalg.ArpackNoConvergence as exc:
         raise ConvergenceError(
-            f"eigensolver stalled at dim {idx.size} of {H.shape[0]}",
+            f"eigensolver stalled on a sector of dim {block.shape[0]}",
             iterations=getattr(exc, "iterations", None)) from exc
     return float(w[0]), v[:, 0]
 
@@ -402,10 +387,11 @@ def _gaussian_shell(form: QuadraticForm, top: int) -> float:
 
 def _solve(H: sp.spmatrix, basis: _Basis, seed: int) -> EDResult:
     """Ground state of the real symmetric H on the support of this basis
-    from the lowest eigenpair of each parity sector there: dense when the
-    grid has at most _DENSE_DIM states, else by ARPACK starting from each
-    sector's part of a draw seeded by seed.  The state is embedded in the
-    grid.
+    from the lowest eigenpair of each parity sector idx there, on the
+    block H[idx][:, idx]: dense when the grid has at most _DENSE_DIM
+    states, one block densified at a time, else by ARPACK starting from
+    each sector's part of a draw seeded by seed.  H itself is not
+    modified.  The state is embedded in the grid.
 
     The odd minimum is the ground state only when it lies lower by more
     than SOLVE_TOL*max(1, |E|); a cat pair degenerate to that accuracy
@@ -418,12 +404,12 @@ def _solve(H: sp.spmatrix, basis: _Basis, seed: int) -> EDResult:
     support, gauge = basis.support, basis.gauge
     parity = basis.parity[support]
     sectors = (np.flatnonzero(parity > 0), np.flatnonzero(parity < 0))
+    blocks = (H[idx][:, idx] for idx in sectors)
     if basis.dim <= _DENSE_DIM:
-        minima = [_dense_minimum(block)
-                  for block in _dense_blocks(H, parity, sectors)]
+        minima = [_dense_minimum(block) for block in blocks]
     else:
         v0 = np.random.default_rng(seed).standard_normal(support.size)
-        minima = [_sector_minimum(H, idx, v0[idx]) for idx in sectors]
+        minima = [_sector_minimum(b, v0[i]) for b, i in zip(blocks, sectors)]
     (e_even, v_even), (e_odd, v_odd) = minima
     sign = (-1.0 if e_odd < e_even - SOLVE_TOL * max(1.0, abs(e_even))
             else 1.0)
@@ -448,7 +434,8 @@ def ground_state(H: sp.spmatrix, basis: EDBasis,
                  seed: int = DEFAULT_SEED) -> EDResult:
     """Lowest state of each parity sector of H, the Hamiltonian on the
     basis's support, deterministic for a fixed seed; the ground state is
-    a parity eigenstate on the whole grid (see _solve)."""
+    a parity eigenstate on the whole grid (see _solve).  H is not
+    modified."""
     return _solve(H, basis, seed)
 
 
@@ -570,7 +557,7 @@ def _probe_hp(p, res: EDResult, at: _Basis, probe: _Basis) -> float:
     build, _, moments, *_ = probe._api()
     idx = np.flatnonzero(probe.parity == res.parity)
     psi = np.pad((at.gauge.conj() * res.state).real, (0, probe.dim - at.dim))
-    psi[idx] = _sector_minimum(build(p, probe), idx, psi[idx])[1]
+    psi[idx] = _sector_minimum(build(p, probe)[idx][:, idx], psi[idx])[1]
     return moments(replace(res, state=probe.gauge * psi), probe).hp
 
 

@@ -200,9 +200,13 @@ def _coerced(kwargs: dict, known: dict) -> dict:
         elif hint in ("int", int):
             out[name] = _integer(name, value)
         elif hint in ("float", float):
+            if isinstance(value, (bool, np.bool_)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
             out[name] = float(value)
-        else:
+        elif isinstance(value, str) or (value is None and name == "out"):
             out[name] = value
+        else:
+            raise ConfigError(f"{name} must be a string, got {value!r}")
     return out
 
 

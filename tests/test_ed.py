@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import assert_dense_blocks
-from hpdicke import ed
 from hpdicke.dicke import DickeParams
 from hpdicke.ed import (_DENSE_DIM, TOP_ROW_TOL, EDBasis, build_hamiltonian,
                         converge_cutoff, ground_state, parity_diagonal,
@@ -99,31 +97,6 @@ def test_builder_matches_coo_assembly(n_spins, n_max, omega, omega0, lam):
     assert H.has_canonical_format
     assert not np.any(H.data == 0)
     assert H.nnz <= basis.max_nnz
-    if basis.dim <= _DENSE_DIM:
-        assert_dense_blocks(H, basis)
-
-
-def test_dense_blocks_of_any_csr_are_scipys():
-    # a CSR with duplicate entries, (0, 0) and (5, 2), and one joining
-    # the two parity sectors, (0, 1): the duplicates are summed and the
-    # joining entry left out, as H[idx][:, idx].toarray() does
-    basis = EDBasis(3, 5)
-    H = build_hamiltonian(DickeParams(1.0, 1.0, 0.7), basis)
-    rows = [list(zip(H.indices[a:b], H.data[a:b]))
-            for a, b in zip(H.indptr[:-1], H.indptr[1:])]
-    rows[0] += [(0, 0.25), (1, -1.5)]
-    rows[5] += [(2, 2.0)]
-    G = sp.csr_matrix(([v for r in rows for _, v in r],
-                       [c for r in rows for c, _ in r],
-                       np.cumsum([0] + [len(r) for r in rows])),
-                      shape=H.shape)
-    assert not G.has_canonical_format
-    parity = basis.parity
-    sectors = (np.flatnonzero(parity > 0), np.flatnonzero(parity < 0))
-    want = [G[idx][:, idx].toarray() for idx in sectors]
-    got = list(ed._dense_blocks(G, parity, sectors))
-    assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
-    assert got[0][2, 1] == H[5, 2] + 2.0  # states 5 and 2 are even
 
 
 def test_exact_symmetry_and_parity_commutation():

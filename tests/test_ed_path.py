@@ -2,7 +2,9 @@
 figure-3 size insets and the one-shot double_ed reach the eleven public
 ED functions through their module attributes, as often as the walk and
 the fixed-cutoff solve need, double_ed gives the bits of the sweep row
-at the same point, and a seeded sparse solve repeats bit for bit."""
+at the same point, a seeded sparse solve repeats bit for bit, and a
+solve leaves the matrix it is given as it was, summing its duplicate
+entries."""
 
 import collections
 import math
@@ -150,16 +152,23 @@ def test_double_ed_is_the_sweep_row():
     assert got == {c: row[c] for c in got}
 
 
+def _point(model, dense=False):
+    """A normal point and a basis of that model, dense or above
+    ed._DENSE_DIM."""
+    if model == "single":
+        return DickeParams(1.0, 1.0, 0.4), ed.EDBasis(*(
+            (3, 12) if dense else (30, 44)))
+    # three quarters of the way to the chain-C line on theta = pi/8
+    n = 3 if dense else 8
+    r = 0.375 / math.cos(math.pi / 8)
+    p = DoubleDickeParams(1.0, 1.0, 1.0, r * math.cos(math.pi / 8),
+                          r * math.sin(math.pi / 8), n, n)
+    return p, double_ed.DoubleEDBasis(n, n, 12 if dense else 30)
+
+
 @pytest.mark.parametrize("model", ["single", "double"])
 def test_seeded_sparse_solve_is_deterministic(model):
-    if model == "single":
-        p, basis = DickeParams(1.0, 1.0, 0.4), ed.EDBasis(30, 44)
-    else:
-        # three quarters of the way to the chain-C line on theta = pi/8
-        r = 0.375 / math.cos(math.pi / 8)
-        p = DoubleDickeParams(1.0, 1.0, 1.0, r * math.cos(math.pi / 8),
-                              r * math.sin(math.pi / 8), 8, 8)
-        basis = double_ed.DoubleEDBasis(8, 8, 30)
+    p, basis = _point(model)
     assert basis.dim > ed._DENSE_DIM
     build, solve, *_ = basis._api()
     H = build(p, basis)
@@ -167,3 +176,28 @@ def test_seeded_sparse_solve_is_deterministic(model):
     assert np.array_equal(a.state, b.state)
     assert (a.ground_energy, a.gap01, a.parity) == (
         b.ground_energy, b.gap01, b.parity)
+
+
+@pytest.mark.parametrize("dense", [True, False])
+@pytest.mark.parametrize("model", ["single", "double"])
+def test_solve_leaves_the_matrix_and_sums_its_duplicates(model, dense):
+    """A CSR whose second stored entry, a coupling, is split into two
+    exact halves is solved as the canonical matrix, bit for bit, and
+    left as it was passed."""
+    p, basis = _point(model, dense)
+    assert (basis.dim <= ed._DENSE_DIM) == dense
+    build, solve, *_ = basis._api()
+    H = build(p, basis)
+    data = np.insert(H.data, 1, H.data[1] / 2)
+    data[2] /= 2
+    G = type(H)((data, np.insert(H.indices, 1, H.indices[1]),
+                 H.indptr + (np.arange(H.indptr.size) > 0)), shape=H.shape)
+    assert not G.has_canonical_format
+    arrays = [a.copy() for a in (G.data, G.indices, G.indptr)]
+    got, want = solve(G, basis, seed=3), solve(H, basis, seed=3)
+    assert not G.has_canonical_format
+    for a, b in zip((G.data, G.indices, G.indptr), arrays):
+        assert a.tobytes() == b.tobytes()
+    assert got.state.tobytes() == want.state.tobytes()
+    assert (got.ground_energy, got.gap01, got.parity) == (
+        want.ground_energy, want.gap01, want.parity)

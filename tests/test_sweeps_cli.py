@@ -685,6 +685,44 @@ class TestCli:
         assert (config["budget_nnz"], config["n_spins"], config["steps"],
                 config["n_max"]) == (10_000_000, 8, 5, 12)
 
+    @staticmethod
+    def _config_file(tmp_path, raw, as_json):
+        """raw as a JSON object or as key=value lines of JSON values."""
+        path = tmp_path / "c.cfg"
+        path.write_text(json.dumps(raw) if as_json else "".join(
+            f"{key} = {json.dumps(value)}\n" for key, value in raw.items()))
+        return str(path)
+
+    @pytest.mark.parametrize("raw", [
+        {"omega": True}, {"tol": True}, {"coupling_min": False},
+        {"coupling_max": True},
+        {"model": "double-dicke", "theta": False},
+    ])
+    @pytest.mark.parametrize("as_json", [True, False])
+    def test_boolean_float_field_exits_2(self, tmp_path, capsys, raw,
+                                         as_json):
+        cfg_path = self._config_file(tmp_path, raw, as_json)
+        assert cli.main(["validate-config", "--config", cfg_path]) == 2
+        key, value = list(raw.items())[-1]
+        assert (f"{key} must be a number, got {value!r}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("key,value", [
+        ("out", 2024), ("out", 7), ("model", 1), ("mode", ["ed"]),
+        ("format", True)])
+    @pytest.mark.parametrize("as_json", [True, False])
+    def test_non_string_text_field_exits_2(self, tmp_path, monkeypatch,
+                                           capsys, key, value, as_json):
+        monkeypatch.chdir(tmp_path)
+        cfg_path = self._config_file(tmp_path, {key: value}, as_json)
+        args = ["sweep", "--config", cfg_path]
+        if key != "out":
+            args += ["--out", "s.csv"]
+        assert cli.main(args) == 2
+        assert (f"{key} must be a string, got {value!r}"
+                in capsys.readouterr().err)
+        assert [f.name for f in tmp_path.iterdir()] == ["c.cfg"]
+
     def test_option_overrides_either_spelling_in_the_file(self, tmp_path,
                                                            capsys):
         path = tmp_path / "c.cfg"
