@@ -7,14 +7,16 @@ D = i where U_C = -1, every chain-C term connects equal U_C and stays
 real, while every chain-I term flips U_C and picks up a factor +-i that
 makes it real too, so D^dag H D is exactly real symmetric.
 build_double_hamiltonian writes that matrix, the diagonal and at most
-eight couplings per row, through ed._offset_csr as the single-chain one;
-it commutes with the total parity U_C U_I.  The rest is the one ED path
-of ed, which DoubleEDBasis describes this model to: a large grid at a
-normal or critical point is solved on the HP shell n + k_C + k_I <= K
-(ed._solve_at), ARPACK starts from a seeded draw, and the phases D are
-put back on the ground state, embedded in the grid, before any moment
-is taken.
-symmetry_residuals checks the physical D H_r D^dag.
+eight couplings per row, through ed._offset_csr as the single-chain one:
+it passes the four couplings toward n + 1, and the writer adds their
+transposes.  The matrix commutes with the total parity U_C U_I.  The
+rest is the one ED path of ed, which DoubleEDBasis describes this model
+to: a large grid at a normal or critical point is solved on the HP
+shell n + k_C + k_I <= K (ed._solve_at), ARPACK starts from a seeded
+draw, and the phases D are put back on the ground state, embedded in
+the grid, before any moment is taken.
+symmetry_residuals checks the physical D H_r D^dag on the basis's
+support.
 
 Basis layout: flat index n*(n_c+1)*(n_i+1) + mc_idx*(n_i+1) + mi_idx with
 mc_idx = m_C + N_C/2, mi_idx = m_I + N_I/2.
@@ -94,7 +96,9 @@ def build_double_hamiltonian(p: DoubleDickeParams,
     """The two-chain Hamiltonian, couplings scaled by the respective
     1/sqrt(N_k), as D^dag H D: real symmetric float64 in canonical CSR with
     no stored zeros.  The physical matrix is D H_r D^dag, with D = 1 where
-    U_C = double_parities(basis)[0] is +1 and i where it is -1."""
+    U_C = double_parities(basis)[0] is +1 and i where it is -1.  Each
+    coupling toward n + 1 is indexed by the lower n, mc and mi of the
+    pair it joins, and _offset_csr writes its transpose from it."""
     nn, nc = basis.n_max + 1, basis.n_c + 1
     m_c, lad_c = _spin_diagonals(basis.n_c)
     m_i, lad_i = _spin_diagonals(basis.n_i)
@@ -105,15 +109,12 @@ def build_double_hamiltonian(p: DoubleDickeParams,
     diag = ((p.omega_cav * levels[:, None, None] + p.omega0_c * m_c[:, None])
             + p.omega0_i * m_i)
     # i(a - a^dag) is -i on the row with more photons; the gauge makes it
-    # U_C(row) toward n - 1 and -U_C(row) toward n + 1
+    # -U_C at the pair's lower n on both corners, as U_C flips with n
     u_c = _checkerboard((nn, nc)).reshape(nn, nc, 1)
-    down_i, up_i = u_c[1:] * amp_i, -u_c[:-1] * amp_i
-    # to n - 1 (mc - 1, mi - 1, mi + 1, mc + 1), diagonal, to n + 1
-    return _offset_csr(basis, [((-1, -1, 0), amp_c), ((-1, 0, -1), down_i),
-                               ((-1, 0, 1), down_i), ((-1, 1, 0), amp_c),
-                               ((0, 0, 0), diag),
-                               ((1, -1, 0), amp_c), ((1, 0, -1), up_i),
-                               ((1, 0, 1), up_i), ((1, 1, 0), amp_c)])
+    up_i = -u_c[:-1] * amp_i
+    # to n + 1: mc - 1, mi - 1, mi + 1, mc + 1
+    return _offset_csr(basis, diag, [((1, -1, 0), amp_c), ((1, 0, -1), up_i),
+                                     ((1, 0, 1), up_i), ((1, 1, 0), amp_c)])
 
 
 def double_parities(basis: DoubleEDBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -132,11 +133,11 @@ def symmetry_residuals(H: sp.csr_matrix,
                        basis: DoubleEDBasis) -> tuple[float, float, float]:
     """Max-abs residuals of the two antiunitary invariances
     U_k conj(H) - H U_k and of total-parity commutation of the physical
-    matrix D H D^dag, for H as build_double_hamiltonian writes it; all
-    exactly zero for a correctly assembled matrix."""
-    sp = _scipy().sparse
-    u_c, u_i = double_parities(basis)
-    D = sp.diags(basis.gauge)
+    matrix D H D^dag, for H as build_double_hamiltonian writes it on the
+    basis's support; all exactly zero for a correctly assembled matrix."""
+    sp, support = _scipy().sparse, basis.support
+    u_c, u_i = (u[support] for u in double_parities(basis))
+    D = sp.diags(basis.gauge[support])
     H = D @ H @ D.conj()
     res = [U @ H.conj() - H @ U for U in (sp.diags(u_c), sp.diags(u_i))]
     P = sp.diags(u_c * u_i)

@@ -11,7 +11,8 @@ is real symmetric with at most five nonzeros per row and commutes exactly
 with the parity (-1)^(n + m + j), which is diagonal in this basis.
 _offset_csr writes it, and the real two-chain matrix of double_ed, on
 a basis's support straight into canonical float64 CSR with no stored
-zeros.
+zeros, in one pass from the diagonal and the couplings toward more
+photons: it adds each coupling's transpose from the same values.
 
 Both models are this Fock ladder times one or two maximal-j spins, a
 C-order grid whose parity is its checkerboard, and share one path.  The
@@ -102,24 +103,26 @@ class _Basis:
     """A model at one cutoff as the shared ED path reads it: the C-order
     grid of a subclass's shape, (n_max + 1, N + 1) or (n_max + 1,
     N_C + 1, N_I + 1), whose fields (chain sizes, then n_max) are
-    positive integers.  The photon number is the outer index, so the top
-    Fock slab is the last prod(shape[1:]) states.  The last field, shell,
-    is None for the whole grid, or a level K: H is then written and
-    solved on the support, the grid states whose HP level n + sum of k
-    (each chain's spin index k = m + j) is at most K, while the state is
-    embedded in the grid (see _solve_at).  Subclasses give shape;
-    _entropy_floor, below which reduced-density eigenvalues carry no
-    entropy; _hp_form(p), the HP form at a normal or critical point of
-    the params p (else None); _n0(p), the walk's start; and _api, the
-    model's public (build, solve, moments, entropy, walk), looked up when
-    it is called; the walk takes (p, tol=, budget_nnz=, seed=)."""
+    positive integers, not booleans.  The photon number is the outer
+    index, so the top Fock slab is the last prod(shape[1:]) states.  The
+    last field, shell, is None for the whole grid, or a level K: H is
+    then written and solved on the support, the grid states whose HP
+    level n + sum of k (each chain's spin index k = m + j) is at most K,
+    while the state is embedded in the grid (see _solve_at).  Subclasses
+    give shape; _entropy_floor, below which reduced-density eigenvalues
+    carry no entropy; _hp_form(p), the HP form at a normal or critical
+    point of the params p (else None); _n0(p), the walk's start; and
+    _api, the model's public (build, solve, moments, entropy, walk),
+    looked up when it is called; the walk takes (p, tol=, budget_nnz=,
+    seed=)."""
 
     def __post_init__(self):
         for f in fields(self):
             k = getattr(self, f.name)
             if f.name == "shell" and k is None:
                 continue
-            if not (isinstance(k, (int, np.integer)) and k >= 1):
+            if not (isinstance(k, (int, np.integer))
+                    and not isinstance(k, bool) and k >= 1):
                 raise (CutoffError if f.name == "n_max" else DomainError)(
                     f"{f.name} must be a positive integer, got {k!r}")
 
@@ -255,64 +258,59 @@ def _spin_diagonals(n_spins: int) -> tuple[np.ndarray, np.ndarray]:
     return m, np.sqrt(np.clip((j - m[:-1]) * (j + m[:-1] + 1.0), 0.0, None))
 
 
-def _offset_csr(basis: _Basis, entries) -> sp.csr_matrix:
-    """Real canonical CSR matrix, with no stored zeros, on the support of
-    the basis in its own indices, from (shift, values) entries in column
-    order: an entry joins each grid state to the one shifted by the given
-    index on each axis, with values broadcast over the box of grid states
-    whose shifted state is on the grid.  It is written where both states
-    lie in the support, and only the box basis.bound that holds the
-    support is visited, so a shell's matrix costs about its own size,
-    not the grid's.  One loop counts each row's nonzeros and a second
-    writes them in place, so no temporary outgrows one entry.
+def _offset_csr(basis: _Basis, diag, up) -> sp.csr_matrix:
+    """Real symmetric canonical CSR matrix, with no stored zeros, on the
+    support of the basis in its own indices, from the diagonal and the
+    (shift, values) couplings toward more photons, in column order.  A
+    coupling joins each grid state to the one shifted by the given index
+    on each axis, with values broadcast over the box of grid states whose
+    shifted state is on the grid, indexed by the pair's lower corner: its
+    transpose is (-shift, values), so H is symmetric by construction.
+    It is written where both states lie in the support, and only the box
+    basis.bound that holds the support is visited, so a shell's matrix
+    costs about its own size, not the grid's.  One pass fills a table of
+    each box state's support-local column (-1 outside the support) and
+    value per entry, about 13 bytes per box state per entry, and keeps
+    its nonzeros inside the support row by row.
     """
+    entries = ([(tuple(-k for k in s), v) for s, v in reversed(up)]
+               + [((0,) * len(basis.shape), diag)] + up)
     support = basis.support
     itype = np.int32 if len(entries) * basis.dim < 2 ** 31 else np.int64
     local = np.full(basis.dim, -1, dtype=itype)
     local[support] = np.arange(support.size, dtype=itype)
     # each state's index in the support, -1 outside it, over the box
     rows = local.reshape(basis.shape)[tuple(map(slice, basis.bound))]
-    count = np.zeros_like(rows)
-    kept = []
-    for shift, v in entries:
+    cols = np.full(rows.shape + (len(entries),), -1, dtype=itype)
+    vals = np.zeros(cols.shape)
+    for e, (shift, v) in enumerate(entries):
         at = tuple(slice(max(0, -k), b - max(0, k))
                    for k, b in zip(shift, basis.bound))
         to = tuple(slice(max(0, k), b - max(0, -k))
                    for k, b in zip(shift, basis.bound))
         full = [n - abs(k) for k, n in zip(shift, basis.shape)]
-        v = np.broadcast_to(v, full)[tuple(slice(x.stop - x.start)
-                                           for x in at)]
-        nz = (v != 0) & (rows[at] >= 0) & (rows[to] >= 0)
-        count[at] += nz
-        kept.append((at, to, v, nz))
+        cols[at + (e,)] = rows[to]
+        vals[at + (e,)] = np.broadcast_to(v, full)[
+            tuple(slice(x.stop - x.start) for x in at)]
     inside = rows >= 0
+    keep = (vals != 0) & (cols >= 0) & inside[..., None]
     indptr = np.zeros(support.size + 1, dtype=itype)
-    np.cumsum(count[inside], out=indptr[1:])
-    data = np.empty(indptr[-1])
-    indices = np.empty(indptr[-1], dtype=itype)
-    pos = np.zeros_like(rows)
-    pos[inside] = indptr[:-1]
-    for at, to, v, nz in kept:
-        put = pos[at][nz]
-        data[put] = v[nz]
-        indices[put] = rows[to][nz]
-        pos[at] += nz
-    return _scipy().sparse.csr_matrix((data, indices, indptr),
+    np.cumsum(keep.sum(axis=-1)[inside], out=indptr[1:])
+    return _scipy().sparse.csr_matrix((vals[keep], cols[keep], indptr),
                                       (support.size, support.size))
 
 
 def build_hamiltonian(p: DickeParams, basis: EDBasis) -> sp.csr_matrix:
     """Sparse real symmetric Hamiltonian in canonical CSR with no stored
-    zeros.  All four couplings read one array, indexed by the lower n and
-    the lower m of the pair they join, so H is symmetric exactly."""
+    zeros.  Both couplings toward n + 1 (m - 1 and m + 1) read one array,
+    indexed by the lower n and the lower m of the pair they join, and
+    _offset_csr writes each one's transpose from it."""
     m, lad = _spin_diagonals(basis.n_spins)
     levels = np.arange(basis.n_max + 1)
     g = p.coupling / math.sqrt(basis.n_spins)
     amp = g * np.sqrt(levels[1:])[:, None] * lad
     diag = p.omega * levels[:, None] + p.omega0 * m
-    # to n - 1 (m - 1, m + 1), diagonal, to n + 1 (m - 1, m + 1)
-    return _offset_csr(basis, [((-1, -1), amp), ((-1, 1), amp),
-                               ((0, 0), diag), ((1, -1), amp), ((1, 1), amp)])
+    return _offset_csr(basis, diag, [((1, -1), amp), ((1, 1), amp)])
 
 
 def parity_diagonal(basis: EDBasis) -> np.ndarray:
@@ -665,8 +663,10 @@ def scaling_at_critical(p: DickeParams, n_list: tuple[int, ...] | list[int],
 
     The N list must span at least 1.5 decades; the exponent is fitted over
     the largest decade only, where subleading corrections are smallest.
+    Every size must be a positive integer (EDBasis), else DomainError
+    before any solve.
     """
-    sizes = sorted(int(n) for n in n_list)
+    sizes = sorted(int(EDBasis(n, 1).n_spins) for n in n_list)
     if len(sizes) < 3:
         raise DomainError("need at least three sizes")
     if math.log10(sizes[-1] / sizes[0]) < 1.5:

@@ -99,10 +99,7 @@ class SweepConfig:
                 raise ConfigError(f"config keys {spelled[name]!r} and "
                                   f"{key!r} both set {name}")
             kwargs[name], spelled[name] = value, key
-        try:
-            cfg = cls(**_coerced(kwargs, known))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        cfg = cls(**_coerced(kwargs, known, spelled))
         cfg.validate()
         return cfg
 
@@ -171,42 +168,54 @@ def _integer(name: str, value) -> int:
     """The value of an int field.  Integers and integral numbers or
     strings (1e7, "8") pass; booleans and non-integral values are
     rejected rather than truncated."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, str):
         try:
             return int(value)
         except ValueError:
             pass
-    number = float(value)
+    number = _number(name, value, "an integer")
     if not number.is_integer():
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(number)
 
 
-def _coerced(kwargs: dict, known: dict) -> dict:
+def _number(name: str, value, kind: str = "a number") -> float:
+    """The value of a float field; booleans and values that float()
+    does not take are rejected."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{name} must be {kind}, got {value!r}")
+
+
+def _coerced(kwargs: dict, known: dict, spelled: dict) -> dict:
+    """kwargs, keyed by field, coerced to the field types; an error names
+    the key as spelled in the config."""
     out = {}
     for name, value in kwargs.items():
-        hint = known[name].type
+        hint, key = known[name].type, spelled[name]
         if name == "renyi":
             if isinstance(value, str):
                 value = [v for v in value.split(";") if v]
-            out[name] = tuple(float(v) for v in value)
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{key} must be a list of numbers, got "
+                                  f"{value!r}")
+            out[name] = tuple(_number(key, v) for v in value)
         elif name == "n_max":
             out[name] = (None if value in (None, "", "auto")
-                         else _integer(name, value))
+                         else _integer(key, value))
         elif hint in ("int", int):
-            out[name] = _integer(name, value)
+            out[name] = _integer(key, value)
         elif hint in ("float", float):
-            if isinstance(value, (bool, np.bool_)):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
-            out[name] = float(value)
+            out[name] = _number(key, value)
         elif isinstance(value, str) or (value is None and name == "out"):
             out[name] = value
         else:
-            raise ConfigError(f"{name} must be a string, got {value!r}")
+            raise ConfigError(f"{key} must be a string, got {value!r}")
     return out
 
 

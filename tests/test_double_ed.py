@@ -35,6 +35,8 @@ def test_decoupled_limit():
     ((0, 2, 8), DomainError), ((2, -1, 8), DomainError),
     ((2, 2, 8.5), CutoffError), ((2, 2, 8.0), CutoffError),
     ((2, 2, 0), CutoffError), ((2, 2, "8"), CutoffError),
+    ((True, 2, 8), DomainError), ((2, True, 8), DomainError),
+    ((2, 2, True), CutoffError), ((2, 2, 8, True), DomainError),
 ])
 def test_basis_rejects_non_integers(dims, error):
     with pytest.raises(error):
@@ -50,12 +52,13 @@ def test_basis_index_rejects_states_outside_the_basis(state):
 
 
 def test_exact_hermiticity_and_symmetries():
-    basis = DoubleEDBasis(5, 5, 7)
-    H = build_double_hamiltonian(P(1.1, 0.9, 1.3, 0.37, 0.52, 5), basis)
-    D = H - H.conj().T
-    assert D.nnz == 0 or np.abs(D.data).max() == 0.0
-    assert symmetry_residuals(H, basis) == (0.0, 0.0, 0.0)
-    assert int(np.diff(H.indptr).max()) <= 9
+    for basis in (DoubleEDBasis(5, 5, 7), DoubleEDBasis(5, 5, 7, shell=9)):
+        H = build_double_hamiltonian(P(1.1, 0.9, 1.3, 0.37, 0.52, 5), basis)
+        assert H.shape == (basis.support.size,) * 2
+        D = H - H.conj().T
+        assert D.nnz == 0 or np.abs(D.data).max() == 0.0
+        assert symmetry_residuals(H, basis) == (0.0, 0.0, 0.0)
+        assert int(np.diff(H.indptr).max()) <= 9
 
 
 def _brute_force(p, basis):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from hpdicke import ed
 from hpdicke.dicke import DickeParams
 from hpdicke.ed import (_DENSE_DIM, TOP_ROW_TOL, EDBasis, build_hamiltonian,
                         converge_cutoff, ground_state, parity_diagonal,
@@ -20,6 +21,27 @@ def test_basis_layout():
     assert b.j == 2.0
     with pytest.raises(CutoffError):
         EDBasis(4, 0)
+
+
+@pytest.mark.parametrize("dims,error", [
+    ((True, 5), DomainError), ((4, True), CutoffError),
+    ((4, 5, True), DomainError),
+])
+def test_basis_rejects_non_integers(dims, error):
+    with pytest.raises(error):
+        EDBasis(*dims)
+
+
+@pytest.mark.parametrize("sizes", [[2.9, 16, 25.8, 40, 63, 100],
+                                   [True, 16, 25, 40, 63, 100]])
+def test_scaling_rejects_non_integer_sizes_before_any_solve(monkeypatch,
+                                                            sizes):
+    def solve(*args, **kwargs):
+        raise AssertionError("solved a size")
+
+    monkeypatch.setattr(ed, "converge_cutoff", solve)
+    with pytest.raises(DomainError):
+        ed.scaling_at_critical(DickeParams(1.0, 1.0, 0.5), sizes)
 
 
 @pytest.mark.parametrize("state", [(0, 0.4), (0, 1.6), (4, 0.5), (-1, 0.5),
@@ -100,13 +122,14 @@ def test_builder_matches_coo_assembly(n_spins, n_max, omega, omega0, lam):
 
 
 def test_exact_symmetry_and_parity_commutation():
-    b = EDBasis(4, 20)
-    H = build_hamiltonian(DickeParams(1.0, 1.0, 0.5), b)
-    assert np.abs((H - H.T).toarray()).max() == 0.0
-    pi = parity_diagonal(b)
-    comm = H.multiply(pi[None, :]) - H.multiply(pi[:, None])
-    assert abs(comm).max() == 0.0
-    assert int(np.diff(H.indptr).max()) <= 5
+    for b in (EDBasis(4, 20), EDBasis(4, 20, shell=9)):
+        H = build_hamiltonian(DickeParams(1.0, 1.0, 0.5), b)
+        assert H.shape == (b.support.size,) * 2
+        assert np.abs((H - H.T).toarray()).max() == 0.0
+        pi = parity_diagonal(b)[b.support]
+        comm = H.multiply(pi[None, :]) - H.multiply(pi[:, None])
+        assert abs(comm).max() == 0.0
+        assert int(np.diff(H.indptr).max()) <= 5
 
 
 @pytest.mark.parametrize("n_spins,n_max,lam", [(1, 40, 0.2), (8, 60, 0.45)])

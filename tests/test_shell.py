@@ -177,16 +177,36 @@ def test_superradiant_rows_keep_the_full_grid_bitwise(solved, point):
     assert (rep.hp, s_vn) == (moments(ref, grid).hp, entropy(ref, grid))
 
 
-@pytest.mark.parametrize("point", [
-    ("single", 30, 44, 0.4),
-    ("double", 8, 12, *_ray(4, 150)),
-], ids=["single", "double"])
-def test_shell_hamiltonian_is_the_grid_hamiltonian_on_the_shell(point):
+def _unequal(p):
+    """p with frequencies unequal to each other and to 1."""
+    if isinstance(p, DickeParams):
+        return replace(p, omega=1.3, omega0=0.7)
+    return replace(p, omega_cav=1.3, omega0_c=0.7, omega0_i=1.9)
+
+
+_SINGLE, _DOUBLE = ("single", 30, 44, 0.4), ("double", 8, 12, *_ray(4, 150))
+
+
+# K = n_max + 2 reaches the n_max edge of the grid, not its top level
+@pytest.mark.parametrize("point,K,unequal", [
+    (_SINGLE, 15, False), (_DOUBLE, 15, False),
+    (_SINGLE, 1, False), (_DOUBLE, 1, False),
+    (_SINGLE, 46, False), (_DOUBLE, 14, False),
+    (_SINGLE, 15, True), (_DOUBLE, 15, True),
+    (_SINGLE, 46, True), (_DOUBLE, 14, True),
+], ids=["single", "double", "single-K1", "double-K1", "single-edge",
+        "double-edge", "single-unequal", "double-unequal",
+        "single-edge-unequal", "double-edge-unequal"])
+def test_shell_hamiltonian_is_the_grid_hamiltonian_on_the_shell(point, K,
+                                                                unequal):
     p, grid = _point(*point)
+    p = _unequal(p) if unequal else p
     build = grid._api()[0]
-    shell = replace(grid, shell=15)
+    shell = replace(grid, shell=K)
+    assert shell.bound[0] == min(K + 1, grid.shape[0])
     idx = shell.support
-    assert np.array_equal(idx, np.flatnonzero(grid.levels <= 15))
+    assert 0 < idx.size < grid.dim
+    assert np.array_equal(idx, np.flatnonzero(grid.levels <= K))
     H, full = build(p, shell), build(p, grid)[idx][:, idx]
     full.sum_duplicates()
     assert H.has_canonical_format and not np.any(H.data == 0)

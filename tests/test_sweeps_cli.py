@@ -723,6 +723,28 @@ class TestCli:
                 in capsys.readouterr().err)
         assert [f.name for f in tmp_path.iterdir()] == ["c.cfg"]
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("omega", [1.0], "omega must be a number, got [1.0]"),
+        ("steps", [3], "steps must be an integer, got [3]"),
+        ("n_max", [3], "n_max must be an integer, got [3]"),
+        ("seed", None, "seed must be an integer, got None"),
+        ("tol", None, "tol must be a number, got None"),
+        ("renyi", True, "renyi must be a list of numbers, got True"),
+        ("renyi", 2.0, "renyi must be a list of numbers, got 2.0"),
+        ("renyi", [True], "renyi must be a number, got True"),
+        ("lambda", [1.0], "lambda must be a number, got [1.0]"),
+        ("budget", None, "budget must be an integer, got None"),
+    ])
+    @pytest.mark.parametrize("as_json", [True, False])
+    def test_uncoercible_field_exits_2_naming_its_key(
+            self, tmp_path, monkeypatch, capsys, key, value, message,
+            as_json):
+        monkeypatch.chdir(tmp_path)
+        cfg_path = self._config_file(tmp_path, {key: value}, as_json)
+        assert cli.main(["sweep", "--config", cfg_path, "--out", "s.csv"]) == 2
+        assert message in capsys.readouterr().err
+        assert [f.name for f in tmp_path.iterdir()] == ["c.cfg"]
+
     def test_option_overrides_either_spelling_in_the_file(self, tmp_path,
                                                            capsys):
         path = tmp_path / "c.cfg"
