@@ -119,14 +119,17 @@ def build_double_hamiltonian(p: DoubleDickeParams,
 
 def double_parities(basis: DoubleEDBasis) -> tuple[np.ndarray, np.ndarray]:
     """Diagonals of the unitary halves of the two antiunitary symmetries:
-    U_C = (-1)^(n + mc_idx) and U_I = (-1)^mi_idx.
+    U_C = (-1)^(n + mc_idx) and U_I = (-1)^mi_idx, on the basis's
+    support, where build_double_hamiltonian writes H: the whole grid when
+    shell is None.
 
     T_k = U_k composed with complex conjugation leaves the Hamiltonian
     invariant exactly; the product U_C U_I is the unitary total parity.
     """
     nn, nc, ni = basis.shape
-    return (np.repeat(_checkerboard((nn, nc)), ni),
-            np.tile(_checkerboard((ni,)), nn * nc))
+    support = basis.support
+    return (np.repeat(_checkerboard((nn, nc)), ni)[support],
+            np.tile(_checkerboard((ni,)), nn * nc)[support])
 
 
 def symmetry_residuals(H: sp.csr_matrix,
@@ -135,9 +138,9 @@ def symmetry_residuals(H: sp.csr_matrix,
     U_k conj(H) - H U_k and of total-parity commutation of the physical
     matrix D H D^dag, for H as build_double_hamiltonian writes it on the
     basis's support; all exactly zero for a correctly assembled matrix."""
-    sp, support = _scipy().sparse, basis.support
-    u_c, u_i = (u[support] for u in double_parities(basis))
-    D = sp.diags(basis.gauge[support])
+    sp = _scipy().sparse
+    u_c, u_i = double_parities(basis)
+    D = sp.diags(basis.gauge[basis.support])
     H = D @ H @ D.conj()
     res = [U @ H.conj() - H @ U for U in (sp.diags(u_c), sp.diags(u_i))]
     P = sp.diags(u_c * u_i)

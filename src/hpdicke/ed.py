@@ -25,7 +25,10 @@ with ARPACK, from a seeded draw, so a row depends only on its params,
 N, n_max and seed.  The ground state is the lower of the two, a parity
 eigenstate, so the superradiant cat pair needs no separate resolution;
 it is embedded in the grid, so _moments and _entropy reduce it on the
-grid.  _solve_at solves at one cutoff: a large grid at a normal or
+grid.  A row's dense eigensolves and its rho = W W^dag run on scipy's
+OpenBLAS, the one ARPACK uses (_entropy): numpy bundles its own, whose
+thread pool wakes on large operands and then competes with scipy's for
+the cores.  _solve_at solves at one cutoff: a large grid at a normal or
 critical point on the Holstein-Primakoff shell n + sum of k <= K
 (k = m + j per chain), the finite-N form of Emary & Brandes' picture,
 from the shell that the HP Gaussian predicts (_gaussian_shell), at most
@@ -314,8 +317,10 @@ def build_hamiltonian(p: DickeParams, basis: EDBasis) -> sp.csr_matrix:
 
 
 def parity_diagonal(basis: EDBasis) -> np.ndarray:
-    """Diagonal of the parity operator, entries (-1)^(n + m + j)."""
-    return _checkerboard(basis.shape)
+    """Diagonal of the parity operator, entries (-1)^(n + m + j), on the
+    basis's support, where build_hamiltonian writes H: the whole grid
+    when shell is None."""
+    return _checkerboard(basis.shape)[basis.support]
 
 
 def _dense_minimum(block: sp.csr_matrix) -> tuple[float, np.ndarray]:
@@ -466,13 +471,22 @@ def _moments(result: EDResult, basis: _Basis) -> FluctuationReport:
 
 
 def _entropy(result: EDResult, basis: _Basis) -> float:
-    """Entanglement entropy (bits) between the photon and the chains."""
+    """Entanglement entropy (bits) between the photon and the chains,
+    from the spectrum of rho = W W^dag over the state's nonzero rows and
+    columns, formed and diagonalized on scipy's BLAS and LAPACK: numpy's
+    own OpenBLAS pool stays asleep beside ARPACK's.  dsyrk (real) and
+    zgemm (complex, as conj(W) W^T transposed) give numpy's W @ W^dag,
+    and eigh's evd driver its eigvalsh, bit for bit on nearly every
+    state; both read rho's lower triangle."""
     W = _photon_rows(result, basis)
     # a shell's state is zero outside its box; a state with no zero row
     # or column is reduced as before, bit for bit
     nz = W != 0
     W = W[nz.any(axis=1)][:, nz.any(axis=0)]
-    w = np.linalg.eigvalsh(W @ W.conj().T)
+    linalg = _scipy().linalg
+    rho = (linalg.blas.zgemm(1.0, W.conj(), W, trans_b=1).T
+           if np.iscomplexobj(W) else linalg.blas.dsyrk(1.0, W, lower=1))
+    w = linalg.eigh(rho, eigvals_only=True, driver="evd")
     w = w[w > basis._entropy_floor]
     return float(-np.sum(w * np.log2(w)))
 
@@ -510,7 +524,10 @@ def _solve_at(p, basis: _Basis, budget_nnz: int, seed: int) -> EDResult:
     the shell's top two levels, K - 1 and K, hold less of the weight
     than machine epsilon: a parity sector occupies every other level
     only, so one level alone can read 0, and a tail of SOLVE_TOL's
-    weight still moves s_vn by up to about 200 times as much.  The
+    weight still moves s_vn by up to about 200 times as much.  That
+    weight is summed over those two levels' states alone, a few hundred
+    where the grid beyond the shell holds thousands of zeros (about
+    15,300 at N = 384, n_max = 40), short of numpy's threaded dot.  The
     first K is min(K*, 30), K* the smallest K on which the form's
     Gaussian passes that same test (_gaussian_shell).  The Gaussian's
     tail was measured above the solved state's on every ed-fixed
@@ -533,7 +550,7 @@ def _solve_at(p, basis: _Basis, budget_nnz: int, seed: int) -> EDResult:
         while shell < levels[-1]:
             at = replace(basis, shell=shell)
             res = solve(build(p, at), at, seed=seed)
-            edge = res.state[levels >= shell - 1]
+            edge = res.state[(shell - 1 <= levels) & (levels <= shell)]
             if np.vdot(edge, edge).real < np.finfo(float).eps:
                 return res
             shell = math.ceil(1.5 * shell)

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 
 from hpdicke import ed
 from hpdicke.dicke import DickeParams
+from hpdicke.double_ed import DoubleEDBasis
 from hpdicke.ed import (_DENSE_DIM, TOP_ROW_TOL, EDBasis, build_hamiltonian,
                         converge_cutoff, ground_state, parity_diagonal,
                         photon_entropy_ed, photon_moments_ed)
@@ -126,7 +127,7 @@ def test_exact_symmetry_and_parity_commutation():
         H = build_hamiltonian(DickeParams(1.0, 1.0, 0.5), b)
         assert H.shape == (b.support.size,) * 2
         assert np.abs((H - H.T).toarray()).max() == 0.0
-        pi = parity_diagonal(b)[b.support]
+        pi = parity_diagonal(b)
         comm = H.multiply(pi[None, :]) - H.multiply(pi[:, None])
         assert abs(comm).max() == 0.0
         assert int(np.diff(H.indptr).max()) <= 5
@@ -171,6 +172,38 @@ def test_photon_entropy_tracks_gaussian_identity():
     s_direct = photon_entropy_ed(res, basis)
     # finite N deviates from the Gaussian value at the percent level
     assert s_direct == pytest.approx(entropy_from_hp(mom.hp).s_vn, abs=5e-2)
+
+
+def _entropy_oracle(state, basis):
+    """-sum w log2 w over numpy's eigvalsh of W W^dag, W the photon rows,
+    above the basis's entropy floor."""
+    W = state.reshape(basis.shape[0], -1)
+    w = np.linalg.eigvalsh(W @ W.conj().T)
+    w = w[w > basis._entropy_floor]
+    return float(-np.sum(w * np.log2(w)))
+
+
+# photon rows x chain states: 41 x 385 and 101 x 129 (one chain) and
+# 41 x 289 (two chains) are above the sizes at which numpy's OpenBLAS
+# wakes its threads for W W^dag or eigvalsh
+@pytest.mark.parametrize("dims", [(8, 4), (64, 24), (384, 40), (128, 100),
+                                  (2, 2, 4), (8, 8, 44), (16, 16, 40)])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_entropy_matches_the_numpy_oracle(dims, seed):
+    """_entropy's scipy dsyrk or zgemm and evd equal numpy's W W^dag and
+    eigvalsh: bit for bit on a real state, to 1e-14 on a complex one."""
+    basis = (EDBasis if len(dims) == 2 else DoubleEDBasis)(*dims)
+    rng = np.random.default_rng(seed)
+    state = rng.standard_normal(basis.dim)
+    if len(dims) == 3:
+        state = state * basis.gauge + 0.3j * rng.standard_normal(basis.dim)
+    state /= np.linalg.norm(state)
+    res = ed.EDResult(0.0, 0.0, state, 1.0, True, basis.n_max)
+    got, want = ed._entropy(res, basis), _entropy_oracle(state, basis)
+    if len(dims) == 2:
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_parity_eigenstate_has_no_first_moment():

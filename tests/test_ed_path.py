@@ -4,7 +4,7 @@ ED functions through their module attributes, as often as the walk and
 the fixed-cutoff solve need, double_ed gives the bits of the sweep row
 at the same point, a seeded sparse solve repeats bit for bit, and a
 solve leaves the matrix it is given as it was, summing its duplicate
-entries."""
+entries.  No dense step of an ED row runs on numpy's own BLAS."""
 
 import collections
 import math
@@ -201,3 +201,50 @@ def test_solve_leaves_the_matrix_and_sums_its_duplicates(model, dense):
     assert got.state.tobytes() == want.state.tobytes()
     assert (got.ground_energy, got.gap01, got.parity) == (
         want.ground_energy, want.gap01, want.parity)
+
+
+# three rows of the ed-fixed lattice: one chain at N = 384 on its shell,
+# two chains at N = 16 on theirs (theta = pi/8, radial index 130), and a
+# superradiant N = 128 row on its whole 13,029-state grid
+_R130 = 130 * 0.5 / math.cos(math.pi / 8) / 200
+BLAS_ROWS = [
+    dict(model="dicke", mode="ed", n_spins=384, n_max=40,
+         coupling_min=0.235, coupling_max=0.235, steps=1),
+    dict(model="double-dicke", mode="ed", n_spins=16, n_max=40,
+         theta=math.pi / 8, r_min=_R130, r_max=_R130, steps=1),
+    dict(model="dicke", mode="ed", n_spins=128, n_max=100,
+         coupling_min=0.505, coupling_max=0.505, steps=1),
+]
+
+
+@pytest.mark.parametrize("raw", BLAS_ROWS,
+                         ids=["single-shell", "double-shell", "single-grid"])
+def test_ed_row_keeps_off_numpy_blas(monkeypatch, raw):
+    """numpy bundles its own OpenBLAS, whose thread pool wakes on a dot of
+    about 12,000 elements and an eigvalsh of about 100 rows and then
+    competes with scipy's beside ARPACK.  An ED row calls neither
+    eigvalsh nor a dot or vdot on more than 10,000 elements, and its
+    cells are those of the unpatched row, bit for bit."""
+    cfg = sweeps.SweepConfig.from_dict(raw)
+    want = sweeps.render_csv(cfg, sweeps.sweep_rows(cfg))
+    seen = []
+
+    def refused(*args, **kwargs):
+        seen.append("eigvalsh")
+        pytest.fail("numpy.linalg.eigvalsh on an ED row")
+
+    def small(fn):
+        def checked(*args, **kwargs):
+            sizes = [np.size(a) for a in args]
+            if max(sizes) > 10_000:
+                seen.append((fn.__name__, sizes))
+                pytest.fail(f"numpy.{fn.__name__} on {sizes} elements")
+            return fn(*args, **kwargs)
+        return checked
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    monkeypatch.setattr(np, "vdot", small(np.vdot))
+    monkeypatch.setattr(np, "dot", small(np.dot))
+    got = sweeps.render_csv(cfg, sweeps.sweep_rows(cfg))
+    assert seen == []
+    assert got == want

@@ -2,8 +2,10 @@
 
 The thermo API and thermo sweeps run on numpy alone; an ED config loads
 scipy's solvers when it is validated, and every ED call site loads them
-itself when no config was.  This process has long since imported scipy,
-so each check runs in a fresh interpreter.
+itself when no config was, the photon entropy included, which forms and
+diagonalizes its reduced density on scipy's BLAS and LAPACK.  This
+process has long since imported scipy, so each check runs in a fresh
+interpreter.
 """
 
 import hashlib
@@ -151,3 +153,32 @@ def test_ed_library_api_loads_scipy_itself():
     assert fresh["loaded_before"] == []
     assert fresh["dense"] == [True, False, True, False]
     assert fresh["cases"] == here["cases"]
+
+
+ENTROPY_RUN = """
+    import json, sys
+    import numpy as np
+    from hpdicke.double_ed import DoubleEDBasis, photon_entropy_double
+    from hpdicke.ed import EDBasis, EDResult, photon_entropy_ed
+    out = {"loaded_before": [m for m in %r if m in sys.modules],
+           "entropy": []}
+    for basis, entropy in ((EDBasis(4, 6), photon_entropy_ed),
+                           (DoubleEDBasis(2, 3, 5), photon_entropy_double)):
+        state = np.cos(0.7 * np.arange(basis.dim) + 0.1) * basis.gauge
+        state /= np.linalg.norm(state)
+        res = EDResult(0.0, 0.0, state, 1.0, True, basis.n_max)
+        out["entropy"].append(entropy(res, basis).hex())
+    out["loaded"] = [m for m in %r if m in sys.modules]
+    print(json.dumps(out))
+""" % (UNUSED[:2], UNUSED[:2])
+
+
+def test_photon_entropy_loads_scipy_itself():
+    """On a hand-built EDResult, with no solve before it, each model's
+    photon entropy loads scipy and gives the bits that numpy's W W^dag
+    and eigvalsh gave."""
+    fresh = _fresh(ENTROPY_RUN)
+    assert fresh["loaded_before"] == []
+    assert fresh["loaded"] == list(UNUSED[:2])
+    assert fresh["entropy"] == ["0x1.ee1615fc968eep-1",
+                                "0x1.e767619a559f9p+0"]

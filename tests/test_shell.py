@@ -216,6 +216,25 @@ def test_shell_hamiltonian_is_the_grid_hamiltonian_on_the_shell(point, K,
     assert np.array_equal(H.data, full.data)
 
 
+@pytest.mark.parametrize("point", [_SINGLE, _DOUBLE], ids=["single", "double"])
+def test_parity_diagonals_multiply_the_shell_hamiltonian(point):
+    """parity_diagonal and double_parities give the support's entries of
+    the grid's diagonals, so they multiply a shell's H, which commutes
+    with the (total) parity."""
+    p, grid = _point(*point)
+    shell = replace(grid, shell=15)
+    H = grid._api()[0](p, shell)
+    if isinstance(grid, ed.EDBasis):
+        pi, full = ed.parity_diagonal(shell), ed.parity_diagonal(grid)
+    else:
+        (u_c, u_i), (g_c, g_i) = map(double_ed.double_parities, (shell, grid))
+        pi, full = u_c * u_i, g_c * g_i
+    assert full.size == grid.dim > shell.support.size
+    assert np.array_equal(pi, full[shell.support])
+    comm = H.multiply(pi[None, :]) - H.multiply(pi[:, None])
+    assert comm.shape == H.shape and abs(comm).max() == 0.0
+
+
 def test_budget_charges_the_whole_grid():
     grid = ed.EDBasis(512, 40)
     with pytest.raises(BudgetExceeded):
