@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BranchError, CriticalPointDivergence, DomainError,
-                     UncertaintyViolation)
+                     HpDickeError)
 from .gaussian import (EntropyReport, FluctuationReport, QuadraticForm,
                        _EntropyColumns, _entropy_columns, entropy_from_hp,
                        form_from_xp, heisenberg_product, per_element,
@@ -246,25 +246,31 @@ def entropy_thermo(p: DickeParams, include_degeneracy: bool = True,
 
 @dataclass(frozen=True)
 class _ThermoGrid:
-    """Thermodynamic-limit quantities over a coupling grid, one entry per
-    point; entropies include the degeneracy bit.
+    """Thermodynamic-limit quantities over a coupling grid of either
+    model, one entry per point; entropies include the degeneracy bits.
 
-    n_c and sq are the photon's centered occupation and <a^2>, 0 on the
-    critical coupling.  There dx, hp and the entropies are inf, while dp
-    and the gaps stay finite: only the soft polariton is weighted by
-    1/gap, and that term belongs to dx.  errors holds None or a point's
-    UncertaintyViolation; its dx, dp, hp and entropies are nan.
+    info holds each point's PhaseInfo (one chain) or DoublePhaseInfo
+    (two chains).  gaps is a (K, m) array of the m polariton gaps of each
+    point: gap_minus and gap_plus for one chain, the three ascending
+    gaps for two.  n_c and sq are the photon's centered occupation and
+    <a^2> (complex for two chains), from which quadratures gives dx, dp
+    and hp.  On a critical point hp and the entropies are inf, and the
+    gaps stay finite (the lowest is 0).  There, for one chain, n_c and
+    sq are 0, dx is inf and dp finite: only the soft polariton is
+    weighted by 1/gap, and that term belongs to dx.  On a double-model
+    line dx and dp are nan, but a double point with equal matter
+    frequencies holds its finite closed form.  errors holds None or the
+    error of a point that failed; its dx, dp, hp and entropies are nan.
     """
 
-    info: list[PhaseInfo]
-    gap_minus: list[float]
-    gap_plus: list[float]
+    info: list
+    gaps: np.ndarray
     n_c: np.ndarray
     sq: np.ndarray
     dx: list[float]
     dp: list[float]
     hp: list[float]
-    errors: list[UncertaintyViolation | None]
+    errors: list[HpDickeError | None]
     entropy: _EntropyColumns
 
 
@@ -295,7 +301,7 @@ def _thermo_grid(omega: float, omega0: float, couplings,
     hp = np.where(critical, math.inf, hp).tolist()
     offsets = [0 if i.phase is Phase.NORMAL else 1 for i in info]
     return _ThermoGrid(
-        info=info, gap_minus=gap_minus.tolist(), gap_plus=gap_plus.tolist(),
+        info=info, gaps=np.stack([gap_minus, gap_plus], axis=-1),
         n_c=n_c, sq=sq, dx=np.where(critical, math.inf, dx).tolist(),
         dp=np.where(critical, dp_crit, dp).tolist(), hp=hp, errors=errors,
         entropy=_entropy_columns(hp, offsets, renyi_alphas))

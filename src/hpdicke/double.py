@@ -26,15 +26,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dicke import _phase_rule, _resolve_branch
+from .dicke import _phase_rule, _resolve_branch, _ThermoGrid
 from .errors import (CriticalPointDivergence, DomainError,
-                     GaplessError, HpDickeError, MeanFieldError,
+                     GaplessError, MeanFieldError,
                      RegimeError)
 from .gaussian import (EntropyReport, FluctuationReport, QuadraticForm,
-                       _bogoliubov_stack, _BogoliubovStack, _EntropyColumns,
+                       _aligned, _bogoliubov_stack, _BogoliubovStack,
                        _entropy_columns, _mode_moments, _nambu_stack,
                        entropy_from_hp, form_from_xp, heisenberg_product,
-                       heisenberg_products, per_element)
+                       per_element, quadratures)
 
 __all__ = [
     "DoubleDickeParams",
@@ -417,11 +417,6 @@ def double_point_hp(p: DoubleDickeParams) -> float:
     return 0.5 + 1.0 / math.sqrt(1.0 + 4.0 * ratio * ratio)
 
 
-def _double_point_report(p: DoubleDickeParams) -> FluctuationReport:
-    """hp_double's report at the double point: dx = dp = sqrt(hp)."""
-    return heisenberg_product(occupation=double_point_hp(p) - 0.5)
-
-
 def _next_to_double_point(p: DoubleDickeParams) -> bool:
     """Whether both couplings are within the double-point band of their
     critical values."""
@@ -433,7 +428,9 @@ def _next_to_double_point(p: DoubleDickeParams) -> bool:
 def hp_double(p: DoubleDickeParams) -> FluctuationReport:
     """Photon quadrature fluctuations.  Diverges on each critical line
     (exponent -1/4 in the distance), except at the double point where the
-    two divergences compensate and dx = dp = sqrt(hp)."""
+    two divergences compensate and dx = dp = sqrt(hp).  The report is
+    rebuilt from the n_c and sq cells of p's one-point grid, so its dx,
+    dp and hp are the grid's."""
     return _double_point(p)[1]
 
 
@@ -442,17 +439,17 @@ def _double_point(p: DoubleDickeParams
     """The phase and hp_double's report at p, from its one-point grid."""
     g = _double_thermo_grid(p.omega_cav, p.omega0_c, p.omega0_i,
                             [p.lambda_c], [p.lambda_i])
-    (info,), (photon,), (error,) = g.info, g.photon, g.errors
-    on_line = info.critical_c or info.critical_i
-    if photon is None and on_line:
-        if info.critical_c and info.critical_i:
-            _require_matter_degenerate(p)
+    (info,), (error,) = g.info, g.errors
+    if info.critical_c and info.critical_i:
+        _require_matter_degenerate(p)
+    elif info.critical_c or info.critical_i:
         raise CriticalPointDivergence(
             "photon fluctuations diverge on a critical line",
             quantity="hp", exponent=-0.25)
-    if error is not None and not on_line:
+    elif error is not None:
         raise error
-    return info, photon
+    return info, heisenberg_product(a_sq=g.sq[0].item(),
+                                    occupation=g.n_c[0].item())
 
 
 def entropy_double(p: DoubleDickeParams, include_degeneracy: bool = True,
@@ -465,43 +462,24 @@ def entropy_double(p: DoubleDickeParams, include_degeneracy: bool = True,
                            renyi_alphas=renyi_alphas)
 
 
-@dataclass(frozen=True)
-class _DoubleThermoGrid:
-    """Thermodynamic-limit quantities over coupling pairs, one entry per
-    point; entropies include the degeneracy bits.
-
-    photon holds hp_double's report, None on a critical line away from a
-    finite double point (one with omega0_C = omega0_I).  There dx and dp
-    are nan, hp and the entropies inf, and the gaps still hold (the
-    lowest is 0).  errors holds None or the error of a point that failed;
-    its dx, dp, hp and entropies are nan.
-    """
-
-    info: list[DoublePhaseInfo]
-    gaps: list[list[float]]
-    photon: list[FluctuationReport | None]
-    dx: list[float]
-    dp: list[float]
-    hp: list[float]
-    errors: list[HpDickeError | None]
-    entropy: _EntropyColumns
-
-
 def _double_thermo_grid(omega_cav: float, omega0_c: float, omega0_i: float,
                         lambda_c, lambda_i,
-                        renyi_alphas: tuple[float, ...] = ()
-                        ) -> _DoubleThermoGrid:
+                        renyi_alphas: tuple[float, ...] = ()) -> _ThermoGrid:
     """The gaps, the photon fluctuations and the entropies at each coupling
-    pair (lambda_c[k], lambda_i[k]) on the default branch.
+    pair (lambda_c[k], lambda_i[k]) on the default branch; gaps holds the
+    three polariton gaps of each point, ascending.
 
     The quadrature forms are built as one stack and diagonalized by one
-    batched eigen-decomposition, rows on a critical line left out.  With
-    equal matter frequencies, checked once per grid, a double point takes
-    its finite closed form.  Next to one the soft gap is linear in the
-    distance, so within about 1e-9 the Krein step finds it zero; those
-    rows take the closed form too, good to that order.  A zero soft gap
-    outside DOUBLE_BAND_REL of the double point leaves the row failed
-    with GaplessError.
+    batched eigen-decomposition, rows on a critical line left out.  Each
+    solved row writes its photon's n_c and complex <a^2> cells, and dx,
+    dp and hp of all rows are one _aligned and one quadratures step.
+    With equal matter frequencies, checked once per grid, a double point
+    writes its finite closed form into the cells instead (n_c = hp - 1/2,
+    sq = 0, so dx = dp = sqrt(hp)).  Next to one the soft gap is linear
+    in the distance, so within about 1e-9 the Krein step finds it zero;
+    those rows take the closed form too, good to that order.  A zero
+    soft gap outside DOUBLE_BAND_REL of the double point leaves the row
+    failed with GaplessError.
     """
     lam_c = np.asarray(lambda_c, dtype=float)
     lam_i = np.asarray(lambda_i, dtype=float)
@@ -517,23 +495,26 @@ def _double_thermo_grid(omega_cav: float, omega0_c: float, omega0_i: float,
     G = _hessian_grid(*args, mf)
     stack = _bogoliubov_stack(_nambu_stack(G), ~on_line)
     errors = [e or e_late for e, e_late in zip(errors, stack.errors)]
-    ok = [k for k, e in enumerate(errors) if e is None and not on_line[k]]
-    photon: list[FluctuationReport | None] = [None] * len(params)
-    for k, *report_and_error in zip(ok, *heisenberg_products(
-            _mode_moments(stack.transform[ok], 0j, 0))):
-        photon[k], errors[k] = report_and_error
+    # the photon cells of the solved rows, then of the closed forms
+    solved = np.array([e is None for e in errors]) & ~on_line
+    n_c, sq = np.zeros(len(params)), np.zeros(len(params), dtype=complex)
+    for k, (_, sq_k, n_k) in zip(np.flatnonzero(solved), _mode_moments(
+            stack.transform[solved], 0j, 0)):
+        sq[k], n_c[k] = sq_k, n_k
     if _matter_degenerate(omega0_c, omega0_i):
         for k, (i, exc) in enumerate(zip(info, errors)):
-            if i.critical_c and i.critical_i:
-                photon[k] = _double_point_report(params[k])
-            elif (isinstance(exc, GaplessError)
-                  and _next_to_double_point(params[k])):
-                photon[k], errors[k] = _double_point_report(params[k]), None
-    hp = [math.nan if e is not None else math.inf if r is None else r.hp
-          for r, e in zip(photon, errors)]
-    return _DoubleThermoGrid(
-        info=info, gaps=stack.gaps.tolist(), photon=photon,
-        dx=[math.nan if r is None else r.dx for r in photon],
-        dp=[math.nan if r is None else r.dp for r in photon], hp=hp,
-        errors=errors, entropy=_entropy_columns(
-            hp, [sum(b) for b in broken], renyi_alphas))
+            band = (isinstance(exc, GaplessError)
+                    and _next_to_double_point(params[k]))
+            if band or (i.critical_c and i.critical_i):
+                n_c[k], solved[k] = double_point_hp(params[k]) - 0.5, True
+            if band:
+                errors[k] = None
+    _, dx, dp, hp, late = quadratures(n_c, _aligned(sq)[0])
+    errors = [e or e_late for e, e_late in zip(errors, late)]
+    hp = np.where([e is not None for e in errors], math.nan,
+                  np.where(solved, hp, math.inf)).tolist()
+    return _ThermoGrid(
+        info=info, gaps=stack.gaps, n_c=n_c, sq=sq,
+        dx=np.where(solved, dx, math.nan).tolist(),
+        dp=np.where(solved, dp, math.nan).tolist(), hp=hp, errors=errors,
+        entropy=_entropy_columns(hp, [sum(b) for b in broken], renyi_alphas))

@@ -417,12 +417,13 @@ def _solve(H: sp.spmatrix, basis: _Basis, seed: int) -> EDResult:
     sign = (-1.0 if e_odd < e_even - SOLVE_TOL * max(1.0, abs(e_even))
             else 1.0)
     e0, v = (e_odd, v_odd) if sign < 0 else (e_even, v_even)
-    psi = np.zeros(basis.dim)
-    psi[support[parity == sign]] = v / np.linalg.norm(v)
+    # the norm and the top-slab weight on scipy's BLAS, as _entropy
+    psi, ddot = np.zeros(basis.dim), _scipy().linalg.blas.ddot
+    psi[support[parity == sign]] = v / math.sqrt(ddot(v, v))
     if psi[np.argmax(np.abs(psi))] < 0:
         psi = -psi
     top_slab = math.prod(basis.shape[1:])
-    top = float(np.vdot(psi[-top_slab:], psi[-top_slab:]))
+    top = ddot(psi[-top_slab:], psi[-top_slab:])
     converged = top < TOP_ROW_TOL
     if not converged:
         warnings.warn(f"top Fock level holds {top:.2e} of the weight; "

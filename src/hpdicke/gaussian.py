@@ -49,7 +49,6 @@ __all__ = [
     "symplectic_diagonalize",
     "photon_moments_from_solution",
     "heisenberg_product",
-    "heisenberg_products",
     "quadratures",
     "entropy_from_hp",
     "renyi_entropy",
@@ -510,45 +509,38 @@ def heisenberg_product(mean_a: complex = 0.0, a_sq: complex = 0.0,
     squeezing axis lines up with the quadratures (phi = arg<a^2>_c / 2, a
     half-turn choice that also minimizes dx*dp), and reports the rotated
     dx, dp and their product.  Inputs whose <a^2>_c is already real are
-    reported unrotated, so a physically larger dp stays on dp.
+    reported unrotated, so a physically larger dp stays on dp.  This is
+    the one-point case of _aligned and quadratures.
     """
-    (report,), (error,) = heisenberg_products([(mean_a, a_sq, occupation)])
-    if error is not None:
-        raise error
-    return report
-
-
-def heisenberg_products(moments: list[tuple]) -> tuple[
-        list[FluctuationReport | None], list[UncertaintyViolation | None]]:
-    """heisenberg_product over (<a>, <a^2>, <a^dag a>) triples: each mode
-    is rotated on its own, and the quadratures of all are one array step.
-    A triple that breaks the bound gets None and its error."""
-    aligned = [_aligned(*m) for m in moments]
-    n_occ, dx, dp, hp, errors = quadratures(
-        np.array([a[2] for a in aligned], dtype=float),
-        np.array([a[3] for a in aligned], dtype=float))
-    reports = [None if e is not None else
-               FluctuationReport(mean_a=mean, n_occ=n, sq=sq_c, dx=x, dp=p,
-                                 hp=h, zeta=zeta, phi=phi)
-               for (mean, sq_c, _, _, zeta, phi), n, x, p, h, e
-               in zip(aligned, n_occ.tolist(), dx.tolist(), dp.tolist(),
-                      hp.tolist(), errors)]
-    return reports, errors
-
-
-def _aligned(mean_a: complex, a_sq: complex, occupation: float) -> tuple:
-    """<a>, <a^2>_c and n_c of one mode, then <a^2>_c along the squeezing
-    axis, zeta and phi of the rotation that puts it there."""
     mean = complex(mean_a)
     sq_c = complex(a_sq) - mean * mean
-    n_c = float(occupation) - abs(mean) ** 2
-    im, re = sq_c.imag, sq_c.real
-    if abs(im) <= 1e-12 * max(1.0, abs(sq_c)):
-        return mean, sq_c, n_c, re, 0.0, 0.0
-    phi = 0.5 * math.atan2(im, re)
-    if phi < 0.0:
-        phi += math.pi
-    return mean, sq_c, n_c, abs(sq_c), -(im * im), phi
+    sq, zeta, phi = _aligned(np.array([sq_c]))
+    n_occ, dx, dp, hp, (error,) = quadratures(
+        np.array([float(occupation) - abs(mean) ** 2]), sq)
+    if error is not None:
+        raise error
+    return FluctuationReport(mean_a=mean, n_occ=n_occ.item(), sq=sq_c,
+                             dx=dx.item(), dp=dp.item(), hp=hp.item(),
+                             zeta=zeta.item(), phi=phi.item())
+
+
+def _aligned(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each mode's centered <a^2> = sq (a complex array) along its
+    squeezing axis, with the zeta = -(Im sq)^2 and the phi = arg(sq)/2,
+    taken in [0, pi), of the rotation that puts it there.  An sq that is
+    real within 1e-12 of max(1, |sq|) is left unrotated, with zeta = phi
+    = 0.  |sq| (Python's abs) and the angle (math.atan2, on the rotated
+    entries only) go through per_element, so each entry is what scalar
+    float code gives."""
+    im, out = sq.imag, sq.real.copy()
+    zeta, phi = np.zeros(len(sq)), np.zeros(len(sq))
+    mod = per_element(abs, sq)
+    rot = ~(np.abs(im) <= 1e-12 * np.fmax(1.0, mod))
+    if rot.any():
+        half = 0.5 * per_element(math.atan2, im[rot], out[rot])
+        phi[rot] = np.where(half < 0.0, half + math.pi, half)
+        out[rot], zeta[rot] = mod[rot], -(im[rot] * im[rot])
+    return out, zeta, phi
 
 
 def quadratures(n_c: np.ndarray, sq: np.ndarray):
@@ -559,9 +551,9 @@ def quadratures(n_c: np.ndarray, sq: np.ndarray):
     UncertaintyViolation in errors, leaving the other points as they are;
     so does a point whose product is not a number.
 
-    The thermo grids reach the gaussian layer through this function and
-    heisenberg_products, once per grid; both are public so that the
-    benchmark's trace of the layer sees those calls.
+    Both thermo grids reach the gaussian layer through this function,
+    once per grid; it is public so that the benchmark's trace of the
+    layer sees those calls.
     """
     n_occ = np.where(0.0 > n_c, 0.0, n_c)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):

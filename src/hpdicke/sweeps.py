@@ -297,14 +297,14 @@ def _thermo_rows(cfg: SweepConfig, cols: dict[str, Sequence]) -> SweepTable:
     if cfg.model == "dicke":
         g = _thermo_grid(cfg.omega, cfg.omega0, cols["coupling"], cfg.renyi)
         cols["critical"] = [i.critical for i in g.info]
-        computed = {"gap_minus": g.gap_minus, "gap_plus": g.gap_plus}
+        gaps = ("gap_minus", "gap_plus")
     else:
         g = _double_thermo_grid(cfg.omega, cfg.omega0_c, cfg.omega0_i,
                                 cols["lambda_c"], cols["lambda_i"], cfg.renyi)
         cols.update(critical_c=[i.critical_c for i in g.info],
                     critical_i=[i.critical_i for i in g.info])
-        computed = dict(zip(("gap_1", "gap_2", "gap_3"),
-                            map(list, zip(*g.gaps))))
+        gaps = ("gap_1", "gap_2", "gap_3")
+    computed = dict(zip(gaps, g.gaps.T.tolist()))
     ent = g.entropy
     computed.update(dx=g.dx, dp=g.dp, hp=g.hp, s_vn=ent.s_vn,
                     s_vn_bare=ent.s_vn_bare)

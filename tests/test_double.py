@@ -15,7 +15,7 @@ from hpdicke.errors import (BranchError, CriticalPointDivergence,
                             GaplessError, RegimeError)
 from hpdicke.fits import fit_critical_exponent
 from hpdicke.gaussian import (bogoliubov_gaps, entropy_from_hp, form_matrix,
-                              symplectic_diagonalize)
+                              heisenberg_product, symplectic_diagonalize)
 
 SZ = np.diag([1.0, 1, 1, -1, -1, -1])
 
@@ -531,3 +531,62 @@ def test_entropy_double_classifies_its_point_once(monkeypatch, couplings,
         got = entropy_double(p, include_degeneracy, alphas)
         assert repr(got) == repr(want)
     assert calls == [p]
+
+
+class TestRoundoffAlignment:
+    """Next to the critical lines the Krein step leaves <a^2>_c an
+    imaginary part above the alignment threshold (1e-12 of max(1,
+    |<a^2>_c|)), so the mode is rotated.  The grid applies the same
+    alignment as heisenberg_product, so its cells are hp_double's bits."""
+
+    # (lambda_C, lambda_I) / lambda_cr at omega = omega0 = 1, and the sign
+    # of Re<a^2>_c there
+    POINTS = [((1 + 1e-6, 1 + 3e-7), -1), ((1 - 1e-6, 1 - 3e-7), -1),
+              ((1 + 1e-6, 1 - 3e-7), -1), ((1 - 1e-9, 0.5), +1),
+              ((0.5, 1 - 1e-9), -1)]
+
+    def test_grid_cells_are_the_rotated_reports(self):
+        lam_c = [0.5 * c for (c, _), _ in self.POINTS]
+        lam_i = [0.5 * i for (_, i), _ in self.POINTS]
+        grid = _double_thermo_grid(1.0, 1.0, 1.0, lam_c, lam_i)
+        assert grid.errors == [None] * len(self.POINTS)
+        for k, (lc, li, (_, sign)) in enumerate(zip(lam_c, lam_i,
+                                                    self.POINTS)):
+            rep = hp_double(P(1.0, 1.0, 1.0, lc, li))
+            assert rep.zeta < 0.0 and rep.sq.real * sign > 0.0
+            assert (grid.sq[k].item(), grid.n_c[k].item()) == (
+                rep.sq, rep.n_occ)
+            assert [x.hex() for x in (grid.dx[k], grid.dp[k], grid.hp[k])] \
+                == [x.hex() for x in (rep.dx, rep.dp, rep.hp)]
+
+    # <a^2>, <a^dag a>, and the report's Re sq, Im sq, zeta, phi, dx, dp
+    # as float.hex: the phase just above and just below 1e-12, Re < 0
+    PINNED = [
+        (-0.3 + 1.01e-12j, 0.2, ["-0x1.3333333333333p-2",
+                                 "0x1.1c4a2b83b2c68p-40",
+                                 "-0x1.3bb4a60964315p-80",
+                                 "0x1.921fb54440f7bp+0",
+                                 "0x1.0000000000000p+0",
+                                 "0x1.43d136248490fp-1"]),
+        (-0.3 + 0.99e-12j, 0.2, ["-0x1.3333333333333p-2",
+                                 "0x1.16a904a20a7bap-40", "0x0.0p+0",
+                                 "0x0.0p+0", "0x1.43d136248490fp-1",
+                                 "0x1.0000000000000p+0"]),
+        (-2.5 - 2.525e-12j, 3.0, ["-0x1.4000000000000p+1",
+                                  "-0x1.635cb6649f782p-39",
+                                  "-0x1.ed4a436eac8d0p-78",
+                                  "0x1.921fb544435fap+0",
+                                  "0x1.3988e1409212ep+1",
+                                  "0x1.0000000000000p+0"]),
+        (-2.5 - 2.475e-12j, 3.0, ["-0x1.4000000000000p+1",
+                                  "-0x1.5c5345ca8d1a8p-39", "0x0.0p+0",
+                                  "0x0.0p+0", "0x1.0000000000000p+0",
+                                  "0x1.3988e1409212ep+1"]),
+    ]
+
+    @pytest.mark.parametrize("a_sq, occupation, want", PINNED)
+    def test_heisenberg_product_rotation_threshold(self, a_sq, occupation,
+                                                   want):
+        rep = heisenberg_product(0.0, a_sq, occupation)
+        assert [x.hex() for x in (rep.sq.real, rep.sq.imag, rep.zeta,
+                                  rep.phi, rep.dx, rep.dp)] == want

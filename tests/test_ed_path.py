@@ -205,7 +205,9 @@ def test_solve_leaves_the_matrix_and_sums_its_duplicates(model, dense):
 
 # three rows of the ed-fixed lattice: one chain at N = 384 on its shell,
 # two chains at N = 16 on theirs (theta = pi/8, radial index 130), and a
-# superradiant N = 128 row on its whole 13,029-state grid
+# superradiant N = 128 row on its whole 13,029-state grid; then a
+# superradiant sector of 20,689 states (N = 256) and two chains at N = 100,
+# whose top Fock slab holds 10,201 states
 _R130 = 130 * 0.5 / math.cos(math.pi / 8) / 200
 BLAS_ROWS = [
     dict(model="dicke", mode="ed", n_spins=384, n_max=40,
@@ -214,17 +216,22 @@ BLAS_ROWS = [
          theta=math.pi / 8, r_min=_R130, r_max=_R130, steps=1),
     dict(model="dicke", mode="ed", n_spins=128, n_max=100,
          coupling_min=0.505, coupling_max=0.505, steps=1),
+    dict(model="dicke", mode="ed", n_spins=256, n_max=160,
+         coupling_min=0.6, coupling_max=0.6, steps=1),
+    dict(model="double-dicke", mode="ed", n_spins=100, n_max=8,
+         theta=math.pi / 8, r_min=_R130, r_max=_R130, steps=1),
 ]
 
 
 @pytest.mark.parametrize("raw", BLAS_ROWS,
-                         ids=["single-shell", "double-shell", "single-grid"])
+                         ids=["single-shell", "double-shell", "single-grid",
+                              "single-sector", "double-top-slab"])
 def test_ed_row_keeps_off_numpy_blas(monkeypatch, raw):
     """numpy bundles its own OpenBLAS, whose thread pool wakes on a dot of
     about 12,000 elements and an eigvalsh of about 100 rows and then
     competes with scipy's beside ARPACK.  An ED row calls neither
-    eigvalsh nor a dot or vdot on more than 10,000 elements, and its
-    cells are those of the unpatched row, bit for bit."""
+    eigvalsh nor a dot, vdot or norm on more than 10,000 elements, and
+    its cells are those of the unpatched row, bit for bit."""
     cfg = sweeps.SweepConfig.from_dict(raw)
     want = sweeps.render_csv(cfg, sweeps.sweep_rows(cfg))
     seen = []
@@ -245,6 +252,7 @@ def test_ed_row_keeps_off_numpy_blas(monkeypatch, raw):
     monkeypatch.setattr(np.linalg, "eigvalsh", refused)
     monkeypatch.setattr(np, "vdot", small(np.vdot))
     monkeypatch.setattr(np, "dot", small(np.dot))
+    monkeypatch.setattr(np.linalg, "norm", small(np.linalg.norm))
     got = sweeps.render_csv(cfg, sweeps.sweep_rows(cfg))
     assert seen == []
     assert got == want

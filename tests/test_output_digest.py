@@ -2,7 +2,8 @@
 hash of the CSV the point renders to in this checkout, or one per file
 that a figure writes, equal to the hash of that file, or one line per
 point of the cutoff-walk scan, equal to the walk's accepted solve, or
-one line per point of the double scan, equal to the scalar results, or
+one line per point of the double scan, equal to the scalar results and
+the point's thermo-grid cells, or
 one line per ed-fixed point, naming the shell its row was solved on
 and the shell its HP Gaussian predicts."""
 
@@ -15,7 +16,8 @@ from pathlib import Path
 
 from hpdicke import ed, sweeps
 from hpdicke.dicke import DickeParams
-from hpdicke.double import (DoubleDickeParams, double_gaps, lower_polariton,
+from hpdicke.double import (DoubleDickeParams, _double_thermo_grid,
+                            double_gaps, hp_double, lower_polariton,
                             soft_mode_count, solve_double_thermo)
 from hpdicke.double_ed import (DoubleEDBasis, converge_cutoff_double,
                                photon_moments_double)
@@ -109,7 +111,22 @@ def test_double_lines_are_the_scalar_results():
             lower = hashlib.sha256(lower_polariton(p).tobytes()).hexdigest()
         except (CriticalPointDivergence, GaplessError, RegimeError) as exc:
             lower = type(exc).__name__
-        expected.append(f"{key} {gaps} {solve} {lower} {soft_mode_count(p)}")
+        grid = _double_thermo_grid(p.omega_cav, p.omega0_c, p.omega0_i,
+                                   [p.lambda_c], [p.lambda_i])
+        cells = ",".join(x.hex() for x in (grid.dx[0], grid.dp[0],
+                                           grid.hp[0]))
+        if grid.errors[0] is not None:
+            cells += "/" + type(grid.errors[0]).__name__
+        try:
+            rep = hp_double(p)
+        except (CriticalPointDivergence, GaplessError) as exc:
+            report = type(exc).__name__
+        else:
+            report = ",".join(x.hex() for x in (
+                rep.n_occ, rep.sq.real, rep.sq.imag, rep.dx, rep.dp, rep.hp,
+                rep.zeta, rep.phi))
+        expected.append(f"{key} {gaps} {solve} {lower} {soft_mode_count(p)} "
+                        f"{cells} {report}")
     assert out.splitlines() == expected
     assert [output_digest._double_params(k) for k in keys[1:]] == [
         DoubleDickeParams(1.0, 1.0, 1.0, 0.5, 0.5),

@@ -24,10 +24,15 @@ c:m:L:sE next to line L, C, I or D (the double point), at relative
 distance d = 0 (E = 0) or 10^-E (E = 13, 10, 7, 4) on side s, + or -:
 the line's couplings are lambda_cr (1 + s d), and on a single line the
 other coupling is half its critical value.  A line reads "key gaps
-solve lower soft": double_gaps as float.hex; solve_double_thermo's gaps
-as float.hex, a slash and the sha256 of its other fields (their repr)
-and its transform's bytes; the sha256 of lower_polariton's bytes; and
-soft_mode_count.  A call that raises gives its error class instead.
+solve lower soft grid report": double_gaps as float.hex;
+solve_double_thermo's gaps as float.hex, a slash and the sha256 of its
+other fields (their repr) and its transform's bytes; the sha256 of
+lower_polariton's bytes; soft_mode_count; the dx, dp and hp cells of
+the point's one-point thermo grid (those of a sweep row there) as
+float.hex, with a slash and the error class of a failed cell; and
+hp_double's report (n_occ, the real and imaginary parts of sq, dx, dp,
+hp, zeta, phi) as float.hex.  A call that raises gives its error class
+instead.
 
 The support scan takes every point of the ed-fixed lattice, as for a
 workload, and prints "key grid K K* support rounds hp_rel s_vn_rel": the
@@ -165,15 +170,30 @@ def _solution_text(sol: double.DoubleThermoSolution) -> str:
     return f"{_hexes(sol.gaps)}/{hashlib.sha256(blob).hexdigest()}"
 
 
+def _grid_text(p: DoubleDickeParams) -> str:
+    g = double._double_thermo_grid(p.omega_cav, p.omega0_c, p.omega0_i,
+                                   [p.lambda_c], [p.lambda_i])
+    text = _hexes([g.dx[0], g.dp[0], g.hp[0]])
+    return text if g.errors[0] is None else (
+        f"{text}/{type(g.errors[0]).__name__}")
+
+
+def _report_text(rep) -> str:
+    return _hexes([rep.n_occ, rep.sq.real, rep.sq.imag, rep.dx, rep.dp,
+                   rep.hp, rep.zeta, rep.phi])
+
+
 def double_line(key: str) -> str:
-    """"key gaps solve lower soft" for one point of the double scan."""
+    """"key gaps solve lower soft grid report" for one point of the
+    double scan."""
     p = _double_params(key)
     return " ".join([
         key, _called(lambda: double.double_gaps(p), _hexes),
         _called(lambda: double.solve_double_thermo(p), _solution_text),
         _called(lambda: double.lower_polariton(p),
                 lambda row: hashlib.sha256(row.tobytes()).hexdigest()),
-        _called(lambda: double.soft_mode_count(p), str)])
+        _called(lambda: double.soft_mode_count(p), str), _grid_text(p),
+        _called(lambda: double.hp_double(p), _report_text)])
 
 
 def _exact(p, basis: ed._Basis) -> tuple[float, float]:
