@@ -34,9 +34,8 @@ import numpy as np
 from .double import (DoubleDickeParams, _broken, build_double_quadratic_form,
                      classify_double_phase)
 from .ed import (DEFAULT_BUDGET_NNZ, DEFAULT_SEED, EDResult, _Basis,
-                 _checkerboard, _coherent_n0, _entropy, _moments,
-                 _offset_csr, _row, _scipy, _solve, _spin_diagonals,
-                 _walk_cutoff)
+                 _coherent_n0, _entropy, _levels, _moments, _offset_csr,
+                 _row, _scipy, _solve, _spin_diagonals, _walk_cutoff)
 from .gaussian import FluctuationReport, QuadraticForm
 
 if TYPE_CHECKING:
@@ -70,6 +69,12 @@ class DoubleEDBasis(_Basis):
     def shape(self) -> tuple[int, int, int]:
         return (self.n_max + 1, self.n_c + 1, self.n_i + 1)
 
+    @property
+    def gauge(self) -> np.ndarray:
+        """D on each state of the support: 1 where U_C is +1, i where it
+        is -1."""
+        return np.where(double_parities(self)[0] > 0, 1.0 + 0j, 1j)
+
     def _hp_form(self, p: DoubleDickeParams) -> QuadraticForm | None:
         """HP modes (a, b_C, b_I), where each broken symmetry is critical;
         on a critical line the form is gapless, and its row is still
@@ -93,15 +98,16 @@ class DoubleEDBasis(_Basis):
 
 def build_double_hamiltonian(p: DoubleDickeParams,
                              basis: DoubleEDBasis) -> sp.csr_matrix:
-    """The two-chain Hamiltonian, couplings scaled by the respective
-    1/sqrt(N_k), as D^dag H D: real symmetric float64 in canonical CSR with
-    no stored zeros.  The physical matrix is D H_r D^dag, with D = 1 where
-    U_C = double_parities(basis)[0] is +1 and i where it is -1.  Each
-    coupling toward n + 1 is indexed by the lower n, mc and mi of the
-    pair it joins, and _offset_csr writes its transpose from it."""
-    nn, nc = basis.n_max + 1, basis.n_c + 1
-    m_c, lad_c = _spin_diagonals(basis.n_c)
-    m_i, lad_i = _spin_diagonals(basis.n_i)
+    """The two-chain Hamiltonian on the basis's support, couplings scaled
+    by the respective 1/sqrt(N_k), as D^dag H D: real symmetric float64 in
+    canonical CSR with no stored zeros.  The physical matrix is
+    D H_r D^dag, with D = basis.gauge.  The diagonal and the couplings
+    span the box basis.bound, not the grid.  Each coupling toward n + 1
+    is indexed by the lower n, mc and mi of the pair it joins, and
+    _offset_csr writes its transpose from it."""
+    nn, nc, ni = basis.bound
+    m_c, lad_c = _spin_diagonals(basis.n_c, nc)
+    m_i, lad_i = _spin_diagonals(basis.n_i, ni)
     levels = np.arange(nn, dtype=float)
     root = np.sqrt(levels[1:])[:, None, None]  # between n and n + 1
     amp_c = p.lambda_c / math.sqrt(basis.n_c) * (root * lad_c[:, None])
@@ -109,8 +115,9 @@ def build_double_hamiltonian(p: DoubleDickeParams,
     diag = ((p.omega_cav * levels[:, None, None] + p.omega0_c * m_c[:, None])
             + p.omega0_i * m_i)
     # i(a - a^dag) is -i on the row with more photons; the gauge makes it
-    # -U_C at the pair's lower n on both corners, as U_C flips with n
-    u_c = _checkerboard((nn, nc)).reshape(nn, nc, 1)
+    # -U_C = -(-1)^(n + mc_idx) at the pair's lower n on both corners, as
+    # U_C flips with n
+    u_c = (-1.0) ** _levels((nn, nc, 1))
     up_i = -u_c[:-1] * amp_i
     # to n + 1: mc - 1, mi - 1, mi + 1, mc + 1
     return _offset_csr(basis, diag, [((1, -1, 0), amp_c), ((1, 0, -1), up_i),
@@ -121,15 +128,14 @@ def double_parities(basis: DoubleEDBasis) -> tuple[np.ndarray, np.ndarray]:
     """Diagonals of the unitary halves of the two antiunitary symmetries:
     U_C = (-1)^(n + mc_idx) and U_I = (-1)^mi_idx, on the basis's
     support, where build_double_hamiltonian writes H: the whole grid when
-    shell is None.
+    shell is None.  U_I is basis.parity U_C.
 
     T_k = U_k composed with complex conjugation leaves the Hamiltonian
     invariant exactly; the product U_C U_I is the unitary total parity.
     """
-    nn, nc, ni = basis.shape
-    support = basis.support
-    return (np.repeat(_checkerboard((nn, nc)), ni)[support],
-            np.tile(_checkerboard((ni,)), nn * nc)[support])
+    n, mc, _ = np.unravel_index(basis.support, basis.shape)
+    u_c = (-1.0) ** (n + mc)
+    return u_c, basis.parity * u_c
 
 
 def symmetry_residuals(H: sp.csr_matrix,
@@ -140,7 +146,7 @@ def symmetry_residuals(H: sp.csr_matrix,
     basis's support; all exactly zero for a correctly assembled matrix."""
     sp = _scipy().sparse
     u_c, u_i = double_parities(basis)
-    D = sp.diags(basis.gauge[basis.support])
+    D = sp.diags(basis.gauge)
     H = D @ H @ D.conj()
     res = [U @ H.conj() - H @ U for U in (sp.diags(u_c), sp.diags(u_i))]
     P = sp.diags(u_c * u_i)

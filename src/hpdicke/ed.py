@@ -97,9 +97,9 @@ DEFAULT_SEED = 7
 _DENSE_DIM = 1200
 
 
-def _checkerboard(shape: tuple[int, ...]) -> np.ndarray:
-    """(-1)^(sum of the grid indices) over a C-order grid, flattened."""
-    return functools.reduce(np.kron, [(-1.0) ** np.arange(k) for k in shape])
+def _levels(shape: tuple[int, ...]) -> np.ndarray:
+    """The sum of the grid indices over a C-order grid of this shape."""
+    return functools.reduce(np.add.outer, [np.arange(k) for k in shape])
 
 
 class _Basis:
@@ -111,9 +111,12 @@ class _Basis:
     last field, shell, is None for the whole grid, or a level K: H is
     then written and solved on the support, the grid states whose HP
     level n + sum of k (each chain's spin index k = m + j) is at most K,
-    while the state is embedded in the grid (see _solve_at).  Subclasses
-    give shape; _entropy_floor, below which reduced-density eigenvalues
-    carry no entropy; _hp_form(p), the HP form at a normal or critical
+    while the state is embedded in the grid (see _solve_at).  The basis
+    is the one owner of that layout: the support is found on its box,
+    bound, over which the builders write their values, and parity and
+    gauge are given on the support.  Subclasses give shape;
+    _entropy_floor, below which reduced-density eigenvalues carry no
+    entropy; _hp_form(p), the HP form at a normal or critical
     point of the params p (else None); _n0(p), the walk's start; and
     _api, the model's public (build, solve, moments, entropy, walk),
     looked up when it is called; the walk takes (p, tol=, budget_nnz=,
@@ -141,13 +144,13 @@ class _Basis:
 
     @property
     def parity(self) -> np.ndarray:
-        return _checkerboard(self.shape)
+        """(-1)^(sum of the grid indices) on each state of the support."""
+        return (-1.0) ** _levels(self.bound)[self._inside]
 
     @property
     def levels(self) -> np.ndarray:
         """The HP level, the sum of the grid indices, of each state."""
-        return functools.reduce(np.add.outer,
-                                [np.arange(k) for k in self.shape]).ravel()
+        return _levels(self.shape).ravel()
 
     @property
     def bound(self) -> tuple[int, ...]:
@@ -158,19 +161,21 @@ class _Basis:
         return tuple(min(k, self.shell + 1) for k in self.shape)
 
     @property
+    def _inside(self) -> np.ndarray:
+        """Which states of the box lie in the support: those of HP level
+        at most shell (a positive integer), all of them when shell is
+        None."""
+        return _levels(self.bound) <= (self.shell or math.inf)
+
+    @property
     def support(self) -> np.ndarray:
-        """The sorted flat indices that H is written and solved on."""
-        if self.shell is None:
-            return np.arange(self.dim)
-        return np.flatnonzero(self.levels <= self.shell)
+        """The sorted flat grid indices that H is written and solved on."""
+        return np.ravel_multi_index(np.nonzero(self._inside), self.shape)
 
     @property
     def gauge(self) -> np.ndarray:
-        """D on each basis state; 1 for one chain."""
-        if len(self.shape) == 2:
-            return np.ones(self.dim)
-        u_c = np.repeat(_checkerboard(self.shape[:2]), self.shape[2])
-        return np.where(u_c > 0, 1.0 + 0j, 1j)
+        """D on each state of the support; 1 for one chain."""
+        return np.ones(self.support.size)
 
     def index(self, *state) -> int:
         """Flat index of the grid point state, one index per axis."""
@@ -253,37 +258,41 @@ def _coherent_n0(n_spins: int, coupling: float, omega: float) -> int:
         4.0 * (n_spins * coupling ** 2 / omega ** 2 + math.sqrt(n_spins)))
 
 
-def _spin_diagonals(n_spins: int) -> tuple[np.ndarray, np.ndarray]:
-    """m = -j .. j and <m+1|J+|m> = sqrt((j - m)(j + m + 1)) for m < j in
-    the maximal sector j = n_spins/2, clipped for roundoff."""
+def _spin_diagonals(n_spins: int,
+                    size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The box's part of the maximal sector j = n_spins/2: its first size
+    values m = -j, -j + 1, .., and <m+1|J+|m> = sqrt((j - m)(j + m + 1))
+    between them, clipped for roundoff."""
     j = n_spins / 2.0
-    m = np.arange(n_spins + 1) - j
+    m = np.arange(size) - j
     return m, np.sqrt(np.clip((j - m[:-1]) * (j + m[:-1] + 1.0), 0.0, None))
 
 
 def _offset_csr(basis: _Basis, diag, up) -> sp.csr_matrix:
     """Real symmetric canonical CSR matrix, with no stored zeros, on the
     support of the basis in its own indices, from the diagonal and the
-    (shift, values) couplings toward more photons, in column order.  A
-    coupling joins each grid state to the one shifted by the given index
-    on each axis, with values broadcast over the box of grid states whose
-    shifted state is on the grid, indexed by the pair's lower corner: its
+    (shift, values) couplings toward more photons, in column order, each
+    given over the box basis.bound that holds the support.  A coupling
+    joins each box state to the one shifted by the given index on each
+    axis, with values that broadcast over the box states whose shifted
+    state is in the box, indexed by the pair's lower corner: its
     transpose is (-shift, values), so H is symmetric by construction.
     It is written where both states lie in the support, and only the box
-    basis.bound that holds the support is visited, so a shell's matrix
-    costs about its own size, not the grid's.  One pass fills a table of
-    each box state's support-local column (-1 outside the support) and
-    value per entry, about 13 bytes per box state per entry, and keeps
-    its nonzeros inside the support row by row.
+    is visited, so a shell's matrix costs about its own size, not the
+    grid's.  One pass fills a table of each box state's support-local
+    column (-1 outside the support) and value per entry, about 13 bytes
+    per box state per entry, and keeps its nonzeros inside the support
+    row by row.  The index dtype is int32 unless the grid's entries
+    could overflow it.
     """
     entries = ([(tuple(-k for k in s), v) for s, v in reversed(up)]
                + [((0,) * len(basis.shape), diag)] + up)
-    support = basis.support
+    inside = basis._inside
+    size = np.count_nonzero(inside)
     itype = np.int32 if len(entries) * basis.dim < 2 ** 31 else np.int64
-    local = np.full(basis.dim, -1, dtype=itype)
-    local[support] = np.arange(support.size, dtype=itype)
-    # each state's index in the support, -1 outside it, over the box
-    rows = local.reshape(basis.shape)[tuple(map(slice, basis.bound))]
+    # each box state's index in the support, -1 outside it
+    rows = np.full(basis.bound, -1, dtype=itype)
+    rows[inside] = np.arange(size, dtype=itype)
     cols = np.full(rows.shape + (len(entries),), -1, dtype=itype)
     vals = np.zeros(cols.shape)
     for e, (shift, v) in enumerate(entries):
@@ -291,25 +300,24 @@ def _offset_csr(basis: _Basis, diag, up) -> sp.csr_matrix:
                    for k, b in zip(shift, basis.bound))
         to = tuple(slice(max(0, k), b - max(0, -k))
                    for k, b in zip(shift, basis.bound))
-        full = [n - abs(k) for k, n in zip(shift, basis.shape)]
         cols[at + (e,)] = rows[to]
-        vals[at + (e,)] = np.broadcast_to(v, full)[
-            tuple(slice(x.stop - x.start) for x in at)]
-    inside = rows >= 0
+        vals[at + (e,)] = v
     keep = (vals != 0) & (cols >= 0) & inside[..., None]
-    indptr = np.zeros(support.size + 1, dtype=itype)
+    indptr = np.zeros(size + 1, dtype=itype)
     np.cumsum(keep.sum(axis=-1)[inside], out=indptr[1:])
     return _scipy().sparse.csr_matrix((vals[keep], cols[keep], indptr),
-                                      (support.size, support.size))
+                                      (size, size))
 
 
 def build_hamiltonian(p: DickeParams, basis: EDBasis) -> sp.csr_matrix:
-    """Sparse real symmetric Hamiltonian in canonical CSR with no stored
-    zeros.  Both couplings toward n + 1 (m - 1 and m + 1) read one array,
-    indexed by the lower n and the lower m of the pair they join, and
-    _offset_csr writes each one's transpose from it."""
-    m, lad = _spin_diagonals(basis.n_spins)
-    levels = np.arange(basis.n_max + 1)
+    """Sparse real symmetric Hamiltonian on the basis's support, in
+    canonical CSR with no stored zeros.  The diagonal and the couplings
+    span the box basis.bound, not the grid.  Both couplings toward n + 1
+    (m - 1 and m + 1) read one array, indexed by the lower n and the
+    lower m of the pair they join, and _offset_csr writes each one's
+    transpose from it."""
+    m, lad = _spin_diagonals(basis.n_spins, basis.bound[1])
+    levels = np.arange(basis.bound[0])
     g = p.coupling / math.sqrt(basis.n_spins)
     amp = g * np.sqrt(levels[1:])[:, None] * lad
     diag = p.omega * levels[:, None] + p.omega0 * m
@@ -319,8 +327,8 @@ def build_hamiltonian(p: DickeParams, basis: EDBasis) -> sp.csr_matrix:
 def parity_diagonal(basis: EDBasis) -> np.ndarray:
     """Diagonal of the parity operator, entries (-1)^(n + m + j), on the
     basis's support, where build_hamiltonian writes H: the whole grid
-    when shell is None."""
-    return _checkerboard(basis.shape)[basis.support]
+    when shell is None.  This is basis.parity."""
+    return basis.parity
 
 
 def _dense_minimum(block: sp.csr_matrix) -> tuple[float, np.ndarray]:
@@ -390,22 +398,22 @@ def _gaussian_shell(form: QuadraticForm, top: int) -> float:
 
 def _solve(H: sp.spmatrix, basis: _Basis, seed: int) -> EDResult:
     """Ground state of the real symmetric H on the support of this basis
-    from the lowest eigenpair of each parity sector idx there, on the
-    block H[idx][:, idx]: dense when the grid has at most _DENSE_DIM
-    states, one block densified at a time, else by ARPACK starting from
-    each sector's part of a draw seeded by seed.  H itself is not
-    modified.  The state is embedded in the grid.
+    from the lowest eigenpair of each parity sector idx there (basis.parity
+    is given on the support), on the block H[idx][:, idx]: dense when the
+    grid has at most _DENSE_DIM states, one block densified at a time,
+    else by ARPACK starting from each sector's part of a draw seeded by
+    seed.  H itself is not modified.  The state is embedded in the grid.
 
     The odd minimum is the ground state only when it lies lower by more
     than SOLVE_TOL*max(1, |E|); a cat pair degenerate to that accuracy
     reports its even member.  gap01 is |E_odd - E_even|.  A ground state
     whose top Fock slab holds TOP_ROW_TOL or more of the weight is not
     cutoff_converged and warns CutoffWarning.  The state carries the
-    gauge D.
+    gauge D, put on the support's states after the sign fix and the
+    top-slab test, which both read the real sector vector.
     """
     H = H.tocsr()
-    support, gauge = basis.support, basis.gauge
-    parity = basis.parity[support]
+    support, gauge, parity = basis.support, basis.gauge, basis.parity
     sectors = (np.flatnonzero(parity > 0), np.flatnonzero(parity < 0))
     blocks = (H[idx][:, idx] for idx in sectors)
     if basis.dim <= _DENSE_DIM:
@@ -428,8 +436,9 @@ def _solve(H: sp.spmatrix, basis: _Basis, seed: int) -> EDResult:
     if not converged:
         warnings.warn(f"top Fock level holds {top:.2e} of the weight; "
                       "moments may be truncated", CutoffWarning, stacklevel=3)
-    return EDResult(ground_energy=e0, gap01=abs(e_odd - e_even),
-                    state=gauge * psi,
+    state = psi.astype(gauge.dtype)
+    state[support] *= gauge
+    return EDResult(ground_energy=e0, gap01=abs(e_odd - e_even), state=state,
                     parity=sign, cutoff_converged=converged,
                     n_max_used=basis.n_max)
 

@@ -32,11 +32,16 @@ class ExponentFit:
     n_points: int
 
 
-def _as_columns(samples: Iterable[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
+def _as_columns(samples: Iterable[tuple[float, float]],
+                minimum: int = MIN_SAMPLES) -> tuple[np.ndarray, np.ndarray]:
+    """The abscissae and ordinates of at least minimum finite pairs;
+    DegenerateFit for fewer pairs, DomainError for a nan or inf entry."""
     pairs = [(float(a), float(b)) for a, b in samples]
-    if len(pairs) < MIN_SAMPLES:
-        raise DegenerateFit(f"need at least {MIN_SAMPLES} samples, got {len(pairs)}")
+    if len(pairs) < minimum:
+        raise DegenerateFit(f"need at least {minimum} samples, got {len(pairs)}")
     arr = np.asarray(pairs)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("samples must be finite")
     return arr[:, 0], arr[:, 1]
 
 
@@ -66,8 +71,9 @@ def _ols(xs: np.ndarray, ys: np.ndarray) -> ExponentFit:
 def fit_critical_exponent(samples: Sequence[tuple[float, float]]) -> ExponentFit:
     """Power-law exponent from (distance, value) pairs by OLS on logs.
 
-    Distances and values must be positive, at least five samples, distances
-    spanning at least one decade; DegenerateFit or DomainError otherwise.
+    Distances and values must be finite and positive, at least five
+    samples, distances spanning at least one decade; DegenerateFit or
+    DomainError otherwise.
     """
     d, v = _as_columns(samples)
     if np.any(d <= 0):
@@ -81,19 +87,14 @@ def fit_critical_exponent(samples: Sequence[tuple[float, float]]) -> ExponentFit
 def fit_entropy_slope(samples: Sequence[tuple[float, float]]) -> ExponentFit:
     """Slope of entropy against log2 of size (or of distance-to-critical).
 
-    The abscissa must be positive and span at least three octaves, with at
-    least three samples; entropies may be any finite reals.  exponent is
+    The abscissa must be finite, positive and span at least three
+    octaves, with at least three samples; entropies may be any finite
+    reals.  DegenerateFit or DomainError otherwise.  exponent is
     the c of S = c*log2(x) + const.
     """
-    pairs = [(float(a), float(b)) for a, b in samples]
-    if len(pairs) < 3:
-        raise DegenerateFit(f"need at least 3 samples, got {len(pairs)}")
-    arr = np.asarray(pairs)
-    x, s = arr[:, 0], arr[:, 1]
+    x, s = _as_columns(samples, 3)
     if np.any(x <= 0):
         raise DomainError("sizes must be positive")
-    if not np.all(np.isfinite(s)):
-        raise DomainError("entropies must be finite")
     octaves = math.log2(float(np.max(x))) - math.log2(float(np.min(x)))
     if octaves < 3.0:
         raise DegenerateFit(f"size span {octaves:.3f} octaves; "

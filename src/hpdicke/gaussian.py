@@ -677,7 +677,8 @@ def pseudo_energy(hp: float, zeta: float = 0.0) -> float:
 
         Delta = log[(2 s + 1) / (2 s - 1)],   s = sqrt(hp^2 + zeta).
 
-    Returns +inf for a pure reduction (s = 1/2); natural-log units.
+    Returns +inf for a pure reduction (s = 1/2), and the limit 0.0 where
+    s overflows to inf; natural-log units.
     """
     arg = float(hp) * float(hp) + float(zeta)
     if arg <= 0.0:
@@ -687,17 +688,22 @@ def pseudo_energy(hp: float, zeta: float = 0.0) -> float:
         raise DomainError(f"hp^2 + zeta = {arg!r} is below 1/4")
     if s <= 0.5:
         return math.inf
+    if s == math.inf:
+        return 0.0
     return math.log((2.0 * s + 1.0) / (2.0 * s - 1.0))
 
 
 def thermal_weights(hp: float, zeta: float = 0.0) -> np.ndarray:
     """Occupancies p_k = (1 - q) q^k of the reduced thermal form,
-    q = exp(-Delta), truncated once p_k < _WEIGHT_TAIL."""
+    q = exp(-Delta), truncated once p_k < _WEIGHT_TAIL.  DomainError
+    where q rounds to 1 (hp from about 1e16, or inf) or is nan."""
     delta = pseudo_energy(hp, zeta)
     if math.isinf(delta):
         return np.array([1.0])
     q = math.exp(-delta)
     p0 = 1.0 - q
+    if not p0 > 0.0:
+        raise DomainError(f"no thermal weights at hp = {hp!r}")
     kmax = max(1, int(math.ceil(math.log(_WEIGHT_TAIL / p0) / math.log(q)))
                + 1)
     return p0 * q ** np.arange(kmax)

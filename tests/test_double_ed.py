@@ -401,3 +401,18 @@ def test_critical_line_entropy_slope_corrected(critical_line_table):
     e_corr = np.linalg.lstsq(A, ys, rcond=None)[0][0]
     assert e_corr == pytest.approx(0.148587, abs=1e-4)
     assert abs(e_corr - 1 / 6) < 0.05
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_two_chain_rows_have_an_exactly_real_a_squared(n):
+    """D(n - 2, .)^* D(n, .) = 1, so <a^2> of a two-chain ED state is
+    exactly real: no row is rotated onto its squeezing axis, so dx and dp
+    cannot swap as the thermo rows next to a critical line do."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CutoffWarning)
+        for a in range(0, 17, 4):
+            th = a * math.pi / 32
+            for r in (0.3, 0.6, 0.9, 1.2):
+                p = P(1.0, 1.0, 1.0, r * math.cos(th), r * math.sin(th), n)
+                rep = double_ed(p, n_max=12)[2]
+                assert (rep.sq.imag, rep.zeta, rep.phi) == (0.0, 0.0, 0.0)

@@ -60,3 +60,19 @@ def test_noisy_fit_reports_spread():
     assert fit.exponent == pytest.approx(0.5, abs=0.02)
     assert 0.0 < fit.stderr < 0.02
     assert fit.residual > 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_power_law_rejects_a_non_finite_sample(bad):
+    xs = list(np.geomspace(1e-4, 1e-1, 6))
+    for k in (0, 1):
+        samples = [(x, 2.0 * x ** 0.5) for x in xs]
+        samples[2] = (bad, samples[2][1]) if k == 0 else (samples[2][0], bad)
+        with pytest.raises(DomainError, match="finite"):
+            fit_critical_exponent(samples)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_entropy_slope_rejects_a_non_finite_size(bad):
+    with pytest.raises(DomainError, match="finite"):
+        fit_entropy_slope([(8, 1.0), (16, 1.3), (bad, 1.6), (128, 1.9)])

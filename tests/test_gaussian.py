@@ -129,6 +129,21 @@ class TestEntropy:
             math.log(3.0), abs=1e-12)
         assert pseudo_energy(0.5) == math.inf
 
+    def test_pseudo_energy_is_zero_where_hp_overflows(self):
+        # hp^2 overflows from about 1.3e154; the gap's limit there is 0
+        assert pseudo_energy(1e100) == 0.0
+        for hp in (1.3e154, 1e300, math.inf):
+            assert pseudo_energy(hp) == 0.0
+        assert pseudo_energy(1.0, math.inf) == 0.0
+        assert entropy_from_hp(math.inf).pseudo_energy == 0.0
+        assert math.isnan(pseudo_energy(math.nan))
+
+    @pytest.mark.parametrize("hp", [1e16, 1e154, 1.3e154, math.inf,
+                                    math.nan])
+    def test_thermal_weights_without_a_gap_raise_domain_error(self, hp):
+        with pytest.raises(DomainError, match="no thermal weights"):
+            thermal_weights(hp)
+
 
 class TestSymplectic:
     def test_decoupled_modes(self):

@@ -5,7 +5,8 @@ point of the cutoff-walk scan, equal to the walk's accepted solve, or
 one line per point of the double scan, equal to the scalar results and
 the point's thermo-grid cells, or
 one line per ed-fixed point, naming the shell its row was solved on
-and the shell its HP Gaussian predicts."""
+and the shell its HP Gaussian predicts, or one line per basis of the
+build scan, equal to the hash of the matrix its public builder writes."""
 
 import hashlib
 import math
@@ -19,9 +20,10 @@ from hpdicke.dicke import DickeParams
 from hpdicke.double import (DoubleDickeParams, _double_thermo_grid,
                             double_gaps, hp_double, lower_polariton,
                             soft_mode_count, solve_double_thermo)
-from hpdicke.double_ed import (DoubleEDBasis, converge_cutoff_double,
-                               photon_moments_double)
-from hpdicke.ed import EDBasis, converge_cutoff, photon_moments_ed
+from hpdicke.double_ed import (DoubleEDBasis, build_double_hamiltonian,
+                               converge_cutoff_double, photon_moments_double)
+from hpdicke.ed import (EDBasis, build_hamiltonian, converge_cutoff,
+                        photon_moments_ed)
 from hpdicke.errors import CriticalPointDivergence, GaplessError, RegimeError
 from hpdicke.figures import reproduce_figure
 
@@ -163,3 +165,35 @@ def test_support_lines_name_the_shell_and_its_accuracy():
          *lines[3][6:]]]
     for line in lines:
         assert max(float(line[6]), float(line[7])) < 1e-11
+
+
+def _matrix_hash(H):
+    h = hashlib.sha256(repr((H.indptr.dtype.str, H.indices.dtype.str,
+                             H.data.dtype.str, H.shape)).encode())
+    for part in (H.indptr, H.indices, H.data):
+        h.update(part.tobytes())
+    return h.hexdigest()
+
+
+def test_build_lines_hash_the_built_matrices():
+    keys = ["d:8:7:5:0", "d:3:2:-:1", "t:5:3:12:14:2", "d:2000:85:45:0",
+            "t:32:32:120:30:0"]
+    code, out = _digest(["build", *keys])
+    assert code == 0
+    single, double = output_digest._BUILD_SINGLE, output_digest._BUILD_DOUBLE
+    built = [
+        build_hamiltonian(DickeParams(*single[0]), EDBasis(8, 7, shell=5)),
+        build_hamiltonian(DickeParams(*single[1]), EDBasis(3, 2)),
+        build_double_hamiltonian(DoubleDickeParams(*double[2]),
+                                 DoubleEDBasis(5, 3, 12, shell=14)),
+        build_hamiltonian(DickeParams(*single[0]),
+                          EDBasis(2000, 85, shell=45)),
+        build_double_hamiltonian(DoubleDickeParams(*double[0]),
+                                 DoubleEDBasis(32, 32, 120, shell=30))]
+    assert out.splitlines() == [f"{key} {_matrix_hash(H)}"
+                                for key, H in zip(keys, built)]
+    assert single[1][2] == double[1][3] == double[2][4] == 0.0
+    keys = output_digest.build_points()
+    assert (len(keys), len(set(keys))) == (3904, 3904)
+    # shells whose box is far smaller than the grid are in the scan
+    assert {"d:10000:162:68:0", "t:128:128:100:68:0"} <= set(keys)

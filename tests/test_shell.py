@@ -9,6 +9,7 @@ full-grid row bit for bit."""
 
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -185,6 +186,9 @@ def _unequal(p):
 
 
 _SINGLE, _DOUBLE = ("single", 30, 44, 0.4), ("double", 8, 12, *_ray(4, 150))
+# shells whose box is far smaller than the grid
+_SINGLE_BOX = ("single", 2000, 85, 0.45)
+_DOUBLE_BOX = ("double", 32, 120, *_ray(4, 150))
 
 
 # K = n_max + 2 reaches the n_max edge of the grid, not its top level
@@ -194,9 +198,11 @@ _SINGLE, _DOUBLE = ("single", 30, 44, 0.4), ("double", 8, 12, *_ray(4, 150))
     (_SINGLE, 46, False), (_DOUBLE, 14, False),
     (_SINGLE, 15, True), (_DOUBLE, 15, True),
     (_SINGLE, 46, True), (_DOUBLE, 14, True),
+    (_SINGLE_BOX, 45, False), (_DOUBLE_BOX, 30, False),
 ], ids=["single", "double", "single-K1", "double-K1", "single-edge",
         "double-edge", "single-unequal", "double-unequal",
-        "single-edge-unequal", "double-edge-unequal"])
+        "single-edge-unequal", "double-edge-unequal", "single-box",
+        "double-box"])
 def test_shell_hamiltonian_is_the_grid_hamiltonian_on_the_shell(point, K,
                                                                 unequal):
     p, grid = _point(*point)
@@ -233,6 +239,35 @@ def test_parity_diagonals_multiply_the_shell_hamiltonian(point):
     assert np.array_equal(pi, full[shell.support])
     comm = H.multiply(pi[None, :]) - H.multiply(pi[:, None])
     assert comm.shape == H.shape and abs(comm).max() == 0.0
+
+
+@pytest.mark.parametrize("point", [_SINGLE, _DOUBLE], ids=["single", "double"])
+def test_basis_parity_and_gauge_are_given_on_the_support(point):
+    """A shell basis's parity and gauge are the grid's entries on its
+    support; on the whole grid they are grid-length, as the solve's
+    state is."""
+    _, grid = _point(*point)
+    shell = replace(grid, shell=15)
+    assert shell.parity.size == shell.gauge.size == shell.support.size
+    assert grid.parity.size == grid.gauge.size == grid.dim
+    assert np.array_equal(shell.parity, grid.parity[shell.support])
+    assert np.array_equal(shell.gauge, grid.gauge[shell.support])
+    assert set(np.unique(grid.parity)) == {-1.0, 1.0}
+
+
+def test_shell_build_allocates_its_box_not_its_grid():
+    """N = 10^4, n_max = 162, K = 68: a 69 x 69 box in a grid of 1.63
+    million states, where one grid-length float array is 13 MB."""
+    p, basis = DickeParams(1.0, 1.0, 0.5), ed.EDBasis(10_000, 162, shell=68)
+    ed.build_hamiltonian(p, basis)  # scipy loaded before tracing
+    tracemalloc.start()
+    try:
+        H = ed.build_hamiltonian(p, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert H.shape == (basis.support.size,) * 2
+    assert peak < 4e6
 
 
 def test_budget_charges_the_whole_grid():

@@ -3,7 +3,8 @@ benchmark workload, one "key digest" line per point, or of every file
 that one figure writes, one "file digest" line per file, or the accepted
 cutoff of every point of the cutoff-walk scan, one "key n_max_used hp
 energy" line per point, or the double-model scalar results at every
-point of the double scan, one line per point.
+point of the double scan, one line per point, or the sha256 of every
+Hamiltonian of the build scan, one "key digest" line per basis.
 
 Each point of bench/workloads.lattice(workload) is swept on its own and
 rendered as CSV, so two checkouts give the same output on every point
@@ -43,6 +44,17 @@ the point has no HP form), the support dimension, the number of solves
 the row took, and the relative deviation of the row's hp and s_vn from
 a full-grid solve of both parity sectors by ARPACK with tol=0 (_exact).
 
+The build scan prints "key digest" for each basis of a fixed scan of
+Hamiltonian builds through the public builders: the sha256 of the built
+matrix's indptr, indices and data with their dtypes, and its shape.  A
+one-chain key d:N:n_max:K:k is EDBasis(N, n_max, shell=K) at the params
+_BUILD_SINGLE[k]; a two-chain key t:N_C:N_I:n_max:K:k is
+DoubleEDBasis(N_C, N_I, n_max, shell=K) at _BUILD_DOUBLE[k]; K is "-"
+for the whole grid.  The scan takes grids and shells K = 1, 5, 20, 30,
+n_max and n_max + 2 over small sizes and cutoffs, at zero and nonzero
+couplings and unequal frequencies, and shells whose box is far smaller
+than the grid (N = 2000 and 10^4 on one chain, N = 32 and 128 on two).
+
 The program is imported from the src/ of the checkout that holds this
 script.
 
@@ -51,6 +63,7 @@ Usage: python tools/output_digest.py WORKLOAD [KEY ...]
        python tools/output_digest.py walk [KEY ...]
        python tools/output_digest.py double [KEY ...]
        python tools/output_digest.py support [KEY ...]
+       python tools/output_digest.py build [KEY ...]
 
 With keys, only those points are digested, in the order given.
 """
@@ -253,6 +266,51 @@ def support_line(key: str) -> str:
         f"{abs(row['hp'] - hp) / hp:.1e}", f"{abs(row['s_vn'] - s_vn) / s_vn:.1e}"])
 
 
+# (omega, omega0, coupling) and (omega_cav, omega0_C, omega0_I, lambda_C,
+# lambda_I) of the build scan
+_BUILD_SINGLE = ((1.0, 1.0, 0.5), (1.3, 0.7, 0.0), (0.8, 1.7, 1.1))
+_BUILD_DOUBLE = ((1.0, 1.0, 1.0, 0.4, 0.3), (1.3, 0.7, 1.9, 0.0, 0.6),
+                 (0.8, 1.7, 0.5, 0.9, 0.0))
+
+
+def build_points() -> list[str]:
+    """The keys of the build scan, in scan order."""
+    def shells(n_max: int) -> list[str]:
+        return ["-"] + [str(k) for k in sorted({1, 5, 20, 30, n_max,
+                                                 n_max + 2})]
+
+    single = [f"d:{n}:{m}:{k}:{c}"
+              for n in (1, 2, 3, 4, 5, 8, 16, 33, 64, 128, 512)
+              for m in (1, 2, 3, 7, 12, 20, 40) for k in shells(m)
+              for c in range(3)]
+    double = [f"t:{nc}:{ni}:{m}:{k}:{c}" for nc in (1, 2, 3, 5, 8, 16)
+              for ni in (1, 2, 3, 8) for m in (1, 2, 4, 12, 30)
+              for k in shells(m) for c in range(3)]
+    boxed = [f"d:2000:85:{k}:{c}" for k in ("-", "45") for c in range(3)] + [
+        "d:10000:162:68:0", "t:32:32:120:30:0", "t:32:32:120:30:2",
+        "t:128:128:100:68:0"]
+    return single + double + boxed
+
+
+def build_line(key: str) -> str:
+    """"key digest" for one basis of the build scan."""
+    model, *sizes, shell, case = key.split(":")
+    sizes = [int(n) for n in sizes]
+    shell = None if shell == "-" else int(shell)
+    if model == "d":
+        H = ed.build_hamiltonian(DickeParams(*_BUILD_SINGLE[int(case)]),
+                                 ed.EDBasis(*sizes, shell=shell))
+    else:
+        H = double_ed.build_double_hamiltonian(
+            DoubleDickeParams(*_BUILD_DOUBLE[int(case)]),
+            double_ed.DoubleEDBasis(*sizes, shell=shell))
+    h = hashlib.sha256(repr((H.indptr.dtype.str, H.indices.dtype.str,
+                             H.data.dtype.str, H.shape)).encode())
+    for part in (H.indptr, H.indices, H.data):
+        h.update(part.tobytes())
+    return f"{key} {h.hexdigest()}"
+
+
 def main(argv: list[str]) -> int:
     if argv[1:2] == ["figure"]:
         parser = argparse.ArgumentParser(prog="output_digest.py figure")
@@ -270,6 +328,10 @@ def main(argv: list[str]) -> int:
         for key in argv[2:] or workloads.lattice("ed-fixed"):
             print(support_line(key), flush=True)
         return 0
+    if argv[1:2] == ["build"]:
+        for key in argv[2:] or build_points():
+            print(build_line(key), flush=True)
+        return 0
     if argv[1:2] == ["double"]:
         for key in argv[2:] or double_points():
             print(double_line(key), flush=True)
@@ -280,7 +342,8 @@ def main(argv: list[str]) -> int:
               "[--budget-nnz B]\n"
               "       python tools/output_digest.py walk [KEY ...]\n"
               "       python tools/output_digest.py double [KEY ...]\n"
-              "       python tools/output_digest.py support [KEY ...]",
+              "       python tools/output_digest.py support [KEY ...]\n"
+              "       python tools/output_digest.py build [KEY ...]",
               file=sys.stderr)
         return 2
     points = workloads.lattice(argv[1])
