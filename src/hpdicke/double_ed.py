@@ -13,8 +13,9 @@ transposes.  The matrix commutes with the total parity U_C U_I.  The
 rest is the one ED path of ed, which DoubleEDBasis describes this model
 to: a large grid at a normal or critical point is solved on the HP
 shell n + k_C + k_I <= K (ed._solve_at), ARPACK starts from a seeded
-draw, and the phases D are put back on the ground state, embedded in
-the grid, before any moment is taken.
+draw, and the phases D are put back on the ground state, which is given
+on the support it was solved on (EDResult.shell), before any moment is
+taken.
 symmetry_residuals checks the physical D H_r D^dag on the basis's
 support.
 
@@ -160,8 +161,8 @@ def double_ground_state(H: sp.csr_matrix, basis: DoubleEDBasis,
     """Lowest state of each total-parity sector of H as
     build_double_hamiltonian writes it, with the phases D put back on
     the state, deterministic for a fixed seed; the ground state is the
-    lower one, a total-parity eigenstate of the physical Hamiltonian
-    (see ed._solve).  H is not modified."""
+    lower one, a total-parity eigenstate of the physical Hamiltonian,
+    given on the basis's support (see ed._solve).  H is not modified."""
     return _solve(H, basis, seed)
 
 

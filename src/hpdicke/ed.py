@@ -24,11 +24,13 @@ the sector idx: for a grid of up to _DENSE_DIM states densely; above it
 with ARPACK, from a seeded draw, so a row depends only on its params,
 N, n_max and seed.  The ground state is the lower of the two, a parity
 eigenstate, so the superradiant cat pair needs no separate resolution;
-it is embedded in the grid, so _moments and _entropy reduce it on the
-grid.  A row's dense eigensolves and its rho = W W^dag run on scipy's
-OpenBLAS, the one ARPACK uses (_entropy): numpy bundles its own, whose
-thread pool wakes on large operands and then competes with scipy's for
-the cores.  _solve_at solves at one cutoff: a large grid at a normal or
+it is returned on the support it was solved on (EDResult.shell names
+it), and _photon_rows, the one place where a state meets a grid, places
+it into the photon rows that _moments and _entropy reduce.  A row's
+dense eigensolves and its rho = W W^dag run on scipy's OpenBLAS, the
+one ARPACK uses (_entropy): numpy bundles its own, whose thread pool
+wakes on large operands and then competes with scipy's for the
+cores.  _solve_at solves at one cutoff: a large grid at a normal or
 critical point on the Holstein-Primakoff shell n + sum of k <= K
 (k = m + j per chain), the finite-N form of Emary & Brandes' picture,
 from the shell that the HP Gaussian predicts (_gaussian_shell), at most
@@ -39,11 +41,12 @@ _walk_cutoff searches for a cutoff on the halving grid below n0: from its
 highest dense point at most n0/2 it walks down while cutoffs are
 accepted, or up until one is.  A cutoff is confirmed at a larger probe
 cutoff by one ARPACK solve of the probe's parity sector started from
-its own solve padded with zeros (_probe_hp), for both models and at
-every dimension.  _row is one ED row: the solve at an explicit cutoff,
-or the one the model's walk accepted, with the entropy and moments of
-its state; sweeps, the figure insets and double_ed read it.  Each
-reaches the model's public functions through basis._api() when called.
+its own solve placed on the probe's grid (_probe_hp), for both models
+and at every dimension.  _row is one ED row: the solve at an explicit
+cutoff, or the one the model's walk accepted, with the entropy and
+moments of its state; sweeps, the figure insets, scaling_at_critical
+and double_ed read it.  Each reaches the model's public functions
+through basis._api() when called.
 scipy loads at the first ED call or ED config (_scipy): thermo needs
 numpy only.
 """
@@ -111,10 +114,10 @@ class _Basis:
     last field, shell, is None for the whole grid, or a level K: H is
     then written and solved on the support, the grid states whose HP
     level n + sum of k (each chain's spin index k = m + j) is at most K,
-    while the state is embedded in the grid (see _solve_at).  The basis
-    is the one owner of that layout: the support is found on its box,
-    bound, over which the builders write their values, and parity and
-    gauge are given on the support.  Subclasses give shape;
+    and so is the solved state (see _solve_at).  The basis is the one
+    owner of that layout: the support is found on its box, bound, over
+    which the builders write their values, and levels, parity and gauge
+    are given on the support.  Subclasses give shape;
     _entropy_floor, below which reduced-density eigenvalues carry no
     entropy; _hp_form(p), the HP form at a normal or critical
     point of the params p (else None); _n0(p), the walk's start; and
@@ -145,12 +148,13 @@ class _Basis:
     @property
     def parity(self) -> np.ndarray:
         """(-1)^(sum of the grid indices) on each state of the support."""
-        return (-1.0) ** _levels(self.bound)[self._inside]
+        return (-1.0) ** self.levels
 
     @property
     def levels(self) -> np.ndarray:
-        """The HP level, the sum of the grid indices, of each state."""
-        return _levels(self.shape).ravel()
+        """The HP level, the sum of the grid indices, of each state of the
+        support."""
+        return _levels(self.bound)[self._inside]
 
     @property
     def bound(self) -> tuple[int, ...]:
@@ -225,12 +229,20 @@ class EDBasis(_Basis):
 
 @dataclass(frozen=True)
 class EDResult:
+    """A ground state and the basis it was solved on: state holds its
+    amplitudes on the support of that basis, whose cutoff is n_max_used
+    and whose shell is shell (None for the whole grid), in the order of
+    basis.support.  The photon reductions read it at a basis of the
+    model whose grid holds that support, such as EDBasis(N,
+    n_max_used)."""
+
     ground_energy: float
     gap01: float
     state: np.ndarray
     parity: float
     cutoff_converged: bool
     n_max_used: int
+    shell: int | None = None
 
 
 @dataclass(frozen=True)
@@ -402,7 +414,9 @@ def _solve(H: sp.spmatrix, basis: _Basis, seed: int) -> EDResult:
     is given on the support), on the block H[idx][:, idx]: dense when the
     grid has at most _DENSE_DIM states, one block densified at a time,
     else by ARPACK starting from each sector's part of a draw seeded by
-    seed.  H itself is not modified.  The state is embedded in the grid.
+    seed.  H itself is not modified.  The state is given on the support,
+    as parity and gauge are, and the result names the basis's n_max and
+    shell.
 
     The odd minimum is the ground state only when it lies lower by more
     than SOLVE_TOL*max(1, |E|); a cat pair degenerate to that accuracy
@@ -410,7 +424,8 @@ def _solve(H: sp.spmatrix, basis: _Basis, seed: int) -> EDResult:
     whose top Fock slab holds TOP_ROW_TOL or more of the weight is not
     cutoff_converged and warns CutoffWarning.  The state carries the
     gauge D, put on the support's states after the sign fix and the
-    top-slab test, which both read the real sector vector.
+    top-slab test, which both read the real sector vector; the top slab
+    is the support's states with n = n_max, and an empty one weighs 0.
     """
     H = H.tocsr()
     support, gauge, parity = basis.support, basis.gauge, basis.parity
@@ -426,37 +441,46 @@ def _solve(H: sp.spmatrix, basis: _Basis, seed: int) -> EDResult:
             else 1.0)
     e0, v = (e_odd, v_odd) if sign < 0 else (e_even, v_even)
     # the norm and the top-slab weight on scipy's BLAS, as _entropy
-    psi, ddot = np.zeros(basis.dim), _scipy().linalg.blas.ddot
-    psi[support[parity == sign]] = v / math.sqrt(ddot(v, v))
+    psi, ddot = np.zeros(support.size), _scipy().linalg.blas.ddot
+    psi[parity == sign] = v / math.sqrt(ddot(v, v))
     if psi[np.argmax(np.abs(psi))] < 0:
         psi = -psi
-    top_slab = math.prod(basis.shape[1:])
-    top = ddot(psi[-top_slab:], psi[-top_slab:])
+    slab = psi[support >= basis.dim - math.prod(basis.shape[1:])]
+    # a shell below n_max has no slab, and ddot rejects an empty vector
+    top = ddot(slab, slab) if slab.size else 0.0
     converged = top < TOP_ROW_TOL
     if not converged:
         warnings.warn(f"top Fock level holds {top:.2e} of the weight; "
                       "moments may be truncated", CutoffWarning, stacklevel=3)
-    state = psi.astype(gauge.dtype)
-    state[support] *= gauge
-    return EDResult(ground_energy=e0, gap01=abs(e_odd - e_even), state=state,
-                    parity=sign, cutoff_converged=converged,
-                    n_max_used=basis.n_max)
+    return EDResult(ground_energy=e0, gap01=abs(e_odd - e_even),
+                    state=psi * gauge, parity=sign, cutoff_converged=converged,
+                    n_max_used=basis.n_max, shell=basis.shell)
 
 
 def ground_state(H: sp.spmatrix, basis: EDBasis,
                  seed: int = DEFAULT_SEED) -> EDResult:
     """Lowest state of each parity sector of H, the Hamiltonian on the
     basis's support, deterministic for a fixed seed; the ground state is
-    a parity eigenstate on the whole grid (see _solve).  H is not
+    a parity eigenstate, given on that support (see _solve).  H is not
     modified."""
     return _solve(H, basis, seed)
 
 
 def _photon_rows(result: EDResult, basis: _Basis) -> np.ndarray:
-    """The state as a matrix, one row per photon number."""
-    if result.state.size != basis.dim:
-        raise DomainError("state length does not match the basis dimension")
-    return result.state.reshape(basis.shape[0], -1)
+    """The state as a matrix on the grid of the basis, one row per photon
+    number: its amplitudes, given on the support of the basis it was
+    solved on (the basis with the result's n_max_used and shell), put at
+    their grid states and zeros elsewhere.  A state that does not lie on
+    this grid, one of another chain size or of more photon rows than
+    it holds, raises DomainError."""
+    at = replace(basis, n_max=result.n_max_used, shell=result.shell)
+    inside = at._inside
+    if (result.state.size != np.count_nonzero(inside)
+            or at.bound[0] > basis.shape[0]):
+        raise DomainError("the state does not lie on the basis's grid")
+    grid = np.zeros(basis.shape, result.state.dtype)
+    grid[tuple(map(slice, at.bound))][inside] = result.state
+    return grid.reshape(basis.shape[0], -1)
 
 
 def _moments(result: EDResult, basis: _Basis) -> FluctuationReport:
@@ -535,14 +559,16 @@ def _solve_at(p, basis: _Basis, budget_nnz: int, seed: int) -> EDResult:
     than machine epsilon: a parity sector occupies every other level
     only, so one level alone can read 0, and a tail of SOLVE_TOL's
     weight still moves s_vn by up to about 200 times as much.  That
-    weight is summed over those two levels' states alone, a few hundred
-    where the grid beyond the shell holds thousands of zeros (about
-    15,300 at N = 384, n_max = 40), short of numpy's threaded dot.  The
-    first K is min(K*, 30), K* the smallest K on which the form's
-    Gaussian passes that same test (_gaussian_shell).  The Gaussian's
-    tail was measured above the solved state's on every ed-fixed
-    benchmark point, so a normal row with K* <= 30 is one solve there,
-    but that is not proven, and the loop still tests the solved state.
+    weight is read off the shell's state, which lives on the support, at
+    those two levels' states alone, a few hundred where the grid beyond
+    the shell holds thousands of zeros (about 15,300 at N = 384, n_max =
+    40), short of numpy's threaded dot.  The grid's top level is
+    sum(shape) - len(shape).  The first K is min(K*, 30), K* the
+    smallest K on which the form's Gaussian passes that same test
+    (_gaussian_shell).  The Gaussian's tail was measured above the
+    solved state's on every ed-fixed benchmark point, so a normal row
+    with K* <= 30 is one solve there, but that is not proven, and the
+    loop still tests the solved state.
     K* is infinite where the form is gapless, and near lambda_cr the
     thermodynamic gap underestimates the finite-N one, so K* overshoots
     (170 where 68 passes at N = 128, lambda = 0.495): the cap keeps
@@ -555,35 +581,38 @@ def _solve_at(p, basis: _Basis, budget_nnz: int, seed: int) -> EDResult:
     build, solve, *_ = basis._api()
     form = basis._hp_form(p) if basis.dim > _DENSE_DIM else None
     if form is not None:
-        levels = basis.levels
-        shell = min(_gaussian_shell(form, int(levels[-1])), 30)
-        while shell < levels[-1]:
+        top = sum(basis.shape) - len(basis.shape)
+        shell = min(_gaussian_shell(form, top), 30)
+        while shell < top:
             at = replace(basis, shell=shell)
             res = solve(build(p, at), at, seed=seed)
-            edge = res.state[(shell - 1 <= levels) & (levels <= shell)]
+            edge = res.state[at.levels >= shell - 1]
             if np.vdot(edge, edge).real < np.finfo(float).eps:
                 return res
             shell = math.ceil(1.5 * shell)
     return solve(build(p, basis), basis, seed=seed)
 
 
-def _probe_hp(p, res: EDResult, at: _Basis, probe: _Basis) -> float:
-    """hp of the ground state on the larger basis probe, by one ARPACK
-    solve (_sector_minimum) of the probe's H on the parity sector of
-    res, the converged solve on the basis at, started from res's state.
+def _probe_hp(p, res: EDResult, probe: _Basis) -> float:
+    """hp of the ground state on the larger basis probe, a whole grid, by
+    one ARPACK solve (_sector_minimum) of the probe's H on the parity
+    sector of res, a converged solve at a lower cutoff, started from
+    res's state.
 
-    The basis is photon-number-major, so res's state padded with zeros
-    is a state of the probe basis (taken out of the gauge D), and H at
-    cutoff n is the leading block of H at the probe: the start is close
-    to the probe's ground state, and exact where res's state is an
-    eigenvector of the probe's H, as at lambda = 0.  A stalled solve
-    raises ConvergenceError.  H is built, and hp taken with the gauge put
-    back, through the model's public functions."""
+    The basis is photon-number-major, so res's state placed on the
+    probe's grid (_photon_rows) is a state of the probe basis (taken out
+    of the gauge D), and H at cutoff n is the leading block of H at the
+    probe: the start is close to the probe's ground state, and exact
+    where res's state is an eigenvector of the probe's H, as at lambda =
+    0.  A stalled solve raises ConvergenceError.  H is built, and hp
+    taken with the gauge put back, through the model's public
+    functions."""
     build, _, moments, *_ = probe._api()
     idx = np.flatnonzero(probe.parity == res.parity)
-    psi = np.pad((at.gauge.conj() * res.state).real, (0, probe.dim - at.dim))
+    psi = (probe.gauge.conj() * _photon_rows(res, probe).ravel()).real
     psi[idx] = _sector_minimum(build(p, probe)[idx][:, idx], psi[idx])[1]
-    return moments(replace(res, state=probe.gauge * psi), probe).hp
+    return moments(replace(res, state=probe.gauge * psi,
+                           n_max_used=probe.n_max, shell=None), probe).hp
 
 
 def _walk_cutoff(p, basis: _Basis, tol: float, budget_nnz: int,
@@ -616,7 +645,7 @@ def _walk_cutoff(p, basis: _Basis, tol: float, budget_nnz: int,
             if not res.cutoff_converged:
                 return None
             _, _, moments, *_ = at._api()
-            hp = _probe_hp(p, res, at, probe)
+            hp = _probe_hp(p, res, probe)
         return res if abs(moments(res, at).hp - hp) < tol else None
 
     n0 = basis._n0(p)
@@ -686,7 +715,8 @@ def scaling_at_critical(p: DickeParams, n_list: tuple[int, ...] | list[int],
                         tol: float = 1e-8,
                         budget_nnz: int = DEFAULT_BUDGET_NNZ,
                         seed: int = DEFAULT_SEED) -> ScalingReport:
-    """hp(N) with converged cutoffs and its power-law fit.
+    """hp(N) with converged cutoffs and its power-law fit; each size's hp
+    and cutoff are those of its ED row (_row), the walk's accepted solve.
 
     The N list must span at least 1.5 decades; the exponent is fitted over
     the largest decade only, where subleading corrections are smallest.
@@ -699,13 +729,9 @@ def scaling_at_critical(p: DickeParams, n_list: tuple[int, ...] | list[int],
     if math.log10(sizes[-1] / sizes[0]) < 1.5:
         raise DomainError("size list must span at least 1.5 decades")
 
-    hps, cuts = [], []
-    for n_spins in sizes:
-        res = converge_cutoff(p, n_spins, tol=tol, budget_nnz=budget_nnz,
-                              seed=seed)
-        basis = EDBasis(n_spins, res.n_max_used)
-        hps.append(photon_moments_ed(res, basis).hp)
-        cuts.append(basis.n_max)
+    rows = [_row(p, EDBasis(n, 1), tol=tol, budget_nnz=budget_nnz, seed=seed)
+            for n in sizes]
+    hps = [rep.hp for _, _, rep in rows]
 
     lo = sizes[-1] / 10.0
     window = [(n, h) for n, h in zip(sizes, hps) if n >= lo]
@@ -715,5 +741,5 @@ def scaling_at_critical(p: DickeParams, n_list: tuple[int, ...] | list[int],
     wh = np.array([h for _, h in window])
     fit = _ols(np.log(wn), np.log(wh))
     return ScalingReport(sizes=tuple(sizes), hp_values=tuple(hps),
-                         cutoffs=tuple(cuts), fit=fit,
-                         fit_sizes=tuple(int(n) for n in wn))
+                         cutoffs=tuple(res.n_max_used for res, _, _ in rows),
+                         fit=fit, fit_sizes=tuple(int(n) for n in wn))

@@ -56,7 +56,7 @@ def test_probe_matches_the_exact_probe_solve(p, basis):
     build, solve, moments, *_ = probe._api()
     exact = solve(build(p, probe), probe)
     assert exact.parity == res.parity
-    assert ed._probe_hp(p, res, at, probe) == pytest.approx(
+    assert ed._probe_hp(p, res, probe) == pytest.approx(
         moments(exact, probe).hp, rel=1e-11, abs=0)
 
 
@@ -67,7 +67,7 @@ def test_sparse_probe_matches_the_exact_probe_solve():
     assert (at.n_max, probe.n_max, probe.dim) == (87, 109, 3630)
     assert at.dim > ed._DENSE_DIM
     exact = ed.ground_state(ed.build_hamiltonian(p, probe), probe)
-    assert ed._probe_hp(p, res, at, probe) == pytest.approx(
+    assert ed._probe_hp(p, res, probe) == pytest.approx(
         ed.photon_moments_ed(exact, probe).hp, rel=1e-11, abs=0)
 
 
@@ -81,7 +81,7 @@ def test_decoupled_probe_needs_the_shift():
     psi = np.pad(res.state, (0, probe.dim - at.dim))[idx]
     H = ed.build_hamiltonian(p, probe)[idx][:, idx]
     assert np.array_equal(H @ psi, res.ground_energy * psi)
-    assert ed._probe_hp(p, res, at, probe) == pytest.approx(0.5, abs=1e-15)
+    assert ed._probe_hp(p, res, probe) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_two_chain_probe_above_the_dense_limit_is_not_solved(monkeypatch):

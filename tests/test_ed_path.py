@@ -8,6 +8,7 @@ entries.  No dense step of an ED row runs on numpy's own BLAS."""
 
 import collections
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from hpdicke import double_ed, ed, figures, sweeps
 from hpdicke.dicke import DickeParams
 from hpdicke.double import DoubleDickeParams
+from hpdicke.errors import DomainError
 
 PUBLIC = {ed: ("build_hamiltonian", "ground_state", "photon_moments_ed",
                "photon_entropy_ed", "converge_cutoff"),
@@ -201,6 +203,46 @@ def test_solve_leaves_the_matrix_and_sums_its_duplicates(model, dense):
     assert got.state.tobytes() == want.state.tobytes()
     assert (got.ground_energy, got.gap01, got.parity) == (
         want.ground_energy, want.gap01, want.parity)
+
+
+def test_readme_pattern_reads_a_shelled_walk_result():
+    """The walk at N = 512, lambda_cr accepts a solve on an HP shell; its
+    state, read at EDBasis(N, n_max_used) as the README does, gives the
+    bits of the sweep row at that point."""
+    res = ed.converge_cutoff(DickeParams(1.0, 1.0, 0.5), 512)
+    assert res.shell is not None
+    basis = ed.EDBasis(512, res.n_max_used)
+    assert res.state.size == replace(basis, shell=res.shell).support.size
+    cfg = sweeps.SweepConfig.from_dict(dict(
+        model="dicke", mode="ed", n_spins=512, coupling_min=0.5,
+        coupling_max=0.5, steps=1))
+    row = sweeps.sweep_rows(cfg)[0].values
+    assert row["n_max_used"] == res.n_max_used
+    assert ed.photon_moments_ed(res, basis).hp == row["hp"]
+    assert ed.photon_entropy_ed(res, basis) == row["s_vn"]
+
+
+@pytest.mark.parametrize("model", ["single", "double"])
+def test_a_state_is_not_read_on_another_grid_of_its_size(model):
+    """A state solved on one grid and read with a basis of another chain
+    size but the same dimension raises DomainError, not a reshaped
+    answer; so does a basis with fewer photon rows than the state."""
+    if model == "single":
+        p = DickeParams(1.0, 1.0, 0.4)
+        at, other, fewer = ed.EDBasis(3, 7), ed.EDBasis(7, 3), ed.EDBasis(3, 3)
+    else:
+        p = DoubleDickeParams(1.0, 1.0, 1.0, 0.3, 0.2, 1, 1)
+        at, other, fewer = (double_ed.DoubleEDBasis(1, *k)
+                            for k in ((1, 7), (3, 3), (1, 3)))
+    assert at.dim == other.dim
+    build, solve, moments, entropy, _ = at._api()
+    res = solve(build(p, at), at)
+    assert moments(res, at).hp >= 0.5
+    for basis in (other, fewer):
+        with pytest.raises(DomainError):
+            moments(res, basis)
+        with pytest.raises(DomainError):
+            entropy(res, basis)
 
 
 # three rows of the ed-fixed lattice: one chain at N = 384 on its shell,

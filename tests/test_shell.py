@@ -74,7 +74,8 @@ def test_shell_rows_match_a_full_grid_solve(solved, point):
     res, s_vn, rep = ed._row(p, grid, grid.n_max)
     last = solved[-1]
     assert last.shell is not None and last.support.size < grid.dim
-    assert res.n_max_used == grid.n_max and res.state.size == grid.dim
+    assert res.n_max_used == grid.n_max and res.shell == last.shell
+    assert res.state.size == last.support.size
     hp, s_exact = output_digest._exact(p, grid)
     assert rep.hp == pytest.approx(hp, rel=1e-11, abs=0)
     assert s_vn == pytest.approx(s_exact, rel=1e-11, abs=0)
@@ -125,7 +126,7 @@ def test_first_shell_is_the_gaussian_prediction(solved, point):
     assert ed._gaussian_shell(grid._hp_form(p), top) == k0 < 30
     res, _, _ = ed._row(p, grid, grid.n_max)
     assert solved == [replace(grid, shell=k0)]
-    edge = res.state[grid.levels >= k0 - 1]
+    edge = res.state[replace(grid, shell=k0).levels >= k0 - 1]
     assert np.vdot(edge, edge).real <= tail[k0 - 1]
 
 
@@ -268,6 +269,36 @@ def test_shell_build_allocates_its_box_not_its_grid():
         tracemalloc.stop()
     assert H.shape == (basis.support.size,) * 2
     assert peak < 4e6
+
+
+def test_shell_solve_allocates_its_support_not_its_grid():
+    """N = 10^4, n_max = 162, K = 68 at lambda_cr: the state is returned
+    on the 2,415-state support, not embedded in the grid of 1.63 million
+    states, where one grid-length float array is 13 MB."""
+    p, basis = DickeParams(1.0, 1.0, 0.5), ed.EDBasis(10_000, 162, shell=68)
+    H = ed.build_hamiltonian(p, basis)
+    ed.ground_state(H, basis)  # scipy's solvers loaded before tracing
+    tracemalloc.start()
+    try:
+        res = ed.ground_state(H, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.state.size == basis.support.size == 2415
+    assert res.shell == 68 and res.n_max_used == 162
+    assert peak < 4e6
+
+
+@pytest.mark.parametrize("point,K", [
+    (("single", 128, 40, 0.2), 18),             # ed-fixed de:128:40:200
+    (("double", 32, 120, *_ray(8, 130)), 28),   # ed-fixed te:32:120:8:130
+], ids=["single", "double"])
+def test_shelled_fixed_rows_keep_the_state_on_their_support(solved, point,
+                                                            K):
+    p, grid = _point(*point)
+    res, _, _ = ed._row(p, grid, grid.n_max)
+    assert solved == [replace(grid, shell=K)] and res.shell == K
+    assert res.state.size == solved[0].support.size < grid.dim
 
 
 def test_budget_charges_the_whole_grid():
