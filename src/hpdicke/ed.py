@@ -25,8 +25,9 @@ with ARPACK, from a seeded draw, so a row depends only on its params,
 N, n_max and seed.  The ground state is the lower of the two, a parity
 eigenstate, so the superradiant cat pair needs no separate resolution;
 it is returned on the support it was solved on (EDResult.shell names
-it), and _photon_rows, the one place where a state meets a grid, places
-it into the photon rows that _moments and _entropy reduce.  A row's
+it), and _photon_rows, the one place where a state meets a box, places
+it into photon rows: _moments and _entropy reduce the box of the
+state's own support, and the probe gets its whole grid.  A row's
 dense eigensolves and its rho = W W^dag run on scipy's OpenBLAS, the
 one ARPACK uses (_entropy): numpy bundles its own, whose thread pool
 wakes on large operands and then competes with scipy's for the
@@ -35,8 +36,11 @@ critical point on the Holstein-Primakoff shell n + sum of k <= K
 (k = m + j per chain), the finite-N form of Emary & Brandes' picture,
 from the shell that the HP Gaussian predicts (_gaussian_shell), at most
 30, grown until its top two levels are empty; any other grid, a
-superradiant one included, whole.  A sparse solve stops on a residual
-of about SOLVE_TOL at every N (_sector_minimum).
+superradiant one included, whole.  The budget charges each support
+just before its Hamiltonian is built (_Basis.max_nnz counts the
+support), so a row whose shells fit runs on a grid too large to build,
+and the walk charges its probe's whole grid.  A sparse solve stops on
+a residual of about SOLVE_TOL at every N (_sector_minimum).
 _walk_cutoff searches for a cutoff on the halving grid below n0: from its
 highest dense point at most n0/2 it walks down while cutoffs are
 accepted, or up until one is.  A cutoff is confirmed at a larger probe
@@ -141,9 +145,13 @@ class _Basis:
 
     @property
     def max_nnz(self) -> int:
-        """Upper bound on the stored entries of the Hamiltonian: the
-        diagonal and four corners per chain's coupling."""
-        return (4 * (len(self.shape) - 1) + 1) * self.dim
+        """Upper bound on the stored entries of the Hamiltonian on the
+        support: the diagonal and four corners per chain's coupling, per
+        support state.  The whole grid is counted as dim, with no
+        grid-sized array."""
+        size = (self.dim if self.shell is None
+                else int(np.count_nonzero(self._inside)))
+        return (4 * (len(self.shape) - 1) + 1) * size
 
     @property
     def parity(self) -> np.ndarray:
@@ -159,10 +167,8 @@ class _Basis:
     @property
     def bound(self) -> tuple[int, ...]:
         """The extent of the smallest box at the grid's origin that holds
-        the support."""
-        if self.shell is None:
-            return self.shape
-        return tuple(min(k, self.shell + 1) for k in self.shape)
+        the support: the grid when shell is None."""
+        return tuple(min(k, (self.shell or math.inf) + 1) for k in self.shape)
 
     @property
     def _inside(self) -> np.ndarray:
@@ -294,14 +300,14 @@ def _offset_csr(basis: _Basis, diag, up) -> sp.csr_matrix:
     grid's.  One pass fills a table of each box state's support-local
     column (-1 outside the support) and value per entry, about 13 bytes
     per box state per entry, and keeps its nonzeros inside the support
-    row by row.  The index dtype is int32 unless the grid's entries
+    row by row.  The index dtype is int32 unless the support's entries
     could overflow it.
     """
     entries = ([(tuple(-k for k in s), v) for s, v in reversed(up)]
                + [((0,) * len(basis.shape), diag)] + up)
     inside = basis._inside
     size = np.count_nonzero(inside)
-    itype = np.int32 if len(entries) * basis.dim < 2 ** 31 else np.int64
+    itype = np.int32 if len(entries) * size < 2 ** 31 else np.int64
     # each box state's index in the support, -1 outside it
     rows = np.full(basis.bound, -1, dtype=itype)
     rows[inside] = np.arange(size, dtype=itype)
@@ -467,30 +473,32 @@ def ground_state(H: sp.spmatrix, basis: EDBasis,
 
 
 def _photon_rows(result: EDResult, basis: _Basis) -> np.ndarray:
-    """The state as a matrix on the grid of the basis, one row per photon
-    number: its amplitudes, given on the support of the basis it was
-    solved on (the basis with the result's n_max_used and shell), put at
-    their grid states and zeros elsewhere.  A state that does not lie on
-    this grid, one of another chain size or of more photon rows than
-    it holds, raises DomainError."""
+    """The state as a matrix on the box basis.bound (the grid when
+    basis.shell is None), one row per photon number: its amplitudes,
+    given on the support of the basis it was solved on (the basis with
+    the result's n_max_used and shell), put at their box states and
+    zeros elsewhere.  A state that does not lie in this box, one of
+    another chain size or of more photon rows than it holds, raises
+    DomainError."""
     at = replace(basis, n_max=result.n_max_used, shell=result.shell)
     inside = at._inside
     if (result.state.size != np.count_nonzero(inside)
-            or at.bound[0] > basis.shape[0]):
+            or at.bound[0] > basis.bound[0]):
         raise DomainError("the state does not lie on the basis's grid")
-    grid = np.zeros(basis.shape, result.state.dtype)
-    grid[tuple(map(slice, at.bound))][inside] = result.state
-    return grid.reshape(basis.shape[0], -1)
+    W = np.zeros(basis.bound, result.state.dtype)
+    W[tuple(map(slice, at.bound))][inside] = result.state
+    return W.reshape(basis.bound[0], -1)
 
 
 def _moments(result: EDResult, basis: _Basis) -> FluctuationReport:
     """Photon <a>, <a^2>, <a^dag a> of the ground state, reduced over the
-    chains and fed to the generic uncertainty-product reducer.  A complex
-    (two-chain) state takes <a^dag a> from |w|^2 and the rest from
-    conj(w) w, a real one from w w: one arithmetic would move either
-    model's last bits."""
-    W = _photon_rows(result, basis)
-    levels = np.arange(basis.shape[0])
+    chains on the box of the state's own support (_photon_rows at the
+    result's shell), and fed to the generic uncertainty-product reducer.
+    A complex (two-chain) state takes <a^dag a> from |w|^2 and the rest
+    from conj(w) w, a real one from w w: one arithmetic would move
+    either model's last bits."""
+    W = _photon_rows(result, replace(basis, shell=result.shell))
+    levels = np.arange(len(W))
     if np.iscomplexobj(W):
         occ = float(np.sum(levels[:, None] * np.abs(W) ** 2))
         left, kind = W.conj(), complex
@@ -506,15 +514,16 @@ def _moments(result: EDResult, basis: _Basis) -> FluctuationReport:
 
 def _entropy(result: EDResult, basis: _Basis) -> float:
     """Entanglement entropy (bits) between the photon and the chains,
-    from the spectrum of rho = W W^dag over the state's nonzero rows and
-    columns, formed and diagonalized on scipy's BLAS and LAPACK: numpy's
-    own OpenBLAS pool stays asleep beside ARPACK's.  dsyrk (real) and
-    zgemm (complex, as conj(W) W^T transposed) give numpy's W @ W^dag,
-    and eigh's evd driver its eigvalsh, bit for bit on nearly every
-    state; both read rho's lower triangle."""
-    W = _photon_rows(result, basis)
-    # a shell's state is zero outside its box; a state with no zero row
-    # or column is reduced as before, bit for bit
+    from the spectrum of rho = W W^dag over the nonzero rows and columns
+    of the state on the box of its own support (_photon_rows at the
+    result's shell), formed and diagonalized on scipy's BLAS and LAPACK:
+    numpy's own OpenBLAS pool stays asleep beside ARPACK's.  dsyrk
+    (real) and zgemm (complex, as conj(W) W^T transposed) give numpy's
+    W @ W^dag, and eigh's evd driver its eigvalsh, bit for bit on nearly
+    every state; both read rho's lower triangle."""
+    W = _photon_rows(result, replace(basis, shell=result.shell))
+    # rows and columns that are zero, in the box or beyond a cutoff,
+    # carry no weight; dropping them keeps the bits of the grid's rho
     nz = W != 0
     W = W[nz.any(axis=1)][:, nz.any(axis=0)]
     linalg = _scipy().linalg
@@ -537,20 +546,28 @@ def photon_entropy_ed(result: EDResult, basis: EDBasis) -> float:
 
 
 def _check_budget(basis: _Basis, budget_nnz: int) -> None:
-    """Raise BudgetExceeded when the basis's Hamiltonian may store more
-    than budget_nnz entries.  Every matrix the cutoff walk builds, a
-    probe's included, is such a Hamiltonian."""
+    """Raise BudgetExceeded when the Hamiltonian on the basis's support
+    may store more than budget_nnz entries (max_nnz, which it carries as
+    needed): "cutoff n, shell K needs ..." for a shell, "cutoff n needs
+    ..." for a whole grid.  Every matrix that a solve at a cutoff or the
+    cutoff walk builds, a probe's included, is charged just before it is
+    built."""
     need = basis.max_nnz
     if need > budget_nnz:
+        shell = "" if basis.shell is None else f", shell {basis.shell}"
         raise BudgetExceeded(
-            f"cutoff {basis.n_max} needs ~{need} nonzeros, over the budget "
-            f"of {budget_nnz}", needed=need, budget=budget_nnz)
+            f"cutoff {basis.n_max}{shell} needs ~{need} nonzeros, over the "
+            f"budget of {budget_nnz}", needed=need, budget=budget_nnz)
 
 
 def _solve_at(p, basis: _Basis, budget_nnz: int, seed: int) -> EDResult:
-    """The ground state of the params on this basis, after the budget
-    check on the whole grid, through the model's public builder and
-    solve.
+    """The ground state of the params on this basis, a whole grid,
+    through the model's public builder and solve, on the supports of one
+    loop: the HP shells where they apply, then the whole grid.  Each
+    support is charged against the budget (_check_budget) just before
+    its Hamiltonian is built, so a shell over budget raises
+    BudgetExceeded, and a row whose shells fit runs on a grid that
+    would not.
 
     A grid of more than _DENSE_DIM states at a point with an HP form
     (the normal phase, lambda_cr included) is solved by ARPACK on the
@@ -577,20 +594,19 @@ def _solve_at(p, basis: _Basis, budget_nnz: int, seed: int) -> EDResult:
     included, is solved on its whole grid: there the state sits away
     from the shell's corner.
     """
-    _check_budget(basis, budget_nnz)
     build, solve, *_ = basis._api()
     form = basis._hp_form(p) if basis.dim > _DENSE_DIM else None
-    if form is not None:
-        top = sum(basis.shape) - len(basis.shape)
-        shell = min(_gaussian_shell(form, top), 30)
-        while shell < top:
-            at = replace(basis, shell=shell)
-            res = solve(build(p, at), at, seed=seed)
-            edge = res.state[at.levels >= shell - 1]
-            if np.vdot(edge, edge).real < np.finfo(float).eps:
-                return res
-            shell = math.ceil(1.5 * shell)
-    return solve(build(p, basis), basis, seed=seed)
+    top = sum(basis.shape) - len(basis.shape)
+    shell = top if form is None else min(_gaussian_shell(form, top), 30)
+    while True:
+        at = replace(basis, shell=shell if shell < top else None)
+        _check_budget(at, budget_nnz)
+        res = solve(build(p, at), at, seed=seed)
+        # the whole grid, the last support, is taken as it is
+        edge = res.state[at.levels >= shell - 1] if at.shell else 0.0
+        if np.vdot(edge, edge).real < np.finfo(float).eps:
+            return res
+        shell = math.ceil(1.5 * shell)
 
 
 def _probe_hp(p, res: EDResult, probe: _Basis) -> float:

@@ -69,6 +69,36 @@ def test_figure_digest_lines_are_the_written_file_hashes(tmp_path):
 
 def test_unknown_workload_exits_2():
     assert _digest(["no-such-workload"]) == (2, "")
+    assert _digest(["values", "no-such-workload"]) == (2, "")
+    assert _digest(["values"]) == (2, "")
+
+
+def test_value_lines_are_the_computed_cells():
+    """One line per point: every cell but the coordinates and n_spins, a
+    float as float.hex, so equal lines are equal bits cell by cell."""
+    keys = {"thermo-grid": ["dt:500", "tt:8:200"],
+            "ed-fixed": ["de:128:40:200"]}
+    given = {"index", "coupling", "dist_cr", "n_spins", "r", "theta",
+             "lambda_c", "lambda_i", "dist_c", "dist_i"}
+    for workload, picked in keys.items():
+        code, out = _digest(["values", workload, *picked])
+        assert code == 0
+        points = workloads.lattice(workload)
+        expected = []
+        for key in picked:
+            cfg = sweeps.SweepConfig.from_dict(points[key])
+            (row,) = sweeps.sweep_rows(cfg)
+            expected.append(" ".join([key] + [
+                f"{c}={v.hex() if isinstance(v, float) else v}"
+                for c, v in row.values.items() if c not in given]))
+        assert out.splitlines() == expected
+    cells = dict(c.split("=") for c in out.split()[1:])
+    assert list(cells) == ["n_max_used", "ground_energy", "gap01", "parity",
+                           "converged", "dx", "dp", "hp", "s_vn", "reason"]
+    config = points["de:128:40:200"]
+    _, _, rep = ed._row(DickeParams(1.0, 1.0, config["coupling_min"]),
+                        EDBasis(128, 40), config["n_max"])
+    assert float.fromhex(cells["hp"]) == rep.hp
 
 
 def test_walk_lines_are_the_accepted_solves():

@@ -289,6 +289,26 @@ def test_shell_solve_allocates_its_support_not_its_grid():
     assert peak < 4e6
 
 
+@pytest.mark.parametrize("reduce", [ed.photon_moments_ed,
+                                    ed.photon_entropy_ed],
+                         ids=["moments", "entropy"])
+def test_shell_reductions_allocate_its_box_not_its_grid(reduce):
+    """The K = 68 state at N = 10^4, n_max = 162, read at the grid's
+    basis, is reduced on its 69 x 69 box: neither reduction fills a
+    photon-by-chain matrix of the grid's 1.63 million states (13 MB)."""
+    p, basis = DickeParams(1.0, 1.0, 0.5), ed.EDBasis(10_000, 162, shell=68)
+    res = ed.ground_state(ed.build_hamiltonian(p, basis), basis)
+    grid = ed.EDBasis(10_000, 162)
+    reduce(res, grid)  # scipy's BLAS loaded before tracing
+    tracemalloc.start()
+    try:
+        reduce(res, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 @pytest.mark.parametrize("point,K", [
     (("single", 128, 40, 0.2), 18),             # ed-fixed de:128:40:200
     (("double", 32, 120, *_ray(8, 130)), 28),   # ed-fixed te:32:120:8:130
@@ -301,8 +321,51 @@ def test_shelled_fixed_rows_keep_the_state_on_their_support(solved, point,
     assert res.state.size == solved[0].support.size < grid.dim
 
 
-def test_budget_charges_the_whole_grid():
-    grid = ed.EDBasis(512, 40)
-    with pytest.raises(BudgetExceeded):
-        ed._row(DickeParams(1.0, 1.0, 0.3), grid, grid.n_max,
-                budget_nnz=grid.max_nnz - 1)
+@pytest.mark.parametrize("point,K", [
+    (("single", 512, 40, 0.3), 24),
+    (("double", 32, 120, *_ray(8, 130)), 28),   # ed-fixed te:32:120:8:130
+], ids=["single", "double"])
+def test_budget_charges_the_support(point, K):
+    """A shelled row runs one entry below its grid's charge, and is
+    refused one entry below its accepted shell's, which is the charge
+    the refusal names: max_nnz counts the support's states."""
+    p, grid = _point(*point)
+    res, _, _ = ed._row(p, grid, grid.n_max, budget_nnz=grid.max_nnz - 1)
+    shell = replace(grid, shell=K)
+    assert res.shell == K and shell.max_nnz < grid.max_nnz
+    assert shell.max_nnz == (4 * len(grid.shape) - 3) * shell.support.size
+    need = shell.max_nnz
+    with pytest.raises(BudgetExceeded) as exc:
+        ed._row(p, grid, grid.n_max, budget_nnz=need - 1)
+    assert (exc.value.needed, exc.value.budget) == (need, need - 1)
+    assert str(exc.value) == (f"cutoff {grid.n_max}, shell {K} needs ~{need} "
+                              f"nonzeros, over the budget of {need - 1}")
+
+
+@pytest.mark.parametrize("point", [
+    ("single", 8, 2000, 0.8), ("double", 8, 2000, *_ray(8, 300)),
+], ids=["single", "double"])
+def test_budget_names_a_whole_grid_without_a_shell(point):
+    """A superradiant row is solved on its whole grid, and a budget below
+    the grid's max_nnz refuses it with no shell in the message."""
+    p, grid = _point(*point)
+    with pytest.raises(BudgetExceeded) as exc:
+        ed._row(p, grid, grid.n_max, budget_nnz=1000)
+    assert exc.value.needed == grid.max_nnz == (4 * len(grid.shape) - 3) * (
+        grid.dim)
+    assert str(exc.value) == (f"cutoff 2000 needs ~{grid.max_nnz} nonzeros, "
+                              "over the budget of 1000")
+
+
+def test_two_chain_critical_line_runs_at_n_512():
+    """N_C = N_I = 512, n_max = 40 on the chain-I critical line (theta =
+    5 pi/16, lambda_I = 0.5): its grid would hold about 97 million
+    nonzeros, but its accepted shell fits the default budget."""
+    p, grid = _point("double", 512, 40, *_ray(10, 200))
+    assert p.lambda_i == pytest.approx(0.5)
+    assert grid.max_nnz > ed.DEFAULT_BUDGET_NNZ
+    res, s_vn, rep = double_ed.double_ed(p, grid.n_max)
+    shell = replace(grid, shell=102)  # after 30, 45 and 68
+    assert res.shell == 102 and res.state.size == shell.support.size == 145796
+    assert shell.max_nnz <= ed.DEFAULT_BUDGET_NNZ
+    assert res.cutoff_converged and rep.hp > 0.5 and s_vn > 0

@@ -816,9 +816,13 @@ class TestCli:
 
     @pytest.mark.parametrize("model", ["dicke", "double-dicke"])
     def test_fixed_cutoff_budget_exit_3(self, tmp_path, model):
+        # a superradiant point is solved on its whole grid, which the
+        # budget refuses before it is built
+        point = ({"coupling_min": 0.8, "coupling_max": 0.8}
+                 if model == "dicke" else {"r_min": 1.0, "r_max": 1.0})
         cfg_path = _write_config(tmp_path, "fixed.json", {
             "model": model, "mode": "ed", "n_spins": 8, "n_max": 2000,
-            "steps": 1, "budget_nnz": 1000})
+            "steps": 1, "budget_nnz": 1000, **point})
         assert cli.main(["sweep", "--config", cfg_path,
                          "--out", str(tmp_path / "s.csv")]) == 3
         assert not (tmp_path / "s.csv").exists()

@@ -55,10 +55,18 @@ n_max and n_max + 2 over small sizes and cutoffs, at zero and nonzero
 couplings and unequal frequencies, and shells whose box is far smaller
 than the grid (N = 2000 and 10^4 on one chain, N = 32 and 128 on two).
 
+The values mode prints, for each lattice point of a workload, "key
+name=value ..." over the cells its sweep computes: every column but the
+grid coordinates and n_spins, a float as float.hex and any other cell as
+its text.  Two checkouts' lines can then be compared cell by cell, so a
+stated output change can be bounded by the relative change of each
+cell, where the workload digests only say that a point changed.
+
 The program is imported from the src/ of the checkout that holds this
 script.
 
 Usage: python tools/output_digest.py WORKLOAD [KEY ...]
+       python tools/output_digest.py values WORKLOAD [KEY ...]
        python tools/output_digest.py figure N [--budget-nnz B]
        python tools/output_digest.py walk [KEY ...]
        python tools/output_digest.py double [KEY ...]
@@ -98,6 +106,18 @@ def digest(config: dict) -> str:
     cfg = sweeps.SweepConfig.from_dict(config)
     text = sweeps.render_csv(cfg, sweeps.sweep_rows(cfg))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def value_lines(key: str, config: dict) -> list[str]:
+    """"key name=value ..." for each row that one sweep config computes:
+    every cell but the grid coordinates and n_spins, a float as
+    float.hex and any other cell as its str."""
+    cfg = sweeps.SweepConfig.from_dict(config)
+    given = {"n_spins", *sweeps._coordinates(cfg)}
+    return [" ".join([key] + [
+        f"{name}={cell.hex() if isinstance(cell, float) else cell}"
+        for name, cell in row.values.items() if name not in given])
+        for row in sweeps.sweep_rows(cfg)]
 
 
 def figure_digests(figure: int, budget_nnz: int) -> list[str]:
@@ -336,8 +356,12 @@ def main(argv: list[str]) -> int:
         for key in argv[2:] or double_points():
             print(double_line(key), flush=True)
         return 0
-    if len(argv) < 2 or argv[1] not in workloads.WORKLOADS:
+    values = argv[1:2] == ["values"]
+    args = argv[1 + values:]
+    if not args or args[0] not in workloads.WORKLOADS:
         print("usage: python tools/output_digest.py WORKLOAD [KEY ...]\n"
+              "       python tools/output_digest.py values WORKLOAD "
+              "[KEY ...]\n"
               "       python tools/output_digest.py figure N "
               "[--budget-nnz B]\n"
               "       python tools/output_digest.py walk [KEY ...]\n"
@@ -346,9 +370,10 @@ def main(argv: list[str]) -> int:
               "       python tools/output_digest.py build [KEY ...]",
               file=sys.stderr)
         return 2
-    points = workloads.lattice(argv[1])
-    for key in argv[2:] or points:
-        print(key, digest(points[key]), flush=True)
+    points = workloads.lattice(args[0])
+    for key in args[1:] or points:
+        print("\n".join(value_lines(key, points[key])) if values
+              else f"{key} {digest(points[key])}", flush=True)
     return 0
 
 
