@@ -162,7 +162,8 @@ def double_ground_state(H: sp.csr_matrix, basis: DoubleEDBasis,
     build_double_hamiltonian writes it, with the phases D put back on
     the state, deterministic for a fixed seed; the ground state is the
     lower one, a total-parity eigenstate of the physical Hamiltonian,
-    given on the basis's support (see ed._solve).  H is not modified."""
+    given on the basis's support (see ed._solve).  H is not modified;
+    an H of another support size raises DomainError."""
     return _solve(H, basis, seed)
 
 

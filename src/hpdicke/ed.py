@@ -12,7 +12,9 @@ with the parity (-1)^(n + m + j), which is diagonal in this basis.
 _offset_csr writes it, and the real two-chain matrix of double_ed, on
 a basis's support straight into canonical float64 CSR with no stored
 zeros, in one pass from the diagonal and the couplings toward more
-photons: it adds each coupling's transpose from the same values.
+photons: it adds each coupling's transpose from the same values, into
+a table of one row per support state, so no array of a build spans the
+box around the support times its entries.
 
 Both models are this Fock ladder times one or two maximal-j spins, a
 C-order grid whose parity is its checkerboard, and share one path.  The
@@ -297,11 +299,14 @@ def _offset_csr(basis: _Basis, diag, up) -> sp.csr_matrix:
     transpose is (-shift, values), so H is symmetric by construction.
     It is written where both states lie in the support, and only the box
     is visited, so a shell's matrix costs about its own size, not the
-    grid's.  One pass fills a table of each box state's support-local
-    column (-1 outside the support) and value per entry, about 13 bytes
-    per box state per entry, and keeps its nonzeros inside the support
-    row by row.  The index dtype is int32 unless the support's entries
-    could overflow it.
+    grid's.  One pass fills a table with one row per support state, in
+    support order, of its support-local column (-1 outside the support)
+    and value per entry, about 13 bytes per support state per entry:
+    each entry is placed on the box once, in temporaries that live for
+    that entry alone, and its support states are copied into the
+    table's column.  The table's nonzeros are kept row by row.  The
+    index dtype is int32 unless the support's entries could overflow
+    it.
     """
     entries = ([(tuple(-k for k in s), v) for s, v in reversed(up)]
                + [((0,) * len(basis.shape), diag)] + up)
@@ -311,18 +316,19 @@ def _offset_csr(basis: _Basis, diag, up) -> sp.csr_matrix:
     # each box state's index in the support, -1 outside it
     rows = np.full(basis.bound, -1, dtype=itype)
     rows[inside] = np.arange(size, dtype=itype)
-    cols = np.full(rows.shape + (len(entries),), -1, dtype=itype)
-    vals = np.zeros(cols.shape)
+    cols = np.empty((size, len(entries)), dtype=itype)
+    vals = np.empty(cols.shape)
     for e, (shift, v) in enumerate(entries):
         at = tuple(slice(max(0, -k), b - max(0, k))
                    for k, b in zip(shift, basis.bound))
         to = tuple(slice(max(0, k), b - max(0, -k))
                    for k, b in zip(shift, basis.bound))
-        cols[at + (e,)] = rows[to]
-        vals[at + (e,)] = v
-    keep = (vals != 0) & (cols >= 0) & inside[..., None]
+        col, val = np.full(basis.bound, -1, itype), np.zeros(basis.bound)
+        col[at], val[at] = rows[to], v
+        cols[:, e], vals[:, e] = col[inside], val[inside]
+    keep = (vals != 0) & (cols >= 0)
     indptr = np.zeros(size + 1, dtype=itype)
-    np.cumsum(keep.sum(axis=-1)[inside], out=indptr[1:])
+    np.cumsum(keep.sum(axis=-1), out=indptr[1:])
     return _scipy().sparse.csr_matrix((vals[keep], cols[keep], indptr),
                                       (size, size))
 
@@ -432,9 +438,14 @@ def _solve(H: sp.spmatrix, basis: _Basis, seed: int) -> EDResult:
     gauge D, put on the support's states after the sign fix and the
     top-slab test, which both read the real sector vector; the top slab
     is the support's states with n = n_max, and an empty one weighs 0.
+    An H whose shape is not (support size)^2, one built on another
+    basis, raises DomainError naming both sizes.
     """
     H = H.tocsr()
     support, gauge, parity = basis.support, basis.gauge, basis.parity
+    if H.shape != (support.size,) * 2:
+        raise DomainError(f"H of shape {H.shape} is not on the basis's "
+                          f"support of {support.size} states")
     sectors = (np.flatnonzero(parity > 0), np.flatnonzero(parity < 0))
     blocks = (H[idx][:, idx] for idx in sectors)
     if basis.dim <= _DENSE_DIM:
@@ -468,7 +479,7 @@ def ground_state(H: sp.spmatrix, basis: EDBasis,
     """Lowest state of each parity sector of H, the Hamiltonian on the
     basis's support, deterministic for a fixed seed; the ground state is
     a parity eigenstate, given on that support (see _solve).  H is not
-    modified."""
+    modified; an H of another support size raises DomainError."""
     return _solve(H, basis, seed)
 
 

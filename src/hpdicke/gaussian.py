@@ -654,6 +654,8 @@ def renyi_entropy(hp: float, alpha: float) -> float:
         S_alpha = (alpha - log2[(1 + 2 hp)^alpha - (2 hp - 1)^alpha]) / (1 - alpha)
 
     computed in log space so large hp and large alpha do not overflow.
+    An infinite hp, a divergence, gives inf, as in entropy_from_hp's
+    column; a nan hp gives nan.
     """
     alpha = float(alpha)
     if not alpha > 0.0:
@@ -662,6 +664,8 @@ def renyi_entropy(hp: float, alpha: float) -> float:
         raise DomainError("Renyi order 1 is the von Neumann limit; "
                           "use entropy_from_hp")
     hp = _clamped_hp(hp)
+    if hp == math.inf:
+        return hp
     x = 1.0 + 2.0 * hp
     y = 2.0 * hp - 1.0
     if y == 0.0:

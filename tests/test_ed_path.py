@@ -245,6 +245,31 @@ def test_a_state_is_not_read_on_another_grid_of_its_size(model):
             entropy(res, basis)
 
 
+@pytest.mark.parametrize("model", ["single", "double"])
+def test_a_hamiltonian_is_not_solved_on_another_basis(model):
+    """An H built on one basis and solved with another raises DomainError
+    naming both sizes, whether its basis has more states (which was
+    solved silently: -2.5 for the N = 4 ground energy -2.0496 on one
+    chain), fewer (which raised scipy's IndexError) or the same grid
+    cut to a shell."""
+    if model == "single":
+        p = DickeParams(1.0, 1.0, 0.3)
+        small, large = ed.EDBasis(4, 4), ed.EDBasis(5, 4)
+        other = ed.EDBasis(4, 5)
+    else:
+        p = DoubleDickeParams(1.0, 1.0, 1.0, 0.3, 0.2, 1, 1)
+        small, large = (double_ed.DoubleEDBasis(1, *k)
+                        for k in ((1, 4), (2, 4)))
+        other = double_ed.DoubleEDBasis(1, 1, 5)
+    build, solve, *_ = small._api()
+    for built, read in ((large, small), (small, other),
+                        (small, replace(small, shell=3))):
+        size, states = built.support.size, read.support.size
+        with pytest.raises(DomainError, match=rf"^H of shape \({size}, "
+                           rf"{size}\) is not on .* of {states} states$"):
+            solve(build(p, built), read)
+
+
 # three rows of the ed-fixed lattice: one chain at N = 384 on its shell,
 # two chains at N = 16 on theirs (theta = pi/8, radial index 130), and a
 # superradiant N = 128 row on its whole 13,029-state grid; then a

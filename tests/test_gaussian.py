@@ -96,6 +96,17 @@ class TestEntropy:
         rep = entropy_from_hp(math.inf, 1, renyi_alphas=(2.0,))
         assert rep.s_vn == rep.s_renyi[2.0] == math.inf
 
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 7.0])
+    def test_renyi_entropy_reads_as_the_column_at_inf_and_nan(self, alpha):
+        """renyi_entropy gives what entropy_from_hp's column gives: inf
+        for an infinite hp, a divergence, and nan for a failed one."""
+        column = entropy_from_hp(math.inf, renyi_alphas=(alpha,))
+        assert renyi_entropy(math.inf, alpha) == math.inf
+        assert column.s_renyi[alpha] == renyi_entropy(math.inf, alpha)
+        column = entropy_from_hp(math.nan, renyi_alphas=(alpha,))
+        assert math.isnan(renyi_entropy(math.nan, alpha))
+        assert math.isnan(column.s_renyi[alpha])
+
     def test_renyi_closed_forms(self):
         assert renyi_entropy(10.0, 2) == pytest.approx(math.log2(20.0),
                                                        abs=1e-12)

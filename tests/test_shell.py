@@ -271,6 +271,24 @@ def test_shell_build_allocates_its_box_not_its_grid():
     assert peak < 4e6
 
 
+def test_two_chain_shell_build_allocates_its_support_not_its_box():
+    """N_C = N_I = 128, n_max = 100, K = 68: a 69^3 box of 328,509 states
+    for a support of 57,155.  The writer's table has one row per support
+    state, not per box state (51 MB when it spanned the box)."""
+    p = DoubleDickeParams(1.0, 1.0, 1.0, 0.5, 0.5, 128, 128)
+    basis = double_ed.DoubleEDBasis(128, 128, 100, shell=68)
+    double_ed.build_double_hamiltonian(p, basis)  # scipy loaded first
+    tracemalloc.start()
+    try:
+        H = double_ed.build_double_hamiltonian(p, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.prod(basis.bound) == 328_509
+    assert H.shape == (basis.support.size,) * 2 == (57_155,) * 2
+    assert peak < 30e6
+
+
 def test_shell_solve_allocates_its_support_not_its_grid():
     """N = 10^4, n_max = 162, K = 68 at lambda_cr: the state is returned
     on the 2,415-state support, not embedded in the grid of 1.63 million
